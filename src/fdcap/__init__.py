@@ -4,21 +4,19 @@ water-filling power control, closed-form capacity, and a Poisson-field
 Monte Carlo simulator that validates all of it."""
 
 from .capacity import (CapacityReport, compare, default_rho,
-                       fd_fixed_power_capacity, fd_optimal_capacity,
-                       fd_optimal_capacity_closed_form, hd_benchmark_capacity,
-                       solve_network, waterfill_rate)
+                       fd_fixed_power_capacity,
+                       fd_optimal_capacity_closed_form, solve_network,
+                       waterfill_rate)
 from .cinr import BetaPrimeDist, cinr_distribution
 from .interference import (InterferenceFit, gamma_fit, laplace_transform,
-                           mean_interference, numerical_moment, second_moment)
+                           mean_interference, second_moment)
 from .mcsim import (MCConfig, SampleStats, choose_rmax,
                     estimate_fd_fixed, estimate_fd_optimal, estimate_hd,
-                    estimate_interference_moments, interference_samples,
-                    sample_interference)
+                    estimate_interference_moments, interference_samples)
 from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
                     derived_geometry, load_config, parse_config, validate)
-from .powercontrol import (WaterfillSolution, avg_power, avg_power_closed_form,
-                           power_policy, solve_cutoff)
-from .specfun import (EvalResult, NumericsError, beta_fn, gauss_2f1,
-                      hyper_3f2, log_gamma, reg_inc_beta)
+from .powercontrol import (WaterfillSolution, avg_power, power_policy,
+                           solve_cutoff)
+from .specfun import EvalResult, NumericsError, gauss_2f1, hyper_3f2
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._integrate import quad_strict
-from .cinr import BetaPrimeDist, cinr_distribution
+from . import mcsim
+from .cinr import BetaPrimeDist, cinr_distribution, expect
 from .interference import gamma_fit
 from .model import NetworkConfig, derived_geometry, validate
 from .powercontrol import WaterfillSolution, solve_cutoff
@@ -54,33 +54,18 @@ def solve_network(cfg: NetworkConfig) -> tuple[BetaPrimeDist, WaterfillSolution]
 def waterfill_rate(d: BetaPrimeDist, a0: float, bandwidth: float) -> float:
     """(B/ln 2) * int_{1/a0}^inf ln(a0 x) f_gamma(x) dx by quadrature.
 
-    Same beta substitution t = k*gamma/(1 + k*gamma) as in powercontrol:
-    the integrand becomes ln(a0 t / (k (1-t))) against the Beta(m0, mI)
-    weight on [t0, 1], t0 = k/(k + a0), and vanishes at t0.
+    In the beta variable t (see cinr.expect) the integrand is
+    ln(a0 t / (k (1-t))) on [t0, 1], t0 = k/(k + a0), where it vanishes.
     """
     t0 = d.k / (d.k + a0)
     if 1.0 - t0 < 4e-16:
         # transmit window collapsed below double resolution (a0/k ~ ulp);
         # quadrature nodes would round onto t = 1 where log1p(-t) blows up
         return 0.0
-    neg_log_beta = -d.log_beta
     log_a0_over_k = math.log(a0 / d.k)
-
-    def integrand(t: float) -> float:
-        log_rate = log_a0_over_k + math.log(t) - math.log1p(-t)
-        return log_rate * math.exp(neg_log_beta + (d.m0 - 1.0) * math.log(t)
-                                   + (d.mI - 1.0) * math.log1p(-t))
-
-    val, _ = quad_strict("fd_optimal_capacity", integrand, t0, 1.0)
+    val = expect(d, "fd_optimal_capacity",
+                 lambda t: log_a0_over_k + math.log(t) - math.log1p(-t), t0)
     return bandwidth / math.log(2.0) * val
-
-
-def fd_optimal_capacity(cfg: NetworkConfig) -> CapacityReport:
-    """Water-filling FD capacity bound; report carries c_fd_optimal and a0."""
-    d, sol = solve_network(cfg)
-    c = waterfill_rate(d, sol.a0, cfg.bandwidth)
-    return CapacityReport(c_fd_optimal=c, a0=sol.a0,
-                          provenance={"c_fd_optimal": "quadrature"})
 
 
 def fd_optimal_capacity_closed_form(d: BetaPrimeDist, a0: float,
@@ -112,15 +97,8 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
         return 0.0
     validate(cfg)
     d = cinr_distribution(cfg, gamma_fit(cfg))
-    neg_log_beta = -d.log_beta
-
-    def integrand(t: float) -> float:
-        x = t / (d.k * (1.0 - t))
-        return math.log1p(cfg.p_bar * x) * math.exp(
-            neg_log_beta + (d.m0 - 1.0) * math.log(t)
-            + (d.mI - 1.0) * math.log1p(-t))
-
-    val, _ = quad_strict("fd_fixed_power_capacity", integrand, 0.0, 1.0)
+    val = expect(d, "fd_fixed_power_capacity",
+                 lambda t: math.log1p(cfg.p_bar * (t / (d.k * (1.0 - t)))))
     return cfg.bandwidth / math.log(2.0) * val
 
 
@@ -135,20 +113,6 @@ def default_rho(cfg: NetworkConfig):
     return cfg.p_bar * geo.rbar ** (-cfg.eta)
 
 
-def hd_benchmark_capacity(cfg: NetworkConfig, rho: float, mc):
-    """Half-duplex benchmark (B/2) E[log2(1 + rho*h/(I_u + N0))] by MC.
-
-    Returns the mcsim.SampleStats (mean in bit/s, plus its standard error).
-    The interfering-uplink model is a reconstruction documented in
-    mcsim.estimate_hd.
-    """
-    from . import mcsim  # local import keeps mcsim -> capacity acyclic
-
-    if not rho > 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    return mcsim.estimate_hd(cfg, rho, mc)
-
-
 def compare(cfg: NetworkConfig, rho: float | None = None, mc=None) -> CapacityReport:
     """All four quantities plus the one-sided comparison flags.
 
@@ -156,8 +120,6 @@ def compare(cfg: NetworkConfig, rho: float | None = None, mc=None) -> CapacityRe
     fd_beneficial: c_fd_fixed > c_hd (a concrete FD policy already wins)
     Both False is the inconclusive middle ground.
     """
-    from . import mcsim
-
     d, sol = solve_network(cfg)
     c_opt = waterfill_rate(d, sol.a0, cfg.bandwidth)
     c_cf = fd_optimal_capacity_closed_form(d, sol.a0, cfg.bandwidth)

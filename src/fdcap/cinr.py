@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
+from ._integrate import quad_strict
 from .interference import InterferenceFit
 from .model import NetworkConfig, validate
-from .specfun import reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,28 @@ class BetaPrimeDist:
         """log B(m0, mI), cached nowhere — cheap enough to recompute."""
         return (math.lgamma(self.m0) + math.lgamma(self.mI)
                 - math.lgamma(self.m0 + self.mI))
+
+
+def expect(d: BetaPrimeDist, stage: str, g, lo: float = 0.0) -> float:
+    """int_lo^1 g(t) t^(m0-1) (1-t)^(mI-1) / B(m0, mI) dt by quad_strict.
+
+    Every expectation over the CINR law is taken in the beta variable
+    t = k*gamma/(1 + k*gamma), which is Beta(m0, mI) distributed; then
+    gamma = t/(k(1-t)) and 1/gamma = k(1-t)/t.  g(t) is the quantity to
+    average and lo the start of its support.  A node that rounds onto
+    t >= 1 (a window [lo, 1] a few ulps wide) contributes 0 instead of
+    log(0).  `stage` names the caller in a NumericsError.
+    """
+    # bound once: QUADPACK calls the integrand up to thousands of times
+    neg_log_beta, a, b = -d.log_beta, d.m0 - 1.0, d.mI - 1.0
+    exp, log, log1p = math.exp, math.log, math.log1p
+
+    def integrand(t: float) -> float:
+        if t >= 1.0:
+            return 0.0
+        return g(t) * exp(neg_log_beta + a * log(t) + b * log1p(-t))
+
+    return quad_strict(stage, integrand, lo, 1.0)[0]
 
 
 def cinr_distribution(cfg: NetworkConfig, fit: InterferenceFit) -> BetaPrimeDist:
@@ -81,7 +104,7 @@ def cdf(d: BetaPrimeDist, x: float) -> float:
     if x < 0:
         raise ValueError("cdf domain is x >= 0")
     t = d.k * x / (1.0 + d.k * x)
-    return reg_inc_beta(d.m0, d.mI, t)
+    return float(betainc(d.m0, d.mI, t))
 
 
 def mode(d: BetaPrimeDist) -> float:

@@ -320,10 +320,11 @@ def _add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
                    help=f"Monte Carlo sample count (default {samples_default})")
     p.add_argument("--seed", type=int, default=0,
                    help="Monte Carlo seed (default 0)")
-    p.add_argument("--tail-epsilon", type=float, default=1e-3,
-                   help="relative interference-tail budget for the field "
-                        "truncation radius (default 1e-3; cost per sample "
-                        "scales like 1/eps at eta=4)")
+    tail = mcsim.MCConfig.tail_epsilon
+    p.add_argument("--tail-epsilon", type=float, default=tail,
+                   help=f"relative interference-tail budget for the field "
+                        f"truncation radius (default {tail:g}; cost per "
+                        f"sample scales like 1/eps at eta=4)")
     p.add_argument("--workers", type=int, default=_default_workers(),
                    help="Monte Carlo worker threads (default: FDCAP_WORKERS "
                         "env var, else 1); results are worker-count independent")

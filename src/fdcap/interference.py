@@ -124,43 +124,6 @@ def laplace_transform(cfg: NetworkConfig, s: float,
     return math.exp(_log_laplace(cfg, s, _exclusion_radius(cfg, r_min)))
 
 
-def numerical_moment(cfg: NetworkConfig, n: int) -> float:
-    """n-th moment (n in {1, 2}) extracted from the transform at s = 0.
-
-    Independent cross-check of the closed-form moments: 4th-order central
-    finite differences with the step scaled to 1/E[I] (the transform's
-    natural argument scale), Richardson-extrapolated across steps h and h/2.
-    The two step sizes must agree to 1e-3 relative, else the differentiation
-    is reported as ill-conditioned.
-    """
-    validate(cfg)
-    if n not in (1, 2):
-        raise ValueError(f"numerical_moment supports orders 1 and 2, got {n}")
-    if cfg.p_bs == 0:
-        return 0.0
-    r0 = derived_geometry(cfg).r0
-    h = 1e-3 / mean_interference(cfg)
-
-    def lt(s: float) -> float:
-        return math.exp(_log_laplace(cfg, s, r0))
-
-    def stencil(step: float) -> float:
-        if n == 1:
-            d = (lt(-2 * step) - 8.0 * lt(-step) + 8.0 * lt(step) - lt(2 * step)) / (12.0 * step)
-            return -d
-        return (-lt(-2 * step) + 16.0 * lt(-step) - 30.0
-                + 16.0 * lt(step) - lt(2 * step)) / (12.0 * step * step)
-
-    coarse = stencil(h)
-    fine = stencil(h / 2.0)
-    if abs(coarse - fine) > 1e-3 * max(abs(fine), 1e-300):
-        raise NumericsError(
-            "numerical_moment",
-            f"ill-conditioned differentiation: step h and h/2 give {coarse!r} "
-            f"vs {fine!r} (order {n})")
-    return fine + (fine - coarse) / 15.0
-
-
 def gamma_fit(cfg: NetworkConfig, r_min: float | None = None) -> InterferenceFit:
     """Gamma law matching the exact first two moments of I.
 

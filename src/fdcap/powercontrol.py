@@ -7,9 +7,7 @@ The optimal policy for maximizing ergodic rate subject to E[P] <= p_bar is
 where the water level a0 = B / (mu0 ln 2) absorbs the bandwidth and the
 Lagrange multiplier mu0; the user stays silent below the cutoff CINR 1/a0.
 a0 is found by solving E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR
-law.  The expectation is computed by adaptive quadrature (authoritative);
-the two-2F1 closed form is evaluated only as a cross-check because its
-second term is suspect — see avg_power_closed_form.
+law by adaptive quadrature.
 """
 from __future__ import annotations
 
@@ -18,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import quad_strict
-from .cinr import BetaPrimeDist
-from .specfun import EvalResult, gauss_2f1
+from .cinr import BetaPrimeDist, expect
+from .specfun import NumericsError
 
 
 @dataclass(frozen=True)
@@ -50,14 +47,10 @@ def power_policy(sol: WaterfillSolution, gamma):
 
 
 def avg_power(d: BetaPrimeDist, a0: float) -> float:
-    """E[(a0 - 1/gamma)^+] by adaptive quadrature (the authoritative path).
+    """E[(a0 - 1/gamma)^+] by adaptive quadrature.
 
-    In the beta variable t = k*gamma/(1 + k*gamma) (so 1/gamma = k(1-t)/t)
-    the expectation becomes a finite-interval integral against the
-    Beta(m0, mI) weight, starting at t0 = k/(k + a0) where the integrand
-    vanishes:
-
-        int_t0^1 (a0 - k(1-t)/t) t^(m0-1) (1-t)^(mI-1) / B(m0, mI) dt.
+    In the beta variable t (see cinr.expect) the integrand is
+    a0 - k(1-t)/t on [t0, 1], t0 = k/(k + a0), where it vanishes.
 
     Strictly increasing and continuous in a0, -> 0 as a0 -> 0+.
     """
@@ -69,66 +62,8 @@ def avg_power(d: BetaPrimeDist, a0: float) -> float:
         # collapsed to a few ulps and quadrature nodes would round onto the
         # t = 1 endpoint; the expectation itself is bounded by a0
         return 0.0
-    neg_log_beta = -d.log_beta
-
-    def integrand(t: float) -> float:
-        return ((a0 - d.k * (1.0 - t) / t)
-                * math.exp(neg_log_beta + (d.m0 - 1.0) * math.log(t)
-                           + (d.mI - 1.0) * math.log1p(-t)))
-
-    val, _ = quad_strict("avg_power", integrand, t0, 1.0)
-    return val
-
-
-@dataclass(frozen=True)
-class ClosedFormAvgPower:
-    """Both readings of the two-2F1 average-power expression, checked
-    against the quadrature.
-
-    value:            a0^(mI+1)/(B(m0,mI) k^mI) * [F1/mI - F2/mI]
-                      (both terms divided by mI, as the source derivation
-                      prints it)
-    value_corrected:  second term divided by mI+1 instead — what the
-                      term-by-term integral actually gives; this is the
-                      variant that agrees with quadrature
-    F1 = 2F1(mI, mI+m0; 1+mI; -a0/k), F2 = 2F1(mI+1, mI+m0; 2+mI; -a0/k).
-
-    quadrature is the avg_power value and wins on any disagreement;
-    matches_quadrature says whether `value` agrees with it to 1e-6 relative.
-    ok=False means the hypergeometrics did not converge ("closed form
-    unavailable, quadrature used").
-    """
-
-    value: float
-    value_corrected: float
-    quadrature: float
-    matches_quadrature: bool
-    abs_error_estimate: float
-    ok: bool
-    f1: EvalResult
-    f2: EvalResult
-
-
-def avg_power_closed_form(d: BetaPrimeDist, a0: float) -> ClosedFormAvgPower:
-    """Evaluate the closed-form E[(a0 - 1/gamma)^+] in both variants and
-    compare against the quadrature (which always remains the solve path)."""
-    if not a0 > 0:
-        raise ValueError(f"water level must be > 0, got {a0}")
-    quad_value = avg_power(d, a0)
-    z = -a0 / d.k
-    f1 = gauss_2f1(d.mI, d.mI + d.m0, 1.0 + d.mI, z)
-    f2 = gauss_2f1(d.mI + 1.0, d.mI + d.m0, 2.0 + d.mI, z)
-    if not (f1.ok and f2.ok):
-        return ClosedFormAvgPower(math.nan, math.nan, quad_value, False,
-                                  math.inf, False, f1, f2)
-    log_pref = (d.mI + 1.0) * math.log(a0) - d.mI * math.log(d.k) - d.log_beta
-    pref = math.exp(log_pref)
-    as_printed = pref * (f1.value / d.mI - f2.value / d.mI)
-    corrected = pref * (f1.value / d.mI - f2.value / (d.mI + 1.0))
-    est = pref * (f1.abs_error_estimate + f2.abs_error_estimate)
-    matches = abs(as_printed - quad_value) <= 1e-6 * abs(quad_value)
-    return ClosedFormAvgPower(as_printed, corrected, quad_value, matches,
-                              est, True, f1, f2)
+    k = d.k
+    return expect(d, "avg_power", lambda t: a0 - k * (1.0 - t) / t, t0)
 
 
 def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillSolution:
@@ -155,10 +90,13 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillS
         achieved = avg_power(d, hi)
         iterations += 1
     else:
-        raise RuntimeError(
+        raise NumericsError(
+            "solve_cutoff",
             f"no bracket for the power constraint after 200 doublings "
-            f"(a0={hi!r}, E[P]={achieved!r}, p_bar={p_bar!r}) — the CINR law "
-            f"cannot absorb that much power")
+            f"(a0={hi!r}, E[P]={achieved!r}, p_bar={p_bar!r}, mI={d.mI!r}); "
+            f"mI grows without bound as eta -> 2, like 1/(eta-2)^2, and the "
+            f"E[P] quadrature cannot resolve a Beta(m0, mI) weight that "
+            f"narrow")
 
     a0 = hi
     for _ in range(200):

@@ -1,10 +1,9 @@
 """Special functions for the closed-form capacity expressions.
 
-Everything the analytic pipeline needs beyond elementary functions lives
-here: log-gamma, the beta function, the regularized incomplete beta
-(continued fraction), Gauss 2F1 and the generalized 3F2 — the latter two
-only on the nonpositive real axis, which is all the capacity formulas use
-(their argument is -a0/k <= 0).
+Gauss 2F1 and the generalized 3F2, both only on the nonpositive real axis,
+which is all the capacity formulas use (their argument is -a0/k <= 0).
+Log-gamma comes from math.lgamma and the regularized incomplete beta from
+scipy.special.betainc.
 
 Series evaluation uses term-ratio stopping at 1e-15 relative with a 1e5-term
 cap; hitting the cap is reported as failure, never silently truncated.
@@ -32,90 +31,15 @@ class NumericsError(RuntimeError):
 class EvalResult:
     """A special-function value with an error estimate and provenance.
 
-    ``method`` is one of series, transformation, integral-representation,
-    continued-fraction.  ``ok`` is False when evaluation did not converge or
-    the method's validity conditions failed; ``value`` is NaN in that case.
+    ``method`` is one of series, transformation, integral-representation.
+    ``ok`` is False when evaluation did not converge or the method's
+    validity conditions failed; ``value`` is NaN in that case.
     """
 
     value: float
     abs_error_estimate: float
     method: str
     ok: bool = True
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Euler beta function B(a, b) for a, b > 0, via log-gamma."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 600):
-        m2 = 2 * m
-        # even step
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise NumericsError("reg_inc_beta",
-                        f"continued fraction stalled for a={a}, b={b}, x={x}")
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), absolute error <= 1e-12.
-
-    The continued fraction converges fast only for x below the switch point
-    (a+1)/(a+b+2); above it the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) is used.
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"reg_inc_beta requires positive shapes, got ({a}, {b})")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (a * math.log(x) + b * math.log1p(-x)
-                + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def _hyp_series(num: tuple[float, ...], den: tuple[float, ...], z: float):
@@ -192,8 +116,8 @@ def hyper_3f2(a1: float, a2: float, a3: float,
               * int_0^1 t^(ai-1) (1-t)^(bj-ai-1) 2F1(rest; rest; z t) dt,
 
     valid when some upper/lower pair satisfies bj > ai > 0.  When no pairing
-    qualifies the result is flagged unavailable (ok=False) — never a silent
-    extrapolation.
+    qualifies, or the error estimate exceeds 1e-3 of the value, the result
+    is flagged unavailable (ok=False) — never a silent wrong number.
     """
     for bq in (b1, b2):
         if _is_nonpositive_int(bq):
@@ -243,8 +167,8 @@ def hyper_3f2(a1: float, a2: float, a3: float,
                         + (bj - ai - 1.0) * math.log1p(-t)) * f.value
 
     val, quad_err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=300)
-    if inner_bad:
-        return EvalResult(math.nan, math.inf, "integral-representation", ok=False)
     pref = math.exp(math.lgamma(bj) - math.lgamma(ai) - math.lgamma(bj - ai))
     est = pref * (quad_err + inner_err) * 10.0
+    if inner_bad or est > 1e-3 * abs(pref * val):
+        return EvalResult(math.nan, math.inf, "integral-representation", ok=False)
     return EvalResult(pref * val, est, "integral-representation")

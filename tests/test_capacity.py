@@ -13,13 +13,13 @@ import math
 
 import pytest
 
+from scipy.special import beta as beta_fn
+
 from fdcap.capacity import (CapacityReport, compare, default_rho,
-                            fd_fixed_power_capacity, fd_optimal_capacity,
-                            fd_optimal_capacity_closed_form,
-                            hd_benchmark_capacity, solve_network,
+                            fd_fixed_power_capacity,
+                            fd_optimal_capacity_closed_form, solve_network,
                             waterfill_rate)
 from fdcap.mcsim import MCConfig, estimate_fd_optimal, estimate_hd
-from fdcap.specfun import beta_fn
 from conftest import make_cfg
 
 # regression anchors for the two baseline scenarios (bit/s, deterministic
@@ -28,6 +28,12 @@ C_OPT_MICRO = 147556.4146416914
 C_OPT_MACRO = 25949.150524401044
 C_FIX_MICRO = 113417.27676576395
 C_FIX_MACRO = 8707.83038970128
+
+
+def fd_optimal(cfg):
+    """(water-filling capacity in bit/s, water level a0)."""
+    d, sol = solve_network(cfg)
+    return waterfill_rate(d, sol.a0, cfg.bandwidth), sol.a0
 
 
 def test_report_defaults_are_all_none():
@@ -40,16 +46,14 @@ def test_report_defaults_are_all_none():
 
 
 def test_micro_baseline_regression(micro):
-    rep = fd_optimal_capacity(micro)
-    assert rep.c_fd_optimal == pytest.approx(C_OPT_MICRO, rel=1e-9)
-    assert rep.a0 == pytest.approx(0.679369354248047, rel=1e-9)
-    assert rep.provenance == {"c_fd_optimal": "quadrature"}
+    c, a0 = fd_optimal(micro)
+    assert c == pytest.approx(C_OPT_MICRO, rel=1e-9)
+    assert a0 == pytest.approx(0.679369354248047, rel=1e-9)
     assert fd_fixed_power_capacity(micro) == pytest.approx(C_FIX_MICRO, rel=1e-9)
 
 
 def test_macro_baseline_regression(macro):
-    rep = fd_optimal_capacity(macro)
-    assert rep.c_fd_optimal == pytest.approx(C_OPT_MACRO, rel=1e-9)
+    assert fd_optimal(macro)[0] == pytest.approx(C_OPT_MACRO, rel=1e-9)
     assert fd_fixed_power_capacity(macro) == pytest.approx(C_FIX_MACRO, rel=1e-9)
 
 
@@ -59,8 +63,7 @@ def test_optimal_dominates_fixed_power(kwargs):
     # constant power p_bar is feasible for the average-power constraint, so
     # the water-filling optimum can never fall below it
     cfg = make_cfg(**kwargs)
-    rep = fd_optimal_capacity(cfg)
-    assert rep.c_fd_optimal > fd_fixed_power_capacity(cfg)
+    assert fd_optimal(cfg)[0] > fd_fixed_power_capacity(cfg)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -115,23 +118,22 @@ def test_closed_form_rejects_nonpositive_water_level(micro):
 def test_fd_optimal_strictly_decreasing_in_bs_power():
     caps, levels = [], []
     for p_bs in (0.1, 0.5, 1.0, 2.0, 5.0):
-        rep = fd_optimal_capacity(make_cfg(p_bs=p_bs))
-        caps.append(rep.c_fd_optimal)
-        levels.append(rep.a0)
+        c, a0 = fd_optimal(make_cfg(p_bs=p_bs))
+        caps.append(c)
+        levels.append(a0)
     assert all(a > b for a, b in zip(caps, caps[1:]))
     # more downlink interference also forces the water level up
     assert all(a < b for a, b in zip(levels, levels[1:]))
 
 
 def test_fd_optimal_strictly_increasing_in_power_budget():
-    caps = [fd_optimal_capacity(make_cfg(p_bar=pb)).c_fd_optimal
-            for pb in (0.1, 0.2, 0.4)]
+    caps = [fd_optimal(make_cfg(p_bar=pb))[0] for pb in (0.1, 0.2, 0.4)]
     assert all(a < b for a, b in zip(caps, caps[1:]))
 
 
 def test_fd_optimal_tiny_budget_is_tiny_but_positive():
-    rep = fd_optimal_capacity(make_cfg(p_bar=1e-12))
-    assert 0.0 < rep.c_fd_optimal < 1.0  # ~0.03 bit/s against 180 kHz
+    # ~0.03 bit/s against 180 kHz
+    assert 0.0 < fd_optimal(make_cfg(p_bar=1e-12))[0] < 1.0
 
 
 def test_fixed_power_zero_budget_is_exactly_zero():
@@ -143,8 +145,7 @@ def test_capacity_is_exactly_linear_in_bandwidth(micro):
     # factor is unchanged and scaling by a power of two commutes with
     # rounding
     half = make_cfg(bandwidth=90e3)
-    assert fd_optimal_capacity(half).c_fd_optimal == \
-        0.5 * fd_optimal_capacity(micro).c_fd_optimal
+    assert fd_optimal(half)[0] == 0.5 * fd_optimal(micro)[0]
     assert fd_fixed_power_capacity(half) == 0.5 * fd_fixed_power_capacity(micro)
 
 
@@ -156,12 +157,9 @@ def test_default_rho_values(micro, macro):
 
 
 def test_hd_zero_rho(micro):
-    # the mc estimator accepts rho = 0 (every rate is exactly zero); the
-    # benchmark wrapper refuses it because a zero-power benchmark is useless
+    # the mc estimator accepts rho = 0: every rate is exactly zero
     st = estimate_hd(micro, 0.0, MCConfig(20_000, 3, tail_epsilon=1e-2))
     assert st.mean == 0.0 and st.variance == 0.0
-    with pytest.raises(ValueError):
-        hd_benchmark_capacity(micro, 0.0, MCConfig(20_000, 3))
 
 
 def test_compare_low_power_micro_flags():

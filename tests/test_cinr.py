@@ -19,15 +19,15 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import betainc as sp_betainc
 
-from fdcap.cinr import BetaPrimeDist, cdf, cinr_distribution, median, mode, pdf, sample
+from fdcap.cinr import (BetaPrimeDist, cdf, cinr_distribution, expect, median,
+                        mode, pdf, sample)
 from fdcap.interference import gamma_fit, mean_interference
 from conftest import make_cfg
 
 
 def ks_against_cdf(values: np.ndarray, d: BetaPrimeDist) -> float:
     """Two-sided KS distance of a sample against the law, with the reference
-    cdf evaluated through scipy's betainc (an independent backend from the
-    package's own continued fraction)."""
+    cdf evaluated through scipy's betainc on the whole sorted sample."""
     v = np.sort(np.asarray(values))
     t = d.k * v / (1.0 + d.k * v)
     ref = sp_betainc(d.m0, d.mI, t)
@@ -139,6 +139,24 @@ def test_cdf_agrees_with_scipy_backend(d_micro):
         t = d_micro.k * x / (1.0 + d_micro.k * x)
         assert cdf(d_micro, x) == pytest.approx(
             float(sp_betainc(d_micro.m0, d_micro.mI, t)), abs=1e-12)
+
+
+# ---------------------------------------------------------------- expect
+
+def test_expect_integrates_against_the_beta_weight(d_micro):
+    m0, mI = d_micro.m0, d_micro.mI
+    assert expect(d_micro, "test", lambda t: 1.0) == pytest.approx(1.0, rel=1e-10)
+    assert expect(d_micro, "test", lambda t: t) == \
+        pytest.approx(m0 / (m0 + mI), rel=1e-10)
+    assert expect(d_micro, "test", lambda t: 1.0, 0.3) == \
+        pytest.approx(1.0 - float(sp_betainc(m0, mI, 0.3)), rel=1e-10)
+
+
+def test_expect_on_a_window_a_few_ulps_wide(d_micro):
+    # QUADPACK nodes on [1 - 8 ulp, 1] round onto t = 1, where log(1 - t)
+    # is undefined; they contribute 0 and the window's mass stays tiny
+    val = expect(d_micro, "test", lambda t: 1.0, 1.0 - 8 * 2.0 ** -53)
+    assert 0.0 <= val < 1e-12
 
 
 # ------------------------------------------------------- mode / median

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fdcap import cli
+from fdcap.mcsim import MCConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MICRO = str(CONFIG_DIR / "micro.cfg")
@@ -26,6 +27,18 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def micro_with(tmp_path, **fields) -> str:
+    """configs/micro.cfg with the given fields replaced, as a new file."""
+    lines = []
+    for line in Path(MICRO).read_text().splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines.append(f"{key} = {fields.pop(key)!r}" if key in fields else line)
+    assert not fields, f"no such config fields: {sorted(fields)}"
+    path = tmp_path / "edited.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 # -------------------------------------------------------------- failures --
@@ -182,6 +195,61 @@ def test_sweep_rejects_unsweepable_field(capsys):
     rc, _, err = run(capsys, "sweep", MICRO, "--sweep", "eta",
                      "--from", "3", "--to", "4")
     assert rc == 1
+
+
+def test_tail_epsilon_default_is_the_library_default():
+    args = cli.build_parser().parse_args(["analyze", MICRO])
+    assert args.tail_epsilon == MCConfig.tail_epsilon == 1e-3
+
+
+# --------------------------------------------------------- numeric edges --
+
+def test_sweep_keeps_a_row_quadpack_warns_about_within_tolerance(
+        capsys, tmp_path):
+    # at lambda = 7.2e-6 QUADPACK reports roundoff although its error
+    # estimate (4e-11 on 11.95) meets the requested 1e-10 relative
+    cfg = micro_with(tmp_path, p_bs=5.0, eta=5.0, m_int=0.5)
+    rc, out, _ = run(capsys, "sweep", cfg, "--sweep", "lambda", "--log",
+                     "--from", "1e-6", "--to", "1e-4", "--points", "8",
+                     "--outputs", "fd_opt,fd_opt_cf,fd_fixed")
+    assert rc == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 8
+    assert rows[3] == "7.19685673e-06,3103.279451,3103.279451,3103.279294"
+
+
+def test_sweep_blanks_a_closed_form_its_error_estimate_disowns(
+        capsys, tmp_path):
+    # z = -a0/k = -3.3e4 and m_I = 4: the 3F2 integral representation's own
+    # error estimate exceeds its value, which misses the quadrature by 12%
+    cfg = micro_with(tmp_path, eta=3.0, omega_sig=8e-12)
+    rc, out, _ = run(capsys, "sweep", cfg, "--sweep", "lambda",
+                     "--from", "1e-6", "--to", "1e-6", "--points", "1",
+                     "--outputs", "fd_opt,fd_opt_cf")
+    assert rc == 0
+    assert out.strip().split("\n")[1] == "1e-06,2485.128896,"
+
+
+def test_eta_near_two_is_a_named_numeric_failure(capsys, tmp_path):
+    cfg = micro_with(tmp_path, eta=2.001)
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda",
+                       "--from", "5e-5", "--to", "5e-5", "--points", "1",
+                       "--outputs", "fd_opt")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("numeric failure: solve_cutoff: ")
+    assert "eta -> 2" in err
+
+
+def test_femtowatt_budget_is_answered(capsys):
+    # the solver's first bracket, a0 = p_bar, leaves the E[P] integral a
+    # window [t0, 1] about ten ulps wide, whose quadrature nodes round
+    # onto t = 1
+    rc, out, _ = run(capsys, "sweep", MICRO, "--sweep", "p_bar",
+                     "--from", "1e-15", "--to", "1e-15", "--points", "1",
+                     "--outputs", "fd_opt,fd_opt_cf,fd_fixed")
+    assert rc == 0
+    assert out.strip().split("\n")[1] == "1e-15,0.000000,0.000000,0.000000"
 
 
 # -------------------------------------------------------------- validate --

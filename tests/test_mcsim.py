@@ -20,7 +20,7 @@ from fdcap.interference import gamma_fit
 from fdcap.mcsim import (CHUNK, MCConfig, SampleStats, choose_rmax,
                          estimate_fd_fixed, estimate_fd_optimal, estimate_hd,
                          estimate_interference_moments, interference_samples,
-                         sample_interference, summarize, write_histogram_csv)
+                         summarize, write_histogram_csv)
 from fdcap.model import derived_geometry
 from conftest import ks_distance, make_cfg
 
@@ -125,10 +125,8 @@ def test_fd_estimator_determinism_across_workers(micro):
 # ------------------------------------------------------------- sampling --
 
 def test_sample_interference_single_draw(fig2):
-    mc = MCConfig(1, 4, tail_epsilon=1e-2)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
-    v = sample_interference(fig2, mc, rng)
-    assert isinstance(v, float) and v > 0.0
+    v = interference_samples(fig2, MCConfig(1, 4, tail_epsilon=1e-2))
+    assert v.shape == (1,) and v[0] > 0.0
 
 
 def test_silent_downlink_gives_zero_interference():

@@ -1,4 +1,5 @@
-"""Water-filling solver, average-power quadrature, and the closed form."""
+"""Water-filling solver, average-power quadrature, and the two-2F1 closed
+form of E[P] as printed and as corrected."""
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from fdcap.cinr import BetaPrimeDist, cdf, cinr_distribution, sample
 from fdcap.interference import gamma_fit
-from fdcap.powercontrol import (WaterfillSolution, avg_power,
-                                avg_power_closed_form, power_policy,
+from fdcap.powercontrol import (WaterfillSolution, avg_power, power_policy,
                                 solve_cutoff)
+from fdcap.specfun import gauss_2f1
 from conftest import make_cfg
 
 # regression constants recorded when the baselines were frozen
@@ -144,40 +145,45 @@ def test_solution_record_is_frozen(sol_micro):
 
 # --------------------------------------------------------------- closed form
 
+def closed_form_avg_power(d, a0, second_divisor):
+    """a0^(mI+1)/(B(m0,mI) k^mI) * [F1/mI - F2/second_divisor] with
+    F1 = 2F1(mI, mI+m0; 1+mI; -a0/k), F2 = 2F1(mI+1, mI+m0; 2+mI; -a0/k).
+    The derivation prints second_divisor = mI; the term-by-term integral
+    gives mI + 1.  Returns (value, F1, F2)."""
+    z = -a0 / d.k
+    f1 = gauss_2f1(d.mI, d.mI + d.m0, 1.0 + d.mI, z)
+    f2 = gauss_2f1(d.mI + 1.0, d.mI + d.m0, 2.0 + d.mI, z)
+    assert f1.ok and f2.ok
+    pref = math.exp((d.mI + 1.0) * math.log(a0) - d.mI * math.log(d.k)
+                    - d.log_beta)
+    return pref * (f1.value / d.mI - f2.value / second_divisor), f1, f2
+
+
 def test_closed_form_corrected_variant_matches_quadrature(d_micro, d_macro):
     for d, a0 in ((d_micro, A0_MICRO), (d_macro, A0_MACRO),
                   (d_micro, 0.05), (d_micro, 8.0)):
-        r = avg_power_closed_form(d, a0)
-        assert r.ok and r.f1.ok and r.f2.ok
-        assert r.quadrature == pytest.approx(avg_power(d, a0), rel=1e-12)
-        assert r.value_corrected == pytest.approx(r.quadrature, rel=1e-6)
+        corrected, _, _ = closed_form_avg_power(d, a0, d.mI + 1.0)
+        assert corrected == pytest.approx(avg_power(d, a0), rel=1e-6)
 
 
 def test_closed_form_as_printed_variant_does_not(d_micro, d_macro):
     # the variant with both hypergeometric terms divided by mI misses the
     # quadrature by 56% at the micro operating point and 85% at macro —
-    # frozen as measured brackets; matches_quadrature must say so
-    r = avg_power_closed_form(d_micro, A0_MICRO)
-    gap = abs(r.value - r.quadrature) / r.quadrature
-    assert not r.matches_quadrature
-    assert 0.4 < gap < 0.7, f"micro as-printed gap {gap:.4f} left its bracket"
-    r = avg_power_closed_form(d_macro, A0_MACRO)
-    gap = abs(r.value - r.quadrature) / r.quadrature
-    assert not r.matches_quadrature
-    assert 0.7 < gap < 0.95, f"macro as-printed gap {gap:.4f} left its bracket"
+    # frozen as measured brackets
+    for d, a0, lo, hi in ((d_micro, A0_MICRO, 0.4, 0.7),
+                          (d_macro, A0_MACRO, 0.7, 0.95)):
+        as_printed, _, _ = closed_form_avg_power(d, a0, d.mI)
+        quadrature = avg_power(d, a0)
+        gap = abs(as_printed - quadrature) / quadrature
+        assert lo < gap < hi, f"as-printed gap {gap:.4f} left [{lo}, {hi}]"
 
 
 def test_closed_form_vanishes_with_the_water_level(d_micro):
-    r = avg_power_closed_form(d_micro, 1e-30)
+    corrected, f1, f2 = closed_form_avg_power(d_micro, 1e-30, d_micro.mI + 1.0)
     # prefactor a0^(mI+1) dominates; both 2F1 factors tend to 1
-    assert abs(r.value_corrected) < 1e-60
-    assert r.f1.value == pytest.approx(1.0, abs=1e-12)
-    assert r.f2.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_closed_form_rejects_nonpositive_level(d_micro):
-    with pytest.raises(ValueError):
-        avg_power_closed_form(d_micro, 0.0)
+    assert abs(corrected) < 1e-60
+    assert f1.value == pytest.approx(1.0, abs=1e-12)
+    assert f2.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_policy_underspends_under_the_poisson_field():
