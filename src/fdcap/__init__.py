@@ -12,7 +12,7 @@ from .interference import (InterferenceFit, gamma_fit, laplace_transform,
                            mean_interference, second_moment)
 from .mcsim import (MCConfig, SampleStats, choose_rmax,
                     estimate_fd_fixed, estimate_fd_optimal, estimate_hd,
-                    estimate_interference_moments, interference_samples)
+                    interference_samples)
 from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
                     derived_geometry, load_config, parse_config, validate)
 from .powercontrol import (WaterfillSolution, avg_power, power_policy,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import mcsim
 from .cinr import BetaPrimeDist, cinr_distribution, expect
 from .interference import gamma_fit
-from .model import NetworkConfig, derived_geometry, validate
+from .model import NetworkConfig, derived_geometry
 from .powercontrol import WaterfillSolution, solve_cutoff
 from .specfun import hyper_3f2
 
@@ -44,7 +44,6 @@ class CapacityReport:
 
 def solve_network(cfg: NetworkConfig) -> tuple[BetaPrimeDist, WaterfillSolution]:
     """Interference fit -> CINR law -> water level, the shared pipeline."""
-    validate(cfg)
     fit = gamma_fit(cfg)
     d = cinr_distribution(cfg, fit)
     sol = solve_cutoff(d, cfg.p_bar, cfg.bandwidth)
@@ -91,11 +90,6 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
     water-filling problem.  The PPP-sampled simulation counterpart lives in
     mcsim.estimate_fd_fixed.
     """
-    if cfg.p_bar == 0.0:
-        # zero transmit power gives zero rate whatever the geometry; answer
-        # the limit directly instead of tripping the p_bar > 0 validation
-        return 0.0
-    validate(cfg)
     d = cinr_distribution(cfg, gamma_fit(cfg))
     val = expect(d, "fd_fixed_power_capacity",
                  lambda t: math.log1p(cfg.p_bar * (t / (d.k * (1.0 - t)))))

@@ -23,7 +23,7 @@ from scipy.special import betainc
 
 from ._integrate import quad_strict
 from .interference import InterferenceFit
-from .model import NetworkConfig, validate
+from .model import NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ def expect(d: BetaPrimeDist, stage: str, g, lo: float = 0.0) -> float:
 
 def cinr_distribution(cfg: NetworkConfig, fit: InterferenceFit) -> BetaPrimeDist:
     """Build the CINR law from a config and its interference fit."""
-    validate(cfg)
     m0 = cfg.fading_signal.shape
     om0 = cfg.fading_signal.mean
     path = (2.0 * math.sqrt(cfg.lam)) ** cfg.eta

@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy import special as sps
@@ -53,28 +52,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter over an ascending grid, plus which columns to emit."""
-
-    swept_parameter: str
-    grid: tuple
-    base_config: NetworkConfig
-    outputs: tuple
-
-    def __post_init__(self):
-        if self.swept_parameter not in _SWEEPABLE:
-            raise ValueError(f"cannot sweep {self.swept_parameter!r}; "
-                             f"choose one of {_SWEEPABLE}")
-        if len(self.grid) == 0:
-            raise ValueError("sweep grid is empty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("sweep grid must be strictly ascending")
-        bad = [o for o in self.outputs if o not in _OUTPUT_ORDER]
-        if bad:
-            raise ValueError(f"unknown outputs {bad}; choose from {_OUTPUT_ORDER}")
-
-
 def _parse_lambda(text: str) -> float:
     """BS intensity override: plain numbers are 1/m^2, '<x>/km2' is 1/km^2."""
     text = text.strip()
@@ -83,25 +60,20 @@ def _parse_lambda(text: str) -> float:
     return float(text)
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FDCAP_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load(args) -> NetworkConfig:
     cfg = load_config(args.config)
     if args.lam is not None:
         cfg = replace(cfg, lam=_parse_lambda(args.lam))
-    from .model import validate
-    return validate(cfg)
+    return cfg
 
 
 def _mc_from(args) -> mcsim.MCConfig:
-    return mcsim.MCConfig(n_samples=args.samples, seed=args.seed,
-                          tail_epsilon=args.tail_epsilon,
-                          workers=args.workers)
+    try:
+        return mcsim.MCConfig(n_samples=args.samples, seed=args.seed,
+                              tail_epsilon=args.tail_epsilon,
+                              workers=args.workers)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _config_doc(cfg: NetworkConfig) -> dict:
@@ -180,42 +152,43 @@ def cmd_sweep(args) -> int:
         grid = np.geomspace(args.start, args.stop, points)
     else:
         grid = np.linspace(args.start, args.stop, points)
-    outputs = tuple(o for o in _OUTPUT_ORDER
-                    if o in {s.strip() for s in args.outputs.split(",")})
+    grid = [float(v) for v in grid]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise _UsageError(f"--from and --to are too close for {points} "
+                          f"points: the grid is not strictly ascending in "
+                          f"double precision")
     requested = {s.strip() for s in args.outputs.split(",")}
-    spec = SweepSpec(swept_parameter=args.sweep, grid=tuple(float(v) for v in grid),
-                     base_config=base, outputs=outputs)
-    if requested - set(outputs):
-        raise _UsageError(f"unknown outputs {sorted(requested - set(outputs))}; "
+    unknown = sorted(requested - set(_OUTPUT_ORDER))
+    if unknown:
+        raise _UsageError(f"unknown outputs {unknown}; "
                           f"choose from {_OUTPUT_ORDER}")
+    outputs = tuple(o for o in _OUTPUT_ORDER if o in requested)
     mc = _mc_from(args)
 
-    need_solution = bool({"fd_opt", "fd_opt_cf", "fd_opt_mc"} & set(spec.outputs))
-    lines = [",".join([_SWEPT_COLUMN[spec.swept_parameter]]
-                      + [f"{name}_kbps" for name in spec.outputs])]
-    for value in spec.grid:
-        cfg = _sweep_config(base, spec.swept_parameter, value)
-        from .model import validate
-        validate(cfg)
+    need_solution = bool({"fd_opt", "fd_opt_cf", "fd_opt_mc"} & requested)
+    lines = [",".join([_SWEPT_COLUMN[args.sweep]]
+                      + [f"{name}_kbps" for name in outputs])]
+    for value in grid:
+        cfg = _sweep_config(base, args.sweep, value)
         cell = {}
         if need_solution:
             d, sol = capacity.solve_network(cfg)
-            if "fd_opt" in spec.outputs:
+            if "fd_opt" in outputs:
                 cell["fd_opt"] = capacity.waterfill_rate(d, sol.a0, cfg.bandwidth)
-            if "fd_opt_cf" in spec.outputs:
+            if "fd_opt_cf" in outputs:
                 cell["fd_opt_cf"] = capacity.fd_optimal_capacity_closed_form(
                     d, sol.a0, cfg.bandwidth)
-            if "fd_opt_mc" in spec.outputs:
+            if "fd_opt_mc" in outputs:
                 cell["fd_opt_mc"] = mcsim.estimate_fd_optimal(cfg, mc, sol).mean
-        if "fd_fixed" in spec.outputs:
+        if "fd_fixed" in outputs:
             cell["fd_fixed"] = capacity.fd_fixed_power_capacity(cfg)
-        if "fd_fixed_mc" in spec.outputs:
+        if "fd_fixed_mc" in outputs:
             cell["fd_fixed_mc"] = mcsim.estimate_fd_fixed(cfg, mc).mean
-        if "hd" in spec.outputs:
+        if "hd" in outputs:
             rho = args.rho if args.rho is not None else capacity.default_rho(cfg)
             cell["hd"] = mcsim.estimate_hd(cfg, rho, mc).mean
         row = [f"{value:.10g}"]
-        for name in spec.outputs:
+        for name in outputs:
             v = cell[name]
             row.append("" if v is None else f"{v / 1e3:.6f}")
         lines.append(",".join(row))
@@ -325,9 +298,9 @@ def _add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
                    help=f"relative interference-tail budget for the field "
                         f"truncation radius (default {tail:g}; cost per "
                         f"sample scales like 1/eps at eta=4)")
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="Monte Carlo worker threads (default: FDCAP_WORKERS "
-                        "env var, else 1); results are worker-count independent")
+    p.add_argument("--workers", type=int, default=1,
+                   help="Monte Carlo worker threads (default 1); results are "
+                        "worker-count independent")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from ._integrate import quad_strict
-from .model import GammaParams, NetworkConfig, derived_geometry, validate
+from .model import GammaParams, NetworkConfig, derived_geometry
 from .specfun import NumericsError
 
 
@@ -51,7 +51,6 @@ def mean_interference(cfg: NetworkConfig, r_min: float | None = None) -> float:
     explicit r_min (used by the validation command's radius override)
     generalizes it to 2 pi lambda Omega p_bs r_min^(2-eta) / (eta - 2).
     """
-    validate(cfg)
     om = cfg.fading_interferer.mean  # the mean does not depend on the fading shape
     if r_min is None:
         return 2.0 * (math.pi * cfg.lam) ** (cfg.eta / 2.0) * om * cfg.p_bs / (cfg.eta - 2.0)
@@ -75,7 +74,6 @@ def second_moment(cfg: NetworkConfig, r_min: float | None = None) -> float:
         * [ 2/(eta-2) + (m+1)(eta-2) / (2 m (eta-1)) ],
     which is mean^2 + variance spelled out on the r0 geometry.
     """
-    validate(cfg)
     m, om = cfg.fading_interferer.shape, cfg.fading_interferer.mean
     eta = cfg.eta
     if r_min is None:
@@ -116,7 +114,6 @@ def _log_laplace(cfg: NetworkConfig, s: float, r_min: float) -> float:
 def laplace_transform(cfg: NetworkConfig, s: float,
                       r_min: float | None = None) -> float:
     """E[exp(-s I)] for s >= 0; lies in (0, 1] and decreases in s."""
-    validate(cfg)
     if s < 0:
         raise ValueError(f"laplace_transform requires s >= 0, got {s}")
     if s == 0 or cfg.p_bs == 0:
@@ -133,7 +130,6 @@ def gamma_fit(cfg: NetworkConfig, r_min: float | None = None) -> InterferenceFit
     of lambda, p_bs and Omega down to the last bit, and equal to
     4 m (eta-1) / ((m+1) (eta-2)^2) to machine precision.
     """
-    validate(cfg)
     mean = mean_interference(cfg, r_min)
     second = second_moment(cfg, r_min)
     if r_min is None:

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import NetworkConfig, derived_geometry, validate
+from .model import NetworkConfig, derived_geometry
 from .powercontrol import WaterfillSolution, power_policy
 
 CHUNK = 1024
@@ -89,7 +89,6 @@ def choose_rmax(cfg: NetworkConfig, eps: float) -> float:
     at R = r0 (the full mean) leaves (R/r0)^(2-eta), so
     R_max = r0 * eps^(1/(2-eta)).  eps = 1 returns r0 itself.
     """
-    validate(cfg)
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     geo = derived_geometry(cfg)
@@ -185,7 +184,6 @@ def interference_samples(cfg: NetworkConfig, mc: MCConfig,
     r_min overrides the exclusion radius (default: the model's r0), mirroring
     the same override on the analytic moment formulas.
     """
-    validate(cfg)
     geo = derived_geometry(cfg)
     if r_min is None:
         r_min = geo.r0
@@ -196,25 +194,27 @@ def interference_samples(cfg: NetworkConfig, mc: MCConfig,
                        _field_interference(cfg, r_min, rmax, size, rng))
 
 
-def estimate_interference_moments(cfg: NetworkConfig, mc: MCConfig,
-                                  r_min: Optional[float] = None) -> SampleStats:
-    """Empirical mean/variance/histogram of the aggregate interference.
-
-    Bins are Freedman-Diaconis on the sample.  Requires n_samples >= 1e4 so
-    the histogram and the variance are worth reporting.
-    """
-    if mc.n_samples < 10_000:
-        raise ValueError(
-            f"moment estimation needs n_samples >= 10000, got {mc.n_samples}")
-    return summarize(interference_samples(cfg, mc, r_min=r_min), histogram=True)
-
-
 def _signal_gain(cfg: NetworkConfig, rng: np.random.Generator,
                  size: int) -> np.ndarray:
     """Composite signal gain h = alpha0 / (2 sqrt(lambda))^eta."""
     fs = cfg.fading_signal
     alpha0 = rng.gamma(fs.shape, fs.scale, size)
     return alpha0 * (2.0 * math.sqrt(cfg.lam)) ** (-cfg.eta)
+
+
+def _fd_rate(cfg: NetworkConfig, mc: MCConfig, power: Callable) -> SampleStats:
+    """B*log2(1 + power(gamma)*gamma) per sample, gamma = h/(I + N0) with I
+    from the Poisson field and h from the signal fading."""
+    geo = derived_geometry(cfg)
+    rmax = _resolve_rmax(cfg, mc, geo.r0)
+
+    def chunk(size, rng):
+        i_agg = _field_interference(cfg, geo.r0, rmax, size, rng)
+        h = _signal_gain(cfg, rng, size)
+        gamma = h / (i_agg + cfg.n0)
+        return cfg.bandwidth * np.log2(1.0 + power(gamma) * gamma)
+
+    return summarize(_run_chunks(mc, chunk))
 
 
 def estimate_fd_optimal(cfg: NetworkConfig, mc: MCConfig,
@@ -228,36 +228,12 @@ def estimate_fd_optimal(cfg: NetworkConfig, mc: MCConfig,
     The gap between this estimate and the quadrature capacity measures the
     end-to-end Gamma-approximation error of the analytic pipeline.
     """
-    validate(cfg)
-    geo = derived_geometry(cfg)
-    rmax = _resolve_rmax(cfg, mc, geo.r0)
-
-    def chunk(size, rng):
-        i_agg = _field_interference(cfg, geo.r0, rmax, size, rng)
-        h = _signal_gain(cfg, rng, size)
-        gamma = h / (i_agg + cfg.n0)
-        p = power_policy(sol, gamma)
-        return cfg.bandwidth * np.log2(1.0 + p * gamma)
-
-    return summarize(_run_chunks(mc, chunk))
+    return _fd_rate(cfg, mc, lambda gamma: power_policy(sol, gamma))
 
 
 def estimate_fd_fixed(cfg: NetworkConfig, mc: MCConfig) -> SampleStats:
     """Simulation-side FD rate at constant transmit power p_bar (bit/s)."""
-    if cfg.p_bar == 0.0:
-        # every realization rates exactly 0; skip the p_bar > 0 validation
-        return SampleStats(mean=0.0, variance=0.0, std_error=0.0, n=mc.n_samples)
-    validate(cfg)
-    geo = derived_geometry(cfg)
-    rmax = _resolve_rmax(cfg, mc, geo.r0)
-
-    def chunk(size, rng):
-        i_agg = _field_interference(cfg, geo.r0, rmax, size, rng)
-        h = _signal_gain(cfg, rng, size)
-        gamma = h / (i_agg + cfg.n0)
-        return cfg.bandwidth * np.log2(1.0 + cfg.p_bar * gamma)
-
-    return summarize(_run_chunks(mc, chunk))
+    return _fd_rate(cfg, mc, lambda gamma: cfg.p_bar)
 
 
 def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
@@ -275,7 +251,6 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
     rho (tested), which is what makes this reconstruction usable as a
     benchmark.
     """
-    validate(cfg)
     if not rho >= 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     geo = derived_geometry(cfg)

@@ -51,6 +51,9 @@ class NetworkConfig:
     fading_signal      (m0, Omega0) of the served user's channel before the
                        fixed link path loss; the composite gain used by the
                        CINR law is h = alpha0 / (2*sqrt(lam))**eta
+
+    Construction (including dataclasses.replace) validates, so every
+    instance satisfies the constraints of `validate`.
     """
 
     lam: float
@@ -61,6 +64,9 @@ class NetworkConfig:
     p_bar: float
     fading_interferer: GammaParams
     fading_signal: GammaParams
+
+    def __post_init__(self):
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,6 @@ def validate(cfg: NetworkConfig) -> NetworkConfig:
 
 def derived_geometry(cfg: NetworkConfig) -> Geometry:
     """r0 = 1/sqrt(pi*lambda), rbar = 1/(2*sqrt(lambda))."""
-    validate(cfg)
     root = math.sqrt(cfg.lam)
     return Geometry(r0=1.0 / (math.sqrt(math.pi) * root), rbar=0.5 / root)
 
@@ -141,7 +146,7 @@ def parse_config(text: str) -> NetworkConfig:
     missing = [k for k in _CONFIG_KEYS if k not in values]
     if missing:
         raise ConfigError(missing[0], "missing from config file")
-    cfg = NetworkConfig(
+    return NetworkConfig(
         lam=values["lambda"],
         p_bs=values["p_bs"],
         eta=values["eta"],
@@ -151,7 +156,6 @@ def parse_config(text: str) -> NetworkConfig:
         fading_interferer=GammaParams(values["m_int"], values["omega_int"]),
         fading_signal=GammaParams(values["m_sig"], values["omega_sig"]),
     )
-    return validate(cfg)
 
 
 def load_config(path: str) -> NetworkConfig:

@@ -136,10 +136,6 @@ def test_fd_optimal_tiny_budget_is_tiny_but_positive():
     assert 0.0 < fd_optimal(make_cfg(p_bar=1e-12))[0] < 1.0
 
 
-def test_fixed_power_zero_budget_is_exactly_zero():
-    assert fd_fixed_power_capacity(make_cfg(p_bar=0.0)) == 0.0
-
-
 def test_capacity_is_exactly_linear_in_bandwidth(micro):
     # halving B halves every quadrature capacity bit-for-bit: the integral
     # factor is unchanged and scaling by a power of two commutes with

@@ -17,6 +17,7 @@ from fdcap.mcsim import MCConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MICRO = str(CONFIG_DIR / "micro.cfg")
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 # quadrature capacity of the micro scenario, bit/s (same anchor as
 # test_capacity)
@@ -181,6 +182,12 @@ def test_sweep_writes_file_instead_of_stdout(capsys, tmp_path):
     ["--from", "5", "--to", "1", "--points", "3"],
     ["--outputs", "fd_opt,nope"],
     ["--log", "--from", "0", "--to", "1"],
+    ["--samples", "0"],
+    ["--workers", "0"],
+    ["--seed", "-1"],
+    ["--tail-epsilon", "0.5"],
+    ["--outputs", "fd_fixed", "--samples", "0"],
+    ["--from", "0.2", "--to", "0.2000000000000001", "--points", "5"],
 ])
 def test_sweep_usage_errors(capsys, extra):
     argv = ["sweep", MICRO, "--sweep", "p_bs"]
@@ -191,10 +198,41 @@ def test_sweep_usage_errors(capsys, extra):
     assert err.startswith("error:")
 
 
+def test_analyze_rejects_bad_monte_carlo_flags(capsys):
+    rc, out, err = run(capsys, "analyze", MICRO, "--samples", "0")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: n_samples must be >= 1, got 0\n"
+
+
 def test_sweep_rejects_unsweepable_field(capsys):
     rc, _, err = run(capsys, "sweep", MICRO, "--sweep", "eta",
                      "--from", "3", "--to", "4")
     assert rc == 1
+
+
+@pytest.mark.parametrize("name", ["micro", "macro"])
+def test_sweep_stdout_matches_golden(capsys, name):
+    """Every output column of a 4-point lambda sweep, byte for byte.
+
+    The run covers the analytic path, both FD estimators, estimate_hd and
+    the sweep plumbing.  tests/data/sweep_<name>.csv is the stdout of
+
+      fdcap sweep configs/<name>.cfg --sweep lambda --log --from 1e-6
+        --to 1e-4 --points 4 --outputs fd_opt,fd_opt_cf,fd_fixed,hd,
+        fd_opt_mc,fd_fixed_mc --samples 2048 --seed 3 --tail-epsilon 1e-2
+
+    Regenerate it only when a change alters a digit on purpose, and record
+    that in CHANGES.md.
+    """
+    rc, out, _ = run(capsys, "sweep", str(CONFIG_DIR / f"{name}.cfg"),
+                     "--sweep", "lambda", "--log", "--from", "1e-6",
+                     "--to", "1e-4", "--points", "4", "--outputs",
+                     "fd_opt,fd_opt_cf,fd_fixed,hd,fd_opt_mc,fd_fixed_mc",
+                     "--samples", "2048", "--seed", "3",
+                     "--tail-epsilon", "1e-2")
+    assert rc == 0
+    assert out == (DATA_DIR / f"sweep_{name}.csv").read_text(encoding="ascii")
 
 
 def test_tail_epsilon_default_is_the_library_default():

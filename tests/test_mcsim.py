@@ -17,10 +17,9 @@ from scipy.special import gammainc
 
 from fdcap import capacity, mcsim
 from fdcap.interference import gamma_fit
-from fdcap.mcsim import (CHUNK, MCConfig, SampleStats, choose_rmax,
-                         estimate_fd_fixed, estimate_fd_optimal, estimate_hd,
-                         estimate_interference_moments, interference_samples,
-                         summarize, write_histogram_csv)
+from fdcap.mcsim import (CHUNK, MCConfig, choose_rmax, estimate_fd_optimal,
+                         estimate_hd, interference_samples, summarize,
+                         write_histogram_csv)
 from fdcap.model import derived_geometry
 from conftest import ks_distance, make_cfg
 
@@ -165,25 +164,15 @@ def test_truncation_budget_is_honored(fig2):
     # widening R_max tenfold beyond the eps = 0.01 choice moves the mean by
     # no more than the promised tail fraction plus MC noise
     fit = gamma_fit(fig2)
-    base = estimate_interference_moments(fig2, MCConfig(20_000, 5,
-                                                        tail_epsilon=0.01))
-    wide = estimate_interference_moments(
-        fig2, MCConfig(20_000, 5, r_max=10.0 * choose_rmax(fig2, 0.01)))
+    base = summarize(interference_samples(
+        fig2, MCConfig(20_000, 5, tail_epsilon=0.01)))
+    wide = summarize(interference_samples(
+        fig2, MCConfig(20_000, 5, r_max=10.0 * choose_rmax(fig2, 0.01))))
     tol = 0.01 * fit.mean_exact + 3.0 * (base.std_error + wide.std_error)
     assert abs(base.mean - wide.mean) < tol
 
 
-def test_moment_estimation_needs_enough_samples(fig2):
-    with pytest.raises(ValueError, match="10000"):
-        estimate_interference_moments(fig2, MCConfig(5000, 0))
-
-
 # ----------------------------------------------------------- estimators --
-
-def test_fixed_power_estimator_zero_budget():
-    st = estimate_fd_fixed(make_cfg(p_bar=0.0), MCConfig(500, 0))
-    assert st == SampleStats(mean=0.0, variance=0.0, std_error=0.0, n=500)
-
 
 def test_hd_benchmark_invariant_to_density_and_target(micro):
     # doubling BS density and doubling the received-power target together
@@ -222,8 +211,8 @@ def test_summarize_histogram_counts(fig2):
 
 
 def test_histogram_csv_round_trip(tmp_path, fig2):
-    st = estimate_interference_moments(fig2, MCConfig(10_000, 8,
-                                                      tail_epsilon=1e-2))
+    st = summarize(interference_samples(
+        fig2, MCConfig(10_000, 8, tail_epsilon=1e-2)), histogram=True)
     out = tmp_path / "hist.csv"
     fit = gamma_fit(fig2)
     scale = fit.gamma.scale

@@ -79,10 +79,22 @@ def test_gamma_param_errors_name_the_config_key(micro):
 
 def test_first_violation_wins(micro):
     # lambda is checked before eta
-    bad = replace(micro, lam=-1.0, eta=2.0)
     with pytest.raises(ConfigError) as err:
-        validate(bad)
+        validate(replace(micro, lam=-1.0, eta=2.0))
     assert err.value.field == "lambda"
+
+
+def test_construction_validates(micro):
+    # a config that violates its domain cannot be built, directly or by
+    # replace, so no layer below needs to check it again
+    with pytest.raises(ConfigError) as err:
+        NetworkConfig(lam=5e-5, p_bs=1.0, eta=4.0, n0=1e-9, bandwidth=180e3,
+                      p_bar=0.0, fading_interferer=GammaParams(1.0, 1.0),
+                      fading_signal=GammaParams(2.0, 1.6e-15))
+    assert err.value.field == "p_bar"
+    with pytest.raises(ConfigError) as err:
+        replace(micro, eta=2.0)
+    assert err.value.field == "eta"
 
 
 def test_gamma_scale_is_mean_over_shape():
