@@ -54,16 +54,32 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_lambda(text: str) -> float:
     """BS intensity override: plain numbers are 1/m^2, '<x>/km2' is 1/km^2."""
-    text = text.strip()
-    if text.endswith("/km2"):
-        return float(text[: -len("/km2")]) / 1e6
-    return float(text)
+    value = text.strip()
+    per_km2 = value.endswith("/km2")
+    try:
+        number = float(value[: -len("/km2")] if per_km2 else value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number (1/m^2) or '<x>/km2', got {text!r}") from None
+    return number / 1e6 if per_km2 else number
+
+
+def _parse_rho(text: str) -> float:
+    """Received-power target: a finite number of watts, >= 0."""
+    try:
+        rho = float(text)
+    except ValueError:
+        rho = math.nan
+    if not 0.0 <= rho < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite power >= 0 (W), got {text!r}")
+    return rho
 
 
 def _load(args) -> NetworkConfig:
     cfg = load_config(args.config)
     if args.lam is not None:
-        cfg = replace(cfg, lam=_parse_lambda(args.lam))
+        cfg = replace(cfg, lam=args.lam)
     return cfg
 
 
@@ -286,7 +302,8 @@ def cmd_validate(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
     p.add_argument("config", help="scenario config file (key = value lines)")
-    p.add_argument("--lambda", dest="lam", default=None, metavar="L",
+    p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
+                   metavar="L",
                    help="override BS intensity; plain value in 1/m^2, or "
                         "'<x>/km2' for 1/km^2 (e.g. 5/km2)")
     p.add_argument("--samples", type=int, default=samples_default,
@@ -296,8 +313,9 @@ def _add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
     tail = mcsim.MCConfig.tail_epsilon
     p.add_argument("--tail-epsilon", type=float, default=tail,
                    help=f"relative interference-tail budget for the field "
-                        f"truncation radius (default {tail:g}; cost per "
-                        f"sample scales like 1/eps at eta=4)")
+                        f"truncation radius (default {tail:g}); the far "
+                        f"field enters as its mean, so the cost per sample "
+                        f"does not grow with 1/eps")
     p.add_argument("--workers", type=int, default=1,
                    help="Monte Carlo worker threads (default 1); results are "
                         "worker-count independent")
@@ -313,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="all capacity quantities for one "
                                         "config, JSON on stdout (bit/s)")
     _add_common(pa, samples_default=100_000)
-    pa.add_argument("--rho", type=float, default=None,
+    pa.add_argument("--rho", type=_parse_rho, default=None,
                     help="received-power target (W) for the half-duplex "
                          "benchmark (default: p_bar * rbar^-eta)")
 
@@ -335,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "fd_opt_mc,fd_fixed_mc "
                          "(default fd_opt,fd_opt_cf,fd_fixed,hd)")
     ps.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    ps.add_argument("--rho", type=float, default=None,
+    ps.add_argument("--rho", type=_parse_rho, default=None,
                     help="received-power target (W) for the half-duplex "
                          "benchmark (default: p_bar * rbar^-eta per point)")
 

@@ -188,6 +188,8 @@ def test_sweep_writes_file_instead_of_stdout(capsys, tmp_path):
     ["--tail-epsilon", "0.5"],
     ["--outputs", "fd_fixed", "--samples", "0"],
     ["--from", "0.2", "--to", "0.2000000000000001", "--points", "5"],
+    ["--rho", "-1", "--outputs", "hd"],
+    ["--lambda", "abc"],
 ])
 def test_sweep_usage_errors(capsys, extra):
     argv = ["sweep", MICRO, "--sweep", "p_bs"]
@@ -203,6 +205,14 @@ def test_analyze_rejects_bad_monte_carlo_flags(capsys):
     assert rc == 1
     assert out == ""
     assert err == "error: n_samples must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("extra", [["--lambda", "abc"], ["--rho", "-1"]])
+def test_analyze_usage_errors(capsys, extra):
+    rc, out, err = run(capsys, "analyze", MICRO, *extra)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: argument {extra[0]}: ")
 
 
 def test_sweep_rejects_unsweepable_field(capsys):
@@ -337,6 +347,17 @@ def test_validate_rejects_nonpositive_r0(capsys, tmp_path):
                      "--r0", "0", "--hist-out", str(tmp_path / "h.csv"))
     assert rc == 1
     assert "--r0" in err
+
+
+def test_validate_oversized_field_is_a_named_numeric_failure(capsys,
+                                                             tmp_path):
+    # at r0 = 1e6 m the near field holds 1.55e10 points per sample
+    rc, out, err = run(capsys, "validate", MICRO, "--samples", "10000",
+                       "--r0", "1e6", "--hist-out", str(tmp_path / "h.csv"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("numeric failure: mcsim: ")
+    assert "1.55e+10 expected points per sample" in err
 
 
 def test_validate_reproducible_and_worker_independent(capsys, tmp_path):

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 from fdcap import capacity, mcsim
@@ -21,7 +22,7 @@ from fdcap.mcsim import (CHUNK, MCConfig, choose_rmax, estimate_fd_optimal,
                          estimate_hd, interference_samples, summarize,
                          write_histogram_csv)
 from fdcap.model import derived_geometry
-from conftest import ks_distance, make_cfg
+from conftest import FieldLaw, ks_distance, make_cfg, mc_annulus
 
 
 @pytest.fixture(scope="module")
@@ -93,23 +94,31 @@ def test_worker_count_does_not_change_results(fig2):
 
 
 def test_chunk_draw_order_is_the_documented_one(fig2):
-    # reproduce the first chunk by hand: Poisson counts, then uniform radii,
-    # then Gamma marks, from the chunk-0 Philox stream
-    mc = MCConfig(100, 99, tail_epsilon=1e-2)
-    vals = interference_samples(fig2, mc)
+    # reproduce the first chunk by hand: Poisson counts, then uniform radii
+    # out to R_near, then Gamma marks, from the chunk-0 Philox stream, plus
+    # the Campbell mean of the ring [R_near, R_max]
     geo = derived_geometry(fig2)
-    rmax = geo.r0 * mc.tail_epsilon ** (1.0 / (2.0 - fig2.eta))
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(99, spawn_key=(0,))))
-    counts = rng.poisson(fig2.lam * math.pi * (rmax ** 2 - geo.r0 ** 2), 100)
-    u = rng.random(int(counts.sum()))
-    r_sq = geo.r0 ** 2 + u * (rmax ** 2 - geo.r0 ** 2)
-    marks = rng.gamma(fig2.fading_interferer.shape,
-                      fig2.fading_interferer.scale, int(counts.sum()))
-    w = fig2.p_bs * marks * r_sq ** (-0.5 * fig2.eta)
-    manual = np.bincount(np.repeat(np.arange(100), counts), weights=w,
-                         minlength=100)
-    assert np.array_equal(manual, vals)
+    r0, eta = geo.r0, fig2.eta
+    fi = fig2.fading_interferer
+    for eps in (1e-2, 1e-3):
+        mc = MCConfig(100, 99, tail_epsilon=eps)
+        vals = interference_samples(fig2, mc)
+        rmax = r0 * eps ** (1.0 / (2.0 - eta))
+        q = (rmax / r0) ** (2.0 - 2.0 * eta)
+        rn = min(rmax, r0 * (q + mcsim.NEAR_VARIANCE_SHARE * (1.0 - q))
+                 ** (1.0 / (2.0 - 2.0 * eta)))
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(99, spawn_key=(0,))))
+        counts = rng.poisson(fig2.lam * math.pi * (rn * rn - r0 * r0), 100)
+        u = rng.random(int(counts.sum()))
+        r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
+        marks = rng.gamma(fi.shape, fi.scale, int(counts.sum()))
+        w = fig2.p_bs * marks * r_sq ** (-0.5 * eta)
+        ring = (2.0 * math.pi * fig2.lam * fi.mean * fig2.p_bs
+                * (rn ** (2.0 - eta) - rmax ** (2.0 - eta)) / (eta - 2.0))
+        manual = np.bincount(np.repeat(np.arange(100), counts), weights=w,
+                             minlength=100) + ring
+        assert np.array_equal(manual, vals)
 
 
 def test_fd_estimator_determinism_across_workers(micro):
@@ -132,6 +141,35 @@ def test_silent_downlink_gives_zero_interference():
     cfg = make_cfg(p_bs=0.0)
     vals = interference_samples(cfg, MCConfig(500, 1, tail_epsilon=1e-2))
     assert np.all(vals == 0.0)
+
+
+def test_field_cumulants_match_the_annulus_law(fig2):
+    # the far ring enters as its mean, so the mean is the whole annulus'
+    # and the variance falls short of it by NEAR_VARIANCE_SHARE only
+    n = 500_000
+    law = FieldLaw(fig2, *mc_annulus(fig2, 1e-3))
+    k1, k2, k4 = law.cumulant(1), law.cumulant(2), law.cumulant(4)
+    st = summarize(interference_samples(fig2, MCConfig(n, 31,
+                                                       tail_epsilon=1e-3)))
+    assert abs(st.mean - k1) < 4.0 * math.sqrt(k2 / n)
+    assert abs(st.variance - k2) < 4.0 * math.sqrt((k4 + 2.0 * k2 * k2) / n)
+
+
+def test_uplink_field_mean_is_the_annulus_campbell_mean():
+    # estimate_hd's uplink field at eta = 3, where the ring [R_near, R_max]
+    # holds 3% of the mean, about 5 standard errors at this sample count
+    cfg = make_cfg(eta=3.0)
+    rho = capacity.default_rho(cfg)
+    r0, rmax = mc_annulus(cfg, 1e-3)
+    tx = mcsim._uplink_power(cfg, rho)
+    vals = mcsim._run_chunks(MCConfig(30_000, 13), lambda size, rng:
+                             mcsim._field_interference(cfg, r0, rmax, size,
+                                                       rng, tx))
+    mean_tx = rho * gamma_fn(2.5) * (math.pi * cfg.lam) ** -1.5
+    campbell = (2.0 * math.pi * cfg.lam * cfg.fading_interferer.mean * mean_tx
+                * (1.0 / r0 - 1.0 / rmax))
+    st = summarize(vals)
+    assert abs(st.mean - campbell) < 4.0 * st.std_error
 
 
 def test_field_moments_match_analytic(fig2, fig2_samples):
