@@ -17,6 +17,6 @@ from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
                     derived_geometry, load_config, parse_config, validate)
 from .powercontrol import (WaterfillSolution, avg_power, power_policy,
                            solve_cutoff)
-from .specfun import EvalResult, NumericsError, gauss_2f1, hyper_3f2
+from .specfun import EvalResult, NumericsError, hyper_3f2
 
 __version__ = "0.1.0"

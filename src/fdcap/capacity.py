@@ -71,15 +71,19 @@ def fd_optimal_capacity_closed_form(d: BetaPrimeDist, a0: float,
                                     bandwidth: float) -> float | None:
     """B * a0^mI * 3F2(mI, mI, m0+mI; 1+mI, 1+mI; -a0/k)
     / (B(m0, mI) * mI^2 * k^mI * ln 2), or None when the 3F2 does not
-    evaluate (never a silent wrong number)."""
+    evaluate or the product leaves the double range (never a silent wrong
+    number).  The product is taken in logs: a0^mI / k^mI can overflow where
+    the 3F2 is tiny."""
     if not a0 > 0:
         raise ValueError(f"water level must be > 0, got {a0}")
     f = hyper_3f2(d.mI, d.mI, d.m0 + d.mI, 1.0 + d.mI, 1.0 + d.mI, -a0 / d.k)
     if not f.ok:
         return None
-    log_pref = (d.mI * math.log(a0) - d.mI * math.log(d.k) - d.log_beta
-                - 2.0 * math.log(d.mI))
-    return bandwidth / math.log(2.0) * math.exp(log_pref) * f.value
+    log_c = (math.log(bandwidth / math.log(2.0)) + d.mI * math.log(a0)
+             - d.mI * math.log(d.k) - d.log_beta - 2.0 * math.log(d.mI)
+             + math.log(f.value))
+    # math.exp overflows a double above about 709.78
+    return math.exp(log_c) if log_c < 709.0 else None
 
 
 def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:

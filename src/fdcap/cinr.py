@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from ._integrate import quad_strict
 from .interference import InterferenceFit
@@ -114,19 +114,10 @@ def mode(d: BetaPrimeDist) -> float:
 
 
 def median(d: BetaPrimeDist) -> float:
-    """Numerical inversion of the cdf at 1/2, bisected to 1e-8 relative."""
-    lo, hi = 0.0, 1.0 / d.k
-    while cdf(d, hi) < 0.5:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(d, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-8 * hi:
-            break
-    return 0.5 * (lo + hi)
+    """The cdf's inverse at 1/2: the Beta(m0, mI) median t mapped back
+    through x = t/(k(1-t))."""
+    t = float(betaincinv(d.m0, d.mI, 0.5))
+    return t / (d.k * (1.0 - t))
 
 
 def sample(d: BetaPrimeDist, rng: np.random.Generator, size=None):

@@ -5,7 +5,7 @@ Exit codes are part of the interface:
   0  success
   1  input error (bad flags, unreadable file, invalid config — message names
      the offending field)
-  2  numeric failure (quadrature/series breakdown — message names the stage)
+  2  numeric failure (quadrature or solver breakdown — message names the stage)
   3  validation ran fine but at least one tolerance failed
 
 Units: JSON reports carry capacities in bit/s; CSV sweeps carry kbit/s (the

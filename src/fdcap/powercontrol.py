@@ -6,8 +6,8 @@ The optimal policy for maximizing ergodic rate subject to E[P] <= p_bar is
 
 where the water level a0 = B / (mu0 ln 2) absorbs the bandwidth and the
 Lagrange multiplier mu0; the user stays silent below the cutoff CINR 1/a0.
-a0 is found by solving E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR
-law by adaptive quadrature.
+a0 solves E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR law: Brent's
+method on an adaptive quadrature of E[P].
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .cinr import BetaPrimeDist, expect
 from .specfun import NumericsError
@@ -69,52 +70,47 @@ def avg_power(d: BetaPrimeDist, a0: float) -> float:
 def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillSolution:
     """Solve E[(a0 - 1/gamma)^+] = p_bar for the water level a0.
 
-    Since E[(a0 - 1/gamma)^+] < a0, starting the bracket at a0 = p_bar and
-    doubling until the constraint is crossed always works; bisection then
-    runs to a relative constraint residual of 1e-6.  Records
-    mu0 = bandwidth / (a0 ln 2).
+    Since E[(a0 - 1/gamma)^+] < a0, starting at a0 = p_bar and doubling
+    until the constraint is crossed always brackets the root; Brent's method
+    (scipy.optimize.brentq) then solves it to xtol = 1e-7 p_bar.  The slope
+    dE[P]/da0 = P(gamma > 1/a0) is at most 1, so the constraint residual
+    stays under 1e-6 p_bar, with a tenfold margin for the quadrature's own
+    error.  solver_iterations counts the avg_power calls after the first.
+    Records mu0 = bandwidth / (a0 ln 2).
     """
     if not p_bar > 0:
         raise ValueError(f"p_bar must be > 0, got {p_bar}")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    iterations = 0
-    lo = p_bar
+    powers = {}  # a0 -> avg_power(d, a0): brentq re-evaluates the bracket ends
+
+    def excess(a: float) -> float:
+        if a not in powers:
+            powers[a] = avg_power(d, a)
+        return powers[a] - p_bar
+
     hi = p_bar
-    achieved = avg_power(d, hi)
-    for _ in range(200):
-        if achieved >= p_bar:
-            break
-        lo = hi
+    while excess(hi) < 0.0:
+        if len(powers) > 200:
+            raise NumericsError(
+                "solve_cutoff",
+                f"no bracket for the power constraint after 200 doublings "
+                f"(a0={hi!r}, E[P]={powers[hi]!r}, p_bar={p_bar!r}, "
+                f"mI={d.mI!r}); mI grows without bound as eta -> 2, like "
+                f"1/(eta-2)^2, and the E[P] quadrature cannot resolve a "
+                f"Beta(m0, mI) weight that narrow")
         hi *= 2.0
-        achieved = avg_power(d, hi)
-        iterations += 1
-    else:
-        raise NumericsError(
-            "solve_cutoff",
-            f"no bracket for the power constraint after 200 doublings "
-            f"(a0={hi!r}, E[P]={achieved!r}, p_bar={p_bar!r}, mI={d.mI!r}); "
-            f"mI grows without bound as eta -> 2, like 1/(eta-2)^2, and the "
-            f"E[P] quadrature cannot resolve a Beta(m0, mI) weight that "
-            f"narrow")
 
-    a0 = hi
-    for _ in range(200):
-        if abs(achieved - p_bar) <= 1e-6 * p_bar:
-            break
-        mid = 0.5 * (lo + hi)
-        mid_power = avg_power(d, mid)
-        iterations += 1
-        if mid_power < p_bar:
-            lo = mid
-        else:
-            hi = mid
-        a0, achieved = mid, mid_power
-
+    a0, info = brentq(excess, 0.5 * hi, hi, xtol=1e-7 * p_bar,
+                      full_output=True, disp=False)
+    if not info.converged:
+        raise NumericsError("solve_cutoff", f"Brent's method stopped at "
+                                            f"a0={a0!r}: {info.flag}")
+    achieved = powers[a0]
     return WaterfillSolution(
         a0=a0,
         mu0=bandwidth / (a0 * math.log(2.0)),
         achieved_avg_power=achieved,
-        solver_iterations=iterations,
+        solver_iterations=len(powers) - 1,
         residual=abs(achieved - p_bar),
     )

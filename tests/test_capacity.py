@@ -24,8 +24,8 @@ from conftest import make_cfg
 
 # regression anchors for the two baseline scenarios (bit/s, deterministic
 # quadrature); recomputed values must agree to well beyond plot precision
-C_OPT_MICRO = 147556.4146416914
-C_OPT_MACRO = 25949.150524401044
+C_OPT_MICRO = 147556.36325658316
+C_OPT_MACRO = 25949.138408454408
 C_FIX_MICRO = 113417.27676576395
 C_FIX_MACRO = 8707.83038970128
 
@@ -48,7 +48,7 @@ def test_report_defaults_are_all_none():
 def test_micro_baseline_regression(micro):
     c, a0 = fd_optimal(micro)
     assert c == pytest.approx(C_OPT_MICRO, rel=1e-9)
-    assert a0 == pytest.approx(0.679369354248047, rel=1e-9)
+    assert a0 == pytest.approx(0.6793691055610199, rel=1e-9)
     assert fd_fixed_power_capacity(micro) == pytest.approx(C_FIX_MICRO, rel=1e-9)
 
 

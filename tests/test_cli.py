@@ -21,7 +21,7 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 
 # quadrature capacity of the micro scenario, bit/s (same anchor as
 # test_capacity)
-C_OPT_MICRO = 147556.4146416914
+C_OPT_MICRO = 147556.36325658316
 
 
 def run(capsys, *argv):
@@ -95,7 +95,7 @@ def test_analyze_json_document(capsys):
     assert der["rbar_m"] == pytest.approx(70.71067811865476, rel=1e-12)
     assert der["m_I"] == pytest.approx(1.5, rel=1e-12)
     assert der["k"] == pytest.approx(0.8558003667574464, rel=1e-12)
-    assert der["a0_w"] == pytest.approx(0.679369354248047, rel=1e-9)
+    assert der["a0_w"] == pytest.approx(0.6793691055610199, rel=1e-9)
     cap = doc["capacity_bit_per_s"]
     assert cap["c_fd_optimal"]["value"] == pytest.approx(C_OPT_MICRO, rel=1e-9)
     assert cap["c_fd_optimal"]["provenance"] == "quadrature"
@@ -263,7 +263,7 @@ def test_sweep_keeps_a_row_quadpack_warns_about_within_tolerance(
     assert rc == 0
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 8
-    assert rows[3] == "7.19685673e-06,3103.279451,3103.279451,3103.279294"
+    assert rows[3] == "7.19685673e-06,3103.279296,3103.279296,3103.279294"
 
 
 def test_sweep_blanks_a_closed_form_its_error_estimate_disowns(
@@ -275,7 +275,20 @@ def test_sweep_blanks_a_closed_form_its_error_estimate_disowns(
                      "--from", "1e-6", "--to", "1e-6", "--points", "1",
                      "--outputs", "fd_opt,fd_opt_cf")
     assert rc == 0
-    assert out.strip().split("\n")[1] == "1e-06,2485.128896,"
+    assert out.strip().split("\n")[1] == "1e-06,2485.128711,"
+
+
+def test_sweep_blanks_a_closed_form_beyond_double_range(capsys, tmp_path):
+    # z = -a0/k = -3.3e7 and m_I = 60: a0^m_I / k^m_I is about e^1039, far
+    # beyond a double, and the 3F2 far below its integral's resolution
+    cfg = micro_with(tmp_path, eta=2.2)
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda",
+                       "--from", "1e-12", "--to", "1e-12", "--points", "1",
+                       "--outputs", "fd_opt,fd_opt_cf")
+    assert rc == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 1 and rows[0].endswith(",")
+    assert "Traceback" not in err
 
 
 def test_eta_near_two_is_a_named_numeric_failure(capsys, tmp_path):
@@ -313,7 +326,7 @@ def test_validate_report_structure(capsys, tmp_path):
     assert doc["exclusion_radius_m"] == pytest.approx(79.78845608028655,
                                                       rel=1e-12)
     assert doc["gamma_fit"]["shape"] == pytest.approx(1.5, rel=1e-12)
-    assert doc["a0_w"] == pytest.approx(0.679369354248047, rel=1e-9)
+    assert doc["a0_w"] == pytest.approx(0.6793691055610199, rel=1e-9)
     names = [c["name"] for c in doc["checks"]]
     assert names == ["interference_mean_vs_model",
                      "interference_second_moment_vs_model",
