@@ -10,9 +10,8 @@ from .capacity import (CapacityReport, compare, default_rho,
 from .cinr import BetaPrimeDist, cinr_distribution
 from .interference import (InterferenceFit, gamma_fit, laplace_transform,
                            mean_interference, second_moment)
-from .mcsim import (MCConfig, SampleStats, choose_rmax,
-                    estimate_fd_fixed, estimate_fd_optimal, estimate_hd,
-                    interference_samples)
+from .mcsim import (MCConfig, SampleStats, estimate_fd_fixed,
+                    estimate_fd_optimal, estimate_hd, interference_samples)
 from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
                     derived_geometry, load_config, parse_config, validate)
 from .powercontrol import (WaterfillSolution, avg_power, power_policy,

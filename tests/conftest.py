@@ -9,7 +9,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaincc, poch
 
 from fdcap import GammaParams, NetworkConfig
-from fdcap.mcsim import choose_rmax
+from fdcap.mcsim import MCConfig, _resolve_rmax
 from fdcap.model import derived_geometry
 
 
@@ -205,7 +205,9 @@ class CinrLaw:
 
 def mc_annulus(cfg: NetworkConfig, tail_epsilon: float) -> tuple:
     """[r0, R_max] that an MC run with this tail_epsilon samples."""
-    return derived_geometry(cfg).r0, choose_rmax(cfg, tail_epsilon)
+    r0 = derived_geometry(cfg).r0
+    return r0, _resolve_rmax(cfg, MCConfig(1, 0, tail_epsilon=tail_epsilon),
+                             r0)
 
 
 def field_cinr(cfg: NetworkConfig, r_min: float, r_max: float) -> CinrLaw:

@@ -8,6 +8,7 @@ see test_mcsim/test_capacity), so cmd_validate's exit code 3 and per-check
 pass flags are asserted against that reality.
 """
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,32 @@ def test_eta_near_two_is_a_named_numeric_failure(capsys, tmp_path):
     assert "eta -> 2" in err
 
 
+@pytest.mark.parametrize("eta", [2.4, 2.1, 2.05])
+def test_analyze_answers_eta_near_two(capsys, tmp_path, eta):
+    # the far ring's Gamma variate leaves the near field under about 1e3
+    # points per sample as eta -> 2 (202 at eta = 2.4, 778 at 2.05)
+    cfg = micro_with(tmp_path, eta=eta)
+    rc, out, err = run(capsys, "analyze", cfg, "--samples", "2000")
+    assert rc == 0, err
+    c_hd = json.loads(out)["capacity_bit_per_s"]["c_hd"]["value"]
+    assert math.isfinite(c_hd) and c_hd > 0.0
+
+
+def test_sweep_hd_answers_eta_where_the_tail_radius_overflows(capsys,
+                                                              tmp_path):
+    # 1e-3^(1/(2 - eta)) overflows at eta = 2.005: R_max is infinite and
+    # the ring's R_max terms vanish
+    cfg = micro_with(tmp_path, eta=2.005)
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda",
+                       "--from", "1e-5", "--to", "2e-5", "--points", "2",
+                       "--outputs", "hd", "--samples", "1000")
+    assert rc == 0, err
+    assert "Traceback" not in err
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+
+
 def test_femtowatt_budget_is_answered(capsys):
     # the solver's first bracket, a0 = p_bar, leaves the E[P] integral a
     # window [t0, 1] about ten ulps wide, whose quadrature nodes round
@@ -364,13 +391,13 @@ def test_validate_rejects_nonpositive_r0(capsys, tmp_path):
 
 def test_validate_oversized_field_is_a_named_numeric_failure(capsys,
                                                              tmp_path):
-    # at r0 = 1e6 m the near field holds 1.55e10 points per sample
+    # at r0 = 1e6 m the near field holds 2.33e9 points per sample
     rc, out, err = run(capsys, "validate", MICRO, "--samples", "10000",
                        "--r0", "1e6", "--hist-out", str(tmp_path / "h.csv"))
     assert rc == 2
     assert out == ""
     assert err.startswith("numeric failure: mcsim: ")
-    assert "1.55e+10 expected points per sample" in err
+    assert "2.33e+09 expected points per sample" in err
 
 
 def test_validate_reproducible_and_worker_independent(capsys, tmp_path):

@@ -10,17 +10,18 @@ on the simulated annulus), not sampler noise.  The fit promises only the
 two moments, which are tested tightly.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 from fdcap import capacity, mcsim
 from fdcap.interference import gamma_fit
-from fdcap.mcsim import (CHUNK, MCConfig, choose_rmax, estimate_fd_optimal,
-                         estimate_hd, interference_samples, summarize,
-                         write_histogram_csv)
+from fdcap.mcsim import (MCConfig, estimate_fd_optimal, estimate_hd,
+                         interference_samples, summarize, write_histogram_csv)
 from fdcap.model import derived_geometry
 from conftest import FieldLaw, ks_distance, make_cfg, mc_annulus
 
@@ -35,6 +36,13 @@ def fig2_samples(fig2):
     # shared across the moment / KS / shape tests so the field is sampled once
     return mcsim.interference_samples(
         fig2, MCConfig(100_000, 17, tail_epsilon=1e-3))
+
+
+@pytest.fixture(scope="module")
+def fig2_cumulant_samples(fig2):
+    # shared by the cumulant tests against the exact law of the annulus
+    return interference_samples(fig2, MCConfig(500_000, 31,
+                                               tail_epsilon=1e-3))
 
 
 # ---------------------------------------------------------------- config --
@@ -57,15 +65,38 @@ def test_mcconfig_accepts_64_bit_seed():
     MCConfig(n_samples=1, seed=(1 << 64) - 1)
 
 
-def test_choose_rmax(micro):
-    geo = derived_geometry(micro)
-    assert choose_rmax(micro, 1.0) == pytest.approx(geo.r0, rel=1e-14)
+def test_resolve_rmax(micro):
+    r0 = derived_geometry(micro).r0
+
+    def rmax(cfg, r_min, **kwargs):
+        return mcsim._resolve_rmax(cfg, MCConfig(1, 0, **kwargs), r_min)
+
     # eta = 4: tail fraction (R/r0)^-2, so eps = 1e-4 needs R = 100 r0
-    assert choose_rmax(micro, 1e-4) == pytest.approx(100.0 * geo.r0, rel=1e-12)
-    radii = [choose_rmax(micro, e) for e in (1e-2, 1e-3, 1e-4)]
+    assert rmax(micro, r0, tail_epsilon=1e-4) == pytest.approx(100.0 * r0,
+                                                                rel=1e-12)
+    radii = [rmax(micro, r0, tail_epsilon=e) for e in (1e-2, 1e-3, 1e-4)]
     assert radii[0] < radii[1] < radii[2]
-    with pytest.raises(ValueError):
-        choose_rmax(micro, 0.0)
+    assert rmax(micro, 2.0 * r0, tail_epsilon=1e-4) == pytest.approx(
+        200.0 * r0, rel=1e-12)
+    assert rmax(micro, r0, r_max=500.0) == 500.0
+    # eps^(1/(2 - eta)) overflows this close to eta = 2: the field then
+    # covers the whole plane outside r0
+    assert rmax(make_cfg(eta=2.005), r0) == math.inf
+
+
+@pytest.mark.parametrize("eta, most_points", [(4.0, 15.0), (3.0, 51.0),
+                                              (2.05, 1e3)])
+def test_near_field_leaves_the_ring_its_third_cumulant_share(eta,
+                                                             most_points):
+    # R_near leaves the ring [R_near, R_max] the share NEAR_SKEW_SHARE of
+    # the third cumulant, which costs about delta3^(-2/(3 eta - 2)) points
+    cfg = make_cfg(eta=eta)
+    r0, rmax = mc_annulus(cfg, 1e-3)
+    rn = mcsim._near_radius(eta, r0, rmax)
+    assert cfg.lam * math.pi * (rn * rn - r0 * r0) < most_points
+    share = (FieldLaw(cfg, rn, rmax).cumulant(3)
+             / FieldLaw(cfg, r0, rmax).cumulant(3))
+    assert share == pytest.approx(mcsim.NEAR_SKEW_SHARE, rel=1e-9, abs=0.0)
 
 
 def test_explicit_rmax_must_exceed_exclusion_radius(micro):
@@ -95,8 +126,9 @@ def test_worker_count_does_not_change_results(fig2):
 
 def test_chunk_draw_order_is_the_documented_one(fig2):
     # reproduce the first chunk by hand: Poisson counts, then uniform radii
-    # out to R_near, then Gamma marks, from the chunk-0 Philox stream, plus
-    # the Campbell mean of the ring [R_near, R_max]
+    # out to R_near, then Gamma marks, then one Gamma variate per sample
+    # with the Campbell mean and variance of the ring [R_near, R_max], all
+    # from the chunk-0 Philox stream
     geo = derived_geometry(fig2)
     r0, eta = geo.r0, fig2.eta
     fi = fig2.fading_interferer
@@ -104,9 +136,9 @@ def test_chunk_draw_order_is_the_documented_one(fig2):
         mc = MCConfig(100, 99, tail_epsilon=eps)
         vals = interference_samples(fig2, mc)
         rmax = r0 * eps ** (1.0 / (2.0 - eta))
-        q = (rmax / r0) ** (2.0 - 2.0 * eta)
-        rn = min(rmax, r0 * (q + mcsim.NEAR_VARIANCE_SHARE * (1.0 - q))
-                 ** (1.0 / (2.0 - 2.0 * eta)))
+        q = (rmax / r0) ** (2.0 - 3.0 * eta)
+        rn = min(rmax, r0 * (q + mcsim.NEAR_SKEW_SHARE * (1.0 - q))
+                 ** (1.0 / (2.0 - 3.0 * eta)))
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(99, spawn_key=(0,))))
         counts = rng.poisson(fig2.lam * math.pi * (rn * rn - r0 * r0), 100)
@@ -114,11 +146,74 @@ def test_chunk_draw_order_is_the_documented_one(fig2):
         r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
         marks = rng.gamma(fi.shape, fi.scale, int(counts.sum()))
         w = fig2.p_bs * marks * r_sq ** (-0.5 * eta)
-        ring = (2.0 * math.pi * fig2.lam * fi.mean * fig2.p_bs
-                * (rn ** (2.0 - eta) - rmax ** (2.0 - eta)) / (eta - 2.0))
+        mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
+        k1, k2 = (2.0 * math.pi * fig2.lam * moment / (n * eta - 2.0)
+                  * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
+                  for n, moment in ((1, fi.mean * fig2.p_bs),
+                                    (2, mark_sq * fig2.p_bs * fig2.p_bs)))
+        ring = rng.gamma(k1 * k1 / k2, k2 / k1, 100)
         manual = np.bincount(np.repeat(np.arange(100), counts), weights=w,
                              minlength=100) + ring
         assert np.array_equal(manual, vals)
+
+
+class _GammaSpy:
+    """A Generator that records the (shape, scale, size) of its gamma
+    draws."""
+
+    def __init__(self, rng):
+        self._rng, self.gamma_calls = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def gamma(self, shape, scale, size):
+        self.gamma_calls.append((shape, scale, size))
+        return self._rng.gamma(shape, scale, size)
+
+
+def _ring_mean_and_variance(cfg, r0, rmax, tx=None):
+    """Mean and variance of the ring variate _field_interference draws:
+    the last of its two gamma draws, after the marks."""
+    spy = _GammaSpy(np.random.default_rng(0))
+    mcsim._field_interference(cfg, r0, rmax, 8, spy, tx)
+    assert len(spy.gamma_calls) == 2
+    shape, scale, size = spy.gamma_calls[-1]
+    assert size == 8
+    return shape * scale, shape * scale * scale
+
+
+def test_ring_variate_has_the_ring_cumulants(fig2):
+    r0, rmax = mc_annulus(fig2, 1e-3)
+    ring = FieldLaw(fig2, mcsim._near_radius(fig2.eta, r0, rmax), rmax)
+    mean, var = _ring_mean_and_variance(fig2, r0, rmax)
+    assert mean == pytest.approx(ring.cumulant(1), rel=1e-10, abs=0.0)
+    assert var == pytest.approx(ring.cumulant(2), rel=1e-10, abs=0.0)
+
+
+def test_uplink_ring_variate_has_the_ring_cumulants():
+    # the uplink ring's cumulants are those of unit-power marks times
+    # E[tx^n], here by quadrature over d^2 ~ Exp(mean 1/(pi lambda)),
+    # in units of that mean
+    cfg = make_cfg(eta=3.0)
+    rho = capacity.default_rho(cfg)
+    d_sq_mean = 1.0 / (math.pi * cfg.lam)
+    r0, rmax = mc_annulus(cfg, 1e-3)
+    unit = FieldLaw(replace(cfg, p_bs=1.0),
+                    mcsim._near_radius(cfg.eta, r0, rmax), rmax)
+
+    def tx_moment(n):
+        val, err = quad(lambda t: t ** (0.5 * n * cfg.eta) * math.exp(-t),
+                        0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert err < 1e-11 * val
+        return (rho * d_sq_mean ** (0.5 * cfg.eta)) ** n * val
+
+    mean, var = _ring_mean_and_variance(cfg, r0, rmax,
+                                        mcsim._uplink_power(cfg, rho))
+    assert mean == pytest.approx(unit.cumulant(1) * tx_moment(1), rel=1e-10,
+                                 abs=0.0)
+    assert var == pytest.approx(unit.cumulant(2) * tx_moment(2), rel=1e-10,
+                                abs=0.0)
 
 
 def test_fd_estimator_determinism_across_workers(micro):
@@ -143,21 +238,37 @@ def test_silent_downlink_gives_zero_interference():
     assert np.all(vals == 0.0)
 
 
-def test_field_cumulants_match_the_annulus_law(fig2):
-    # the far ring enters as its mean, so the mean is the whole annulus'
-    # and the variance falls short of it by NEAR_VARIANCE_SHARE only
-    n = 500_000
+def test_field_cumulants_match_the_annulus_law(fig2, fig2_cumulant_samples):
+    # the far ring enters with its own mean and variance, so both are the
+    # whole annulus'
+    n = fig2_cumulant_samples.size
     law = FieldLaw(fig2, *mc_annulus(fig2, 1e-3))
     k1, k2, k4 = law.cumulant(1), law.cumulant(2), law.cumulant(4)
-    st = summarize(interference_samples(fig2, MCConfig(n, 31,
-                                                       tail_epsilon=1e-3)))
+    st = summarize(fig2_cumulant_samples)
     assert abs(st.mean - k1) < 4.0 * math.sqrt(k2 / n)
     assert abs(st.variance - k2) < 4.0 * math.sqrt((k4 + 2.0 * k2 * k2) / n)
 
 
+def test_field_third_cumulant_matches_the_annulus_law(fig2,
+                                                      fig2_cumulant_samples):
+    # the ring holds the share NEAR_SKEW_SHARE of the third cumulant, and
+    # its Gamma variate matches only two: far below the k-statistic's noise
+    x = fig2_cumulant_samples
+    n = x.size
+    k = [FieldLaw(fig2, *mc_annulus(fig2, 1e-3)).cumulant(j)
+         for j in range(7)]
+    k3_hat = n * n / ((n - 1.0) * (n - 2.0)) * float(np.mean((x - x.mean())
+                                                             ** 3))
+    se = math.sqrt((k[6] + 9.0 * k[4] * k[2] + 9.0 * k[3] * k[3]
+                    + 6.0 * k[2] ** 3) / n)
+    assert abs(k3_hat - k[3]) < 4.0 * se
+
+
 def test_uplink_field_mean_is_the_annulus_campbell_mean():
     # estimate_hd's uplink field at eta = 3, where the ring [R_near, R_max]
-    # holds 3% of the mean, about 5 standard errors at this sample count
+    # holds 14% of the mean, against the annulus' Campbell mean and
+    # variance: the cumulants of unit-power marks times
+    # E[tx^n] = rho^n Gamma(1 + n eta/2) (pi lambda)^(-n eta/2)
     cfg = make_cfg(eta=3.0)
     rho = capacity.default_rho(cfg)
     r0, rmax = mc_annulus(cfg, 1e-3)
@@ -165,11 +276,17 @@ def test_uplink_field_mean_is_the_annulus_campbell_mean():
     vals = mcsim._run_chunks(MCConfig(30_000, 13), lambda size, rng:
                              mcsim._field_interference(cfg, r0, rmax, size,
                                                        rng, tx))
+    unit = FieldLaw(replace(cfg, p_bs=1.0), r0, rmax)
+    k1, k2, k4 = (unit.cumulant(n) * rho ** n * gamma_fn(1.0 + 1.5 * n)
+                  * (math.pi * cfg.lam) ** (-1.5 * n) for n in (1, 2, 4))
     mean_tx = rho * gamma_fn(2.5) * (math.pi * cfg.lam) ** -1.5
     campbell = (2.0 * math.pi * cfg.lam * cfg.fading_interferer.mean * mean_tx
                 * (1.0 / r0 - 1.0 / rmax))
+    assert k1 == pytest.approx(campbell, rel=1e-12, abs=0.0)
     st = summarize(vals)
     assert abs(st.mean - campbell) < 4.0 * st.std_error
+    assert abs(st.variance - k2) < 4.0 * math.sqrt((k4 + 2.0 * k2 * k2)
+                                                   / st.n)
 
 
 def test_field_moments_match_analytic(fig2, fig2_samples):
@@ -205,7 +322,7 @@ def test_truncation_budget_is_honored(fig2):
     base = summarize(interference_samples(
         fig2, MCConfig(20_000, 5, tail_epsilon=0.01)))
     wide = summarize(interference_samples(
-        fig2, MCConfig(20_000, 5, r_max=10.0 * choose_rmax(fig2, 0.01))))
+        fig2, MCConfig(20_000, 5, r_max=10.0 * mc_annulus(fig2, 0.01)[1])))
     tol = 0.01 * fit.mean_exact + 3.0 * (base.std_error + wide.std_error)
     assert abs(base.mean - wide.mean) < tol
 
