@@ -62,8 +62,8 @@ def waterfill_rate(d: BetaPrimeDist, a0: float, bandwidth: float) -> float:
         # quadrature nodes would round onto t = 1 where log1p(-t) blows up
         return 0.0
     log_a0_over_k = math.log(a0 / d.k)
-    val = expect(d, "fd_optimal_capacity",
-                 lambda t: log_a0_over_k + math.log(t) - math.log1p(-t), t0)
+    val, _ = expect(d, "fd_optimal_capacity",
+                    lambda t: log_a0_over_k + math.log(t) - math.log1p(-t), t0)
     return bandwidth / math.log(2.0) * val
 
 
@@ -95,8 +95,8 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
     mcsim.estimate_fd_fixed.
     """
     d = cinr_distribution(cfg, gamma_fit(cfg))
-    val = expect(d, "fd_fixed_power_capacity",
-                 lambda t: math.log1p(cfg.p_bar * (t / (d.k * (1.0 - t)))))
+    val, _ = expect(d, "fd_fixed_power_capacity",
+                    lambda t: math.log1p(cfg.p_bar * (t / (d.k * (1.0 - t)))))
     return cfg.bandwidth / math.log(2.0) * val
 
 

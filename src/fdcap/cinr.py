@@ -46,8 +46,10 @@ class BetaPrimeDist:
                 - math.lgamma(self.m0 + self.mI))
 
 
-def expect(d: BetaPrimeDist, stage: str, g, lo: float = 0.0) -> float:
-    """int_lo^1 g(t) t^(m0-1) (1-t)^(mI-1) / B(m0, mI) dt by quad_strict.
+def expect(d: BetaPrimeDist, stage: str, g,
+           lo: float = 0.0) -> tuple[float, float]:
+    """int_lo^1 g(t) t^(m0-1) (1-t)^(mI-1) / B(m0, mI) dt by quad_strict,
+    with its error estimate.
 
     Every expectation over the CINR law is taken in the beta variable
     t = k*gamma/(1 + k*gamma), which is Beta(m0, mI) distributed; then
@@ -65,7 +67,7 @@ def expect(d: BetaPrimeDist, stage: str, g, lo: float = 0.0) -> float:
             return 0.0
         return g(t) * exp(neg_log_beta + a * log(t) + b * log1p(-t))
 
-    return quad_strict(stage, integrand, lo, 1.0)[0]
+    return quad_strict(stage, integrand, lo, 1.0)
 
 
 def cinr_distribution(cfg: NetworkConfig, fit: InterferenceFit) -> BetaPrimeDist:

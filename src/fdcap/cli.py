@@ -92,6 +92,17 @@ def _mc_from(args) -> mcsim.MCConfig:
         raise _UsageError(str(exc)) from None
 
 
+def _print_json(doc: dict) -> None:
+    """Print a report; a NaN or infinity in it is a numeric failure, since
+    JSON has no token for either."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericsError("report", "a reported number is NaN or "
+                                      "infinite") from None
+    print(text)
+
+
 def _config_doc(cfg: NetworkConfig) -> dict:
     return {
         "lambda": cfg.lam, "p_bs": cfg.p_bs, "eta": cfg.eta, "n0": cfg.n0,
@@ -146,7 +157,7 @@ def cmd_analyze(args) -> int:
         "mc": {"n_samples": mc.n_samples, "seed": mc.seed,
                "tail_epsilon": mc.tail_epsilon, "rho_w": rho},
     }
-    print(json.dumps(doc, indent=2))
+    _print_json(doc)
     return EXIT_OK
 
 
@@ -296,7 +307,7 @@ def cmd_validate(args) -> int:
         "all_pass": all_pass,
         "histogram_csv": args.hist_out,
     }
-    print(json.dumps(doc, indent=2))
+    _print_json(doc)
     return EXIT_OK if all_pass else EXIT_VALIDATION
 
 

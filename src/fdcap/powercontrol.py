@@ -7,7 +7,10 @@ The optimal policy for maximizing ergodic rate subject to E[P] <= p_bar is
 where the water level a0 = B / (mu0 ln 2) absorbs the bandwidth and the
 Lagrange multiplier mu0; the user stays silent below the cutoff CINR 1/a0.
 a0 solves E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR law: Brent's
-method on an adaptive quadrature of E[P].
+method on E[P], which is two regularized incomplete betas for m0 > 1 and an
+adaptive quadrature for m0 <= 1.  One quadrature of E[P] at the root then
+checks the root, and with it the Beta-weight quadrature that the rate
+integrals in capacity share.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import betainc
 
 from .cinr import BetaPrimeDist, expect
 from .specfun import NumericsError
@@ -26,8 +30,9 @@ class WaterfillSolution:
     """Solved water level and its diagnostics.
 
     a0 in W (policy output is directly in watts), mu0 = bandwidth/(a0 ln 2),
-    achieved_avg_power the quadrature E[P] at a0, residual its absolute
-    deviation from the constraint.
+    achieved_avg_power the quadrature E[P] at a0 (for every m0, also where
+    the solve used the closed form), residual its absolute deviation from
+    the constraint.
     """
 
     a0: float
@@ -47,24 +52,44 @@ def power_policy(sol: WaterfillSolution, gamma):
     return p if p.ndim else float(p)
 
 
-def avg_power(d: BetaPrimeDist, a0: float) -> float:
-    """E[(a0 - 1/gamma)^+] by adaptive quadrature.
+def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:
+    """E[(a0 - 1/gamma)^+] and its error estimate by adaptive quadrature.
 
     In the beta variable t (see cinr.expect) the integrand is
     a0 - k(1-t)/t on [t0, 1], t0 = k/(k + a0), where it vanishes.
-
-    Strictly increasing and continuous in a0, -> 0 as a0 -> 0+.
     """
-    if not a0 > 0:
-        raise ValueError(f"water level must be > 0, got {a0}")
     t0 = d.k / (d.k + a0)
     if 1.0 - t0 < 4e-16:
         # a0/k below double resolution: the transmit window [t0, 1] has
         # collapsed to a few ulps and quadrature nodes would round onto the
         # t = 1 endpoint; the expectation itself is bounded by a0
-        return 0.0
+        return 0.0, 0.0
     k = d.k
     return expect(d, "avg_power", lambda t: a0 - k * (1.0 - t) / t, t0)
+
+
+def avg_power(d: BetaPrimeDist, a0: float) -> float:
+    """E[(a0 - 1/gamma)^+]: closed form for m0 > 1, quadrature otherwise.
+
+    For m0 > 1, with s = a0/(k + a0) the width of the transmit window
+    [t0, 1] of the beta variable t (see cinr.expect),
+
+        E[P] = a0 I_s(mI, m0) - k mI/(m0 - 1) I_s(mI + 1, m0 - 1),
+
+    I the regularized incomplete beta: the second term is k E[(1-t)/t] over
+    the same window, and B(m0-1, mI+1)/B(m0, mI) = mI/(m0-1).  For m0 <= 1
+    that mean diverges at t = 0 and E[P] is the Beta-weight quadrature.
+
+    Strictly increasing and continuous in a0, -> 0 as a0 -> 0+.
+    """
+    if not a0 > 0:
+        raise ValueError(f"water level must be > 0, got {a0}")
+    if d.m0 <= 1.0:
+        return _avg_power_quad(d, a0)[0]
+    s = a0 / (d.k + a0)
+    return float(a0 * betainc(d.mI, d.m0, s)
+                 - d.k * d.mI / (d.m0 - 1.0)
+                 * betainc(d.mI + 1.0, d.m0 - 1.0, s))
 
 
 def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillSolution:
@@ -72,10 +97,17 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillS
 
     Since E[(a0 - 1/gamma)^+] < a0, starting at a0 = p_bar and doubling
     until the constraint is crossed always brackets the root; Brent's method
-    (scipy.optimize.brentq) then solves it to xtol = 1e-7 p_bar.  The slope
-    dE[P]/da0 = P(gamma > 1/a0) is at most 1, so the constraint residual
-    stays under 1e-6 p_bar, with a tenfold margin for the quadrature's own
-    error.  solver_iterations counts the avg_power calls after the first.
+    (scipy.optimize.brentq) on avg_power then solves it to xtol = 1e-7 p_bar.
+    The slope dE[P]/da0 = P(gamma > 1/a0) is at most 1, so the constraint
+    residual stays under 1e-6 p_bar, with a tenfold margin for the error of
+    E[P].  solver_iterations counts the avg_power calls after the first.
+
+    The root is then checked by one quadrature of E[P] at a0, which is
+    achieved_avg_power: if it misses p_bar by more than 1e-6 p_bar and by
+    more than its own error estimate, a NumericsError is raised.  That
+    quadrature integrates against the same Beta(m0, mI) weight as the rate
+    integrals in capacity, so a weight too narrow for it (mI -> inf as
+    eta -> 2) fails here by name rather than as a silently wrong rate.
     Records mu0 = bandwidth / (a0 ln 2).
     """
     if not p_bar > 0:
@@ -106,11 +138,20 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillS
     if not info.converged:
         raise NumericsError("solve_cutoff", f"Brent's method stopped at "
                                             f"a0={a0!r}: {info.flag}")
-    achieved = powers[a0]
+    achieved, abserr = _avg_power_quad(d, a0)
+    residual = abs(achieved - p_bar)
+    if residual > max(1e-6 * p_bar, abserr):
+        raise NumericsError(
+            "solve_cutoff",
+            f"the quadrature E[P] at the root a0={a0!r} is {achieved!r} "
+            f"(error estimate {abserr!r}), not p_bar={p_bar!r} (mI={d.mI!r}); "
+            f"mI grows without bound as eta -> 2, like 1/(eta-2)^2, and the "
+            f"quadrature over a Beta(m0, mI) weight that narrow, which the "
+            f"rate integrals share, misses it")
     return WaterfillSolution(
         a0=a0,
         mu0=bandwidth / (a0 * math.log(2.0)),
         achieved_avg_power=achieved,
         solver_iterations=len(powers) - 1,
-        residual=abs(achieved - p_bar),
+        residual=residual,
     )

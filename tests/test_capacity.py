@@ -80,6 +80,18 @@ def test_closed_form_matches_quadrature_solved(kwargs):
     assert cf == pytest.approx(q, rel=1e-6)
 
 
+def test_closed_form_evaluates_where_the_3f2_is_tiny():
+    # configs/micro.cfg at eta = 2.2 and lambda = 1e-8: z = -61.3 and
+    # mI = 60 put the 3F2 near 3.5e-108, far below any absolute quadrature
+    # tolerance, yet the closed form is an ordinary rate
+    cfg = make_cfg(eta=2.2, lam=1e-8, omega_sig=1.6e-15)
+    d, sol = solve_network(cfg)
+    cf = fd_optimal_capacity_closed_form(d, sol.a0, cfg.bandwidth)
+    assert cf == pytest.approx(158927.324, rel=1e-8, abs=0.0)
+    assert cf == pytest.approx(waterfill_rate(d, sol.a0, cfg.bandwidth),
+                               rel=1e-12, abs=0.0)
+
+
 def test_closed_form_matches_quadrature_off_solution(micro):
     # water level decoupled from the budget solver: z = -5 exactly
     d, _ = solve_network(micro)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fdcap import cli
+from fdcap import capacity, cli
 from fdcap.mcsim import MCConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -201,6 +201,16 @@ def test_sweep_usage_errors(capsys, extra):
     assert err.startswith("error:")
 
 
+def test_analyze_refuses_a_nan_in_its_report(capsys, monkeypatch):
+    monkeypatch.setattr(capacity, "fd_fixed_power_capacity",
+                        lambda cfg: math.nan)
+    rc, out, err = run(capsys, "analyze", MICRO, "--samples", "2000")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("numeric failure: report: ")
+    assert "Traceback" not in err
+
+
 def test_analyze_rejects_bad_monte_carlo_flags(capsys):
     rc, out, err = run(capsys, "analyze", MICRO, "--samples", "0")
     assert rc == 1
@@ -267,16 +277,17 @@ def test_sweep_keeps_a_row_quadpack_warns_about_within_tolerance(
     assert rows[3] == "7.19685673e-06,3103.279296,3103.279296,3103.279294"
 
 
-def test_sweep_blanks_a_closed_form_its_error_estimate_disowns(
-        capsys, tmp_path):
-    # z = -a0/k = -3.3e4 and m_I = 4: the 3F2 integral representation's own
-    # error estimate exceeds its value, which misses the quadrature by 12%
+def test_sweep_prints_the_closed_form_where_the_3f2_is_tiny(capsys,
+                                                            tmp_path):
+    # z = -a0/k = -3.3e4 and m_I = 4: the 3F2 is 6.485e-18 (mpmath), which
+    # its integral resolves to a relative tolerance; an absolute one of
+    # 1e-13 once made it miss the quadrature rate by 12%
     cfg = micro_with(tmp_path, eta=3.0, omega_sig=8e-12)
     rc, out, _ = run(capsys, "sweep", cfg, "--sweep", "lambda",
                      "--from", "1e-6", "--to", "1e-6", "--points", "1",
                      "--outputs", "fd_opt,fd_opt_cf")
     assert rc == 0
-    assert out.strip().split("\n")[1] == "1e-06,2485.128711,"
+    assert out.strip().split("\n")[1] == "1e-06,2485.128711,2485.128711"
 
 
 def test_sweep_blanks_a_closed_form_beyond_double_range(capsys, tmp_path):

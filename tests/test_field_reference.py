@@ -61,11 +61,11 @@ def test_moments_match_truncated_annulus_closed_forms(m, eta):
     field = FieldLaw(cfg, r_min, r_max)
     mean, second = _truncated_moments(cfg, r_min, r_max)
     k1, k2 = field.cumulant(1), field.cumulant(2)
-    assert k1 == pytest.approx(mean, rel=1e-8)
-    assert k2 + k1 * k1 == pytest.approx(second, rel=1e-8)
+    assert k1 == pytest.approx(mean, rel=1e-8, abs=0.0)
+    assert k2 + k1 * k1 == pytest.approx(second, rel=1e-8, abs=0.0)
     # the cumulants are the derivatives of log L at s = 0
-    assert -field.log_laplace(0.0, 1) == pytest.approx(k1, rel=1e-14)
-    assert field.log_laplace(0.0, 2) == pytest.approx(k2, rel=1e-14)
+    assert -field.log_laplace(0.0, 1) == pytest.approx(k1, rel=1e-14, abs=0.0)
+    assert field.log_laplace(0.0, 2) == pytest.approx(k2, rel=1e-14, abs=0.0)
 
 
 def test_transform_matches_the_package_transform():
@@ -86,7 +86,7 @@ def test_first_derivative_matches_finite_differences(micro):
     for s in np.array([0.3, 3.0, 30.0]) / field.cumulant(1):
         h = 1e-4 * s
         fd = (field.log_laplace(s + h) - field.log_laplace(s - h)) / (2 * h)
-        assert field.log_laplace(s, 1) == pytest.approx(fd, rel=1e-7)
+        assert field.log_laplace(s, 1) == pytest.approx(fd, rel=1e-7, abs=0.0)
 
 
 def test_cdf_inversion_recovers_the_moments():
@@ -99,7 +99,7 @@ def test_cdf_inversion_recovers_the_moments():
     assert 0.0 <= 1.0 - f[-1] < 1e-9
     assert np.all(np.diff(f) > -1e-12)
     # E[I] = int (1 - F), E[I^2] = int 2x (1 - F); Simpson on the grid
-    assert simpson(1.0 - f, x=grid) == pytest.approx(mu, rel=1e-6)
+    assert simpson(1.0 - f, x=grid) == pytest.approx(mu, rel=1e-6, abs=0.0)
     assert simpson(2.0 * grid * (1.0 - f), x=grid) == pytest.approx(
         field.cumulant(2) + mu * mu, rel=1e-6)
     interp = field.cdf_interpolant(12.0 * mu)

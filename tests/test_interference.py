@@ -57,7 +57,7 @@ def test_mean_reference_value():
     # lambda = 5/km^2, P_BS = 10 W, eta = 4, unit-mean fading
     cfg = make_cfg(lam=5e-6, p_bs=10.0)
     mean = mean_interference(cfg)
-    assert mean == pytest.approx(2.4674e-9, rel=1e-4)
+    assert mean == pytest.approx(2.4674e-9, rel=1e-4, abs=0.0)
     assert mean == pytest.approx(2.0 * (math.pi * 5e-6) ** 2 * 10.0 / 2.0,
                                  rel=1e-14)
 
@@ -74,7 +74,7 @@ def test_mean_matches_campbell_quadrature(m, eta):
                     * r0 ** (2.0 - eta) * u ** (eta - 3.0), 0.0, 1.0,
                     epsabs=1e-14, epsrel=1e-12)
     assert err < 1e-10 * val
-    assert mean_interference(cfg) == pytest.approx(val, rel=1e-10)
+    assert mean_interference(cfg) == pytest.approx(val, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("m,eta", [(1.0, 4.0), (0.5, 2.5), (4.0, 6.0)])
@@ -91,7 +91,7 @@ def test_second_moment_matches_campbell_quadrature(m, eta):
                     0.0, 1.0, epsabs=1e-16, epsrel=1e-12)
     ref = mean_interference(cfg) ** 2 + var
     assert err < 1e-10 * var
-    assert second_moment(cfg) == pytest.approx(ref, rel=1e-10)
+    assert second_moment(cfg) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_silent_downlink_has_no_interference():
@@ -136,10 +136,11 @@ def test_exclusion_radius_power_laws():
     r0 = derived_geometry(cfg).r0
     # mean ~ r_min^(2-eta), variance ~ r_min^(2-2 eta)
     assert (mean_interference(cfg, r_min=2.0 * r0)
-            == pytest.approx(2.0 ** -2 * mean_interference(cfg, r_min=r0), rel=1e-12))
+            == pytest.approx(2.0 ** -2 * mean_interference(cfg, r_min=r0),
+                             rel=1e-12, abs=0.0))
     var_r0 = second_moment(cfg, r_min=r0) - mean_interference(cfg, r_min=r0) ** 2
     var_2r0 = second_moment(cfg, r_min=2.0 * r0) - mean_interference(cfg, r_min=2.0 * r0) ** 2
-    assert var_2r0 == pytest.approx(2.0 ** -6 * var_r0, rel=1e-10)
+    assert var_2r0 == pytest.approx(2.0 ** -6 * var_r0, rel=1e-10, abs=0.0)
 
 
 # ----------------------------------------------------------------- transform
@@ -181,33 +182,36 @@ def test_lt_derivative_recovers_mean():
     h = 1e-3 / mean
     d1 = (1.0 - laplace_transform(cfg, h)) / h
     d2 = (1.0 - laplace_transform(cfg, h / 2.0)) / (h / 2.0)
-    assert 2.0 * d2 - d1 == pytest.approx(mean, rel=1e-4)
+    assert 2.0 * d2 - d1 == pytest.approx(mean, rel=1e-4, abs=0.0)
 
 
 @pytest.mark.parametrize("m,eta", [(0.5, 2.5), (1.0, 4.0), (2.0, 3.0), (4.0, 6.0)])
 def test_numerical_first_moment(m, eta):
     cfg = make_cfg(eta=eta, m_int=m, omega_int=0.9, p_bs=3.0)
-    assert numerical_moment(cfg, 1) == pytest.approx(mean_interference(cfg), rel=1e-4)
+    assert numerical_moment(cfg, 1) == pytest.approx(mean_interference(cfg),
+                                                     rel=1e-4, abs=0.0)
 
 
 @pytest.mark.parametrize("m,eta", [(1.0, 4.0), (0.5, 3.0), (4.0, 2.5)])
 def test_numerical_second_moment(m, eta):
     cfg = make_cfg(eta=eta, m_int=m)
-    assert numerical_moment(cfg, 2) == pytest.approx(second_moment(cfg), rel=1e-3)
+    assert numerical_moment(cfg, 2) == pytest.approx(second_moment(cfg),
+                                                     rel=1e-3, abs=0.0)
 
 
 # ----------------------------------------------------------------- gamma fit
 
 def test_fit_shape_reference_value():
     fit = gamma_fit(make_cfg(m_int=1.0, eta=4.0))
-    assert fit.gamma.shape == pytest.approx(1.5, rel=1e-15)
+    assert fit.gamma.shape == pytest.approx(1.5, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("m", M_GRID)
 @pytest.mark.parametrize("eta", ETA_GRID)
 def test_fit_shape_closed_form(m, eta):
     fit = gamma_fit(make_cfg(m_int=m, eta=eta))
-    assert fit.gamma.shape == pytest.approx(shape_closed_form(m, eta), rel=5e-15)
+    assert fit.gamma.shape == pytest.approx(shape_closed_form(m, eta),
+                                            rel=5e-15, abs=0.0)
 
 
 def test_fit_shape_bit_identical_across_scale_parameters():
@@ -239,7 +243,8 @@ def test_fit_with_radius_override():
     mean = mean_interference(cfg, r_min=300.0)
     var = second_moment(cfg, r_min=300.0) - mean ** 2
     assert fit.gamma.mean == mean
-    assert fit.gamma.shape == pytest.approx(mean * mean / var, rel=1e-12)
+    assert fit.gamma.shape == pytest.approx(mean * mean / var, rel=1e-12,
+                                            abs=0.0)
     # at r_min = r0 the generalized route lands on the default-shape value
     r0 = derived_geometry(cfg).r0
     assert gamma_fit(cfg, r_min=r0).gamma.shape == pytest.approx(

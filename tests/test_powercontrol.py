@@ -1,15 +1,17 @@
-"""Water-filling solver, average-power quadrature, and the two-2F1 closed
-form of E[P] as printed and as corrected."""
+"""Water-filling solver, the two-betainc closed form of E[P] and its
+quadrature, the root check, and the two-2F1 closed form as printed."""
 import math
 
 import numpy as np
 import pytest
 from scipy.special import hyp2f1
 
-from fdcap.cinr import BetaPrimeDist, cdf, cinr_distribution, sample
+from fdcap import powercontrol
+from fdcap.cinr import BetaPrimeDist, cdf, cinr_distribution, expect, sample
 from fdcap.interference import gamma_fit
 from fdcap.powercontrol import (WaterfillSolution, avg_power, power_policy,
                                 solve_cutoff)
+from fdcap.specfun import NumericsError
 from conftest import make_cfg
 
 # regression constants recorded when the baselines were frozen
@@ -88,6 +90,77 @@ def test_avg_power_against_sampled_policy(d_micro, sol_micro):
     assert abs(float(np.mean(p)) - avg_power(d_micro, sol_micro.a0)) <= 3.0 * se
 
 
+def mp_reg_inc_beta(a, b, x):
+    """I_x(a, b) at the working mpmath precision, by the modified Lentz
+    evaluation of its continued fraction on the side of the mean where it
+    converges (mpmath.betainc takes seconds where one parameter is ~1e4
+    and x is near 1)."""
+    import mpmath
+    if x > (a + 1) / (a + b + 2):
+        return 1 - mp_reg_inc_beta(b, a, 1 - x)
+    c, d = mpmath.mpf(1), 1 / (1 - (a + b) * x / (a + 1))
+    h, m = d, 0
+    while True:
+        m += 1
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1 / (1 + num * d)
+            c = 1 + num / c
+            h *= d * c
+        if abs(d * c - 1) < mpmath.eps:
+            return x ** a * (1 - x) ** b / (a * mpmath.beta(a, b)) * h
+
+
+def mp_avg_power(m0, mI, k, a0) -> float:
+    """E[(a0 - 1/gamma)^+] for m0 > 1 at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        m0, mI, k, a0 = (mpmath.mpf(v) for v in (m0, mI, k, a0))
+        s = a0 / (k + a0)
+        return float(a0 * mp_reg_inc_beta(mI, m0, s)
+                     - k * mI / (m0 - 1) * mp_reg_inc_beta(mI + 1, m0 - 1, s))
+
+
+def test_avg_power_closed_form_matches_mpmath():
+    # seeded draws over m0 in (1, 10], mI in [0.05, 2e4], a0/k in
+    # [1e-6, 1e6] and k in [e^-30, e^5]; draws whose E[P] is below the
+    # normal double range cannot be compared relatively and are skipped
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(8101)
+    compared = 0
+    for _ in range(200):
+        m0 = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(9.0))
+        mI = math.exp(rng.uniform(math.log(0.05), math.log(2e4)))
+        k = math.exp(rng.uniform(-30.0, 5.0))
+        a0 = k * 10.0 ** rng.uniform(-6.0, 6.0)
+        want = mp_avg_power(m0, mI, k, a0)
+        if want < 1e-300:
+            continue
+        compared += 1
+        got = avg_power(BetaPrimeDist(m0, mI, k), a0)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), (m0, mI, k, a0)
+    assert compared >= 150
+
+
+def test_avg_power_closed_form_matches_the_quadrature(d_micro, d_macro):
+    for d, a0 in ((d_micro, A0_MICRO), (d_macro, A0_MACRO),
+                  (d_micro, 0.05), (d_micro, 8.0)):
+        assert avg_power(d, a0) == pytest.approx(
+            powercontrol._avg_power_quad(d, a0)[0], rel=1e-9, abs=0.0)
+
+
+def test_avg_power_is_the_quadrature_for_m0_at_most_one():
+    # E[(1-t)/t] diverges at t = 0 for m0 <= 1: no closed form, and the
+    # branch is the Beta-weight quadrature it always was
+    for m0 in (0.6, 1.0):
+        d = BetaPrimeDist(m0, 1.5, 0.86)
+        for a0 in (1e-3, 0.68, 40.0):
+            k, t0 = d.k, d.k / (d.k + a0)
+            want, _ = expect(d, "avg_power",
+                             lambda t: a0 - k * (1.0 - t) / t, t0)
+            assert avg_power(d, a0) == want
+
+
 # -------------------------------------------------------------------- solver
 
 def test_solver_rejects_nonpositive_inputs(d_micro):
@@ -112,6 +185,44 @@ def test_solver_macro_regression(macro, d_macro):
     sol = solve_cutoff(d_macro, macro.p_bar, macro.bandwidth)
     assert sol.a0 == pytest.approx(A0_MACRO, rel=1e-6)
     assert sol.residual <= 1e-6 * macro.p_bar
+
+
+def test_tiny_budget_is_met_against_mpmath(micro, d_micro):
+    pytest.importorskip("mpmath")
+    sol = solve_cutoff(d_micro, 1e-12, micro.bandwidth)
+    assert mp_avg_power(d_micro.m0, d_micro.mI, d_micro.k, sol.a0) == \
+        pytest.approx(1e-12, rel=1e-9, abs=0.0)
+
+
+def test_root_check_names_a_beta_weight_too_narrow_for_quadrature():
+    # the CINR law of configs/micro.cfg at eta = 2.001: the closed form
+    # solves for a0, but the quadrature at the root (like the rate
+    # quadratures after it) finds no mass under the Beta(2, 2e6) weight
+    d = BetaPrimeDist(2.0, 2002000.0000004407, 0.001569037581396647)
+    with pytest.raises(NumericsError, match="eta -> 2") as err:
+        solve_cutoff(d, 0.2, 180e3)
+    assert err.value.stage == "solve_cutoff"
+
+
+def test_root_check_allows_the_larger_of_its_two_tolerances(
+        monkeypatch, micro, d_micro):
+    # the quadrature at the root may miss p_bar by 1e-6 p_bar or by its
+    # own error estimate, whichever is larger, and by no more
+    p_bar = micro.p_bar
+    for miss, abserr, ok in ((0.9e-6 * p_bar, 0.0, True),
+                             (1.1e-6 * p_bar, 0.0, False),
+                             (1e-3 * p_bar, 1.1e-3 * p_bar, True),
+                             (1e-3 * p_bar, 0.9e-3 * p_bar, False)):
+        monkeypatch.setattr(powercontrol, "_avg_power_quad",
+                            lambda d, a0: (p_bar + miss, abserr))
+        if ok:
+            sol = solve_cutoff(d_micro, p_bar, micro.bandwidth)
+            assert sol.achieved_avg_power == p_bar + miss
+            assert sol.residual == pytest.approx(miss, rel=1e-9, abs=0.0)
+        else:
+            with pytest.raises(NumericsError) as err:
+                solve_cutoff(d_micro, p_bar, micro.bandwidth)
+            assert err.value.stage == "solve_cutoff"
 
 
 def test_water_level_rises_with_the_budget(d_micro, micro):
@@ -156,13 +267,6 @@ def closed_form_avg_power(d, a0, second_divisor):
     pref = math.exp((d.mI + 1.0) * math.log(a0) - d.mI * math.log(d.k)
                     - d.log_beta)
     return pref * (f1 / d.mI - f2 / second_divisor), f1, f2
-
-
-def test_closed_form_corrected_variant_matches_quadrature(d_micro, d_macro):
-    for d, a0 in ((d_micro, A0_MICRO), (d_macro, A0_MACRO),
-                  (d_micro, 0.05), (d_micro, 8.0)):
-        corrected, _, _ = closed_form_avg_power(d, a0, d.mI + 1.0)
-        assert corrected == pytest.approx(avg_power(d, a0), rel=1e-6)
 
 
 def test_closed_form_as_printed_variant_does_not(d_micro, d_macro):
