@@ -8,8 +8,8 @@ from .capacity import (CapacityReport, compare, default_rho,
                        fd_optimal_capacity_closed_form, solve_network,
                        waterfill_rate)
 from .cinr import BetaPrimeDist, cinr_distribution
-from .interference import (InterferenceFit, gamma_fit, laplace_transform,
-                           mean_interference, second_moment)
+from .interference import (gamma_fit, laplace_transform, mean_interference,
+                           second_moment)
 from .mcsim import (MCConfig, SampleStats, estimate_fd_fixed,
                     estimate_fd_optimal, estimate_hd, interference_samples)
 from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,

@@ -44,8 +44,7 @@ class CapacityReport:
 
 def solve_network(cfg: NetworkConfig) -> tuple[BetaPrimeDist, WaterfillSolution]:
     """Interference fit -> CINR law -> water level, the shared pipeline."""
-    fit = gamma_fit(cfg)
-    d = cinr_distribution(cfg, fit)
+    d = cinr_distribution(cfg, gamma_fit(cfg))
     sol = solve_cutoff(d, cfg.p_bar, cfg.bandwidth)
     return d, sol
 

@@ -22,8 +22,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv
 
 from ._integrate import quad_strict
-from .interference import InterferenceFit
-from .model import NetworkConfig
+from .model import GammaParams, NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,13 @@ def expect(d: BetaPrimeDist, stage: str, g,
     return quad_strict(stage, integrand, lo, 1.0)
 
 
-def cinr_distribution(cfg: NetworkConfig, fit: InterferenceFit) -> BetaPrimeDist:
-    """Build the CINR law from a config and its interference fit."""
+def cinr_distribution(cfg: NetworkConfig, fit: GammaParams) -> BetaPrimeDist:
+    """Build the CINR law from a config and its interference Gamma fit."""
     m0 = cfg.fading_signal.shape
     om0 = cfg.fading_signal.mean
     path = (2.0 * math.sqrt(cfg.lam)) ** cfg.eta
-    k = path * m0 * (fit.gamma.mean + cfg.n0) / (fit.gamma.shape * om0)
-    return BetaPrimeDist(m0=m0, mI=fit.gamma.shape, k=k)
+    k = path * m0 * (fit.mean + cfg.n0) / (fit.shape * om0)
+    return BetaPrimeDist(m0=m0, mI=fit.shape, k=k)
 
 
 def pdf(d: BetaPrimeDist, x):

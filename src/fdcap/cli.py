@@ -34,11 +34,11 @@ EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
-_SWEEPABLE = ("p_bs", "lambda", "p_bar")
+# sweepable parameter -> (NetworkConfig field, CSV column of the grid)
+_SWEEPS = {"p_bs": ("p_bs", "p_bs_w"), "lambda": ("lam", "lambda_per_m2"),
+           "p_bar": ("p_bar", "p_bar_w")}
 _OUTPUT_ORDER = ("fd_opt", "fd_opt_cf", "fd_fixed", "hd", "fd_opt_mc",
                  "fd_fixed_mc")
-_SWEPT_COLUMN = {"p_bs": "p_bs_w", "lambda": "lambda_per_m2",
-                 "p_bar": "p_bar_w"}
 
 
 class _UsageError(Exception):
@@ -127,8 +127,8 @@ def cmd_analyze(args) -> int:
         "derived": {
             "r0_m": geo.r0,
             "rbar_m": geo.rbar,
-            "m_I": fit.gamma.shape,
-            "omega_I_w": fit.gamma.mean,
+            "m_I": fit.shape,
+            "omega_I_w": fit.mean,
             "k": d.k,
             "a0_w": rep.a0,
         },
@@ -161,11 +161,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _sweep_config(cfg: NetworkConfig, param: str, value: float) -> NetworkConfig:
-    field = {"p_bs": "p_bs", "lambda": "lam", "p_bar": "p_bar"}[param]
-    return replace(cfg, **{field: value})
-
-
 def cmd_sweep(args) -> int:
     base = _load(args)
     points = args.points
@@ -193,10 +188,10 @@ def cmd_sweep(args) -> int:
     mc = _mc_from(args)
 
     need_solution = bool({"fd_opt", "fd_opt_cf", "fd_opt_mc"} & requested)
-    lines = [",".join([_SWEPT_COLUMN[args.sweep]]
-                      + [f"{name}_kbps" for name in outputs])]
+    field, column = _SWEEPS[args.sweep]
+    lines = [",".join([column] + [f"{name}_kbps" for name in outputs])]
     for value in grid:
-        cfg = _sweep_config(base, args.sweep, value)
+        cfg = replace(base, **{field: value})
         cell = {}
         if need_solution:
             d, sol = capacity.solve_network(cfg)
@@ -241,13 +236,11 @@ def _ks_vs_gamma(samples: np.ndarray, shape: float, scale: float) -> float:
 def cmd_validate(args) -> int:
     cfg = _load(args)
     if args.samples < 10_000:
-        print(f"validate needs --samples >= 10000 (got {args.samples}): "
-              f"moment and distribution checks are meaningless below that",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise _UsageError(f"validate needs --samples >= 10000 (got "
+                          f"{args.samples}): moment and distribution checks "
+                          f"are meaningless below that")
     if args.r0 is not None and not args.r0 > 0:
-        print(f"--r0 must be > 0, got {args.r0}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _UsageError(f"--r0 must be > 0, got {args.r0}")
     geo = derived_geometry(cfg)
     r_min = args.r0 if args.r0 is not None else geo.r0
     mc = _mc_from(args)
@@ -259,7 +252,7 @@ def cmd_validate(args) -> int:
     second_model = second_moment(cfg, r_min=args.r0)
     second_mc = stats.mean ** 2 + stats.variance * (n - 1) / n
     fit = gamma_fit(cfg, r_min=args.r0)
-    ks = _ks_vs_gamma(samples, fit.gamma.shape, fit.gamma.scale)
+    ks = _ks_vs_gamma(samples, fit.shape, fit.scale)
 
     d, sol = capacity.solve_network(cfg)
     c_quad = capacity.waterfill_rate(d, sol.a0, cfg.bandwidth)
@@ -286,7 +279,7 @@ def cmd_validate(args) -> int:
     all_pass = all(c["pass"] for c in checks)
 
     if args.hist_out:
-        shape, scale = fit.gamma.shape, fit.gamma.scale
+        shape, scale = fit.shape, fit.scale
         log_norm = -math.lgamma(shape) - shape * math.log(scale)
 
         def gamma_pdf(x: float) -> float:
@@ -301,7 +294,7 @@ def cmd_validate(args) -> int:
         "mc": {"n_samples": mc.n_samples, "seed": mc.seed,
                "tail_epsilon": mc.tail_epsilon},
         "exclusion_radius_m": r_min,
-        "gamma_fit": {"shape": fit.gamma.shape, "mean_w": fit.gamma.mean},
+        "gamma_fit": {"shape": fit.shape, "mean_w": fit.mean},
         "a0_w": sol.a0,
         "checks": checks,
         "all_pass": all_pass,
@@ -311,22 +304,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_pass else EXIT_VALIDATION
 
 
-def _add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="scenario config file (key = value lines)")
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
                    metavar="L",
                    help="override BS intensity; plain value in 1/m^2, or "
                         "'<x>/km2' for 1/km^2 (e.g. 5/km2)")
-    p.add_argument("--samples", type=int, default=samples_default,
-                   help=f"Monte Carlo sample count (default {samples_default})")
+    p.add_argument("--samples", type=int, default=100_000,
+                   help="Monte Carlo sample count (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="Monte Carlo seed (default 0)")
     tail = mcsim.MCConfig.tail_epsilon
     p.add_argument("--tail-epsilon", type=float, default=tail,
                    help=f"relative interference-tail budget for the field "
                         f"truncation radius (default {tail:g}); the far "
-                        f"field enters as its mean, so the cost per sample "
-                        f"does not grow with 1/eps")
+                        f"ring enters as one Gamma variate with its mean "
+                        f"and variance, so the cost per sample does not "
+                        f"grow with 1/eps")
     p.add_argument("--workers", type=int, default=1,
                    help="Monte Carlo worker threads (default 1); results are "
                         "worker-count independent")
@@ -341,15 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="all capacity quantities for one "
                                         "config, JSON on stdout (bit/s)")
-    _add_common(pa, samples_default=100_000)
+    _add_common(pa)
     pa.add_argument("--rho", type=_parse_rho, default=None,
                     help="received-power target (W) for the half-duplex "
                          "benchmark (default: p_bar * rbar^-eta)")
 
     ps = sub.add_parser("sweep", help="capacity-vs-parameter sweep, CSV "
                                       "on stdout or --out (kbit/s)")
-    _add_common(ps, samples_default=100_000)
-    ps.add_argument("--sweep", required=True, choices=_SWEEPABLE,
+    _add_common(ps)
+    ps.add_argument("--sweep", required=True, choices=_SWEEPS,
                     help="which config field to sweep")
     ps.add_argument("--from", dest="start", type=float, required=True,
                     help="first grid value")
@@ -371,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate",
                         help="Monte-Carlo-vs-analytic validation report, "
                              "JSON on stdout; exit 3 if any tolerance fails")
-    _add_common(pv, samples_default=100_000)
+    _add_common(pv)
     pv.add_argument("--r0", type=float, default=None,
                     help="override the interferer exclusion radius (m) for "
                          "the interference-field checks (default: "

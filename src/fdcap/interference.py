@@ -1,4 +1,4 @@
-"""Aggregate downlink-to-uplink interference: transform, moments, Gamma fit.
+"""Aggregate downlink-to-uplink interference: moments, transform, Gamma fit.
 
 The receiving BS sits at the centre of an interference-free disc of radius
 r0 = 1/sqrt(pi*lambda); every other BS is a point of a Poisson process of
@@ -8,32 +8,22 @@ r^-eta.  The aggregate
 
     I = sum_i p_bs * alpha_i * r_i^-eta
 
-has an exact Laplace transform and exact first/second moments; the package
-approximates its law by the Gamma distribution matching those two moments
-(shape m_I, mean Omega_I).  How good that approximation is, is measured by
-the Monte Carlo layer, never assumed.
+has, outside any exclusion radius r, the Campbell cumulants
+
+    kappa_n(r) = 2 pi lambda p_bs^n E[alpha^n] r^(2 - n eta) / (n eta - 2),
+
+E[alpha] = Omega, E[alpha^2] = Omega^2 (1 + 1/m), and an exact Laplace
+transform.  The package approximates the law of I by the Gamma distribution
+matching its first two moments (shape m_I, mean Omega_I).  How good that
+approximation is, is measured by the Monte Carlo layer, never assumed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._integrate import quad_strict
 from .model import GammaParams, NetworkConfig, derived_geometry
 from .specfun import NumericsError
-
-
-@dataclass(frozen=True)
-class InterferenceFit:
-    """Moment-matched Gamma law next to the exact moments it matched.
-
-    gamma.mean equals mean_exact and gamma.shape equals
-    mean_exact^2 / (second_moment_exact - mean_exact^2) by construction.
-    """
-
-    gamma: GammaParams
-    mean_exact: float
-    second_moment_exact: float
 
 
 def _exclusion_radius(cfg: NetworkConfig, r_min: float | None) -> float:
@@ -44,44 +34,27 @@ def _exclusion_radius(cfg: NetworkConfig, r_min: float | None) -> float:
     return r_min
 
 
+def _cumulant(cfg: NetworkConfig, n: int, r: float) -> float:
+    """kappa_n of I (n in {1, 2}) for the field outside radius r."""
+    fi = cfg.fading_interferer
+    mark = fi.mean if n == 1 else fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
+    return (2.0 * math.pi * cfg.lam * cfg.p_bs ** n * mark
+            * r ** (2.0 - n * cfg.eta) / (n * cfg.eta - 2.0))
+
+
 def mean_interference(cfg: NetworkConfig, r_min: float | None = None) -> float:
-    """E[I] in watts: 2 (pi lambda)^(eta/2) Omega p_bs / (eta - 2).
+    """E[I] = kappa_1 in watts, outside r_min (default: the model's r0).
 
-    With the default exclusion radius r0 the closed form above holds; an
-    explicit r_min (used by the validation command's radius override)
-    generalizes it to 2 pi lambda Omega p_bs r_min^(2-eta) / (eta - 2).
+    At r0 this is 2 (pi lambda)^(eta/2) Omega p_bs / (eta - 2).
     """
-    om = cfg.fading_interferer.mean  # the mean does not depend on the fading shape
-    if r_min is None:
-        return 2.0 * (math.pi * cfg.lam) ** (cfg.eta / 2.0) * om * cfg.p_bs / (cfg.eta - 2.0)
-    _exclusion_radius(cfg, r_min)
-    return (2.0 * math.pi * cfg.lam * om * cfg.p_bs
-            * r_min ** (2.0 - cfg.eta) / (cfg.eta - 2.0))
-
-
-def _variance(cfg: NetworkConfig, r_min: float) -> float:
-    """Var[I] for an arbitrary exclusion radius (Campbell variance formula)."""
-    m, om = cfg.fading_interferer.shape, cfg.fading_interferer.mean
-    return (2.0 * math.pi * cfg.lam * cfg.p_bs ** 2 * om ** 2 * ((m + 1.0) / m)
-            * r_min ** (2.0 - 2.0 * cfg.eta) / (2.0 * cfg.eta - 2.0))
+    return _cumulant(cfg, 1, _exclusion_radius(cfg, r_min))
 
 
 def second_moment(cfg: NetworkConfig, r_min: float | None = None) -> float:
-    """E[I^2] in W^2.
-
-    Default exclusion radius:
-        (2 (pi lambda)^eta Omega^2 p_bs^2 / (eta-2))
-        * [ 2/(eta-2) + (m+1)(eta-2) / (2 m (eta-1)) ],
-    which is mean^2 + variance spelled out on the r0 geometry.
-    """
-    m, om = cfg.fading_interferer.shape, cfg.fading_interferer.mean
-    eta = cfg.eta
-    if r_min is None:
-        lead = 2.0 * (math.pi * cfg.lam) ** eta * om ** 2 * cfg.p_bs ** 2 / (eta - 2.0)
-        bracket = 2.0 / (eta - 2.0) + (m + 1.0) * (eta - 2.0) / (2.0 * m * (eta - 1.0))
-        return lead * bracket
-    mean = mean_interference(cfg, r_min)
-    return mean * mean + _variance(cfg, r_min)
+    """E[I^2] = kappa_1^2 + kappa_2 in W^2, outside r_min (default: r0)."""
+    r = _exclusion_radius(cfg, r_min)
+    k1 = _cumulant(cfg, 1, r)
+    return k1 * k1 + _cumulant(cfg, 2, r)
 
 
 def _log_laplace(cfg: NetworkConfig, s: float, r_min: float) -> float:
@@ -121,23 +94,18 @@ def laplace_transform(cfg: NetworkConfig, s: float,
     return math.exp(_log_laplace(cfg, s, _exclusion_radius(cfg, r_min)))
 
 
-def gamma_fit(cfg: NetworkConfig, r_min: float | None = None) -> InterferenceFit:
-    """Gamma law matching the exact first two moments of I.
+def gamma_fit(cfg: NetworkConfig, r_min: float | None = None) -> GammaParams:
+    """Gamma law matching the first two moments of I outside r_min.
 
-    Omega_I = E[I] and m_I = E[I]^2 / Var[I].  On the default geometry the
-    scale factors of E[I]^2 and Var[I] cancel algebraically, so the shape is
-    computed on the dimensionless brackets — making m_I exactly independent
-    of lambda, p_bs and Omega down to the last bit, and equal to
-    4 m (eta-1) / ((m+1) (eta-2)^2) to machine precision.
+    Mean Omega_I = kappa_1; shape m_I = kappa_1^2 / kappa_2
+    = pi lambda r_min^2 * 4 m (eta-1) / ((m+1) (eta-2)^2), whose area factor
+    is 1 at the default r0.  The closed form keeps the digits that
+    mean^2 / (E[I^2] - mean^2) would cancel, and at r0 it is bit-identical
+    under any lambda, p_bs and Omega.
     """
     mean = mean_interference(cfg, r_min)
-    second = second_moment(cfg, r_min)
-    if r_min is None:
-        m, eta = cfg.fading_interferer.shape, cfg.eta
-        mean_sq_bracket = 2.0 / (eta - 2.0)
-        var_bracket = (m + 1.0) * (eta - 2.0) / (2.0 * m * (eta - 1.0))
-        shape = mean_sq_bracket / var_bracket
-    else:
-        shape = mean * mean / (second - mean * mean)
-    return InterferenceFit(gamma=GammaParams(shape=shape, mean=mean),
-                           mean_exact=mean, second_moment_exact=second)
+    m, eta = cfg.fading_interferer.shape, cfg.eta
+    shape = 4.0 * m * (eta - 1.0) / ((m + 1.0) * (eta - 2.0) ** 2)
+    if r_min is not None:
+        shape *= math.pi * cfg.lam * r_min * r_min
+    return GammaParams(shape=shape, mean=mean)

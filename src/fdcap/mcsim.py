@@ -179,13 +179,23 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     return out
 
 
-def _run_chunks(mc: MCConfig,
-                fn: Callable[[int, np.random.Generator], np.ndarray]) -> np.ndarray:
-    """Fill a length-n array with fn(chunk_size, chunk_rng) per chunk.
+def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
+                  fn: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+                  r_min: Optional[float] = None,
+                  tx_power: Optional[tuple] = None) -> np.ndarray:
+    """Fill a length-n array with fn(field, chunk_rng) per chunk.
 
+    field holds the chunk's draws of the interference of the field on
+    [r_min, R_max] (r_min defaults to the model's r0; tx_power as in
+    _field_interference), drawn from chunk_rng before fn's own draws.
     Chunk slices are disjoint, so threads write without coordination; the
     result is identical for any worker count.
     """
+    if r_min is None:
+        r_min = derived_geometry(cfg).r0
+    elif not r_min > 0:
+        raise ValueError(f"r_min must be > 0, got {r_min}")
+    rmax = _resolve_rmax(cfg, mc, r_min)
     n = mc.n_samples
     out = np.empty(n)
     spans = [(c, c * CHUNK, min(CHUNK, n - c * CHUNK))
@@ -193,7 +203,9 @@ def _run_chunks(mc: MCConfig,
 
     def work(span):
         c, start, size = span
-        out[start:start + size] = fn(size, _chunk_rng(mc.seed, c))
+        rng = _chunk_rng(mc.seed, c)
+        field = _field_interference(cfg, r_min, rmax, size, rng, tx_power)
+        out[start:start + size] = fn(field, rng)
 
     if mc.workers == 1:
         for span in spans:
@@ -228,14 +240,7 @@ def interference_samples(cfg: NetworkConfig, mc: MCConfig,
     r_min overrides the exclusion radius (default: the model's r0), mirroring
     the same override on the analytic moment formulas.
     """
-    geo = derived_geometry(cfg)
-    if r_min is None:
-        r_min = geo.r0
-    elif not r_min > 0:
-        raise ValueError(f"r_min must be > 0, got {r_min}")
-    rmax = _resolve_rmax(cfg, mc, r_min)
-    return _run_chunks(mc, lambda size, rng:
-                       _field_interference(cfg, r_min, rmax, size, rng))
+    return _field_chunks(cfg, mc, lambda field, rng: field, r_min)
 
 
 def _signal_gain(cfg: NetworkConfig, rng: np.random.Generator,
@@ -249,16 +254,12 @@ def _signal_gain(cfg: NetworkConfig, rng: np.random.Generator,
 def _fd_rate(cfg: NetworkConfig, mc: MCConfig, power: Callable) -> SampleStats:
     """B*log2(1 + power(gamma)*gamma) per sample, gamma = h/(I + N0) with I
     from the Poisson field and h from the signal fading."""
-    geo = derived_geometry(cfg)
-    rmax = _resolve_rmax(cfg, mc, geo.r0)
-
-    def chunk(size, rng):
-        i_agg = _field_interference(cfg, geo.r0, rmax, size, rng)
-        h = _signal_gain(cfg, rng, size)
+    def chunk(i_agg, rng):
+        h = _signal_gain(cfg, rng, i_agg.size)
         gamma = h / (i_agg + cfg.n0)
         return cfg.bandwidth * np.log2(1.0 + power(gamma) * gamma)
 
-    return summarize(_run_chunks(mc, chunk))
+    return summarize(_field_chunks(cfg, mc, chunk))
 
 
 def estimate_fd_optimal(cfg: NetworkConfig, mc: MCConfig,
@@ -312,18 +313,15 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
     """
     if not rho >= 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    geo = derived_geometry(cfg)
-    rmax = _resolve_rmax(cfg, mc, geo.r0)
     m0 = cfg.fading_signal.shape
-    tx = _uplink_power(cfg, rho)
 
-    def chunk(size, rng):
-        i_up = _field_interference(cfg, geo.r0, rmax, size, rng, tx)
-        g = rng.gamma(m0, 1.0 / m0, size)
+    def chunk(i_up, rng):
+        g = rng.gamma(m0, 1.0 / m0, i_up.size)
         sinr = rho * g / (i_up + cfg.n0)
         return 0.5 * cfg.bandwidth * np.log2(1.0 + sinr)
 
-    return summarize(_run_chunks(mc, chunk))
+    return summarize(_field_chunks(cfg, mc, chunk,
+                                   tx_power=_uplink_power(cfg, rho)))
 
 
 def write_histogram_csv(path: str, stats: SampleStats,

@@ -62,8 +62,8 @@ def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:
     if 1.0 - t0 < 4e-16:
         # a0/k below double resolution: the transmit window [t0, 1] has
         # collapsed to a few ulps and quadrature nodes would round onto the
-        # t = 1 endpoint; the expectation itself is bounded by a0
-        return 0.0, 0.0
+        # t = 1 endpoint; the expectation itself lies in [0, a0]
+        return 0.0, a0
     k = d.k
     return expect(d, "avg_power", lambda t: a0 - k * (1.0 - t) / t, t0)
 
@@ -124,13 +124,19 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillS
     hi = p_bar
     while excess(hi) < 0.0:
         if len(powers) > 200:
+            if all(p == 0.0 for p in powers.values()):
+                cause = ("E[P] underflows to 0.0 at every bracket point: "
+                         "p_bar is too small for double precision at "
+                         "this a0/k")
+            else:
+                cause = ("mI grows without bound as eta -> 2, like "
+                         "1/(eta-2)^2, and the E[P] quadrature cannot "
+                         "resolve a Beta(m0, mI) weight that narrow")
             raise NumericsError(
                 "solve_cutoff",
                 f"no bracket for the power constraint after 200 doublings "
-                f"(a0={hi!r}, E[P]={powers[hi]!r}, p_bar={p_bar!r}, "
-                f"mI={d.mI!r}); mI grows without bound as eta -> 2, like "
-                f"1/(eta-2)^2, and the E[P] quadrature cannot resolve a "
-                f"Beta(m0, mI) weight that narrow")
+                f"(a0={hi!r}, a0/k={hi / d.k!r}, E[P]={powers[hi]!r}, "
+                f"p_bar={p_bar!r}, mI={d.mI!r}); {cause}")
         hi *= 2.0
 
     a0, info = brentq(excess, 0.5 * hi, hi, xtol=1e-7 * p_bar,

@@ -66,7 +66,7 @@ def test_k_scales_with_interference_plus_noise(micro):
     fit = gamma_fit(micro)
     d1 = cinr_distribution(micro, fit)
     # raising the noise so that Omega_I + N0 doubles must double k
-    bigger = replace(micro, n0=fit.gamma.mean + 2.0 * micro.n0)
+    bigger = replace(micro, n0=fit.mean + 2.0 * micro.n0)
     d2 = cinr_distribution(bigger, fit)
     assert d2.k == pytest.approx(2.0 * d1.k, rel=1e-14)
     assert (d2.m0, d2.mI) == (d1.m0, d1.mI)
@@ -232,7 +232,7 @@ def test_exact_model_sampling_recovers_the_law(micro):
     n = 200_000
     h = rng.gamma(cfg.fading_signal.shape,
                   cfg.fading_signal.scale, n) / path
-    i_agg = rng.gamma(fit.gamma.shape, fit.gamma.scale, n)
+    i_agg = rng.gamma(fit.shape, fit.scale, n)
     g = h / (i_agg + cfg.n0)
     assert ks_against_cdf(g, d) < 0.005
 
@@ -248,7 +248,7 @@ def test_exact_model_median_cross_check():
     rng = np.random.default_rng(40)
     n = 400_000
     h = rng.gamma(cfg.fading_signal.shape, cfg.fading_signal.scale, n) / path
-    i_agg = rng.gamma(fit.gamma.shape, fit.gamma.scale, n)
+    i_agg = rng.gamma(fit.shape, fit.scale, n)
     g = h / (i_agg + cfg.n0)
     assert np.median(g) == pytest.approx(median(d), rel=0.02)
 

@@ -351,6 +351,28 @@ def test_femtowatt_budget_is_answered(capsys):
     assert out.strip().split("\n")[1] == "1e-15,0.000000,0.000000,0.000000"
 
 
+def test_budget_below_double_resolution_is_answered(capsys):
+    # at the root a0 = 9e-41 the root check's window [t0, 1] has collapsed
+    # too: its E[P] is 0 with the error estimate a0, which covers p_bar
+    rc, out, err = run(capsys, "sweep", MICRO, "--sweep", "p_bar",
+                       "--from", "1e-100", "--to", "1e-100", "--points", "1",
+                       "--outputs", "fd_opt,fd_opt_cf,fd_fixed")
+    assert rc == 0, err
+    assert out.strip().split("\n")[1] == "1e-100,0.000000,0.000000,0.000000"
+
+
+def test_budget_whose_power_underflows_is_a_named_numeric_failure(capsys):
+    # E[P] underflows to 0.0 at every a0 = 1e-300 * 2^j the bracket tries
+    rc, out, err = run(capsys, "sweep", MICRO, "--sweep", "p_bar",
+                       "--from", "1e-300", "--to", "1e-300", "--points", "1",
+                       "--outputs", "fd_opt")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("numeric failure: solve_cutoff: no bracket")
+    assert "a0/k=" in err and "underflows to 0.0" in err
+    assert "eta -> 2" not in err
+
+
 # -------------------------------------------------------------- validate --
 
 def test_validate_report_structure(capsys, tmp_path):
@@ -390,14 +412,14 @@ def test_validate_minimum_samples(capsys, tmp_path):
     rc, _, err = run(capsys, "validate", MICRO, "--samples", "1000",
                      "--hist-out", str(tmp_path / "h.csv"))
     assert rc == 1
-    assert "10000" in err
+    assert err.startswith("error: ") and "10000" in err
 
 
 def test_validate_rejects_nonpositive_r0(capsys, tmp_path):
     rc, _, err = run(capsys, "validate", MICRO, "--samples", "10000",
                      "--r0", "0", "--hist-out", str(tmp_path / "h.csv"))
     assert rc == 1
-    assert "--r0" in err
+    assert err.startswith("error: --r0")
 
 
 def test_validate_oversized_field_is_a_named_numeric_failure(capsys,

@@ -124,7 +124,7 @@ def test_cinr_law_reproduces_the_beta_prime_pipeline(kwargs):
     cfg = make_cfg(**kwargs)
     d, sol = capacity.solve_network(cfg)
     fit = gamma_fit(cfg)
-    law = gamma_cinr(cfg, fit.gamma.shape, fit.gamma.mean + cfg.n0, 0.0)
+    law = gamma_cinr(cfg, fit.shape, fit.mean + cfg.n0, 0.0)
     assert law.avg_power(sol.a0) == pytest.approx(avg_power(d, sol.a0),
                                                   rel=1e-9)
     assert law.waterfill_rate(sol.a0, cfg.bandwidth) == pytest.approx(
@@ -161,7 +161,7 @@ def test_noise_mean_shift_is_part_of_the_model_error(kwargs, spend,
     cfg = make_cfg(**kwargs)
     _, sol = capacity.solve_network(cfg)
     fit = gamma_fit(cfg)
-    exact_n0 = gamma_cinr(cfg, fit.gamma.shape, fit.gamma.mean, cfg.n0)
+    exact_n0 = gamma_cinr(cfg, fit.shape, fit.mean, cfg.n0)
     field = field_cinr(cfg, *mc_annulus(cfg, 1e-3))
     assert exact_n0.avg_power(sol.a0) / cfg.p_bar == pytest.approx(
         spend, abs=1e-4)

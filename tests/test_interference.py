@@ -203,38 +203,36 @@ def test_numerical_second_moment(m, eta):
 
 def test_fit_shape_reference_value():
     fit = gamma_fit(make_cfg(m_int=1.0, eta=4.0))
-    assert fit.gamma.shape == pytest.approx(1.5, rel=1e-15, abs=0.0)
+    assert fit.shape == pytest.approx(1.5, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("m", M_GRID)
 @pytest.mark.parametrize("eta", ETA_GRID)
 def test_fit_shape_closed_form(m, eta):
     fit = gamma_fit(make_cfg(m_int=m, eta=eta))
-    assert fit.gamma.shape == pytest.approx(shape_closed_form(m, eta),
+    assert fit.shape == pytest.approx(shape_closed_form(m, eta),
                                             rel=5e-15, abs=0.0)
 
 
 def test_fit_shape_bit_identical_across_scale_parameters():
-    # the shape is computed on dimensionless brackets, so lambda / p_bs /
+    # the shape is a closed form in m and eta alone, so lambda / p_bs /
     # Omega never enter — equality down to the last bit, not within epsilon
-    ref = gamma_fit(make_cfg()).gamma.shape
+    ref = gamma_fit(make_cfg()).shape
     for lam in (1e-6, 5e-5, 7.3e-4):
         for p_bs in (0.05, 1.0, 20.0, 173.0):
             for om in (0.1, 1.0, 11.0):
                 cfg = make_cfg(lam=lam, p_bs=p_bs, omega_int=om)
-                assert gamma_fit(cfg).gamma.shape == ref
+                assert gamma_fit(cfg).shape == ref
 
 
 def test_fit_matches_both_moments():
     for m, eta in [(0.5, 2.5), (1.0, 4.0), (4.0, 6.0)]:
         cfg = make_cfg(m_int=m, eta=eta)
         fit = gamma_fit(cfg)
-        g = fit.gamma
-        assert g.mean == fit.mean_exact == mean_interference(cfg)
+        assert fit.mean == mean_interference(cfg)
         # Gamma(shape, mean): E[X^2] = mean^2 (1 + 1/shape)
-        assert g.mean ** 2 * (1.0 + 1.0 / g.shape) == pytest.approx(
-            fit.second_moment_exact, rel=1e-12)
-        assert fit.second_moment_exact == second_moment(cfg)
+        assert fit.mean ** 2 * (1.0 + 1.0 / fit.shape) == pytest.approx(
+            second_moment(cfg), rel=1e-12)
 
 
 def test_fit_with_radius_override():
@@ -242,10 +240,31 @@ def test_fit_with_radius_override():
     fit = gamma_fit(cfg, r_min=300.0)
     mean = mean_interference(cfg, r_min=300.0)
     var = second_moment(cfg, r_min=300.0) - mean ** 2
-    assert fit.gamma.mean == mean
-    assert fit.gamma.shape == pytest.approx(mean * mean / var, rel=1e-12,
+    assert fit.mean == mean
+    assert fit.shape == pytest.approx(mean * mean / var, rel=1e-12,
                                             abs=0.0)
     # at r_min = r0 the generalized route lands on the default-shape value
     r0 = derived_geometry(cfg).r0
-    assert gamma_fit(cfg, r_min=r0).gamma.shape == pytest.approx(
-        gamma_fit(cfg).gamma.shape, rel=1e-12)
+    assert gamma_fit(cfg, r_min=r0).shape == pytest.approx(
+        gamma_fit(cfg).shape, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,eta", [(1.0, 4.0), (0.5, 2.5)])
+@pytest.mark.parametrize("r_min", [300.0, 1e4, 1e5, 1e6])
+def test_fit_shape_with_radius_override_matches_mpmath(m, eta, r_min):
+    # kappa_1^2 / kappa_2 from the Campbell cumulants at 50 digits; the
+    # moment route mean^2 / (E[I^2] - mean^2) cancels digits as r_min grows
+    # (1.6e-8 off at r_min = 1e6 m and eta = 4)
+    mpmath = pytest.importorskip("mpmath")
+    cfg = make_cfg(lam=5e-6, p_bs=20.0, eta=eta, m_int=m)
+    with mpmath.workdps(50):
+        lam, p_bs, r, e, mm = (mpmath.mpf(v)
+                               for v in (cfg.lam, cfg.p_bs, r_min, eta, m))
+
+        def kappa(n, mark):
+            return (2 * mpmath.pi * lam * p_bs ** n * mark * r ** (2 - n * e)
+                    / (n * e - 2))
+
+        ref = float(kappa(1, 1) ** 2 / kappa(2, 1 + 1 / mm))
+    assert gamma_fit(cfg, r_min=r_min).shape == pytest.approx(ref, rel=1e-14,
+                                                              abs=0.0)

@@ -19,7 +19,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 from fdcap import capacity, mcsim
-from fdcap.interference import gamma_fit
+from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import (MCConfig, estimate_fd_optimal, estimate_hd,
                          interference_samples, summarize, write_histogram_csv)
 from fdcap.model import derived_geometry
@@ -273,9 +273,8 @@ def test_uplink_field_mean_is_the_annulus_campbell_mean():
     rho = capacity.default_rho(cfg)
     r0, rmax = mc_annulus(cfg, 1e-3)
     tx = mcsim._uplink_power(cfg, rho)
-    vals = mcsim._run_chunks(MCConfig(30_000, 13), lambda size, rng:
-                             mcsim._field_interference(cfg, r0, rmax, size,
-                                                       rng, tx))
+    vals = mcsim._field_chunks(cfg, MCConfig(30_000, 13),
+                               lambda field, rng: field, tx_power=tx)
     unit = FieldLaw(replace(cfg, p_bs=1.0), r0, rmax)
     k1, k2, k4 = (unit.cumulant(n) * rho ** n * gamma_fn(1.0 + 1.5 * n)
                   * (math.pi * cfg.lam) ** (-1.5 * n) for n in (1, 2, 4))
@@ -292,17 +291,16 @@ def test_uplink_field_mean_is_the_annulus_campbell_mean():
 def test_field_moments_match_analytic(fig2, fig2_samples):
     # the two exact moments are the fit's contract: ~0.4% / 0.7% observed at
     # n = 1e5 (MC noise; standard error of the mean is ~0.5%)
-    fit = gamma_fit(fig2)
     m1 = float(np.mean(fig2_samples))
     m2 = float(np.mean(fig2_samples ** 2))
-    assert m1 == pytest.approx(fit.mean_exact, rel=0.01)
-    assert m2 == pytest.approx(fit.second_moment_exact, rel=0.02)
+    assert m1 == pytest.approx(mean_interference(fig2), rel=0.01)
+    assert m2 == pytest.approx(second_moment(fig2), rel=0.02)
 
 
 def test_field_shape_matches_fit(fig2, fig2_samples):
     fit = gamma_fit(fig2)
     emp_shape = np.mean(fig2_samples) ** 2 / np.var(fig2_samples, ddof=1)
-    assert emp_shape == pytest.approx(fit.gamma.shape, rel=0.03)
+    assert emp_shape == pytest.approx(fit.shape, rel=0.03)
 
 
 def test_field_vs_fitted_gamma_ks_is_structurally_large(fig2, fig2_samples):
@@ -311,19 +309,18 @@ def test_field_vs_fitted_gamma_ks_is_structurally_large(fig2, fig2_samples):
     # at n = 1e5, an order of magnitude above MC noise (~1/sqrt(n) = 0.003)
     fit = gamma_fit(fig2)
     ks = ks_distance(fig2_samples,
-                     lambda v: gammainc(fit.gamma.shape, v / fit.gamma.scale))
+                     lambda v: gammainc(fit.shape, v / fit.scale))
     assert 0.055 < ks < 0.085
 
 
 def test_truncation_budget_is_honored(fig2):
     # widening R_max tenfold beyond the eps = 0.01 choice moves the mean by
     # no more than the promised tail fraction plus MC noise
-    fit = gamma_fit(fig2)
     base = summarize(interference_samples(
         fig2, MCConfig(20_000, 5, tail_epsilon=0.01)))
     wide = summarize(interference_samples(
         fig2, MCConfig(20_000, 5, r_max=10.0 * mc_annulus(fig2, 0.01)[1])))
-    tol = 0.01 * fit.mean_exact + 3.0 * (base.std_error + wide.std_error)
+    tol = 0.01 * mean_interference(fig2) + 3.0 * (base.std_error + wide.std_error)
     assert abs(base.mean - wide.mean) < tol
 
 
@@ -370,11 +367,11 @@ def test_histogram_csv_round_trip(tmp_path, fig2):
         fig2, MCConfig(10_000, 8, tail_epsilon=1e-2)), histogram=True)
     out = tmp_path / "hist.csv"
     fit = gamma_fit(fig2)
-    scale = fit.gamma.scale
+    scale = fit.scale
 
     def model_pdf(x):
-        return (x ** (fit.gamma.shape - 1.0) * math.exp(-x / scale)
-                / (math.gamma(fit.gamma.shape) * scale ** fit.gamma.shape))
+        return (x ** (fit.shape - 1.0) * math.exp(-x / scale)
+                / (math.gamma(fit.shape) * scale ** fit.shape))
 
     write_histogram_csv(str(out), st, pdf=model_pdf)
     lines = out.read_text(encoding="ascii").splitlines()
