@@ -11,7 +11,8 @@ from .cinr import BetaPrimeDist, cinr_distribution
 from .interference import (gamma_fit, laplace_transform, mean_interference,
                            second_moment)
 from .mcsim import (MCConfig, SampleStats, estimate_fd_fixed,
-                    estimate_fd_optimal, estimate_hd, interference_samples)
+                    estimate_fd_optimal, estimate_fd_rates, estimate_hd,
+                    interference_samples)
 from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
                     derived_geometry, load_config, parse_config, validate)
 from .powercontrol import (WaterfillSolution, avg_power, power_policy,

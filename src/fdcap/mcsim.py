@@ -41,13 +41,16 @@ Draw order inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
 fd estimators: counts, radii, marks, ring, then alpha0;
 hd estimator:  counts, radii, marks, d^2 (power control), ring, then g.
+The fd order extends the interference order, so one pass serves both:
+estimate_fd_rates returns its field with its rates, and `fdcap validate`
+draws a second field only for an --r0 override, on that other annulus.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -183,13 +186,13 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
                   fn: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                   r_min: Optional[float] = None,
                   tx_power: Optional[tuple] = None) -> np.ndarray:
-    """Fill a length-n array with fn(field, chunk_rng) per chunk.
+    """fn(field, chunk_rng) of every chunk, joined along the last axis.
 
     field holds the chunk's draws of the interference of the field on
     [r_min, R_max] (r_min defaults to the model's r0; tx_power as in
-    _field_interference), drawn from chunk_rng before fn's own draws.
-    Chunk slices are disjoint, so threads write without coordination; the
-    result is identical for any worker count.
+    _field_interference), drawn from chunk_rng before fn's own draws.  fn
+    returns one value per sample, or rows of them, as estimate_fd_rates
+    does.  Chunks join in index order: the same result for any workers.
     """
     if r_min is None:
         r_min = derived_geometry(cfg).r0
@@ -197,23 +200,20 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
         raise ValueError(f"r_min must be > 0, got {r_min}")
     rmax = _resolve_rmax(cfg, mc, r_min)
     n = mc.n_samples
-    out = np.empty(n)
-    spans = [(c, c * CHUNK, min(CHUNK, n - c * CHUNK))
-             for c in range((n + CHUNK - 1) // CHUNK)]
 
-    def work(span):
-        c, start, size = span
+    def work(c):
         rng = _chunk_rng(mc.seed, c)
-        field = _field_interference(cfg, r_min, rmax, size, rng, tx_power)
-        out[start:start + size] = fn(field, rng)
+        size = min(CHUNK, n - c * CHUNK)
+        return fn(_field_interference(cfg, r_min, rmax, size, rng, tx_power),
+                  rng)
 
+    chunks = range((n + CHUNK - 1) // CHUNK)
     if mc.workers == 1:
-        for span in spans:
-            work(span)
+        parts = [work(c) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            list(pool.map(work, spans))
-    return out
+            parts = list(pool.map(work, chunks))
+    return np.concatenate(parts, axis=-1)
 
 
 def summarize(values: np.ndarray, histogram: bool = False) -> SampleStats:
@@ -251,15 +251,24 @@ def _signal_gain(cfg: NetworkConfig, rng: np.random.Generator,
     return alpha0 * (2.0 * math.sqrt(cfg.lam)) ** (-cfg.eta)
 
 
-def _fd_rate(cfg: NetworkConfig, mc: MCConfig, power: Callable) -> SampleStats:
-    """B*log2(1 + power(gamma)*gamma) per sample, gamma = h/(I + N0) with I
-    from the Poisson field and h from the signal fading."""
+def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
+                      powers: Sequence[Union[float, WaterfillSolution]]
+                      ) -> tuple[np.ndarray, list[SampleStats]]:
+    """One field pass: the draws of I, equal to interference_samples(cfg,
+    mc), and the FD rate's SampleStats (bit/s) for each entry of `powers`,
+    a constant transmit power (W) or a WaterfillSolution's policy.  All
+    rates share the field and the signal gain h drawn after it, so each
+    equals its estimate_fd_fixed or estimate_fd_optimal."""
     def chunk(i_agg, rng):
         h = _signal_gain(cfg, rng, i_agg.size)
         gamma = h / (i_agg + cfg.n0)
-        return cfg.bandwidth * np.log2(1.0 + power(gamma) * gamma)
+        return np.stack([i_agg] + [
+            cfg.bandwidth * np.log2(1.0 + (
+                power_policy(p, gamma) if isinstance(p, WaterfillSolution)
+                else p) * gamma) for p in powers])
 
-    return summarize(_field_chunks(cfg, mc, chunk))
+    field, *rates = _field_chunks(cfg, mc, chunk)
+    return field, [summarize(r) for r in rates]
 
 
 def estimate_fd_optimal(cfg: NetworkConfig, mc: MCConfig,
@@ -273,12 +282,12 @@ def estimate_fd_optimal(cfg: NetworkConfig, mc: MCConfig,
     The gap between this estimate and the quadrature capacity measures the
     end-to-end Gamma-approximation error of the analytic pipeline.
     """
-    return _fd_rate(cfg, mc, lambda gamma: power_policy(sol, gamma))
+    return estimate_fd_rates(cfg, mc, [sol])[1][0]
 
 
 def estimate_fd_fixed(cfg: NetworkConfig, mc: MCConfig) -> SampleStats:
     """Simulation-side FD rate at constant transmit power p_bar (bit/s)."""
-    return _fd_rate(cfg, mc, lambda gamma: cfg.p_bar)
+    return estimate_fd_rates(cfg, mc, [cfg.p_bar])[1][0]
 
 
 def _uplink_power(cfg: NetworkConfig, rho: float) -> tuple:

@@ -160,8 +160,8 @@ def test_capacity_is_exactly_linear_in_bandwidth(micro):
 def test_default_rho_values(micro, macro):
     # p_bar * rbar^-eta with rbar = 1/(2 sqrt(lam)): 0.2 * (16 lam^2) at
     # eta = 4
-    assert default_rho(micro) == pytest.approx(8e-9, rel=1e-12)
-    assert default_rho(macro) == pytest.approx(8e-11, rel=1e-12)
+    assert default_rho(micro) == pytest.approx(8e-9, rel=1e-12, abs=0.0)
+    assert default_rho(macro) == pytest.approx(8e-11, rel=1e-12, abs=0.0)
 
 
 def test_hd_zero_rho(micro):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fdcap import capacity, cli
+from fdcap import capacity, cli, mcsim
 from fdcap.mcsim import MCConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -110,7 +110,7 @@ def test_analyze_json_document(capsys):
     # reports must not echo execution environment (worker count)
     assert sorted(doc["mc"].keys()) == ["n_samples", "rho_w", "seed",
                                         "tail_epsilon"]
-    assert doc["mc"]["rho_w"] == pytest.approx(8e-9, rel=1e-9)
+    assert doc["mc"]["rho_w"] == pytest.approx(8e-9, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("override", ["50/km2", "5e-5"])
@@ -463,3 +463,26 @@ def test_validate_r0_override_scopes(capsys, tmp_path):
     assert b["gamma_fit"]["shape"] > 10.0
     assert b["checks"][2]["statistic"] < a["checks"][2]["statistic"]
     assert b["checks"][3] == a["checks"][3]
+
+
+@pytest.mark.parametrize("r0, passes", [(None, 1), ("300", 2)])
+def test_validate_draws_each_field_once(capsys, tmp_path, monkeypatch, r0,
+                                        passes):
+    # the interference checks and the FD estimate share one field pass; an
+    # --r0 field lies on another annulus and takes a second
+    calls = []
+    draw = mcsim._field_interference
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(mcsim, "_field_interference", spy)
+    argv = ["validate", MICRO, "--samples", "20000", "--seed", "2",
+            "--hist-out", str(tmp_path / "h.csv")]
+    rc, _, _ = run(capsys, *argv, *(["--r0", r0] if r0 else []))
+    chunks = -(-20_000 // mcsim.CHUNK)
+    assert rc == 3 and chunks == 20
+    assert len(calls) == passes * chunks
+    if r0:
+        assert calls.count(300.0) == chunks
