@@ -8,10 +8,8 @@ from .capacity import (CapacityReport, compare, default_rho,
                        fd_optimal_capacity_closed_form, solve_network,
                        waterfill_rate)
 from .cinr import BetaPrimeDist, cinr_distribution
-from .interference import (gamma_fit, laplace_transform, mean_interference,
-                           second_moment)
-from .mcsim import (MCConfig, SampleStats, estimate_fd_fixed,
-                    estimate_fd_optimal, estimate_fd_rates, estimate_hd,
+from .interference import gamma_fit, mean_interference, second_moment
+from .mcsim import (MCConfig, SampleStats, estimate_fd_rates, estimate_hd,
                     interference_samples)
 from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
                     derived_geometry, load_config, parse_config, validate)

@@ -15,7 +15,7 @@ keys off the fixed-power FD rate instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import mcsim
 from .cinr import BetaPrimeDist, cinr_distribution, expect
@@ -27,25 +27,23 @@ from .specfun import hyper_3f2
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Capacity numbers in bit/s; None marks a quantity not computed here
-    (or, for the closed form, not evaluable)."""
+    """Capacity numbers in bit/s from compare; the closed form is None where
+    it does not evaluate."""
 
-    c_fd_optimal: float | None = None
-    c_fd_optimal_closed_form: float | None = None
-    c_fd_fixed: float | None = None
-    c_hd: float | None = None
-    c_hd_std_error: float | None = None
-    a0: float | None = None
-    fd_harmful: bool | None = None
-    fd_beneficial: bool | None = None
-    # per-field provenance, values in {"quadrature", "closed-form", "monte-carlo"}
-    provenance: dict = field(default_factory=dict)
+    c_fd_optimal: float
+    c_fd_optimal_closed_form: float | None
+    c_fd_fixed: float
+    c_hd: float
+    c_hd_std_error: float
+    a0: float
+    fd_harmful: bool
+    fd_beneficial: bool
 
 
 def solve_network(cfg: NetworkConfig) -> tuple[BetaPrimeDist, WaterfillSolution]:
     """Interference fit -> CINR law -> water level, the shared pipeline."""
     d = cinr_distribution(cfg, gamma_fit(cfg))
-    sol = solve_cutoff(d, cfg.p_bar, cfg.bandwidth)
+    sol = solve_cutoff(d, cfg.p_bar)
     return d, sol
 
 
@@ -90,8 +88,8 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
 
     Constant transmit power p_bar spends the average-power budget with
     equality, so this is always a feasible (suboptimal) policy for the
-    water-filling problem.  The PPP-sampled simulation counterpart lives in
-    mcsim.estimate_fd_fixed.
+    water-filling problem.  Its Poisson-field simulation counterpart is
+    mcsim.estimate_fd_rates with the power p_bar.
     """
     d = cinr_distribution(cfg, gamma_fit(cfg))
     val, _ = expect(d, "fd_fixed_power_capacity",
@@ -126,13 +124,6 @@ def compare(cfg: NetworkConfig, rho: float | None = None, mc=None) -> CapacityRe
     if mc is None:
         mc = mcsim.MCConfig(n_samples=100_000, seed=0)
     hd = mcsim.estimate_hd(cfg, rho, mc)
-    prov = {
-        "c_fd_optimal": "quadrature",
-        "c_fd_fixed": "quadrature",
-        "c_hd": "monte-carlo",
-    }
-    if c_cf is not None:
-        prov["c_fd_optimal_closed_form"] = "closed-form"
     return CapacityReport(
         c_fd_optimal=c_opt,
         c_fd_optimal_closed_form=c_cf,
@@ -142,5 +133,4 @@ def compare(cfg: NetworkConfig, rho: float | None = None, mc=None) -> CapacityRe
         a0=sol.a0,
         fd_harmful=c_opt < hd.mean,
         fd_beneficial=c_fixed > hd.mean,
-        provenance=prov,
     )

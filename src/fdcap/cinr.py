@@ -12,17 +12,20 @@ is beta-prime distributed:
 The mean-shift treatment of N0 is an approximation on top of the Gamma fit
 (the exact law of Gamma + constant is not Gamma); its error is measured by
 the sampling cross-checks in the tests, not assumed away.
+
+The package needs only the law's parameters and `expect`, the one kernel
+that every rate and power integral goes through.  The tests take the
+density, cdf, median and draws of the same law from
+scipy.stats.betaprime(m0, mI, scale=1/k).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import betainc, betaincinv
-
 from ._integrate import quad_strict
 from .model import GammaParams, NetworkConfig
+from .specfun import NumericsError
 
 
 @dataclass(frozen=True)
@@ -70,65 +73,20 @@ def expect(d: BetaPrimeDist, stage: str, g,
 
 
 def cinr_distribution(cfg: NetworkConfig, fit: GammaParams) -> BetaPrimeDist:
-    """Build the CINR law from a config and its interference Gamma fit."""
+    """Build the CINR law from a config and its interference Gamma fit.
+
+    Raises NumericsError("cinr_distribution") when k leaves the positive
+    doubles, which an extreme lambda does: k scales like lambda^eta.
+    """
     m0 = cfg.fading_signal.shape
     om0 = cfg.fading_signal.mean
-    path = (2.0 * math.sqrt(cfg.lam)) ** cfg.eta
+    try:
+        path = (2.0 * math.sqrt(cfg.lam)) ** cfg.eta
+    except OverflowError:
+        path = math.inf
     k = path * m0 * (fit.mean + cfg.n0) / (fit.shape * om0)
+    if not 0.0 < k < math.inf:
+        raise NumericsError("cinr_distribution", f"k = {k!r} is not finite "
+                            f"and positive at lambda = {cfg.lam!r}")
     return BetaPrimeDist(m0=m0, mI=fit.shape, k=k)
 
-
-def pdf(d: BetaPrimeDist, x):
-    """Density at x >= 0 (scalar or array).
-
-    k^m0 x^(m0-1) (1+kx)^(-m0-mI) / B(m0, mI); at x = 0 this is 0 for
-    m0 > 1, the finite limit k*mI for m0 = 1, and +inf for m0 < 1.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("pdf domain is x >= 0")
-    # x = 0 hits log(0); the m0 = 1 limit also multiplies that by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pdf = (d.m0 * math.log(d.k)
-                   + (d.m0 - 1.0) * np.log(x_arr)
-                   - (d.m0 + d.mI) * np.log1p(d.k * x_arr)
-                   - d.log_beta)
-    out = np.exp(log_pdf)
-    if d.m0 == 1.0:
-        out = np.where(x_arr == 0.0, d.k * d.mI, out)
-    return out if out.ndim else float(out)
-
-
-def cdf(d: BetaPrimeDist, x: float) -> float:
-    """P[gamma <= x]: the regularized incomplete beta at kx/(1+kx)."""
-    if x < 0:
-        raise ValueError("cdf domain is x >= 0")
-    t = d.k * x / (1.0 + d.k * x)
-    return float(betainc(d.m0, d.mI, t))
-
-
-def mode(d: BetaPrimeDist) -> float:
-    """Density peak (m0-1)/(k (mI+1)) for m0 > 1; 0 otherwise."""
-    if d.m0 <= 1.0:
-        return 0.0
-    return (d.m0 - 1.0) / (d.k * (d.mI + 1.0))
-
-
-def median(d: BetaPrimeDist) -> float:
-    """The cdf's inverse at 1/2: the Beta(m0, mI) median t mapped back
-    through x = t/(k(1-t))."""
-    t = float(betaincinv(d.m0, d.mI, 0.5))
-    return t / (d.k * (1.0 - t))
-
-
-def sample(d: BetaPrimeDist, rng: np.random.Generator, size=None):
-    """Draw from the law via its ratio construction.
-
-    X ~ Gamma(m0, scale 1) and Y ~ Gamma(mI, scale 1) give X/Y distributed
-    as the k = 1 law, so gamma = (X/Y)/k.  (No extra shape-ratio factor:
-    that would belong to the unit-mean F-distribution convention, not this
-    density — the KS self-check in the tests pins the construction.)
-    """
-    x = rng.gamma(d.m0, 1.0, size=size)
-    y = rng.gamma(d.mI, 1.0, size=size)
-    return (x / y) / d.k

@@ -3,8 +3,8 @@ analytic-vs-Monte-Carlo validation reports.
 
 Exit codes are part of the interface:
   0  success
-  1  input error (bad flags, unreadable file, invalid config — message names
-     the offending field)
+  1  input error (bad flags, unreadable config, unwritable output file,
+     invalid config — message names the offending field)
   2  numeric failure (quadrature or solver breakdown — message names the stage)
   3  validation ran fine but at least one tolerance failed
 
@@ -135,21 +135,22 @@ def cmd_analyze(args) -> int:
         "capacity_bit_per_s": {
             "c_fd_optimal": {
                 "value": rep.c_fd_optimal,
-                "provenance": rep.provenance.get("c_fd_optimal"),
+                "provenance": "quadrature",
             },
             "c_fd_optimal_closed_form": {
                 "value": rep.c_fd_optimal_closed_form,
-                "provenance": rep.provenance.get("c_fd_optimal_closed_form",
-                                                 "unavailable"),
+                "provenance": ("unavailable"
+                               if rep.c_fd_optimal_closed_form is None
+                               else "closed-form"),
             },
             "c_fd_fixed": {
                 "value": rep.c_fd_fixed,
-                "provenance": rep.provenance.get("c_fd_fixed"),
+                "provenance": "quadrature",
             },
             "c_hd": {
                 "value": rep.c_hd,
                 "std_error": rep.c_hd_std_error,
-                "provenance": rep.provenance.get("c_hd"),
+                "provenance": "monte-carlo",
             },
         },
         "flags": {"fd_harmful": rep.fd_harmful,
@@ -402,7 +403,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+        # the config is the only file read; every other is an output
+        action = ("read input" if exc.filename == args.config
+                  else "write output")
+        print(f"cannot {action}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -256,9 +256,14 @@ def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
                       ) -> tuple[np.ndarray, list[SampleStats]]:
     """One field pass: the draws of I, equal to interference_samples(cfg,
     mc), and the FD rate's SampleStats (bit/s) for each entry of `powers`,
-    a constant transmit power (W) or a WaterfillSolution's policy.  All
-    rates share the field and the signal gain h drawn after it, so each
-    equals its estimate_fd_fixed or estimate_fd_optimal."""
+    a constant transmit power (W) or a WaterfillSolution's policy.
+
+    Per sample: I from the Poisson field (not the Gamma fit), h from the
+    signal fading, gamma = h/(I + N0), rate = B*log2(1 + P(gamma)*gamma).
+    All rates share the field and the h drawn after it, so each equals the
+    same call with that power alone.  Water-filling contributions are
+    exactly zero below the cutoff 1/a0, where power_policy returns zero.
+    """
     def chunk(i_agg, rng):
         h = _signal_gain(cfg, rng, i_agg.size)
         gamma = h / (i_agg + cfg.n0)
@@ -269,25 +274,6 @@ def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
 
     field, *rates = _field_chunks(cfg, mc, chunk)
     return field, [summarize(r) for r in rates]
-
-
-def estimate_fd_optimal(cfg: NetworkConfig, mc: MCConfig,
-                        sol: WaterfillSolution) -> SampleStats:
-    """Simulation-side FD water-filling rate (bit/s).
-
-    Per sample: I from the Poisson field (not the Gamma fit), h from the
-    signal fading, gamma = h/(I + N0), rate = B*log2(1 + P(gamma)*gamma)
-    with the analytic policy P from `sol`.  Contributions are exactly zero
-    below the cutoff 1/a0 because power_policy returns exactly zero there.
-    The gap between this estimate and the quadrature capacity measures the
-    end-to-end Gamma-approximation error of the analytic pipeline.
-    """
-    return estimate_fd_rates(cfg, mc, [sol])[1][0]
-
-
-def estimate_fd_fixed(cfg: NetworkConfig, mc: MCConfig) -> SampleStats:
-    """Simulation-side FD rate at constant transmit power p_bar (bit/s)."""
-    return estimate_fd_rates(cfg, mc, [cfg.p_bar])[1][0]
 
 
 def _uplink_power(cfg: NetworkConfig, rho: float) -> tuple:

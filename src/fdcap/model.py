@@ -80,6 +80,7 @@ class Geometry:
 def validate(cfg: NetworkConfig) -> NetworkConfig:
     """Check every invariant; return cfg unchanged or raise ConfigError.
 
+    The sign and range rules come first, then every value must be finite.
     The first violated constraint wins and the error names the field.
     """
     if not cfg.lam > 0:
@@ -106,6 +107,12 @@ def validate(cfg: NetworkConfig) -> NetworkConfig:
             raise ConfigError(name_shape, f"Gamma shape must be > 0, got {params.shape}")
         if not params.mean > 0:
             raise ConfigError(name_mean, f"Gamma mean must be > 0, got {params.mean}")
+    fi, fs = cfg.fading_interferer, cfg.fading_signal
+    for key, value in zip(_CONFIG_KEYS, (cfg.lam, cfg.p_bs, cfg.eta, cfg.n0,
+                                         cfg.bandwidth, cfg.p_bar, fi.shape,
+                                         fi.mean, fs.shape, fs.mean)):
+        if not math.isfinite(value):
+            raise ConfigError(key, f"must be finite, got {value}")
     return cfg
 
 

@@ -14,7 +14,6 @@ integrals in capacity share.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,13 @@ from .specfun import NumericsError
 class WaterfillSolution:
     """Solved water level and its diagnostics.
 
-    a0 in W (policy output is directly in watts), mu0 = bandwidth/(a0 ln 2),
-    achieved_avg_power the quadrature E[P] at a0 (for every m0, also where
-    the solve used the closed form), residual its absolute deviation from
-    the constraint.
+    a0 in W (policy output is directly in watts), achieved_avg_power the
+    quadrature E[P] at a0 (for every m0, also where the solve used the
+    closed form), residual its absolute deviation from the constraint,
+    solver_iterations the avg_power calls after the first.
     """
 
     a0: float
-    mu0: float
     achieved_avg_power: float
     solver_iterations: int
     residual: float
@@ -92,7 +90,7 @@ def avg_power(d: BetaPrimeDist, a0: float) -> float:
                  * betainc(d.mI + 1.0, d.m0 - 1.0, s))
 
 
-def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillSolution:
+def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
     """Solve E[(a0 - 1/gamma)^+] = p_bar for the water level a0.
 
     Since E[(a0 - 1/gamma)^+] < a0, starting at a0 = p_bar and doubling
@@ -100,7 +98,7 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillS
     (scipy.optimize.brentq) on avg_power then solves it to xtol = 1e-7 p_bar.
     The slope dE[P]/da0 = P(gamma > 1/a0) is at most 1, so the constraint
     residual stays under 1e-6 p_bar, with a tenfold margin for the error of
-    E[P].  solver_iterations counts the avg_power calls after the first.
+    E[P].
 
     The root is then checked by one quadrature of E[P] at a0, which is
     achieved_avg_power: if it misses p_bar by more than 1e-6 p_bar and by
@@ -108,12 +106,9 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillS
     quadrature integrates against the same Beta(m0, mI) weight as the rate
     integrals in capacity, so a weight too narrow for it (mI -> inf as
     eta -> 2) fails here by name rather than as a silently wrong rate.
-    Records mu0 = bandwidth / (a0 ln 2).
     """
     if not p_bar > 0:
         raise ValueError(f"p_bar must be > 0, got {p_bar}")
-    if not bandwidth > 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     powers = {}  # a0 -> avg_power(d, a0): brentq re-evaluates the bracket ends
 
     def excess(a: float) -> float:
@@ -156,7 +151,6 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float, bandwidth: float) -> WaterfillS
             f"rate integrals share, misses it")
     return WaterfillSolution(
         a0=a0,
-        mu0=bandwidth / (a0 * math.log(2.0)),
         achieved_avg_power=achieved,
         solver_iterations=len(powers) - 1,
         residual=residual,

@@ -15,11 +15,11 @@ import pytest
 
 from scipy.special import beta as beta_fn
 
-from fdcap.capacity import (CapacityReport, compare, default_rho,
+from fdcap.capacity import (compare, default_rho,
                             fd_fixed_power_capacity,
                             fd_optimal_capacity_closed_form, solve_network,
                             waterfill_rate)
-from fdcap.mcsim import MCConfig, estimate_fd_optimal, estimate_hd
+from fdcap.mcsim import MCConfig, estimate_fd_rates, estimate_hd
 from conftest import make_cfg
 
 # regression anchors for the two baseline scenarios (bit/s, deterministic
@@ -34,15 +34,6 @@ def fd_optimal(cfg):
     """(water-filling capacity in bit/s, water level a0)."""
     d, sol = solve_network(cfg)
     return waterfill_rate(d, sol.a0, cfg.bandwidth), sol.a0
-
-
-def test_report_defaults_are_all_none():
-    rep = CapacityReport()
-    assert rep.c_fd_optimal is None
-    assert rep.c_fd_fixed is None
-    assert rep.c_hd is None
-    assert rep.fd_harmful is None
-    assert rep.provenance == {}
 
 
 def test_micro_baseline_regression(micro):
@@ -182,12 +173,6 @@ def test_compare_low_power_micro_flags():
     assert rep.c_hd_std_error > 0.0
     assert rep.c_fd_optimal_closed_form == pytest.approx(rep.c_fd_optimal,
                                                          rel=1e-6)
-    assert rep.provenance == {
-        "c_fd_optimal": "quadrature",
-        "c_fd_fixed": "quadrature",
-        "c_hd": "monte-carlo",
-        "c_fd_optimal_closed_form": "closed-form",
-    }
 
 
 def test_compare_high_power_macro_flags():
@@ -218,7 +203,8 @@ def test_ppp_gap_is_the_known_model_error(p_bs, lo, hi):
     cfg = make_cfg(p_bs=p_bs)
     d, sol = solve_network(cfg)
     c_opt = waterfill_rate(d, sol.a0, cfg.bandwidth)
-    st = estimate_fd_optimal(cfg, MCConfig(50_000, 301, tail_epsilon=1e-3), sol)
+    st = estimate_fd_rates(cfg, MCConfig(50_000, 301, tail_epsilon=1e-3),
+                           [sol])[1][0]
     gap = abs(st.mean - c_opt) / c_opt
     assert st.mean < c_opt  # the analytic bound is optimistic, never shy
     assert lo < gap < hi, f"gap {gap:.4f} outside frozen bracket [{lo}, {hi}]"

@@ -9,6 +9,9 @@ pass flags are asserted against that reality.
 """
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,49 @@ def test_missing_config_file(capsys, tmp_path):
     assert "cannot read input" in err
 
 
+def test_infinite_lambda_is_a_config_error(capsys):
+    rc, out, err = run(capsys, "analyze", MICRO, "--lambda", "inf")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("config error: lambda: must be finite")
+
+
+@pytest.mark.parametrize("lam, stage", [("1e-300", "cinr_distribution"),
+                                        ("1e100", "cinr_distribution"),
+                                        ("1e308", "interference")])
+def test_extreme_lambda_is_a_named_numeric_failure(capsys, lam, stage):
+    # k underflows to 0 or overflows to inf, and at 1e308 the mean
+    # interference itself overflows a double
+    rc, out, err = run(capsys, "sweep", MICRO, "--sweep", "p_bar",
+                       "--from", "0.2", "--to", "0.2", "--points", "1",
+                       "--lambda", lam)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"numeric failure: {stage}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", MICRO, "--sweep", "p_bar", "--from", "0.2", "--to", "0.2",
+     "--points", "1", "--outputs", "fd_opt", "--out"],
+    ["validate", MICRO, "--samples", "10000", "--hist-out"]])
+def test_unwritable_output_is_named(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "out.csv")
+    rc, _, err = run(capsys, *argv, target)
+    assert rc == 1
+    assert err.startswith("cannot write output: ") and target in err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the tests' reference law, and the slowest scipy
+    # import; the commands never need it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, fdcap.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
+
+
 def test_divergent_exponent_config(capsys, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(Path(MICRO).read_text().replace("eta = 4", "eta = 2"))
@@ -111,6 +157,15 @@ def test_analyze_json_document(capsys):
     assert sorted(doc["mc"].keys()) == ["n_samples", "rho_w", "seed",
                                         "tail_epsilon"]
     assert doc["mc"]["rho_w"] == pytest.approx(8e-9, rel=1e-9, abs=0.0)
+
+
+def test_analyze_marks_an_unavailable_closed_form(capsys, monkeypatch):
+    monkeypatch.setattr(capacity, "fd_optimal_capacity_closed_form",
+                        lambda d, a0, bandwidth: None)
+    rc, out, _ = run(capsys, "analyze", MICRO, "--samples", "2000")
+    assert rc == 0
+    assert json.loads(out)["capacity_bit_per_s"]["c_fd_optimal_closed_form"] \
+        == {"value": None, "provenance": "unavailable"}
 
 
 @pytest.mark.parametrize("override", ["50/km2", "5e-5"])

@@ -3,7 +3,8 @@ criteria 1, 3 and 4 check the simulator against.
 
 Each piece is pinned to something independent of it: the arctan closed form
 of the transform at m = 1, eta = 4; the package's closed-form moments on the
-truncated annulus; the package's own transform; the analytic pipeline's
+truncated annulus; an adaptive radial quadrature of the untruncated
+transform; the analytic pipeline's
 beta-prime quadratures (fed the Gamma law instead of the field); and direct
 quadrature of the water-filling policy over the signal fading.
 """
@@ -15,8 +16,7 @@ from scipy.integrate import quad, simpson
 from scipy.stats import gamma as gamma_dist
 
 from fdcap import capacity
-from fdcap.interference import (gamma_fit, laplace_transform,
-                                mean_interference, second_moment)
+from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.model import derived_geometry
 from fdcap.powercontrol import avg_power, power_policy
 from conftest import (FieldLaw, conditional_power, field_cinr, gamma_cinr,
@@ -68,17 +68,35 @@ def test_moments_match_truncated_annulus_closed_forms(m, eta):
     assert field.log_laplace(0.0, 2) == pytest.approx(k2, rel=1e-14, abs=0.0)
 
 
+def _radial_log_laplace(cfg, s, r_min):
+    """log L(s) of the field outside r_min by adaptive quadrature: with
+    t = (r_min/r)^eta and b = s Omega p_bs r_min^-eta / m,
+
+        log L(s) = -2 pi lambda (r_min^2/eta)
+                   * int_0^1 t^(-2/eta - 1) (1 - (1 + b t)^-m) dt."""
+    m, om = cfg.fading_interferer.shape, cfg.fading_interferer.mean
+    b = s * om * cfg.p_bs * r_min ** (-cfg.eta) / m
+    ex = -2.0 / cfg.eta - 1.0
+    val, err = quad(lambda t: t ** ex * -math.expm1(-m * math.log1p(b * t)),
+                    0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
+    assert err <= 1e-11 * val
+    return -2.0 * math.pi * cfg.lam * (r_min ** 2 / cfg.eta) * val
+
+
 def test_transform_matches_the_package_transform():
-    # the field beyond r_max = 1e4 r0 holds 1e-8 of the mean; to first
-    # order it adds -s * (its mean) to log L, which leaves ~(s mu)^2 1e-16
-    cfg = make_cfg(p_bs=2.0, m_int=2.3, omega_int=0.7)
-    r0 = derived_geometry(cfg).r0
-    field = FieldLaw(cfg, r0, 1e4 * r0)
-    mu = mean_interference(cfg)
-    for s in (0.1 / mu, 1.0 / mu, 10.0 / mu):
-        infinite = field.log_laplace(s) - s * mean_interference(cfg, 1e4 * r0)
-        assert infinite == pytest.approx(
-            math.log(laplace_transform(cfg, s)), rel=1e-10)
+    # the radial quadrature of the untruncated field's transform; the field
+    # beyond r_max = 1e4 r0 holds 1e-8 of the mean, and to first order it
+    # adds -s * (its mean) to log L, which leaves ~(s mu)^2 1e-16
+    for m in (2.3, 0.6):
+        cfg = make_cfg(p_bs=2.0, m_int=m, omega_int=0.7)
+        r0 = derived_geometry(cfg).r0
+        field = FieldLaw(cfg, r0, 1e4 * r0)
+        mu = mean_interference(cfg)
+        for s in (0.1 / mu, 1.0 / mu, 10.0 / mu):
+            infinite = (field.log_laplace(s)
+                        - s * mean_interference(cfg, 1e4 * r0))
+            assert infinite == pytest.approx(
+                _radial_log_laplace(cfg, s, r0), rel=1e-10)
 
 
 def test_first_derivative_matches_finite_differences(micro):

@@ -1,4 +1,5 @@
-"""Aggregate-interference moments, Laplace transform, and the Gamma fit.
+"""Aggregate-interference moments and the Gamma fit, and the field's
+Laplace transform that the tests take as the exact law (conftest.FieldLaw).
 
 Everything here is analytic except the frozen Monte Carlo oracle for the
 Laplace transform: those reference means/standard errors were produced once
@@ -11,10 +12,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fdcap.interference import (_log_laplace, gamma_fit, laplace_transform,
-                                mean_interference, second_moment)
+from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.model import derived_geometry
-from conftest import make_cfg
+from conftest import FieldLaw, make_cfg, mc_annulus
 
 M_GRID = [0.5, 1.0, 2.0, 4.0]
 ETA_GRID = [2.5, 3.0, 4.0, 6.0]
@@ -24,19 +24,31 @@ def shape_closed_form(m: float, eta: float) -> float:
     return 4.0 * m * (eta - 1.0) / ((m + 1.0) * (eta - 2.0) ** 2)
 
 
+def far_field(cfg) -> FieldLaw:
+    """conftest.FieldLaw on [r0, 1e12 r0]: the field beyond holds the share
+    1e-12^(eta-2) of the mean, 1e-6 at eta = 2.5."""
+    r0 = derived_geometry(cfg).r0
+    return FieldLaw(cfg, r0, 1e12 * r0)
+
+
+def transform(field: FieldLaw, s: float) -> float:
+    """E[exp(-s I)] under the field law."""
+    return math.exp(field.log_laplace(s))
+
+
 def numerical_moment(cfg, n: int) -> float:
     """n-th moment (n in {1, 2}) of I from its transform at s = 0.
 
     Independent of the closed-form moments: 4th-order central differences
-    (the transform is analytic for small s < 0 too), step scaled to 1/E[I],
-    Richardson-extrapolated across steps h and h/2, which must agree to
-    1e-3 relative.
+    of the field law's transform (analytic for small s < 0 too), step
+    scaled to 1/E[I], Richardson-extrapolated across steps h and h/2, which
+    must agree to 1e-3 relative.
     """
-    r0 = derived_geometry(cfg).r0
+    field = far_field(cfg)
     h = 1e-3 / mean_interference(cfg)
 
     def lt(s: float) -> float:
-        return math.exp(_log_laplace(cfg, s, r0))
+        return transform(field, s)
 
     def stencil(step: float) -> float:
         if n == 1:
@@ -62,7 +74,8 @@ def test_mean_reference_value():
                                  rel=1e-14)
 
 
-@pytest.mark.parametrize("m,eta", [(1.0, 2.5), (1.0, 4.0), (2.7, 3.0)])
+@pytest.mark.parametrize("m,eta", [(1.0, 2.5), (1.0, 4.0), (2.7, 3.0),
+                                   (0.5, 2.5), (2.0, 3.0), (4.0, 6.0)])
 def test_mean_matches_campbell_quadrature(m, eta):
     # independent oracle: Campbell's theorem, E[I] = int_r0^inf
     # 2 pi lambda p_bs Omega r^(1-eta) dr, integrated numerically after
@@ -77,7 +90,8 @@ def test_mean_matches_campbell_quadrature(m, eta):
     assert mean_interference(cfg) == pytest.approx(val, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("m,eta", [(1.0, 4.0), (0.5, 2.5), (4.0, 6.0)])
+@pytest.mark.parametrize("m,eta", [(1.0, 4.0), (0.5, 2.5), (4.0, 6.0),
+                                   (0.5, 3.0), (4.0, 2.5)])
 def test_second_moment_matches_campbell_quadrature(m, eta):
     # Var[I] = int 2 pi lambda p_bs^2 E[alpha^2] r^(1-2 eta) dr with
     # E[alpha^2] = Omega^2 (1 + 1/m); then E[I^2] = mean^2 + Var.
@@ -146,23 +160,23 @@ def test_exclusion_radius_power_laws():
 # ----------------------------------------------------------------- transform
 
 def test_lt_at_zero_and_bounds():
-    cfg = make_cfg(lam=5e-6, p_bs=10.0)
-    assert laplace_transform(cfg, 0.0) == 1.0
-    values = [laplace_transform(cfg, s) for s in np.logspace(6, 10, 9)]
+    field = far_field(make_cfg(lam=5e-6, p_bs=10.0))
+    assert transform(field, 0.0) == 1.0
+    values = [transform(field, s) for s in np.logspace(6, 10, 9)]
     assert all(0.0 < v <= 1.0 for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_lt_degenerate_cases():
-    assert laplace_transform(make_cfg(p_bs=0.0), 1e9) == 1.0
-    with pytest.raises(ValueError):
-        laplace_transform(make_cfg(), -1.0)
+    # a silent downlink adds no interference at any s
+    assert transform(far_field(make_cfg(p_bs=0.0)), 1e9) == 1.0
 
 
 def test_lt_against_frozen_mc_oracle():
     cfg = make_cfg(lam=5e-6, p_bs=10.0)
     mean = mean_interference(cfg)
     eps = 1e-4  # tail mass the frozen run truncated at
+    field = FieldLaw(cfg, *mc_annulus(cfg, eps))
     oracle = {  # s -> (MC mean of exp(-s I), standard error), n = 1e6
         1e8: (0.7952191035806628, 1.3373179254774604e-4),
         3e8: (0.5425384815067104, 2.1706647357886427e-4),
@@ -171,17 +185,17 @@ def test_lt_against_frozen_mc_oracle():
     for s, (mc_mean, mc_se) in oracle.items():
         # 3 sigma plus the first-order bound on the truncation bias s*E[tail]
         tol = 3.0 * mc_se + s * eps * mean
-        assert abs(laplace_transform(cfg, s) - mc_mean) <= tol
+        assert abs(transform(field, s) - mc_mean) <= tol
 
 
 def test_lt_derivative_recovers_mean():
-    # -dL/ds at s=0 is E[I]; one-sided differences + Richardson on the
-    # public (s >= 0) interface
+    # -dL/ds at s=0 is E[I]; one-sided differences + Richardson on s >= 0
     cfg = make_cfg(lam=5e-6, p_bs=10.0, m_int=2.0)
+    field = far_field(cfg)
     mean = mean_interference(cfg)
     h = 1e-3 / mean
-    d1 = (1.0 - laplace_transform(cfg, h)) / h
-    d2 = (1.0 - laplace_transform(cfg, h / 2.0)) / (h / 2.0)
+    d1 = (1.0 - transform(field, h)) / h
+    d2 = (1.0 - transform(field, h / 2.0)) / (h / 2.0)
     assert 2.0 * d2 - d1 == pytest.approx(mean, rel=1e-4, abs=0.0)
 
 

@@ -20,7 +20,7 @@ from scipy.special import gammainc
 
 from fdcap import capacity, mcsim
 from fdcap.interference import gamma_fit, mean_interference, second_moment
-from fdcap.mcsim import (MCConfig, estimate_fd_optimal, estimate_hd,
+from fdcap.mcsim import (MCConfig, estimate_fd_rates, estimate_hd,
                          interference_samples, summarize, write_histogram_csv)
 from fdcap.model import derived_geometry
 from conftest import FieldLaw, ks_distance, make_cfg, mc_annulus
@@ -220,24 +220,24 @@ def test_fd_estimator_determinism_across_workers(micro):
     _, sol = capacity.solve_network(micro)
     mc1 = MCConfig(10_000, 42, tail_epsilon=1e-2)
     mc3 = MCConfig(10_000, 42, tail_epsilon=1e-2, workers=3)
-    s1 = estimate_fd_optimal(micro, mc1, sol)
-    s3 = estimate_fd_optimal(micro, mc3, sol)
+    (s1,) = estimate_fd_rates(micro, mc1, [sol])[1]
+    (s3,) = estimate_fd_rates(micro, mc3, [sol])[1]
     assert s1.mean == s3.mean and s1.variance == s3.variance
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_fd_rates_pass_equals_the_single_estimators(micro, workers):
-    # one pass returns the field interference_samples draws and the rates
-    # of estimate_fd_optimal and estimate_fd_fixed, bit for bit; 5000 is
-    # not a multiple of CHUNK, so the last chunk is short
+    # one pass returns the field interference_samples draws and the rate of
+    # each power as a pass with that power alone gives it, bit for bit;
+    # 5000 is not a multiple of CHUNK, so the last chunk is short
     _, sol = capacity.solve_network(micro)
     mc = MCConfig(5000, 8, tail_epsilon=1e-2, workers=workers)
     field, (opt, fixed) = mcsim.estimate_fd_rates(micro, mc,
                                                   [sol, micro.p_bar])
     assert 5000 % mcsim.CHUNK and field.shape == (5000,)
     assert np.array_equal(field, interference_samples(micro, mc))
-    assert opt == estimate_fd_optimal(micro, mc, sol)
-    assert fixed == mcsim.estimate_fd_fixed(micro, mc)
+    assert [opt] == estimate_fd_rates(micro, mc, [sol])[1]
+    assert [fixed] == estimate_fd_rates(micro, mc, [micro.p_bar])[1]
     assert opt.n == fixed.n == 5000 and opt.mean != fixed.mean
 
 

@@ -68,6 +68,19 @@ def test_positive_fields(micro, field, value, expect):
     assert err.value.field == expect
 
 
+@pytest.mark.parametrize("key", ["lambda", "p_bs", "eta", "n0", "bandwidth",
+                                 "p_bar", "m_int", "omega_int", "m_sig",
+                                 "omega_sig"])
+def test_infinite_values_are_rejected_by_name(key):
+    text = "\n".join(f"{line.split('=')[0].strip()} = inf"
+                     if line.split("=")[0].strip() == key else line
+                     for line in GOOD_TEXT.splitlines())
+    assert text != GOOD_TEXT
+    with pytest.raises(ConfigError, match="must be finite") as err:
+        parse_config(text)
+    assert err.value.field == key
+
+
 def test_gamma_param_errors_name_the_config_key(micro):
     with pytest.raises(ConfigError) as err:
         validate(replace(micro, fading_interferer=GammaParams(0.0, 1.0)))

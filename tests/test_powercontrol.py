@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy.special import hyp2f1
+from scipy.stats import betaprime
 
 from fdcap import powercontrol
-from fdcap.cinr import BetaPrimeDist, cdf, cinr_distribution, expect, sample
+from fdcap.cinr import BetaPrimeDist, cinr_distribution, expect
 from fdcap.interference import gamma_fit
 from fdcap.powercontrol import (WaterfillSolution, avg_power, power_policy,
                                 solve_cutoff)
@@ -31,7 +32,7 @@ def d_macro(macro):
 
 @pytest.fixture
 def sol_micro(micro, d_micro):
-    return solve_cutoff(d_micro, micro.p_bar, micro.bandwidth)
+    return solve_cutoff(d_micro, micro.p_bar)
 
 
 # -------------------------------------------------------------------- policy
@@ -84,7 +85,9 @@ def test_avg_power_against_sampled_policy(d_micro, sol_micro):
     # so the estimator has finite variance and a tight standard error
     rng = np.random.default_rng(911)
     n = 1_000_000
-    p = power_policy(sol_micro, sample(d_micro, rng, size=n))
+    gamma = betaprime(d_micro.m0, d_micro.mI, scale=1.0 / d_micro.k).rvs(
+        size=n, random_state=rng)
+    p = power_policy(sol_micro, gamma)
     se = float(np.std(p, ddof=1) / math.sqrt(n))
     assert se < 2e-3 * sol_micro.a0
     assert abs(float(np.mean(p)) - avg_power(d_micro, sol_micro.a0)) <= 3.0 * se
@@ -165,31 +168,27 @@ def test_avg_power_is_the_quadrature_for_m0_at_most_one():
 
 def test_solver_rejects_nonpositive_inputs(d_micro):
     with pytest.raises(ValueError):
-        solve_cutoff(d_micro, 0.0, 180e3)
+        solve_cutoff(d_micro, 0.0)
     with pytest.raises(ValueError):
-        solve_cutoff(d_micro, -0.2, 180e3)
-    with pytest.raises(ValueError):
-        solve_cutoff(d_micro, 0.2, 0.0)
+        solve_cutoff(d_micro, -0.2)
 
 
 def test_solver_micro_regression(micro, sol_micro):
     assert sol_micro.a0 == pytest.approx(A0_MICRO, rel=1e-6)
     assert sol_micro.residual <= 1e-6 * micro.p_bar
     assert sol_micro.achieved_avg_power == pytest.approx(micro.p_bar, rel=2e-6)
-    assert sol_micro.mu0 == pytest.approx(
-        micro.bandwidth / (sol_micro.a0 * math.log(2.0)), rel=1e-14)
     assert sol_micro.solver_iterations > 0
 
 
 def test_solver_macro_regression(macro, d_macro):
-    sol = solve_cutoff(d_macro, macro.p_bar, macro.bandwidth)
+    sol = solve_cutoff(d_macro, macro.p_bar)
     assert sol.a0 == pytest.approx(A0_MACRO, rel=1e-6)
     assert sol.residual <= 1e-6 * macro.p_bar
 
 
 def test_tiny_budget_is_met_against_mpmath(micro, d_micro):
     pytest.importorskip("mpmath")
-    sol = solve_cutoff(d_micro, 1e-12, micro.bandwidth)
+    sol = solve_cutoff(d_micro, 1e-12)
     assert mp_avg_power(d_micro.m0, d_micro.mI, d_micro.k, sol.a0) == \
         pytest.approx(1e-12, rel=1e-9, abs=0.0)
 
@@ -200,7 +199,7 @@ def test_root_check_names_a_beta_weight_too_narrow_for_quadrature():
     # quadratures after it) finds no mass under the Beta(2, 2e6) weight
     d = BetaPrimeDist(2.0, 2002000.0000004407, 0.001569037581396647)
     with pytest.raises(NumericsError, match="eta -> 2") as err:
-        solve_cutoff(d, 0.2, 180e3)
+        solve_cutoff(d, 0.2)
     assert err.value.stage == "solve_cutoff"
 
 
@@ -216,36 +215,39 @@ def test_root_check_allows_the_larger_of_its_two_tolerances(
         monkeypatch.setattr(powercontrol, "_avg_power_quad",
                             lambda d, a0: (p_bar + miss, abserr))
         if ok:
-            sol = solve_cutoff(d_micro, p_bar, micro.bandwidth)
+            sol = solve_cutoff(d_micro, p_bar)
             assert sol.achieved_avg_power == p_bar + miss
             assert sol.residual == pytest.approx(miss, rel=1e-9, abs=0.0)
         else:
             with pytest.raises(NumericsError) as err:
-                solve_cutoff(d_micro, p_bar, micro.bandwidth)
+                solve_cutoff(d_micro, p_bar)
             assert err.value.stage == "solve_cutoff"
 
 
 def test_water_level_rises_with_the_budget(d_micro, micro):
-    a_small = solve_cutoff(d_micro, micro.p_bar, micro.bandwidth).a0
-    a_big = solve_cutoff(d_micro, 2.0 * micro.p_bar, micro.bandwidth).a0
+    a_small = solve_cutoff(d_micro, micro.p_bar).a0
+    a_big = solve_cutoff(d_micro, 2.0 * micro.p_bar).a0
     assert a_big > a_small
     # the policy never exceeds the water level, so E[P] < a0 forces a0 > p_bar
     assert a_small > micro.p_bar
 
 
 def test_transmit_probability_is_nontrivial(d_micro, sol_micro):
-    off = cdf(d_micro, 1.0 / sol_micro.a0)
+    off = betaprime(d_micro.m0, d_micro.mI,
+                    scale=1.0 / d_micro.k).cdf(1.0 / sol_micro.a0)
     assert 0.0 < off < 1.0
 
 
 def test_kkt_stationarity_above_cutoff(micro, sol_micro):
-    # marginal utility B*gamma/(ln2 (1 + gamma P)) equals mu0 wherever the
-    # policy transmits — the water-filling first-order condition
+    # marginal utility B*gamma/(ln2 (1 + gamma P)) equals the Lagrange
+    # multiplier mu0 = B/(a0 ln2) wherever the policy transmits — the
+    # water-filling first-order condition
+    mu0 = micro.bandwidth / (sol_micro.a0 * math.log(2.0))
     for g in np.logspace(0.1, 6, 9) / sol_micro.a0:
         p = power_policy(sol_micro, g)
         assert p > 0.0
         marginal = micro.bandwidth * g / (math.log(2.0) * (1.0 + g * p))
-        assert marginal == pytest.approx(sol_micro.mu0, rel=1e-8)
+        assert marginal == pytest.approx(mu0, rel=1e-8)
 
 
 def test_solution_record_is_frozen(sol_micro):
