@@ -1,7 +1,7 @@
 """Uplink capacity quantities for the full-duplex bound and its baselines.
 
 Four quantities, one report:
-  c_fd_optimal             water-filling FD upper bound, adaptive quadrature
+  c_fd_optimal             water-filling FD upper bound, Beta-weight quadrature
   c_fd_optimal_closed_form same quantity through the 3F2 expression
   c_fd_fixed               FD ergodic rate at constant transmit power p_bar
   c_hd                     half-duplex benchmark, Monte Carlo (see mcsim)
@@ -51,17 +51,30 @@ def waterfill_rate(d: BetaPrimeDist, a0: float, bandwidth: float) -> float:
     """(B/ln 2) * int_{1/a0}^inf ln(a0 x) f_gamma(x) dx by quadrature.
 
     In the beta variable t (see cinr.expect) the integrand is
-    ln(a0 t / (k (1-t))) on [t0, 1], t0 = k/(k + a0), where it vanishes.
+    ln(a0/k) + ln t - ln(1-t) on [t0, 1], t0 = k/(k + a0), where it
+    vanishes.  For a0 >= k (t0 <= 1/2) that is two QAWS integrals: of
+    ln(a0/k) + ln t under the Beta weight, minus that of 1 under the weight
+    times ln(1-t), which carries the singularity at t = 1.  For a0 < k the
+    same two are taken in u = 1 - t, the beta variable of the law of
+    1/gamma, on [0, a0/(k + a0)]: a window that keeps its relative
+    precision however small a0/k is.
     """
     t0 = d.k / (d.k + a0)
     if 1.0 - t0 < 4e-16:
-        # transmit window collapsed below double resolution (a0/k ~ ulp);
-        # quadrature nodes would round onto t = 1 where log1p(-t) blows up
+        # transmit window collapsed below double resolution (a0/k ~ ulp)
         return 0.0
     log_a0_over_k = math.log(a0 / d.k)
-    val, _ = expect(d, "fd_optimal_capacity",
-                    lambda t: log_a0_over_k + math.log(t) - math.log1p(-t), t0)
-    return bandwidth / math.log(2.0) * val
+    stage = "fd_optimal_capacity"
+    if a0 >= d.k:
+        val, _ = expect(d, stage, lambda t: log_a0_over_k + math.log(t), t0)
+        log_part, _ = expect(d, stage, lambda t: 1.0, t0, log_at=1.0)
+    else:
+        s = a0 / (d.k + a0)
+        val, _ = expect(d.inverse, stage,
+                        lambda u: log_a0_over_k + math.log1p(-u), 0.0, s)
+        log_part, _ = expect(d.inverse, stage, lambda u: 1.0, 0.0, s,
+                             log_at=0.0)
+    return bandwidth / math.log(2.0) * (val - log_part)
 
 
 def fd_optimal_capacity_closed_form(d: BetaPrimeDist, a0: float,
@@ -90,11 +103,38 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
     equality, so this is always a feasible (suboptimal) policy for the
     water-filling problem.  Its Poisson-field simulation counterpart is
     mcsim.estimate_fd_rates with the power p_bar.
+
+    In the beta variable t (see cinr.expect), with r = p_bar/k, the
+    integrand is ln(1 + r t/(1-t)).  It is split at t_c = 1/(1 + r), where
+    r t/(1-t) = 1.  Below t_c the integrand stays as it is.  Above, it is
+    ln((1-t) + r t) minus ln(1-t), whose singularity at t = 1 the QAWS rule
+    takes; splitting ln(1-t) off below t_c instead would cancel where
+    r t/(1-t) is small.  For r <= 1, t_c >= 1/2 and the same two pieces are
+    taken in u = 1 - t, as in waterfill_rate, where the window [0, 1 - t_c]
+    keeps its relative precision however small r is.
     """
     d = cinr_distribution(cfg, gamma_fit(cfg))
-    val, _ = expect(d, "fd_fixed_power_capacity",
-                    lambda t: math.log1p(cfg.p_bar * (t / (d.k * (1.0 - t)))))
-    return cfg.bandwidth / math.log(2.0) * val
+    r = cfg.p_bar / d.k
+    if r == 0.0:
+        # p_bar/k below the doubles: no rate to double precision, and the
+        # window [0, 1 - t_c] has no width
+        return 0.0
+    stage = "fd_fixed_power_capacity"
+    log, log1p = math.log, math.log1p
+    if r > 1.0:
+        t_c = 1.0 / (1.0 + r)
+        low, _ = expect(d, stage, lambda t: log1p(r * t / (1.0 - t)), 0.0, t_c)
+        high, _ = expect(d, stage, lambda t: log((1.0 - t) + r * t), t_c)
+        log_part, _ = expect(d, stage, lambda t: 1.0, t_c, log_at=1.0)
+    else:
+        u_c = r / (1.0 + r)
+        low, _ = expect(d.inverse, stage,
+                        lambda u: log1p(r * (1.0 - u) / u), u_c)
+        high, _ = expect(d.inverse, stage,
+                         lambda u: log(u + r * (1.0 - u)), 0.0, u_c)
+        log_part, _ = expect(d.inverse, stage, lambda u: 1.0, 0.0, u_c,
+                             log_at=0.0)
+    return cfg.bandwidth / math.log(2.0) * (low + high - log_part)
 
 
 def default_rho(cfg: NetworkConfig):

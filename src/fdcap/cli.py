@@ -167,6 +167,9 @@ def cmd_sweep(args) -> int:
     points = args.points
     if points < 1:
         raise _UsageError(f"--points must be >= 1, got {points}")
+    for flag, bound in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(bound):
+            raise _UsageError(f"{flag} must be finite, got {bound}")
     if points > 1 and not args.start < args.stop:
         raise _UsageError("--from must be strictly less than --to")
     if args.log:

@@ -166,6 +166,17 @@ def parse_config(text: str) -> NetworkConfig:
 
 
 def load_config(path: str) -> NetworkConfig:
-    """Read and parse a config file; see parse_config for the format."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config(fh.read())
+    """Read and parse a config file; see parse_config for the format.
+
+    The file must be ASCII text; any other byte is a ConfigError naming the
+    file and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(path, f"line {line}: byte {data[exc.start]:#04x} "
+                                f"is not ASCII") from None
+    return parse_config(text)

@@ -7,10 +7,10 @@ The optimal policy for maximizing ergodic rate subject to E[P] <= p_bar is
 where the water level a0 = B / (mu0 ln 2) absorbs the bandwidth and the
 Lagrange multiplier mu0; the user stays silent below the cutoff CINR 1/a0.
 a0 solves E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR law: Brent's
-method on E[P], which is two regularized incomplete betas for m0 > 1 and an
-adaptive quadrature for m0 <= 1.  One quadrature of E[P] at the root then
-checks the root, and with it the Beta-weight quadrature that the rate
-integrals in capacity share.
+method on E[P], which is two regularized incomplete betas for m0 > 1 and a
+cinr.expect quadrature (QUADPACK's algebraic-weight rule QAWS) for m0 <= 1.
+One quadrature of E[P] at the root then checks the root, and with it the
+Beta-weight quadrature that the rate integrals in capacity share.
 """
 from __future__ import annotations
 
@@ -51,16 +51,17 @@ def power_policy(sol: WaterfillSolution, gamma):
 
 
 def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:
-    """E[(a0 - 1/gamma)^+] and its error estimate by adaptive quadrature.
+    """E[(a0 - 1/gamma)^+] and its error estimate by cinr.expect.
 
-    In the beta variable t (see cinr.expect) the integrand is
-    a0 - k(1-t)/t on [t0, 1], t0 = k/(k + a0), where it vanishes.
+    In the beta variable t the integrand is a0 - k(1-t)/t on [t0, 1],
+    t0 = k/(k + a0), where it vanishes; the (1-t)^(mI-1) factor of the Beta
+    weight is in the quadrature rule.
     """
     t0 = d.k / (d.k + a0)
     if 1.0 - t0 < 4e-16:
         # a0/k below double resolution: the transmit window [t0, 1] has
-        # collapsed to a few ulps and quadrature nodes would round onto the
-        # t = 1 endpoint; the expectation itself lies in [0, a0]
+        # collapsed to a few ulps (or to none, at t0 = 1.0); the
+        # expectation itself lies in [0, a0]
         return 0.0, a0
     k = d.k
     return expect(d, "avg_power", lambda t: a0 - k * (1.0 - t) / t, t0)
@@ -101,11 +102,12 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
     E[P].
 
     The root is then checked by one quadrature of E[P] at a0, which is
-    achieved_avg_power: if it misses p_bar by more than 1e-6 p_bar and by
-    more than its own error estimate, a NumericsError is raised.  That
-    quadrature integrates against the same Beta(m0, mI) weight as the rate
-    integrals in capacity, so a weight too narrow for it (mI -> inf as
-    eta -> 2) fails here by name rather than as a silently wrong rate.
+    achieved_avg_power: if it fails, or misses p_bar by more than 1e-6 p_bar
+    and by more than its own error estimate, a NumericsError("solve_cutoff")
+    is raised.  That quadrature integrates against the same Beta(m0, mI)
+    weight as the rate integrals in capacity, so a weight too narrow for it
+    (mI -> inf as eta -> 2) fails here by name rather than as a silently
+    wrong rate.
     """
     if not p_bar > 0:
         raise ValueError(f"p_bar must be > 0, got {p_bar}")
@@ -139,16 +141,22 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
     if not info.converged:
         raise NumericsError("solve_cutoff", f"Brent's method stopped at "
                                             f"a0={a0!r}: {info.flag}")
-    achieved, abserr = _avg_power_quad(d, a0)
+    narrow = ("mI grows without bound as eta -> 2, like 1/(eta-2)^2, and "
+              "the quadrature over a Beta(m0, mI) weight that narrow, which "
+              "the rate integrals share, misses it")
+    try:
+        achieved, abserr = _avg_power_quad(d, a0)
+    except NumericsError as exc:
+        raise NumericsError(
+            "solve_cutoff", f"the quadrature E[P] at the root a0={a0!r} "
+                            f"failed ({exc}) (mI={d.mI!r}); {narrow}") from exc
     residual = abs(achieved - p_bar)
     if residual > max(1e-6 * p_bar, abserr):
         raise NumericsError(
             "solve_cutoff",
             f"the quadrature E[P] at the root a0={a0!r} is {achieved!r} "
             f"(error estimate {abserr!r}), not p_bar={p_bar!r} (mI={d.mI!r}); "
-            f"mI grows without bound as eta -> 2, like 1/(eta-2)^2, and the "
-            f"quadrature over a Beta(m0, mI) weight that narrow, which the "
-            f"rate integrals share, misses it")
+            f"{narrow}")
     return WaterfillSolution(
         a0=a0,
         achieved_avg_power=achieved,

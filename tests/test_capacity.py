@@ -10,6 +10,7 @@ to well under 1% (acceptance criterion 4), and
 test_ppp_gap_is_the_known_model_error freezes the measured bracket.
 """
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,10 @@ from fdcap.capacity import (compare, default_rho,
                             fd_fixed_power_capacity,
                             fd_optimal_capacity_closed_form, solve_network,
                             waterfill_rate)
+from fdcap.cinr import cinr_distribution
+from fdcap.interference import gamma_fit
 from fdcap.mcsim import MCConfig, estimate_fd_rates, estimate_hd
-from conftest import make_cfg
+from conftest import SHAPE_VARIANTS, make_cfg, mp_beta_expect
 
 # regression anchors for the two baseline scenarios (bit/s, deterministic
 # quadrature); recomputed values must agree to well beyond plot precision
@@ -110,6 +113,65 @@ def test_waterfill_rate_collapsed_window_is_zero(micro):
     # a0 so small that [t0, 1] has no representable width
     d, _ = solve_network(micro)
     assert waterfill_rate(d, 1e-40, micro.bandwidth) == 0.0
+
+
+def beta_weight_case(variant, m_sig):
+    """(config in nats, its CINR law): the micro variant at signal shape
+    m_sig, with bandwidth ln 2 so that B/ln 2 = 1."""
+    cfg = make_cfg(bandwidth=math.log(2.0), m_sig=m_sig, **variant)
+    return cfg, cinr_distribution(cfg, gamma_fit(cfg))
+
+
+def assert_nats_close(got, want, context):
+    # 1e-10 relative, or 1e-13 nats where the rate itself is that small
+    assert abs(got - want) <= max(1e-10 * abs(want), 1e-13), \
+        (got, want, context)
+
+
+@pytest.mark.parametrize("m_sig", [0.7, 2.0])
+@pytest.mark.parametrize("variant", SHAPE_VARIANTS)
+def test_waterfill_rate_matches_mpmath(variant, m_sig):
+    # the Beta weight is singular at t = 1 for m_I < 1 and at t = 0 for
+    # m0 < 1; a0/k from 1e-8 (a window [t0, 1] of width 1e-8) to 1e3
+    pytest.importorskip("mpmath")
+    import mpmath
+    cfg, d = beta_weight_case(variant, m_sig)
+    k = mpmath.mpf(d.k)
+    for ratio in (1e-8, 1e-4, 1.0, 1e3):
+        a0 = ratio * d.k
+        want = mp_beta_expect(d.m0, d.mI,
+                              lambda t, u: mpmath.log(a0 * t / (k * u)),
+                              k / (k + mpmath.mpf(a0)))
+        assert_nats_close(waterfill_rate(d, a0, cfg.bandwidth), want,
+                          (d, ratio))
+
+
+@pytest.mark.parametrize("m_sig", [0.7, 2.0])
+@pytest.mark.parametrize("variant", SHAPE_VARIANTS)
+def test_fd_fixed_power_capacity_matches_mpmath(variant, m_sig):
+    # p_bar/k from 1e-9 to 1e3, on both sides of the frame switch at
+    # p_bar/k = 1
+    pytest.importorskip("mpmath")
+    import mpmath
+    cfg, d = beta_weight_case(variant, m_sig)
+    for ratio in (1e-9, 1e-5, 0.5, 2.0, 1e3):
+        fixed = replace(cfg, p_bar=ratio * d.k)
+        r = mpmath.mpf(fixed.p_bar) / mpmath.mpf(d.k)
+
+        def rate(t, u):
+            return mpmath.log1p(r * t / u)
+
+        t_c = 1 / (1 + r)
+        want = (mp_beta_expect(d.m0, d.mI, rate, 0, t_c)
+                + mp_beta_expect(d.m0, d.mI, rate, t_c))
+        assert_nats_close(fd_fixed_power_capacity(fixed), want, (d, ratio))
+
+
+def test_fd_fixed_power_capacity_of_a_budget_below_the_doubles():
+    # configs/micro.cfg at lambda = 1e-3: p_bar/k = 5e-324/k rounds to 0.0
+    cfg = make_cfg(lam=1e-3, p_bar=5e-324, omega_sig=1.6e-15)
+    assert cinr_distribution(cfg, gamma_fit(cfg)).k > 2.0
+    assert fd_fixed_power_capacity(cfg) == 0.0
 
 
 def test_closed_form_rejects_nonpositive_water_level(micro):

@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import betainc as sp_betainc
+from scipy.special import digamma
 from scipy.stats import betaprime
 
+from fdcap._integrate import quad_strict
 from fdcap.cinr import BetaPrimeDist, cinr_distribution, expect
 from fdcap.interference import gamma_fit, mean_interference
 from fdcap.model import GammaParams
@@ -109,6 +111,31 @@ def test_expect_integrates_against_the_beta_weight(d_micro):
         pytest.approx(m0 / (m0 + mI), rel=1e-10)
     assert expect(d_micro, "test", lambda t: 1.0, 0.3)[0] == \
         pytest.approx(1.0 - float(sp_betainc(m0, mI, 0.3)), rel=1e-10)
+
+
+@pytest.mark.parametrize("m0, mI", [(2.0, 1.5), (0.7, 0.143), (3.0, 0.389)])
+def test_expect_log_factors_match_digamma(m0, mI):
+    # E[log t] = psi(m0) - psi(m0 + mI) and E[log(1-t)] = psi(mI) -
+    # psi(m0 + mI) under Beta(m0, mI); the inverse law's variable is 1 - t
+    d = BetaPrimeDist(m0, mI, 0.86)
+    log_t = digamma(m0) - digamma(m0 + mI)
+    log_1mt = digamma(mI) - digamma(m0 + mI)
+    for law, at, want in ((d, 0.0, log_t), (d, 1.0, log_1mt),
+                          (d.inverse, 0.0, log_1mt), (d.inverse, 1.0, log_t)):
+        got, _ = expect(law, "test", lambda t: 1.0, log_at=at)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for lo, hi, at in ((0.0, 0.5, 1.0), (0.5, 1.0, 0.5)):
+        with pytest.raises(ValueError):
+            expect(d, "test", lambda t: 1.0, lo, hi, log_at=at)
+
+
+@pytest.mark.parametrize("weight, wvar", [(None, None), ("alg", (0.0, -0.5))])
+def test_quad_strict_refuses_a_nan(weight, wvar):
+    # NaN > tolerance is False, so a NaN passed the convergence test once
+    with pytest.raises(NumericsError, match="non-finite") as err:
+        quad_strict("test", lambda t: math.nan, 0.0, 1.0, weight=weight,
+                    wvar=wvar)
+    assert err.value.stage == "test"
 
 
 def test_expect_on_a_window_a_few_ulps_wide(d_micro):

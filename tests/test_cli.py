@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,16 @@ def test_divergent_exponent_config(capsys, tmp_path):
     rc, _, err = run(capsys, "analyze", str(path))
     assert rc == 1
     assert "config error" in err and "diverges" in err
+
+
+def test_non_ascii_config_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "micro.cfg"
+    path.write_bytes("# \u00b5 cell\n".encode() + Path(MICRO).read_bytes())
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == (f"config error: {path}: line 1: byte 0xc2 is not "
+                   f"ASCII\n")
 
 
 def test_unknown_config_key(capsys, tmp_path):
@@ -256,6 +267,24 @@ def test_sweep_usage_errors(capsys, extra):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag, start, stop, points", [
+    ("--to", "0.1", "1e400", "1"),
+    ("--to", "0.1", "1e400", "3"),
+    ("--from", "-inf", "1", "3"),
+    ("--from", "nan", "1", "1"),
+])
+def test_sweep_rejects_non_finite_bounds(capsys, flag, start, stop, points):
+    # named before numpy builds a grid of NaN or infinite values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "sweep", MICRO, "--sweep", "p_bar",
+                           f"--from={start}", f"--to={stop}",
+                           "--points", points)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be finite")
+
+
 def test_analyze_refuses_a_nan_in_its_report(capsys, monkeypatch):
     monkeypatch.setattr(capacity, "fd_fixed_power_capacity",
                         lambda cfg: math.nan)
@@ -356,6 +385,23 @@ def test_sweep_blanks_a_closed_form_beyond_double_range(capsys, tmp_path):
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 1 and rows[0].endswith(",")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", [{"m_int": 0.05}, {"eta": 8.0}])
+def test_sweep_answers_beta_weights_singular_at_one(capsys, tmp_path, field):
+    # m_I = 0.143 and 0.389: the Beta weight (1-t)^(m_I-1) is singular at
+    # t = 1, and its quadrature agrees with the 3F2 closed form
+    cfg = micro_with(tmp_path, **field)
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda", "--log",
+                       "--from", "1e-5", "--to", "1e-4", "--points", "4",
+                       "--outputs", "fd_opt,fd_opt_cf,fd_fixed")
+    assert rc == 0, err
+    rows = [[float(v) for v in row.split(",")]
+            for row in out.strip().split("\n")[1:]]
+    assert len(rows) == 4
+    for _, fd_opt, fd_opt_cf, fd_fixed in rows:
+        assert fd_opt_cf == pytest.approx(fd_opt, rel=1e-6, abs=0.0)
+        assert fd_fixed > 0.0
 
 
 def test_eta_near_two_is_a_named_numeric_failure(capsys, tmp_path):

@@ -13,7 +13,7 @@ from fdcap.interference import gamma_fit
 from fdcap.powercontrol import (WaterfillSolution, avg_power, power_policy,
                                 solve_cutoff)
 from fdcap.specfun import NumericsError
-from conftest import make_cfg
+from conftest import SHAPE_VARIANTS, make_cfg, mp_beta_expect
 
 # regression constants recorded when the baselines were frozen
 A0_MICRO = 0.6793691055610199
@@ -150,6 +150,25 @@ def test_avg_power_closed_form_matches_the_quadrature(d_micro, d_macro):
                   (d_micro, 0.05), (d_micro, 8.0)):
         assert avg_power(d, a0) == pytest.approx(
             powercontrol._avg_power_quad(d, a0)[0], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("m_sig", [0.7, 2.0])
+@pytest.mark.parametrize("variant", SHAPE_VARIANTS)
+def test_avg_power_quadrature_matches_mpmath(variant, m_sig):
+    # the quadrature that is E[P] for m0 <= 1 and the root check for every
+    # m0, over Beta weights singular at t = 1 (m_I < 1) and at t = 0
+    # (m0 < 1), a0/k from 1e-8 to 1e3; 1e-10 relative or 1e-13 W
+    pytest.importorskip("mpmath")
+    import mpmath
+    cfg = make_cfg(m_sig=m_sig, **variant)
+    d = cinr_distribution(cfg, gamma_fit(cfg))
+    k = mpmath.mpf(d.k)
+    for ratio in (1e-8, 1e-4, 1.0, 1e3):
+        a0 = ratio * d.k
+        want = mp_beta_expect(d.m0, d.mI, lambda t, u: a0 - k * u / t,
+                              k / (k + mpmath.mpf(a0)))
+        got = powercontrol._avg_power_quad(d, a0)[0]
+        assert abs(got - want) <= max(1e-10 * want, 1e-13), (got, want, d)
 
 
 def test_avg_power_is_the_quadrature_for_m0_at_most_one():
