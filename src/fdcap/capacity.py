@@ -57,19 +57,19 @@ def waterfill_rate(d: BetaPrimeDist, a0: float, bandwidth: float) -> float:
     times ln(1-t), which carries the singularity at t = 1.  For a0 < k the
     same two are taken in u = 1 - t, the beta variable of the law of
     1/gamma, on [0, a0/(k + a0)]: a window that keeps its relative
-    precision however small a0/k is.
+    precision however small a0/k is, down to a width that underflows to 0.
     """
-    t0 = d.k / (d.k + a0)
-    if 1.0 - t0 < 4e-16:
-        # transmit window collapsed below double resolution (a0/k ~ ulp)
+    s = a0 / (d.k + a0)
+    if s == 0.0:
+        # the transmit window [0, s] has no width in the doubles
         return 0.0
     log_a0_over_k = math.log(a0 / d.k)
     stage = "fd_optimal_capacity"
     if a0 >= d.k:
+        t0 = d.k / (d.k + a0)
         val, _ = expect(d, stage, lambda t: log_a0_over_k + math.log(t), t0)
         log_part, _ = expect(d, stage, lambda t: 1.0, t0, log_at=1.0)
     else:
-        s = a0 / (d.k + a0)
         val, _ = expect(d.inverse, stage,
                         lambda u: log_a0_over_k + math.log1p(-u), 0.0, s)
         log_part, _ = expect(d.inverse, stage, lambda u: 1.0, 0.0, s,

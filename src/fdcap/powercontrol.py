@@ -55,16 +55,22 @@ def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:
 
     In the beta variable t the integrand is a0 - k(1-t)/t on [t0, 1],
     t0 = k/(k + a0), where it vanishes; the (1-t)^(mI-1) factor of the Beta
-    weight is in the quadrature rule.
+    weight is in the quadrature rule.  For a0 < k the same is taken in
+    u = 1 - t, as in capacity.waterfill_rate: a0 - k u/(1-u) on [0, s],
+    s = a0/(k + a0), a window that keeps its relative precision however
+    small a0/k is.
     """
-    t0 = d.k / (d.k + a0)
-    if 1.0 - t0 < 4e-16:
-        # a0/k below double resolution: the transmit window [t0, 1] has
-        # collapsed to a few ulps (or to none, at t0 = 1.0); the
-        # expectation itself lies in [0, a0]
-        return 0.0, a0
     k = d.k
-    return expect(d, "avg_power", lambda t: a0 - k * (1.0 - t) / t, t0)
+    if a0 >= k:
+        return expect(d, "avg_power", lambda t: a0 - k * (1.0 - t) / t,
+                      k / (k + a0))
+    s = a0 / (k + a0)
+    if s == 0.0:
+        # the transmit window has no width in the doubles; the expectation
+        # itself lies in [0, a0]
+        return 0.0, a0
+    return expect(d.inverse, "avg_power", lambda u: a0 - k * u / (1.0 - u),
+                  0.0, s)
 
 
 def avg_power(d: BetaPrimeDist, a0: float) -> float:

@@ -109,12 +109,6 @@ def test_closed_form_small_water_level_reduction(micro):
     assert cf == pytest.approx(waterfill_rate(d, a0, micro.bandwidth), rel=1e-6)
 
 
-def test_waterfill_rate_collapsed_window_is_zero(micro):
-    # a0 so small that [t0, 1] has no representable width
-    d, _ = solve_network(micro)
-    assert waterfill_rate(d, 1e-40, micro.bandwidth) == 0.0
-
-
 def beta_weight_case(variant, m_sig):
     """(config in nats, its CINR law): the micro variant at signal shape
     m_sig, with bandwidth ln 2 so that B/ln 2 = 1."""
@@ -144,6 +138,36 @@ def test_waterfill_rate_matches_mpmath(variant, m_sig):
                               k / (k + mpmath.mpf(a0)))
         assert_nats_close(waterfill_rate(d, a0, cfg.bandwidth), want,
                           (d, ratio))
+
+
+@pytest.mark.parametrize("variant,ratio", [({}, 1e-40),
+                                           ({"m_int": 0.05}, 2e-16),
+                                           ({"m_int": 0.05}, 1e-20)],
+                         ids=["micro-1e-40", "m_int=0.05-2e-16",
+                              "m_int=0.05-1e-20"])
+def test_waterfill_rate_below_the_resolution_of_t(variant, ratio):
+    # a0/k so small that [t0, 1] has no representable width in t; in
+    # u = 1 - t the window [0, a0/(k + a0)] keeps its rate: 0.0457 nats at
+    # m_I = 0.143 and a0/k = 2e-16, 2.1e-60 nats on micro at a0/k = 1e-40
+    pytest.importorskip("mpmath")
+    import mpmath
+    cfg, d = beta_weight_case(variant, 2.0)
+    a0 = ratio * d.k
+    k = mpmath.mpf(d.k)
+    want = mp_beta_expect(d.mI, d.m0,
+                          lambda u, t: mpmath.log(a0 * t / (k * u)),
+                          0, mpmath.mpf(a0) / (k + a0))
+    assert waterfill_rate(d, a0, cfg.bandwidth) == pytest.approx(
+        want, rel=1e-10, abs=0.0)
+
+
+def test_waterfill_rate_of_a_window_below_the_doubles():
+    # configs/micro.cfg at lambda = 1e-3: a0/(k + a0) = 5e-324/k rounds to
+    # 0.0, no rate to double precision
+    cfg = make_cfg(lam=1e-3, omega_sig=1.6e-15)
+    d = cinr_distribution(cfg, gamma_fit(cfg))
+    assert 5e-324 / (d.k + 5e-324) == 0.0
+    assert waterfill_rate(d, 5e-324, cfg.bandwidth) == 0.0
 
 
 @pytest.mark.parametrize("m_sig", [0.7, 2.0])

@@ -404,6 +404,27 @@ def test_sweep_answers_beta_weights_singular_at_one(capsys, tmp_path, field):
         assert fd_fixed > 0.0
 
 
+def test_sweep_fills_the_closed_form_at_integer_m0_without_warnings(
+        tmp_path):
+    # m0 = 2 and z = -a0/k from -1e2 to -1e5: scipy's hyp2f1 returns -inf
+    # on part of the 3F2 integrand here, and QUADPACK once warned on stderr
+    # and left every fd_opt_cf cell blank.  A fresh interpreter with the
+    # default warning filters shows what a user sees on stderr.
+    cfg = micro_with(tmp_path, eta=5.5629)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "fdcap.cli", "sweep", cfg, "--sweep",
+         "lambda", "--log", "--from", "1e-5", "--to", "1e-4", "--points",
+         "4", "--outputs", "fd_opt,fd_opt_cf,fd_fixed"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    rows = [row.split(",") for row in done.stdout.strip().split("\n")[1:]]
+    assert len(rows) == 4
+    for _, fd_opt, fd_opt_cf, _ in rows:
+        assert fd_opt_cf == fd_opt
+
+
 def test_eta_near_two_is_a_named_numeric_failure(capsys, tmp_path):
     cfg = micro_with(tmp_path, eta=2.001)
     rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda",

@@ -173,13 +173,20 @@ def test_avg_power_quadrature_matches_mpmath(variant, m_sig):
 
 def test_avg_power_is_the_quadrature_for_m0_at_most_one():
     # E[(1-t)/t] diverges at t = 0 for m0 <= 1: no closed form, and the
-    # branch is the Beta-weight quadrature it always was
+    # branch is the Beta-weight quadrature, in t for a0 >= k and in
+    # u = 1 - t on [0, a0/(k + a0)] for a0 < k
     for m0 in (0.6, 1.0):
         d = BetaPrimeDist(m0, 1.5, 0.86)
         for a0 in (1e-3, 0.68, 40.0):
-            k, t0 = d.k, d.k / (d.k + a0)
-            want, _ = expect(d, "avg_power",
-                             lambda t: a0 - k * (1.0 - t) / t, t0)
+            k = d.k
+            if a0 >= k:
+                want, _ = expect(d, "avg_power",
+                                 lambda t: a0 - k * (1.0 - t) / t,
+                                 k / (k + a0))
+            else:
+                want, _ = expect(d.inverse, "avg_power",
+                                 lambda u: a0 - k * u / (1.0 - u),
+                                 0.0, a0 / (k + a0))
             assert avg_power(d, a0) == want
 
 

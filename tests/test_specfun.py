@@ -17,7 +17,7 @@ from scipy.special import beta as sp_beta
 from scipy.special import betainc, hyp2f1
 
 from fdcap.cinr import BetaPrimeDist
-from fdcap.specfun import EvalResult, NumericsError, hyper_3f2
+from fdcap.specfun import EvalResult, NumericsError, _hyp2f1, hyper_3f2
 from conftest import contiguous_residuals_2f1
 
 # (a, b, c, z, 50-digit reference)
@@ -190,22 +190,27 @@ def test_2f1_vs_euler_integral():
 
 
 def test_2f1_matches_mpmath_on_the_3f2_integrand_domain():
-    # differential test on the 2F1(mI, m0 + mI; 1 + mI; x) that hyper_3f2
-    # integrates for the capacity closed form, m_I in [0.3, 12],
-    # m0 in [0.3, 6], x in [-1e6, -1e-3] log-uniform.  The worst case sits
-    # where b - a = m0 is near an integer and x is near -2..-4 (3.9e-12 in
-    # a 3000-draw scan); the specfun integrand assumes 1e-11.
+    # differential test of _hyp2f1, the 2F1 evaluator under hyper_3f2's
+    # integral, on the 2F1(mI, m0 + mI; 1 + mI; x) of the capacity closed
+    # form: m_I in [0.3, 12], x in [-1e14, -1e-3] log-uniform, m0 in
+    # [0.3, 6] and, on every other draw, an integer m0 in 1..6.  On 129 of
+    # the 833 integer-m0 draws at x < -1, scipy's hyp2f1 alone returns
+    # -inf, and _hyp2f1 takes Pfaff's polynomial there.  The worst case of
+    # scipy's own 2F1 sits where b - a = m0 is near an integer and x is
+    # near -2..-4 (3.9e-12 in a 3000-draw scan; 1.6e-13 over these draws);
+    # the specfun integrand assumes 1e-11.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20151215)
     worst = 0.0
     with mpmath.workdps(30):
-        for m_i, m0, lx in zip(rng.uniform(0.3, 12.0, 1500),
-                               rng.uniform(0.3, 6.0, 1500),
-                               rng.uniform(-3.0, 6.0, 1500)):
-            m_i, m0, x = float(m_i), float(m0), -10.0 ** float(lx)
+        for n, (m_i, m0, m0_int, lx) in enumerate(zip(
+                rng.uniform(0.3, 12.0, 2000), rng.uniform(0.3, 6.0, 2000),
+                rng.integers(1, 7, 2000), rng.uniform(-3.0, 14.0, 2000))):
+            m_i, x = float(m_i), -10.0 ** float(lx)
+            m0 = float(m0_int) if n % 2 else float(m0)
             ref = float(mpmath.hyp2f1(m_i, m0 + m_i, 1.0 + m_i, x))
-            worst = max(worst, abs(hyp2f1(m_i, m0 + m_i, 1.0 + m_i, x) - ref)
-                        / abs(ref))
+            got = _hyp2f1(m_i, m0 + m_i, 1.0 + m_i)(x)
+            worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-11, f"worst relative error {worst:g}"
 
 
@@ -253,6 +258,29 @@ def test_3f2_just_inside_the_unit_disk():
     # series needs more than 1e5 terms
     r = hyper_3f2(2.41, 2.41, 5.85, 3.41, 3.41, -0.99958)
     check_eval(r, 0.1482193159985727386391)
+
+
+def test_3f2_matches_mpmath_on_the_capacity_pattern():
+    # 3F2(mI, mI, m0+mI; 1+mI, 1+mI; z) as the capacity closed form takes
+    # it: m_I in [0.15, 12], m0 in [0.3, 6] or, on every other draw, an
+    # integer in 1..6, z in [-1e14, -1e-2] log-uniform.  Every draw must
+    # evaluate, within its own error estimate and 1e-11 of mpmath (4.9e-14
+    # worst in a 1000-draw scan)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20151216)
+    with mpmath.workdps(30):
+        for n, (m_i, m0, m0_int, lz) in enumerate(zip(
+                rng.uniform(0.15, 12.0, 200), rng.uniform(0.3, 6.0, 200),
+                rng.integers(1, 7, 200), rng.uniform(-2.0, 14.0, 200))):
+            m_i, z = float(m_i), -10.0 ** float(lz)
+            m0 = float(m0_int) if n % 2 else float(m0)
+            ref = float(mpmath.hyp3f2(m_i, m_i, m0 + m_i, 1.0 + m_i,
+                                      1.0 + m_i, z))
+            r = hyper_3f2(m_i, m_i, m0 + m_i, 1.0 + m_i, 1.0 + m_i, z)
+            assert r.ok, (m_i, m0, z)
+            dev = abs(r.value - ref)
+            assert dev <= 1e-11 * abs(ref), (m_i, m0, z, r.value, ref)
+            assert dev <= r.abs_error_estimate, (m_i, m0, z, r, ref)
 
 
 def test_3f2_unavailable_is_flagged_not_guessed():
