@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import mcsim
+from ._integrate import quad_strict
 from .cinr import BetaPrimeDist, cinr_distribution, expect
 from .interference import gamma_fit
 from .model import NetworkConfig, derived_geometry
@@ -111,7 +112,8 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
     takes; splitting ln(1-t) off below t_c instead would cancel where
     r t/(1-t) is small.  For r <= 1, t_c >= 1/2 and the same two pieces are
     taken in u = 1 - t, as in waterfill_rate, where the window [0, 1 - t_c]
-    keeps its relative precision however small r is.
+    keeps its relative precision however small r is; the piece below t_c
+    goes further, to w = -ln u (_fixed_rate_far_piece).
     """
     d = cinr_distribution(cfg, gamma_fit(cfg))
     r = cfg.p_bar / d.k
@@ -128,13 +130,41 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
         log_part, _ = expect(d, stage, lambda t: 1.0, t_c, log_at=1.0)
     else:
         u_c = r / (1.0 + r)
-        low, _ = expect(d.inverse, stage,
-                        lambda u: log1p(r * (1.0 - u) / u), u_c)
+        low = _fixed_rate_far_piece(d, r, -log(u_c))
         high, _ = expect(d.inverse, stage,
                          lambda u: log(u + r * (1.0 - u)), 0.0, u_c)
         log_part, _ = expect(d.inverse, stage, lambda u: 1.0, 0.0, u_c,
                              log_at=0.0)
     return cfg.bandwidth / math.log(2.0) * (low + high - log_part)
+
+
+def _fixed_rate_far_piece(d: BetaPrimeDist, r: float, w_c: float) -> float:
+    """E[ln(1 + r t/(1-t))] over u = 1 - t in [e^(-w_c), 1], in w = -ln u.
+
+    There the Beta weight u^(mI-1) (1-u)^(m0-1) du becomes
+    e^(-mI w) (1-e^(-w))^(m0-1) dw.  Its singular factor w^(m0-1) at w = 0
+    goes to QAWS and the smooth rest, (-expm1(-w)/w)^(m0-1) e^(-mI w), into
+    the integrand, as in specfun.hyper_3f2's far piece.  In w the
+    integrand is smooth; in u its factor u^(mI-1) at mI < 1 is nearly
+    singular just below the lower end u_c = e^(-w_c) when r is tiny, where
+    QUADPACK's first nodes do not see it (1.9% low at mI = 0.143 and
+    r = 1e-16).
+    """
+    c, b, mI = math.exp(-d.log_beta), d.m0 - 1.0, d.mI
+    exp, expm1, log1p, sinh = math.exp, math.expm1, math.log1p, math.sinh
+
+    def integrand(w: float) -> float:
+        # (1 - e^(-w))/w -> 1 at the weighted end w = 0
+        smooth = -expm1(-w) / w if w > 0.0 else 1.0
+        # r (e^w - 1) as r e^(w/2) * 2 sinh(w/2): e^w alone overflows
+        # where w_c > 709.78, for r below about 1e-308
+        h = 0.5 * w
+        return (c * log1p(r * exp(h) * (2.0 * sinh(h))) * smooth ** b
+                * exp(-mI * w))
+
+    val, _ = quad_strict("fd_fixed_power_capacity", integrand, 0.0, w_c,
+                         weight="alg", wvar=(b, 0.0))
+    return val
 
 
 def default_rho(cfg: NetworkConfig):

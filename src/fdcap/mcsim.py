@@ -30,7 +30,8 @@ tail_epsilon is.
 Determinism
 -----------
 Realizations are generated in fixed chunks of CHUNK; chunk c uses an
-independent Philox stream spawned as SeedSequence(seed, spawn_key=(c,)).
+independent PCG64 stream (numpy's default bit generator) spawned as
+SeedSequence(seed, spawn_key=(c,)).
 The stream therefore depends only on the chunk index, never on the worker
 that happens to run it, and per-sample values land at fixed positions in the
 output array — identical results for any `workers`.  Scalar reductions go
@@ -41,6 +42,10 @@ Draw order inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
 fd estimators: counts, radii, marks, ring, then alpha0;
 hd estimator:  counts, radii, marks, d^2 (power control), ring, then g.
+Marks are unit-scale standard_gamma draws and d^2 unit-mean
+standard_exponential draws.  Their scales multiply the chunk's points in
+place: once for the BS field (mark scale times p_bs), and for the uplink
+field once by the mark scale and once by rho*(pi*lambda)^(-eta/2).
 The fd order extends the interference order, so one pass serves both:
 estimate_fd_rates returns its field with its rates, and `fdcap validate`
 draws a second field only for an --r0 override, on that other annulus.
@@ -127,7 +132,7 @@ def _resolve_rmax(cfg: NetworkConfig, mc: MCConfig, r_min: float) -> float:
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
 def _near_radius(eta: float, r_min: float, r_max: float) -> float:
@@ -167,8 +172,12 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     r_sq *= r_near * r_near - r0 * r0
     r_sq += r0 * r0
     fi = cfg.fading_interferer
-    w = rng.gamma(fi.shape, fi.scale, total)
-    w *= tx_mean if draw is None else draw(total, rng)
+    w = rng.standard_gamma(fi.shape, total)
+    if draw is None:
+        w *= fi.scale * tx_mean
+    else:
+        w *= fi.scale
+        w *= draw(total, rng)
     r_sq **= -0.5 * cfg.eta
     w *= r_sq
     idx = np.repeat(np.arange(size), counts)
@@ -281,8 +290,10 @@ def _uplink_power(cfg: NetworkConfig, rho: float) -> tuple:
     square): rho*d^eta with d^2 ~ Exp(mean 1/(pi*lambda)), whose moments are
     E[tx^n] = rho^n*Gamma(1 + n*eta/2)*(pi*lambda)^(-n*eta/2)."""
     def draw(n, rng):
-        d_sq = rng.exponential(1.0 / (math.pi * cfg.lam), n)
-        return rho * d_sq ** (0.5 * cfg.eta)
+        tx = rng.standard_exponential(n)
+        tx **= 0.5 * cfg.eta
+        tx *= rho * (math.pi * cfg.lam) ** (-0.5 * cfg.eta)
+        return tx
 
     return (draw, *(rho ** n * math.gamma(1.0 + 0.5 * n * cfg.eta)
                     * (math.pi * cfg.lam) ** (-0.5 * n * cfg.eta)

@@ -173,12 +173,13 @@ def test_waterfill_rate_of_a_window_below_the_doubles():
 @pytest.mark.parametrize("m_sig", [0.7, 2.0])
 @pytest.mark.parametrize("variant", SHAPE_VARIANTS)
 def test_fd_fixed_power_capacity_matches_mpmath(variant, m_sig):
-    # p_bar/k from 1e-9 to 1e3, on both sides of the frame switch at
-    # p_bar/k = 1
+    # p_bar/k from 1e-16 to 1e3, on both sides of the frame switch at
+    # p_bar/k = 1; below about 1e-13 the u^(m_I-1) factor of the piece
+    # on [u_c, 1] is nearly singular just below u_c at m_I < 1
     pytest.importorskip("mpmath")
     import mpmath
     cfg, d = beta_weight_case(variant, m_sig)
-    for ratio in (1e-9, 1e-5, 0.5, 2.0, 1e3):
+    for ratio in (1e-16, 1e-13, 1e-9, 1e-5, 0.5, 2.0, 1e3):
         fixed = replace(cfg, p_bar=ratio * d.k)
         r = mpmath.mpf(fixed.p_bar) / mpmath.mpf(d.k)
 

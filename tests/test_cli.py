@@ -14,11 +14,16 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy import special as sps
 
 from fdcap import capacity, cli, mcsim
+from fdcap.interference import gamma_fit
 from fdcap.mcsim import MCConfig
+from fdcap.model import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MICRO = str(CONFIG_DIR / "micro.cfg")
@@ -585,6 +590,73 @@ def test_validate_r0_override_scopes(capsys, tmp_path):
     assert b["gamma_fit"]["shape"] > 10.0
     assert b["checks"][2]["statistic"] < a["checks"][2]["statistic"]
     assert b["checks"][3] == a["checks"][3]
+
+
+def _ks_full(samples, shape, scale, gammainc):
+    """The KS statistic with the cdf at every order statistic: the
+    reference that cli._ks_vs_gamma must reproduce to the bit."""
+    x = np.sort(samples)
+    cdf = gammainc(shape, x / scale)
+    n = x.size
+    hi = np.arange(1, n + 1) / n - cdf
+    lo = cdf - np.arange(0, n) / n
+    return float(max(hi.max(), lo.max()))
+
+
+def test_ks_statistic_is_the_full_evaluation_to_the_bit():
+    # sizes around the block of 64 and the validate size, shapes 0.3-5,
+    # samples from the law itself, from another Gamma law, and rounded to
+    # a coarse grid so that order statistics tie
+    rng = np.random.default_rng(20260)
+    sizes = [1, 2, 3, 63, 64, 65, 127, 128, 129, 20_000]
+    sizes += rng.integers(1, 5_000, 40).tolist()
+    for n in sizes:
+        for kind in ("near", "far", "ties"):
+            shape, scale = rng.uniform(0.3, 5.0), rng.uniform(0.1, 10.0)
+            if kind == "far":
+                x = rng.gamma(rng.uniform(0.3, 5.0), rng.uniform(0.1, 10.0), n)
+            else:
+                x = rng.gamma(shape, scale, n)
+            if kind == "ties":
+                x = np.round(x / scale, 1) * scale + 1e-3
+            assert cli._ks_vs_gamma(x, shape, scale) == \
+                _ks_full(x, shape, scale, sps.gammainc), (n, kind)
+
+
+@pytest.mark.parametrize("name", ["micro", "macro"])
+def test_ks_statistic_of_validate_is_the_full_evaluation(capsys, tmp_path,
+                                                         name):
+    # the reported statistic, through JSON's round-trip repr, against the
+    # full evaluation on the same field draws
+    path = str(CONFIG_DIR / f"{name}.cfg")
+    _, out, _ = run(capsys, "validate", path, "--samples", "20000",
+                    "--seed", "1", "--hist-out", str(tmp_path / "h.csv"))
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    cfg = load_config(path)
+    fit = gamma_fit(cfg)
+    x = mcsim.interference_samples(cfg, MCConfig(20_000, 1))
+    assert by_name["ks_samples_vs_gamma_fit"]["statistic"] == \
+        _ks_full(x, fit.shape, fit.scale, sps.gammainc)
+
+
+def test_ks_block_bound_allows_for_the_rounding_of_the_cdf(monkeypatch):
+    # n = 128, two blocks of 64.  The cdf rounds 4e-13 down at the 63 tied
+    # samples after x_0 in the first block, so that block's bound
+    # 64/n - F(x_0) = 0.4 - 1e-13 sits below the largest grid term,
+    # 65/n - F(x_64) = 0.4, while its own term 64/n - F(x_63) = 0.4 + 2e-13
+    # is the statistic.  Only the slack refines that block.
+    dip = 0.1 + 2e-13
+
+    def cdf(shape, y):
+        # the uniform law on [0, 1], rounded down at the dip
+        return np.where(y == dip, y - 4e-13, y)
+
+    x = np.concatenate([[0.1 + 1e-13], np.full(63, dip), [0.1 + 1 / 128],
+                        np.arange(66, 129) / 128 - 0.35])
+    want = _ks_full(x, 1.0, 1.0, cdf)
+    assert want == 0.5 - (dip - 4e-13)
+    monkeypatch.setattr(cli, "sps", SimpleNamespace(gammainc=cdf))
+    assert cli._ks_vs_gamma(x, 1.0, 1.0) == want
 
 
 @pytest.mark.parametrize("r0, passes", [(None, 1), ("300", 2)])

@@ -126,9 +126,9 @@ def test_worker_count_does_not_change_results(fig2):
 
 def test_chunk_draw_order_is_the_documented_one(fig2):
     # reproduce the first chunk by hand: Poisson counts, then uniform radii
-    # out to R_near, then Gamma marks, then one Gamma variate per sample
-    # with the Campbell mean and variance of the ring [R_near, R_max], all
-    # from the chunk-0 Philox stream
+    # out to R_near, then unit-scale Gamma marks times one folded scale,
+    # then one Gamma variate per sample with the Campbell mean and variance
+    # of the ring [R_near, R_max], all from the chunk-0 PCG64 stream
     geo = derived_geometry(fig2)
     r0, eta = geo.r0, fig2.eta
     fi = fig2.fading_interferer
@@ -140,12 +140,12 @@ def test_chunk_draw_order_is_the_documented_one(fig2):
         rn = min(rmax, r0 * (q + mcsim.NEAR_SKEW_SHARE * (1.0 - q))
                  ** (1.0 / (2.0 - 3.0 * eta)))
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(99, spawn_key=(0,))))
+            np.random.PCG64(np.random.SeedSequence(99, spawn_key=(0,))))
         counts = rng.poisson(fig2.lam * math.pi * (rn * rn - r0 * r0), 100)
         u = rng.random(int(counts.sum()))
         r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
-        marks = rng.gamma(fi.shape, fi.scale, int(counts.sum()))
-        w = fig2.p_bs * marks * r_sq ** (-0.5 * eta)
+        marks = rng.standard_gamma(fi.shape, int(counts.sum()))
+        w = marks * (fi.scale * fig2.p_bs) * r_sq ** (-0.5 * eta)
         mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
         k1, k2 = (2.0 * math.pi * fig2.lam * moment / (n * eta - 2.0)
                   * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
@@ -158,8 +158,8 @@ def test_chunk_draw_order_is_the_documented_one(fig2):
 
 
 class _GammaSpy:
-    """A Generator that records the (shape, scale, size) of its gamma
-    draws."""
+    """A Generator that records its Gamma draws in order: ("gamma", shape,
+    scale, size) and ("standard_gamma", shape, 1.0, size)."""
 
     def __init__(self, rng):
         self._rng, self.gamma_calls = rng, []
@@ -168,17 +168,21 @@ class _GammaSpy:
         return getattr(self._rng, name)
 
     def gamma(self, shape, scale, size):
-        self.gamma_calls.append((shape, scale, size))
+        self.gamma_calls.append(("gamma", shape, scale, size))
         return self._rng.gamma(shape, scale, size)
+
+    def standard_gamma(self, shape, size):
+        self.gamma_calls.append(("standard_gamma", shape, 1.0, size))
+        return self._rng.standard_gamma(shape, size)
 
 
 def _ring_mean_and_variance(cfg, r0, rmax, tx=None):
     """Mean and variance of the ring variate _field_interference draws:
-    the last of its two gamma draws, after the marks."""
+    its one scaled gamma draw, after the unit-scale marks."""
     spy = _GammaSpy(np.random.default_rng(0))
     mcsim._field_interference(cfg, r0, rmax, 8, spy, tx)
-    assert len(spy.gamma_calls) == 2
-    shape, scale, size = spy.gamma_calls[-1]
+    assert [c[0] for c in spy.gamma_calls] == ["standard_gamma", "gamma"]
+    _, shape, scale, size = spy.gamma_calls[-1]
     assert size == 8
     return shape * scale, shape * scale * scale
 
