@@ -3,6 +3,7 @@ networks — aggregate-interference moment matching, beta-prime CINR law,
 water-filling power control, closed-form capacity, and a Poisson-field
 Monte Carlo simulator that validates all of it."""
 
+from ._integrate import NumericsError
 from .capacity import (CapacityReport, compare, default_rho,
                        fd_fixed_power_capacity,
                        fd_optimal_capacity_closed_form, solve_network,
@@ -15,6 +16,6 @@ from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
                     derived_geometry, load_config, parse_config, validate)
 from .powercontrol import (WaterfillSolution, avg_power, power_policy,
                            solve_cutoff)
-from .specfun import EvalResult, NumericsError, hyper_3f2
+from .specfun import EvalResult, hyper_3f2
 
 __version__ = "0.1.0"

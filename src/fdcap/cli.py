@@ -24,10 +24,10 @@ import numpy as np
 from scipy import special as sps
 
 from . import capacity, mcsim
+from ._integrate import NumericsError
 from .cinr import cinr_distribution
 from .interference import gamma_fit, mean_interference, second_moment
 from .model import ConfigError, NetworkConfig, derived_geometry, load_config
-from .specfun import NumericsError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -273,6 +273,10 @@ def cmd_validate(args) -> int:
     """Interference and FD-rate checks from one field pass on the model's
     annulus; --r0 redraws only the interference checks' field."""
     cfg = _load(args)
+    if cfg.p_bs == 0.0:
+        raise ConfigError("p_bs", "validate needs p_bs > 0: at p_bs = 0 the "
+                                  "interference field is identically zero, "
+                                  "so its checks mean nothing")
     if args.samples < 10_000:
         raise _UsageError(f"validate needs --samples >= 10000 (got "
                           f"{args.samples}): moment and distribution checks "

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 
+from ._integrate import NumericsError
 from .model import GammaParams, NetworkConfig, derived_geometry
-from .specfun import NumericsError
 
 
 def _exclusion_radius(cfg: NetworkConfig, r_min: float | None) -> float:

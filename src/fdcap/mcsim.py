@@ -59,9 +59,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._integrate import NumericsError
 from .model import NetworkConfig, derived_geometry
 from .powercontrol import WaterfillSolution, power_policy
-from .specfun import NumericsError
 
 CHUNK = 1024
 # share of the annulus' third interference cumulant left to the far ring,
@@ -331,25 +331,18 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
 
 
 def write_histogram_csv(path: str, stats: SampleStats,
-                        pdf: Optional[Callable[[float], float]] = None) -> None:
-    """Write the histogram as CSV rows bin_left,bin_right,density.
-
-    When `pdf` is given, a fourth column holds it at the bin midpoint —
-    the analytic overlay for the empirical-density plot.
-    """
+                        pdf: Callable[[float], float]) -> None:
+    """Write the histogram as CSV rows bin_left,bin_right,density,
+    model_density: the last column is `pdf` at the bin midpoint, the
+    analytic overlay for the empirical-density plot."""
     if stats.histogram is None:
         raise ValueError("SampleStats carries no histogram")
     edges, counts = stats.histogram
     widths = np.diff(edges)
     density = counts / (stats.n * widths)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        header = "bin_left,bin_right,density"
-        if pdf is not None:
-            header += ",model_density"
-        fh.write(header + "\n")
+        fh.write("bin_left,bin_right,density,model_density\n")
         for i in range(len(counts)):
-            row = f"{edges[i]:.9e},{edges[i + 1]:.9e},{density[i]:.9e}"
-            if pdf is not None:
-                mid = 0.5 * (edges[i] + edges[i + 1])
-                row += f",{pdf(mid):.9e}"
-            fh.write(row + "\n")
+            mid = 0.5 * (edges[i] + edges[i + 1])
+            fh.write(f"{edges[i]:.9e},{edges[i + 1]:.9e},{density[i]:.9e},"
+                     f"{pdf(mid):.9e}\n")

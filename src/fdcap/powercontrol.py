@@ -8,9 +8,10 @@ where the water level a0 = B / (mu0 ln 2) absorbs the bandwidth and the
 Lagrange multiplier mu0; the user stays silent below the cutoff CINR 1/a0.
 a0 solves E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR law: Brent's
 method on E[P], which is two regularized incomplete betas for m0 > 1 and a
-cinr.expect quadrature (QUADPACK's algebraic-weight rule QAWS) for m0 <= 1.
-One quadrature of E[P] at the root then checks the root, and with it the
-Beta-weight quadrature that the rate integrals in capacity share.
+Beta-weight quadrature (_integrate.expect, QUADPACK's algebraic-weight rule
+QAWS) for m0 <= 1.  One quadrature of E[P] at the root then checks the
+root, and with it the Beta-weight kernel that the rate integrals in
+capacity and the 3F2 share.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc
 
-from .cinr import BetaPrimeDist, expect
-from .specfun import NumericsError
+from ._integrate import NumericsError, expect
+from .cinr import BetaPrimeDist
 
 
 @dataclass(frozen=True)
@@ -51,25 +52,25 @@ def power_policy(sol: WaterfillSolution, gamma):
 
 
 def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:
-    """E[(a0 - 1/gamma)^+] and its error estimate by cinr.expect.
+    """E[(a0 - 1/gamma)^+] and its error estimate by _integrate.expect.
 
     In the beta variable t the integrand is a0 - k(1-t)/t on [t0, 1],
     t0 = k/(k + a0), where it vanishes; the (1-t)^(mI-1) factor of the Beta
     weight is in the quadrature rule.  For a0 < k the same is taken in
     u = 1 - t, as in capacity.waterfill_rate: a0 - k u/(1-u) on [0, s],
     s = a0/(k + a0), a window that keeps its relative precision however
-    small a0/k is.
+    small a0/k is, under the Beta(mI, m0) weight of u.
     """
     k = d.k
     if a0 >= k:
-        return expect(d, "avg_power", lambda t: a0 - k * (1.0 - t) / t,
-                      k / (k + a0))
+        return expect(d.m0, d.mI, "avg_power",
+                      lambda t: a0 - k * (1.0 - t) / t, k / (k + a0))
     s = a0 / (k + a0)
     if s == 0.0:
         # the transmit window has no width in the doubles; the expectation
         # itself lies in [0, a0]
         return 0.0, a0
-    return expect(d.inverse, "avg_power", lambda u: a0 - k * u / (1.0 - u),
+    return expect(d.mI, d.m0, "avg_power", lambda u: a0 - k * u / (1.0 - u),
                   0.0, s)
 
 
@@ -77,7 +78,7 @@ def avg_power(d: BetaPrimeDist, a0: float) -> float:
     """E[(a0 - 1/gamma)^+]: closed form for m0 > 1, quadrature otherwise.
 
     For m0 > 1, with s = a0/(k + a0) the width of the transmit window
-    [t0, 1] of the beta variable t (see cinr.expect),
+    [t0, 1] of the beta variable t (see the cinr module),
 
         E[P] = a0 I_s(mI, m0) - k mI/(m0 - 1) I_s(mI + 1, m0 - 1),
 

@@ -1,5 +1,5 @@
-"""Beta-prime CINR law: its parameters, the expect kernel against scipy's
-beta-prime law, sampling, model accuracy.
+"""Beta-prime CINR law: its parameters, the expect kernel under its Beta
+weight against scipy's beta-prime law, sampling, model accuracy.
 
 The last two tests quantify the two layers of approximation separately:
 (a) exact-model sampling (h and I drawn from the Gamma laws the formula
@@ -21,11 +21,10 @@ from scipy.special import betainc as sp_betainc
 from scipy.special import digamma
 from scipy.stats import betaprime
 
-from fdcap._integrate import quad_strict
-from fdcap.cinr import BetaPrimeDist, cinr_distribution, expect
+from fdcap._integrate import NumericsError, expect, quad_strict
+from fdcap.cinr import BetaPrimeDist, cinr_distribution
 from fdcap.interference import gamma_fit, mean_interference
 from fdcap.model import GammaParams
-from fdcap.specfun import NumericsError
 from conftest import ks_distance, make_cfg
 
 
@@ -36,7 +35,8 @@ def law(d: BetaPrimeDist):
 
 def tail_mass(d: BetaPrimeDist, x: float) -> float:
     """P[gamma > x] by the package kernel: expect of 1 from t = kx/(1+kx)."""
-    return expect(d, "test", lambda t: 1.0, d.k * x / (1.0 + d.k * x))[0]
+    return expect(d.m0, d.mI, "test", lambda t: 1.0,
+                  d.k * x / (1.0 + d.k * x))[0]
 
 
 @pytest.fixture
@@ -105,28 +105,28 @@ def test_cdf_agrees_with_scipy_backend(d_micro):
 
 def test_expect_integrates_against_the_beta_weight(d_micro):
     m0, mI = d_micro.m0, d_micro.mI
-    assert expect(d_micro, "test", lambda t: 1.0)[0] == \
+    assert expect(m0, mI, "test", lambda t: 1.0)[0] == \
         pytest.approx(1.0, rel=1e-10)
-    assert expect(d_micro, "test", lambda t: t)[0] == \
+    assert expect(m0, mI, "test", lambda t: t)[0] == \
         pytest.approx(m0 / (m0 + mI), rel=1e-10)
-    assert expect(d_micro, "test", lambda t: 1.0, 0.3)[0] == \
+    assert expect(m0, mI, "test", lambda t: 1.0, 0.3)[0] == \
         pytest.approx(1.0 - float(sp_betainc(m0, mI, 0.3)), rel=1e-10)
 
 
 @pytest.mark.parametrize("m0, mI", [(2.0, 1.5), (0.7, 0.143), (3.0, 0.389)])
 def test_expect_log_factors_match_digamma(m0, mI):
     # E[log t] = psi(m0) - psi(m0 + mI) and E[log(1-t)] = psi(mI) -
-    # psi(m0 + mI) under Beta(m0, mI); the inverse law's variable is 1 - t
-    d = BetaPrimeDist(m0, mI, 0.86)
+    # psi(m0 + mI) under Beta(m0, mI); with the shapes swapped the
+    # variable is 1 - t
     log_t = digamma(m0) - digamma(m0 + mI)
     log_1mt = digamma(mI) - digamma(m0 + mI)
-    for law, at, want in ((d, 0.0, log_t), (d, 1.0, log_1mt),
-                          (d.inverse, 0.0, log_1mt), (d.inverse, 1.0, log_t)):
-        got, _ = expect(law, "test", lambda t: 1.0, log_at=at)
+    for shapes, at, want in (((m0, mI), 0.0, log_t), ((m0, mI), 1.0, log_1mt),
+                             ((mI, m0), 0.0, log_1mt), ((mI, m0), 1.0, log_t)):
+        got, _ = expect(*shapes, "test", lambda t: 1.0, log_at=at)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     for lo, hi, at in ((0.0, 0.5, 1.0), (0.5, 1.0, 0.5)):
         with pytest.raises(ValueError):
-            expect(d, "test", lambda t: 1.0, lo, hi, log_at=at)
+            expect(m0, mI, "test", lambda t: 1.0, lo, hi, log_at=at)
 
 
 @pytest.mark.parametrize("weight, wvar", [(None, None), ("alg", (0.0, -0.5))])
@@ -141,7 +141,8 @@ def test_quad_strict_refuses_a_nan(weight, wvar):
 def test_expect_on_a_window_a_few_ulps_wide(d_micro):
     # QUADPACK nodes on [1 - 8 ulp, 1] round onto t = 1, where log(1 - t)
     # is undefined; they contribute 0 and the window's mass stays tiny
-    val, _ = expect(d_micro, "test", lambda t: 1.0, 1.0 - 8 * 2.0 ** -53)
+    val, _ = expect(d_micro.m0, d_micro.mI, "test", lambda t: 1.0,
+                    1.0 - 8 * 2.0 ** -53)
     assert 0.0 <= val < 1e-12
 
 
@@ -151,7 +152,7 @@ def test_expect_on_a_window_a_few_ulps_wide(d_micro):
 def test_pdf_normalizes(m0, mI):
     # the density that expect integrates against, the law in the beta
     # variable t, has unit mass for every shape pair
-    total, err = expect(BetaPrimeDist(m0, mI, 1.0), "test", lambda t: 1.0)
+    total, err = expect(m0, mI, "test", lambda t: 1.0)
     assert err < 1e-9
     assert abs(total - 1.0) <= 1e-9
 

@@ -549,6 +549,18 @@ def test_validate_rejects_nonpositive_r0(capsys, tmp_path):
     assert err.startswith("error: --r0")
 
 
+def test_validate_names_a_zero_bs_power(capsys, tmp_path):
+    # p_bs = 0 is a valid config, but its interference field is identically
+    # zero, so every interference check would divide by a zero model mean
+    hist = tmp_path / "h.csv"
+    rc, out, err = run(capsys, "validate", micro_with(tmp_path, p_bs=0.0),
+                       "--samples", "10000", "--hist-out", str(hist))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("config error: p_bs: validate needs p_bs > 0")
+    assert not hist.exists()
+
+
 def test_validate_oversized_field_is_a_named_numeric_failure(capsys,
                                                              tmp_path):
     # at r0 = 1e6 m the near field holds 2.33e9 points per sample

@@ -415,4 +415,4 @@ def test_histogram_csv_round_trip(tmp_path, fig2):
 def test_histogram_csv_requires_histogram(tmp_path):
     st = summarize(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="histogram"):
-        write_histogram_csv(str(tmp_path / "x.csv"), st)
+        write_histogram_csv(str(tmp_path / "x.csv"), st, pdf=lambda x: 0.0)

@@ -16,8 +16,9 @@ from scipy.integrate import quad
 from scipy.special import beta as sp_beta
 from scipy.special import betainc, hyp2f1
 
+from fdcap._integrate import NumericsError
 from fdcap.cinr import BetaPrimeDist
-from fdcap.specfun import EvalResult, NumericsError, _hyp2f1, hyper_3f2
+from fdcap.specfun import EvalResult, _hyp2f1, hyper_3f2
 from conftest import contiguous_residuals_2f1
 
 # (a, b, c, z, 50-digit reference)
@@ -290,6 +291,18 @@ def test_3f2_unavailable_is_flagged_not_guessed():
     assert not r.ok
     assert math.isnan(r.value)
     assert r.abs_error_estimate == math.inf
+
+
+@pytest.mark.parametrize("m_i, m0, z",
+                         [(30.474297455069795, 4.0, -24170008798.10369),
+                          (26.611139418844306, 6.0, -554010437769.2715)])
+def test_3f2_below_the_normal_doubles_is_flagged(m_i, m0, z):
+    # mpmath puts these at 4.39089e-318 and 1.11513e-315: subnormal values
+    # with a few digits left, whose error estimates underflow to 0.  One
+    # came out 3e-5 off with an estimate of 0 and ok=True.
+    r = hyper_3f2(m_i, m_i, m0 + m_i, 1.0 + m_i, 1.0 + m_i, z)
+    assert not r.ok
+    assert math.isnan(r.value)
 
 
 def test_3f2_domain():
