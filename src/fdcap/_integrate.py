@@ -27,7 +27,8 @@ def quad_strict(stage: str, func, a: float, b: float, *,
                 wvar=None) -> tuple[float, float]:
     """Adaptive quadrature that raises NumericsError on non-convergence.
 
-    Returns (value, achieved_abs_error).  `weight`/`wvar` pass through to
+    Returns (value, achieved_abs_error), the error estimate as its absolute
+    value: QAWS can return a negative one.  `weight`/`wvar` pass through to
     scipy.integrate.quad: weight="alg" with wvar=(alpha, beta) integrates
     func(x) (x-a)^alpha (b-x)^beta by QUADPACK's QAWS rule, "alg-loga" and
     "alg-logb" the same times log(x-a) or log(b-x).  A non-finite value or
@@ -38,7 +39,7 @@ def quad_strict(stage: str, func, a: float, b: float, *,
     """
     out = quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
                full_output=1, weight=weight, wvar=wvar)
-    value, abserr = out[0], out[1]
+    value, abserr = out[0], abs(out[1])
     if not (math.isfinite(value) and math.isfinite(abserr)):
         raise NumericsError(
             stage, f"quadrature returned a non-finite result "

@@ -34,9 +34,9 @@ independent PCG64 stream (numpy's default bit generator) spawned as
 SeedSequence(seed, spawn_key=(c,)).
 The stream therefore depends only on the chunk index, never on the worker
 that happens to run it, and per-sample values land at fixed positions in the
-output array — identical results for any `workers`.  Scalar reductions go
-through math.fsum (exact compensated summation), so merged statistics do not
-depend on accumulation order either.
+output array — identical results for any `workers`.  Statistics are
+numpy's fixed-order reductions of that array, so they are bit-identical for
+any `workers` as well; see summarize for their error bound.
 
 Draw order inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
@@ -226,13 +226,19 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
 
 
 def summarize(values: np.ndarray, histogram: bool = False) -> SampleStats:
+    """SampleStats of `values`: mean, variance (ddof=1; 0.0 for one value)
+    and, with `histogram`, Freedman-Diaconis bins.
+
+    The mean and the sum of squared deviations are numpy's pairwise sums
+    over the array in index order: the same array gives the same bits.
+    Every summand is non-negative (interference, rates, squared
+    deviations), so each sum's relative error is at most about
+    (128 + log2 n) * eps, 1.5e-14 at n = 1e5, far below any MC standard
+    error.
+    """
     n = values.size
-    # fsum over a list: the same exact sum, 1.5x faster than over an array
-    mean = math.fsum(values.tolist()) / n
-    if n > 1:
-        var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
-    else:
-        var = 0.0
+    mean = float(values.mean())
+    var = float(values.var(ddof=1)) if n > 1 else 0.0
     hist = None
     if histogram:
         edges = np.histogram_bin_edges(values, bins="fd")

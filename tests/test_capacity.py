@@ -204,6 +204,20 @@ def test_fd_fixed_power_capacity_of_a_budget_below_the_doubles():
     assert fd_fixed_power_capacity(cfg) == 0.0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 8: expect_log's first QUADPACK pass misses the weight "
+    "e^(-762 w) w^2, whose mass lies in w < 0.01 of [0, 17.4]"))
+def test_fd_fixed_power_capacity_at_hundreds_of_interferer_shape():
+    # m_I = 762, p_bar/k = 2.9e-8; mpmath (conftest.mp_beta_expect) gives
+    # 1.1297e-10 nats, 2.9337e-5 bit/s; today it reads -2.74e-11 bit/s
+    cfg = make_cfg(lam=9.220605280047069e-09, p_bs=798.913161028488,
+                   eta=2.0663455282358516, m_int=3.6901431153461446,
+                   m_sig=3.0, n0=5.755658589959969e-10,
+                   p_bar=2.11705633377068e-06)
+    assert fd_fixed_power_capacity(cfg) == pytest.approx(2.9337e-5, rel=1e-3,
+                                                         abs=0.0)
+
+
 def test_closed_form_rejects_nonpositive_water_level(micro):
     d, _ = solve_network(micro)
     with pytest.raises(ValueError):

@@ -74,6 +74,13 @@ def test_expect_log_passes_w_to_g(p, q):
                                 abs=0.0)
 
 
+def test_error_estimate_is_never_negative():
+    # QAWS returns the estimate -3.97e-11 here: a negative estimate would
+    # pass every `abserr > tolerance` check
+    _, err = expect_log(762.4, 3.0, "test", lambda w: 1.0, 17.4)
+    assert err >= 0.0
+
+
 def test_expect_log_names_its_stage():
     with pytest.raises(NumericsError) as err:
         expect_log(2.0, 1.5, "some_stage", lambda w: math.nan, 1.0)

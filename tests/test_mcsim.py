@@ -220,13 +220,18 @@ def test_uplink_ring_variate_has_the_ring_cumulants():
                                 abs=0.0)
 
 
-def test_fd_estimator_determinism_across_workers(micro):
+def test_estimator_stats_do_not_depend_on_workers(micro):
+    # the merged array is the same for any workers, and so is every
+    # fixed-order reduction of it: equal floats, not merely close ones
     _, sol = capacity.solve_network(micro)
-    mc1 = MCConfig(10_000, 42, tail_epsilon=1e-2)
-    mc3 = MCConfig(10_000, 42, tail_epsilon=1e-2, workers=3)
-    (s1,) = estimate_fd_rates(micro, mc1, [sol])[1]
-    (s3,) = estimate_fd_rates(micro, mc3, [sol])[1]
-    assert s1.mean == s3.mean and s1.variance == s3.variance
+
+    def stats(workers):
+        mc = MCConfig(10_000, 42, tail_epsilon=1e-2, workers=workers)
+        return (estimate_fd_rates(micro, mc, [sol, micro.p_bar])[1]
+                + [estimate_hd(micro, 0.5, mc)])
+
+    base = stats(1)
+    assert stats(2) == base and stats(3) == base
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -370,6 +375,38 @@ def test_summarize_small_array():
 def test_summarize_single_value():
     st = summarize(np.array([7.0]))
     assert st.mean == 7.0 and st.variance == 0.0 and st.std_error == 0.0
+
+
+def test_summarize_two_values():
+    st = summarize(np.array([1.0, 4.0]))
+    assert st.mean == 2.5 and st.variance == 4.5
+    assert st.std_error == math.sqrt(2.25)
+
+
+def _fsum_stats(values):
+    """Exact (math.fsum) mean and ddof=1 variance: the reference for
+    summarize's pairwise sums."""
+    mean = math.fsum(values.tolist()) / values.size
+    return mean, math.fsum(((values - mean) ** 2).tolist()) / (values.size - 1)
+
+
+def test_summarize_matches_exact_sums(fig2, micro, monkeypatch):
+    # a heavy-tailed field (exclusion radius 10 m: a rare near point
+    # dominates its sample) and the rate arrays estimate_fd_rates
+    # summarizes; non-negative summands bound numpy's pairwise sums to
+    # about (128 + log2 n) * eps relative
+    rates = []
+    monkeypatch.setattr(mcsim, "summarize",
+                        lambda values: rates.append(values) or summarize(values))
+    _, sol = capacity.solve_network(micro)
+    estimate_fd_rates(micro, MCConfig(40_000, 4), [sol, micro.p_bar])
+    field = interference_samples(fig2, MCConfig(40_000, 3), r_min=10.0)
+    assert len(rates) == 2
+    for values in [field] + rates:
+        st = summarize(values)
+        mean, var = _fsum_stats(values)
+        assert st.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
+        assert st.variance == pytest.approx(var, rel=1e-13, abs=0.0)
 
 
 def test_summarize_histogram_counts(fig2):
