@@ -4,8 +4,7 @@ water-filling power control, closed-form capacity, and a Poisson-field
 Monte Carlo simulator that validates all of it."""
 
 from ._integrate import NumericsError
-from .capacity import (CapacityReport, compare, default_rho,
-                       fd_fixed_power_capacity,
+from .capacity import (default_rho, fd_fixed_power_capacity,
                        fd_optimal_capacity_closed_form, solve_network,
                        waterfill_rate)
 from .cinr import BetaPrimeDist, cinr_distribution

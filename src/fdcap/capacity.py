@@ -1,10 +1,10 @@
-"""Uplink capacity quantities for the full-duplex bound and its baselines.
+"""Uplink capacity quantities for the full-duplex bound.
 
-Four quantities, one report:
+Three analytic quantities; the CLI reports them next to the Monte Carlo
+half-duplex benchmark (mcsim.estimate_hd):
   c_fd_optimal             water-filling FD upper bound, Beta-weight quadrature
   c_fd_optimal_closed_form same quantity through the 3F2 expression
   c_fd_fixed               FD ergodic rate at constant transmit power p_bar
-  c_hd                     half-duplex benchmark, Monte Carlo (see mcsim)
 
 The quadratures are Beta-weight expectations in the beta variable of the
 CINR law, by _integrate.expect and expect_log; the closed form is the 3F2
@@ -13,36 +13,19 @@ of specfun.hyper_3f2, which goes through the same kernel.
 The FD quantities deliberately ignore self-interference and uplink-to-uplink
 interference: they bound what a genie-aided full-duplex uplink could do, so
 c_fd_optimal < c_hd is conclusive evidence that FD hurts, while
-c_fd_optimal > c_hd alone proves nothing.  The beneficial flag therefore
-keys off the fixed-power FD rate instead.
+c_fd_optimal > c_hd alone proves nothing.  `fdcap analyze` therefore keys
+its beneficial flag off the fixed-power FD rate instead.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from . import mcsim
 from ._integrate import expect, expect_log
 from .cinr import BetaPrimeDist, cinr_distribution
 from .interference import gamma_fit
 from .model import NetworkConfig, derived_geometry
 from .powercontrol import WaterfillSolution, solve_cutoff
 from .specfun import hyper_3f2
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """Capacity numbers in bit/s from compare; the closed form is None where
-    it does not evaluate."""
-
-    c_fd_optimal: float
-    c_fd_optimal_closed_form: float | None
-    c_fd_fixed: float
-    c_hd: float
-    c_hd_std_error: float
-    a0: float
-    fd_harmful: bool
-    fd_beneficial: bool
 
 
 def solve_network(cfg: NetworkConfig) -> tuple[BetaPrimeDist, WaterfillSolution]:
@@ -160,29 +143,3 @@ def default_rho(cfg: NetworkConfig):
     """
     geo = derived_geometry(cfg)
     return cfg.p_bar * geo.rbar ** (-cfg.eta)
-
-
-def compare(cfg: NetworkConfig, rho: float,
-            mc: mcsim.MCConfig) -> CapacityReport:
-    """All four quantities plus the one-sided comparison flags; rho and mc
-    drive the half-duplex Monte Carlo estimate.
-
-    fd_harmful:    c_fd_optimal < c_hd (the upper bound already loses)
-    fd_beneficial: c_fd_fixed > c_hd (a concrete FD policy already wins)
-    Both False is the inconclusive middle ground.
-    """
-    d, sol = solve_network(cfg)
-    c_opt = waterfill_rate(d, sol.a0, cfg.bandwidth)
-    c_cf = fd_optimal_capacity_closed_form(d, sol.a0, cfg.bandwidth)
-    c_fixed = fd_fixed_power_capacity(cfg)
-    hd = mcsim.estimate_hd(cfg, rho, mc)
-    return CapacityReport(
-        c_fd_optimal=c_opt,
-        c_fd_optimal_closed_form=c_cf,
-        c_fd_fixed=c_fixed,
-        c_hd=hd.mean,
-        c_hd_std_error=hd.std_error,
-        a0=sol.a0,
-        fd_harmful=c_opt < hd.mean,
-        fd_beneficial=c_fixed > hd.mean,
-    )

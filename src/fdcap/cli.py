@@ -28,6 +28,7 @@ from ._integrate import NumericsError
 from .cinr import cinr_distribution
 from .interference import gamma_fit, mean_interference, second_moment
 from .model import ConfigError, NetworkConfig, derived_geometry, load_config
+from .powercontrol import solve_cutoff
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -38,6 +39,9 @@ EXIT_VALIDATION = 3
 # rounding slack of that bound (see _ks_vs_gamma)
 _KS_BLOCK = 64
 _KS_SLACK = 1e-12
+# cap on validate's histogram bins: a heavy-tailed sample (a small --r0)
+# has a tiny interquartile range and a huge span
+_HIST_MAX_BINS = 10_000
 # sweepable parameter -> (NetworkConfig field, CSV column of the grid)
 _SWEEPS = {"p_bs": ("p_bs", "p_bs_w"), "lambda": ("lam", "lambda_per_m2"),
            "p_bar": ("p_bar", "p_bar_w")}
@@ -125,7 +129,11 @@ def cmd_analyze(args) -> int:
     d = cinr_distribution(cfg, fit)
     mc = _mc_from(args)
     rho = args.rho if args.rho is not None else capacity.default_rho(cfg)
-    rep = capacity.compare(cfg, rho, mc)
+    a0 = solve_cutoff(d, cfg.p_bar).a0
+    c_opt = capacity.waterfill_rate(d, a0, cfg.bandwidth)
+    c_cf = capacity.fd_optimal_capacity_closed_form(d, a0, cfg.bandwidth)
+    c_fixed = capacity.fd_fixed_power_capacity(cfg)
+    hd = mcsim.estimate_hd(cfg, rho, mc)
     doc = {
         "config": _config_doc(cfg),
         "derived": {
@@ -134,31 +142,21 @@ def cmd_analyze(args) -> int:
             "m_I": fit.shape,
             "omega_I_w": fit.mean,
             "k": d.k,
-            "a0_w": rep.a0,
+            "a0_w": a0,
         },
         "capacity_bit_per_s": {
-            "c_fd_optimal": {
-                "value": rep.c_fd_optimal,
-                "provenance": "quadrature",
-            },
+            "c_fd_optimal": {"value": c_opt, "provenance": "quadrature"},
             "c_fd_optimal_closed_form": {
-                "value": rep.c_fd_optimal_closed_form,
-                "provenance": ("unavailable"
-                               if rep.c_fd_optimal_closed_form is None
-                               else "closed-form"),
+                "value": c_cf,
+                "provenance": "unavailable" if c_cf is None else "closed-form",
             },
-            "c_fd_fixed": {
-                "value": rep.c_fd_fixed,
-                "provenance": "quadrature",
-            },
-            "c_hd": {
-                "value": rep.c_hd,
-                "std_error": rep.c_hd_std_error,
-                "provenance": "monte-carlo",
-            },
+            "c_fd_fixed": {"value": c_fixed, "provenance": "quadrature"},
+            "c_hd": {"value": hd.mean, "std_error": hd.std_error,
+                     "provenance": "monte-carlo"},
         },
-        "flags": {"fd_harmful": rep.fd_harmful,
-                  "fd_beneficial": rep.fd_beneficial},
+        # FD rates omit self-interference: only these one-sided tests decide
+        "flags": {"fd_harmful": c_opt < hd.mean,
+                  "fd_beneficial": c_fixed > hd.mean},
         "mc": {"n_samples": mc.n_samples, "seed": mc.seed,
                "tail_epsilon": mc.tail_epsilon, "rho_w": rho},
     }
@@ -269,6 +267,33 @@ def _ks_vs_gamma(samples: np.ndarray, shape: float, scale: float) -> float:
     return float(best)
 
 
+def _write_histogram_csv(path: str, samples: np.ndarray,
+                         shape: float, scale: float) -> None:
+    """Write the samples' Freedman-Diaconis histogram as CSV rows
+    bin_left,bin_right,density,model_density, the last column being the
+    Gamma(shape, scale) density at the bin midpoint.
+
+    The bins are numpy's "fd" ones, 2*IQR*n^(-1/3) wide (one bin for a zero
+    IQR), but at most _HIST_MAX_BINS of them.
+    """
+    n = samples.size
+    q75, q25 = np.percentile(samples, [75, 25])
+    width = 2.0 * float(q75 - q25) * n ** (-1.0 / 3.0)
+    bins = (math.ceil(min(float(np.ptp(samples)) / width, _HIST_MAX_BINS))
+            if width else 1)
+    edges = np.histogram_bin_edges(samples, bins=bins)
+    counts, edges = np.histogram(samples, bins=edges)
+    density = counts / (n * np.diff(edges))
+    log_norm = -math.lgamma(shape) - shape * math.log(scale)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("bin_left,bin_right,density,model_density\n")
+        for left, right, dens in zip(edges[:-1], edges[1:], density):
+            mid = 0.5 * (left + right)
+            pdf = (math.exp((shape - 1.0) * math.log(mid) - mid / scale
+                            + log_norm) if mid > 0 else 0.0)
+            fh.write(f"{left:.9e},{right:.9e},{dens:.9e},{pdf:.9e}\n")
+
+
 def cmd_validate(args) -> int:
     """Interference and FD-rate checks from one field pass on the model's
     annulus; --r0 redraws only the interference checks' field."""
@@ -293,7 +318,7 @@ def cmd_validate(args) -> int:
     fd_gap = abs(fd_mc.mean - c_quad) / c_quad
     if args.r0 is not None:
         samples = mcsim.interference_samples(cfg, mc, r_min=args.r0)
-    stats = mcsim.summarize(samples, histogram=True)
+    stats = mcsim.summarize(samples)
     n = stats.n
     mean_model = mean_interference(cfg, r_min=args.r0)
     second_model = second_moment(cfg, r_min=args.r0)
@@ -321,15 +346,7 @@ def cmd_validate(args) -> int:
     all_pass = all(c["pass"] for c in checks)
 
     if args.hist_out:
-        shape, scale = fit.shape, fit.scale
-        log_norm = -math.lgamma(shape) - shape * math.log(scale)
-
-        def gamma_pdf(x: float) -> float:
-            if x <= 0:
-                return 0.0
-            return math.exp((shape - 1.0) * math.log(x) - x / scale + log_norm)
-
-        mcsim.write_histogram_csv(args.hist_out, stats, pdf=gamma_pdf)
+        _write_histogram_csv(args.hist_out, samples, fit.shape, fit.scale)
 
     doc = {
         "config": _config_doc(cfg),

@@ -1,5 +1,6 @@
 """Monte Carlo ground truth: Poisson base-station fields and simulation-side
-estimates of every analytic quantity in the package.
+estimates of every analytic quantity in the package, as raw draws or as
+SampleStats; the CLI builds its reports and histogram from these.
 
 Sampling model
 --------------
@@ -105,14 +106,12 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class SampleStats:
-    """mean/variance (ddof=1)/std_error = sqrt(variance/n) of one estimate;
-    histogram, when present, is (bin_edges, counts) with counts summing to n."""
+    """mean/variance (ddof=1)/std_error = sqrt(variance/n) of one estimate."""
 
     mean: float
     variance: float
     std_error: float
     n: int
-    histogram: Optional[tuple] = None
 
 
 def _resolve_rmax(cfg: NetworkConfig, mc: MCConfig, r_min: float) -> float:
@@ -181,7 +180,9 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     r_sq **= -0.5 * cfg.eta
     w *= r_sq
     idx = np.repeat(np.arange(size), counts)
-    out = np.bincount(idx, weights=w, minlength=size)
+    # float64 where the chunk drew no point: bincount returns int64 zeros
+    out = np.bincount(idx, weights=w, minlength=size).astype(np.float64,
+                                                             copy=False)
     mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
     k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * cfg.eta - 2.0)
               * (r_near ** (2.0 - n * cfg.eta) - rmax ** (2.0 - n * cfg.eta))
@@ -225,9 +226,9 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     return np.concatenate(parts, axis=-1)
 
 
-def summarize(values: np.ndarray, histogram: bool = False) -> SampleStats:
-    """SampleStats of `values`: mean, variance (ddof=1; 0.0 for one value)
-    and, with `histogram`, Freedman-Diaconis bins.
+def summarize(values: np.ndarray) -> SampleStats:
+    """SampleStats of `values`: mean and variance (ddof=1; 0.0 for one
+    value).
 
     The mean and the sum of squared deviations are numpy's pairwise sums
     over the array in index order: the same array gives the same bits.
@@ -239,13 +240,8 @@ def summarize(values: np.ndarray, histogram: bool = False) -> SampleStats:
     n = values.size
     mean = float(values.mean())
     var = float(values.var(ddof=1)) if n > 1 else 0.0
-    hist = None
-    if histogram:
-        edges = np.histogram_bin_edges(values, bins="fd")
-        counts, edges = np.histogram(values, bins=edges)
-        hist = (edges, counts)
     return SampleStats(mean=mean, variance=var,
-                       std_error=math.sqrt(var / n), n=n, histogram=hist)
+                       std_error=math.sqrt(var / n), n=n)
 
 
 def interference_samples(cfg: NetworkConfig, mc: MCConfig,
@@ -334,21 +330,3 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
 
     return summarize(_field_chunks(cfg, mc, chunk,
                                    tx_power=_uplink_power(cfg, rho)))
-
-
-def write_histogram_csv(path: str, stats: SampleStats,
-                        pdf: Callable[[float], float]) -> None:
-    """Write the histogram as CSV rows bin_left,bin_right,density,
-    model_density: the last column is `pdf` at the bin midpoint, the
-    analytic overlay for the empirical-density plot."""
-    if stats.histogram is None:
-        raise ValueError("SampleStats carries no histogram")
-    edges, counts = stats.histogram
-    widths = np.diff(edges)
-    density = counts / (stats.n * widths)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("bin_left,bin_right,density,model_density\n")
-        for i in range(len(counts)):
-            mid = 0.5 * (edges[i] + edges[i + 1])
-            fh.write(f"{edges[i]:.9e},{edges[i + 1]:.9e},{density[i]:.9e},"
-                     f"{pdf(mid):.9e}\n")

@@ -1,5 +1,5 @@
-"""Capacity pipeline: water-filling bound, closed form, fixed-power rate,
-HD benchmark, and the comparison flags.
+"""Capacity pipeline: water-filling bound, closed form, fixed-power rate
+and HD benchmark (the comparison flags are analyze's, in test_cli).
 
 The quadrature capacities are exact-model quantities (CINR drawn from the
 fitted beta-prime law).  The Poisson-field simulation keeps the full
@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
 from fdcap._integrate import NumericsError
-from fdcap.capacity import (compare, default_rho,
-                            fd_fixed_power_capacity,
+from fdcap.capacity import (default_rho, fd_fixed_power_capacity,
                             fd_optimal_capacity_closed_form, solve_network,
                             waterfill_rate)
 from fdcap.cinr import cinr_distribution
@@ -265,32 +264,6 @@ def test_hd_zero_rho(micro):
     # the mc estimator accepts rho = 0: every rate is exactly zero
     st = estimate_hd(micro, 0.0, MCConfig(20_000, 3, tail_epsilon=1e-2))
     assert st.mean == 0.0 and st.variance == 0.0
-
-
-def test_compare_low_power_micro_flags():
-    # at 0.1 W downlink the fixed-power FD rate already clears the HD
-    # benchmark by a factor ~4, so the conclusive "beneficial" flag is set
-    # and "harmful" is not
-    cfg = make_cfg(p_bs=0.1)
-    rep = compare(cfg, default_rho(cfg),
-                  MCConfig(50_000, 7, tail_epsilon=1e-3))
-    assert rep.fd_beneficial is True
-    assert rep.fd_harmful is False
-    assert rep.c_fd_fixed > 3.0 * rep.c_hd
-    assert rep.c_hd_std_error > 0.0
-    assert rep.c_fd_optimal_closed_form == pytest.approx(rep.c_fd_optimal,
-                                                         rel=1e-6)
-
-
-def test_compare_high_power_macro_flags():
-    # at 200 W downlink even the genie-aided FD upper bound loses to HD:
-    # conclusive "harmful"
-    cfg = make_cfg(lam=5e-6, p_bs=200.0)
-    rep = compare(cfg, default_rho(cfg),
-                  MCConfig(50_000, 7, tail_epsilon=1e-3))
-    assert rep.fd_harmful is True
-    assert rep.fd_beneficial is False
-    assert rep.c_fd_optimal < rep.c_hd
 
 
 @pytest.mark.parametrize("p_bs, lo, hi", [(0.1, 0.12, 0.23), (5.0, 0.33, 0.44)])

@@ -27,6 +27,7 @@ from fdcap.model import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MICRO = str(CONFIG_DIR / "micro.cfg")
+MACRO = str(CONFIG_DIR / "macro.cfg")
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 # quadrature capacity of the micro scenario, bit/s (same anchor as
@@ -40,10 +41,11 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
-def micro_with(tmp_path, **fields) -> str:
-    """configs/micro.cfg with the given fields replaced, as a new file."""
+def micro_with(tmp_path, base=MICRO, **fields) -> str:
+    """configs/micro.cfg (or `base`) with the given fields replaced, as a
+    new file."""
     lines = []
-    for line in Path(MICRO).read_text().splitlines():
+    for line in Path(base).read_text().splitlines():
         key = line.split("=", 1)[0].strip()
         lines.append(f"{key} = {fields.pop(key)!r}" if key in fields else line)
     assert not fields, f"no such config fields: {sorted(fields)}"
@@ -182,6 +184,52 @@ def test_analyze_marks_an_unavailable_closed_form(capsys, monkeypatch):
     assert rc == 0
     assert json.loads(out)["capacity_bit_per_s"]["c_fd_optimal_closed_form"] \
         == {"value": None, "provenance": "unavailable"}
+
+
+def test_analyze_low_power_micro_flags(capsys, tmp_path):
+    # at 0.1 W downlink the fixed-power FD rate already clears the HD
+    # benchmark by a factor ~4, so the conclusive "beneficial" flag is set
+    # and "harmful" is not
+    rc, out, _ = run(capsys, "analyze", micro_with(tmp_path, p_bs=0.1),
+                     "--samples", "50000", "--seed", "7")
+    assert rc == 0
+    doc = json.loads(out)
+    cap = {name: q["value"] for name, q in doc["capacity_bit_per_s"].items()}
+    assert doc["flags"] == {"fd_harmful": False, "fd_beneficial": True}
+    assert cap["c_fd_fixed"] > 3.0 * cap["c_hd"]
+    assert doc["capacity_bit_per_s"]["c_hd"]["std_error"] > 0.0
+    assert cap["c_fd_optimal_closed_form"] == pytest.approx(
+        cap["c_fd_optimal"], rel=1e-6)
+
+
+def test_analyze_high_power_macro_flags(capsys, tmp_path):
+    # at 200 W downlink even the genie-aided FD upper bound loses to HD:
+    # conclusive "harmful"
+    rc, out, _ = run(capsys, "analyze",
+                     micro_with(tmp_path, base=MACRO, p_bs=200.0),
+                     "--samples", "50000", "--seed", "7")
+    assert rc == 0
+    doc = json.loads(out)
+    cap = doc["capacity_bit_per_s"]
+    assert doc["flags"] == {"fd_harmful": True, "fd_beneficial": False}
+    assert cap["c_fd_optimal"]["value"] < cap["c_hd"]["value"]
+
+
+@pytest.mark.parametrize("name", ["micro", "macro"])
+def test_analyze_stdout_matches_golden(capsys, name):
+    """The whole analyze report, byte for byte.  tests/data/
+    analyze_<name>.json is the stdout of
+
+      fdcap analyze configs/<name>.cfg --samples 40000 --seed 1 --workers 2
+
+    Regenerate it only when a change alters a digit on purpose, and record
+    that in CHANGES.md.
+    """
+    rc, out, _ = run(capsys, "analyze", str(CONFIG_DIR / f"{name}.cfg"),
+                     "--samples", "40000", "--seed", "1", "--workers", "2")
+    assert rc == 0
+    assert out == (DATA_DIR / f"analyze_{name}.json").read_text(
+        encoding="ascii")
 
 
 @pytest.mark.parametrize("override", ["50/km2", "5e-5"])
@@ -533,6 +581,115 @@ def test_validate_report_structure(capsys, tmp_path):
     lines = hist.read_text(encoding="ascii").strip().split("\n")
     assert lines[0] == "bin_left,bin_right,density,model_density"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize("name", ["micro", "macro"])
+def test_validate_histogram_matches_golden(capsys, tmp_path, name):
+    """validate's histogram CSV, byte for byte.  tests/data/
+    validate_hist_<name>.csv is the file that
+
+      fdcap validate configs/<name>.cfg --samples 20000 --seed 1
+        --hist-out tests/data/validate_hist_<name>.csv
+
+    writes (it exits 3).  Regenerate it only when a change alters a digit
+    on purpose, and record that in CHANGES.md.
+    """
+    hist = tmp_path / "hist.csv"
+    rc, _, _ = run(capsys, "validate", str(CONFIG_DIR / f"{name}.cfg"),
+                   "--samples", "20000", "--seed", "1",
+                   "--hist-out", str(hist))
+    assert rc == 3
+    assert hist.read_bytes() == \
+        (DATA_DIR / f"validate_hist_{name}.csv").read_bytes()
+
+
+def _read_histogram(path):
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "bin_left,bin_right,density,model_density"
+    return np.array([[float(f) for f in line.split(",")]
+                     for line in lines[1:]])
+
+
+def test_histogram_csv_counts_every_sample(tmp_path):
+    cfg = load_config(MICRO)
+    samples = mcsim.interference_samples(
+        cfg, MCConfig(20_000, 2, tail_epsilon=1e-2))
+    fit = gamma_fit(cfg)
+    out = tmp_path / "hist.csv"
+    cli._write_histogram_csv(str(out), samples, fit.shape, fit.scale)
+    left, right, density, _ = _read_histogram(out).T
+    # contiguous bins whose counts add up to n: the density integrates to 1
+    assert np.all(left[1:] == right[:-1])
+    counts = density * (right - left) * samples.size
+    assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-4)
+    assert int(np.round(counts).sum()) == samples.size
+
+
+def test_histogram_csv_round_trip(tmp_path):
+    cfg = load_config(MICRO)
+    samples = mcsim.interference_samples(
+        cfg, MCConfig(10_000, 8, tail_epsilon=1e-2))
+    fit = gamma_fit(cfg)
+    out = tmp_path / "hist.csv"
+    cli._write_histogram_csv(str(out), samples, fit.shape, fit.scale)
+
+    def model_pdf(x):
+        return (x ** (fit.shape - 1.0) * math.exp(-x / fit.scale)
+                / (math.gamma(fit.shape) * fit.scale ** fit.shape))
+
+    # numpy's Freedman-Diaconis bins, as long as they are under the cap
+    counts, edges = np.histogram(samples, bins="fd")
+    rows = _read_histogram(out)
+    assert len(rows) == len(counts) < cli._HIST_MAX_BINS
+    left, right, dens, model = rows[0]
+    assert left == pytest.approx(edges[0], rel=1e-8)
+    assert right == pytest.approx(edges[1], rel=1e-8)
+    assert dens == pytest.approx(counts[0] / (samples.size
+                                              * (edges[1] - edges[0])),
+                                 rel=1e-8)
+    assert model == pytest.approx(model_pdf(0.5 * (edges[0] + edges[1])),
+                                  rel=1e-8)
+    # density columns integrate to ~1 over the written bins
+    total = float(np.sum(rows[:, 2] * (rows[:, 1] - rows[:, 0])))
+    assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("samples, bins", [
+    # span/width overflows to inf: the cap is taken before ceil
+    (np.array([0.0] * 50 + [1e-300] * 50 + [1e300]), cli._HIST_MAX_BINS),
+    # a zero interquartile range: one bin, as numpy's rule gives
+    (np.array([2.0] * 99 + [3.0]), 1),
+])
+def test_histogram_csv_bin_count_edges(tmp_path, samples, bins):
+    out = tmp_path / "hist.csv"
+    cli._write_histogram_csv(str(out), samples, 1.5, 1.0)
+    rows = _read_histogram(out)
+    assert len(rows) == bins
+    assert np.all(np.isfinite(rows))
+
+
+def test_validate_caps_the_histogram_of_a_heavy_tailed_field(capsys,
+                                                             tmp_path):
+    # at a 1 m exclusion radius a few near interferers give a tiny IQR and
+    # a huge span: Freedman-Diaconis asks for about 1.9e37 bins
+    hist = tmp_path / "h.csv"
+    rc, out, err = run(capsys, "validate", MICRO, "--r0", "1", "--samples",
+                       "10000", "--seed", "3", "--hist-out", str(hist))
+    assert rc == 3, err
+    assert json.loads(out)["exclusion_radius_m"] == 1.0
+    lines = hist.read_text(encoding="ascii").splitlines()
+    assert 1 < len(lines) <= cli._HIST_MAX_BINS + 1
+
+
+def test_sweep_answers_a_chunk_without_near_points(capsys, tmp_path):
+    # at eta = 8 a chunk expects about 2.5 near-field points, and the last
+    # chunk, of one sample, often draws none
+    rc, out, err = run(capsys, "sweep", micro_with(tmp_path, eta=8.0),
+                       "--sweep", "p_bs", "--from", "1", "--to", "2",
+                       "--points", "2", "--outputs", "fd_fixed_mc,hd",
+                       "--samples", "1025", "--seed", "10")
+    assert rc == 0, err
+    assert len(out.strip().split("\n")) == 3
 
 
 def test_validate_minimum_samples(capsys, tmp_path):

@@ -21,7 +21,7 @@ from scipy.special import gammainc
 from fdcap import capacity, mcsim
 from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import (MCConfig, estimate_fd_rates, estimate_hd,
-                         interference_samples, summarize, write_histogram_csv)
+                         interference_samples, summarize)
 from fdcap.model import derived_geometry
 from conftest import FieldLaw, ks_distance, make_cfg, mc_annulus
 
@@ -257,6 +257,20 @@ def test_sample_interference_single_draw(fig2):
     assert v.shape == (1,) and v[0] > 0.0
 
 
+@pytest.mark.parametrize("fields, mc, r_min", [
+    ({"eta": 8.0}, MCConfig(1025, 10), None),
+    ({"eta": 8.0}, MCConfig(1025, 13), None),
+    ({}, MCConfig(10_000, 1), 1.0),
+])
+def test_a_chunk_without_near_points_still_adds_its_ring(fields, mc, r_min):
+    # about 2.5 expected near-field points per chunk: the last chunk of one
+    # sample (eta = 8) or whole chunks at r_min = 1 m draw none, and the
+    # ring variate is added to a float64 zero sum
+    vals = interference_samples(make_cfg(**fields), mc, r_min=r_min)
+    assert vals.dtype == np.float64 and vals.shape == (mc.n_samples,)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+
+
 def test_silent_downlink_gives_zero_interference():
     cfg = make_cfg(p_bs=0.0)
     vals = interference_samples(cfg, MCConfig(500, 1, tail_epsilon=1e-2))
@@ -369,7 +383,7 @@ def test_summarize_small_array():
     assert st.mean == 2.5
     assert st.variance == pytest.approx(5.0 / 3.0, rel=1e-15)
     assert st.std_error == pytest.approx(math.sqrt(5.0 / 12.0), rel=1e-15)
-    assert st.n == 4 and st.histogram is None
+    assert st.n == 4
 
 
 def test_summarize_single_value():
@@ -407,49 +421,3 @@ def test_summarize_matches_exact_sums(fig2, micro, monkeypatch):
         mean, var = _fsum_stats(values)
         assert st.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
         assert st.variance == pytest.approx(var, rel=1e-13, abs=0.0)
-
-
-def test_summarize_histogram_counts(fig2):
-    vals = interference_samples(fig2, MCConfig(20_000, 2, tail_epsilon=1e-2))
-    st = summarize(vals, histogram=True)
-    edges, counts = st.histogram
-    assert counts.sum() == st.n
-    assert len(edges) == len(counts) + 1
-    # empirical density integrates to one
-    assert float(np.sum(counts / st.n)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_histogram_csv_round_trip(tmp_path, fig2):
-    st = summarize(interference_samples(
-        fig2, MCConfig(10_000, 8, tail_epsilon=1e-2)), histogram=True)
-    out = tmp_path / "hist.csv"
-    fit = gamma_fit(fig2)
-    scale = fit.scale
-
-    def model_pdf(x):
-        return (x ** (fit.shape - 1.0) * math.exp(-x / scale)
-                / (math.gamma(fit.shape) * scale ** fit.shape))
-
-    write_histogram_csv(str(out), st, pdf=model_pdf)
-    lines = out.read_text(encoding="ascii").splitlines()
-    assert lines[0] == "bin_left,bin_right,density,model_density"
-    edges, counts = st.histogram
-    assert len(lines) == 1 + len(counts)
-    left, right, dens, model = (float(f) for f in lines[1].split(","))
-    assert left == pytest.approx(edges[0], rel=1e-8)
-    assert right == pytest.approx(edges[1], rel=1e-8)
-    assert dens == pytest.approx(counts[0] / (st.n * (edges[1] - edges[0])),
-                                 rel=1e-8)
-    assert model == pytest.approx(model_pdf(0.5 * (edges[0] + edges[1])),
-                                  rel=1e-8)
-    # density columns integrate to ~1 over the written bins
-    total = sum(float(l.split(",")[2]) * (float(l.split(",")[1])
-                                          - float(l.split(",")[0]))
-                for l in lines[1:])
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_histogram_csv_requires_histogram(tmp_path):
-    st = summarize(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="histogram"):
-        write_histogram_csv(str(tmp_path / "x.csv"), st, pdf=lambda x: 0.0)
