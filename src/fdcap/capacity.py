@@ -7,8 +7,9 @@ half-duplex benchmark (mcsim.estimate_hd):
   c_fd_fixed               FD ergodic rate at constant transmit power p_bar
 
 The quadratures are Beta-weight expectations in the beta variable of the
-CINR law, by _integrate.expect and expect_log; the closed form is the 3F2
-of specfun.hyper_3f2, which goes through the same kernel.
+CINR law, by _integrate.expect and expect_log; the closed form is the
+paper's 3F2, specfun.hyper_3f2(mI, m0, -a0/k), which goes through the same
+kernel.
 
 The FD quantities deliberately ignore self-interference and uplink-to-uplink
 interference: they bound what a genie-aided full-duplex uplink could do, so
@@ -69,13 +70,14 @@ def waterfill_rate(d: BetaPrimeDist, a0: float, bandwidth: float) -> float:
 def fd_optimal_capacity_closed_form(d: BetaPrimeDist, a0: float,
                                     bandwidth: float) -> float | None:
     """B * a0^mI * 3F2(mI, mI, m0+mI; 1+mI, 1+mI; -a0/k)
-    / (B(m0, mI) * mI^2 * k^mI * ln 2), or None when the 3F2 does not
-    evaluate or the product leaves the double range (never a silent wrong
+    / (B(m0, mI) * mI^2 * k^mI * ln 2), or None when the 3F2
+    (specfun.hyper_3f2) does not evaluate, as where it is below the normal
+    doubles, or the product leaves the double range (never a silent wrong
     number).  The product is taken in logs: a0^mI / k^mI can overflow where
     the 3F2 is tiny."""
     if not a0 > 0:
         raise ValueError(f"water level must be > 0, got {a0}")
-    f = hyper_3f2(d.mI, d.mI, d.m0 + d.mI, 1.0 + d.mI, 1.0 + d.mI, -a0 / d.k)
+    f = hyper_3f2(d.mI, d.m0, -a0 / d.k)
     if not f.ok:
         return None
     log_c = (math.log(bandwidth / math.log(2.0)) + d.mI * math.log(a0)

@@ -236,10 +236,11 @@ def test_criterion_6_special_function_suite():
         "2F1 at 0": abs(hyp2f1(0.7, 1.3, 2.1, 0.0) - 1.0),
         "2F1 log": abs(hyp2f1(1.0, 1.0, 2.0, -1.0) - math.log(2.0))
                    / math.log(2.0),
-        "3F2 at 0": abs(hyper_3f2(0.7, 1.3, 2.1, 1.9, 2.4, 0.0).value - 1.0),
-        "3F2 cancel": abs(hyper_3f2(1.2, 1.8, 3.0, 2.2, 3.0, -0.3).value
-                          - hyp2f1(1.2, 1.8, 2.2, -0.3))
-                      / hyp2f1(1.2, 1.8, 2.2, -0.3),
+        "3F2 at 0": abs(hyper_3f2(1.3, 0.7, 0.0).value - 1.0),
+        # at m0 = 1 the capacity 3F2 is 2F1(mI, mI; 1 + mI; z)
+        "3F2 cancel": abs(hyper_3f2(1.2, 1.0, -0.3).value
+                          - hyp2f1(1.2, 1.2, 2.2, -0.3))
+                      / hyp2f1(1.2, 1.2, 2.2, -0.3),
     }
     worst_identity = max(devs.values())
     residuals = contiguous_residuals_2f1(1000, 61421)

@@ -7,6 +7,7 @@ regularized incomplete beta are the ones the analytic layer uses:
 BetaPrimeDist.log_beta, and scipy.special.betainc in powercontrol.avg_power.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,13 +35,12 @@ FIX_2F1 = [
     (1.0, 1.0, 2.0, -1.0, 0.6931471805599453094172),
 ]
 
-# (a1, a2, a3, b1, b2, z, 50-digit reference)
+# (a1, a2, a3, b1, b2, z, 50-digit reference): the capacity pattern
+# 3F2(mI, mI, m0+mI; 1+mI, 1+mI; z), written out in full
 FIX_3F2 = [
     (1.5, 1.5, 3.5, 2.5, 2.5, -10.0, 0.0511712415968985564339),
     (1.5, 1.5, 3.5, 2.5, 2.5, -0.79, 0.4832993895883186406197),
     (1.5, 1.5, 3.5, 2.5, 2.5, -2.0, 0.2553580860102019412577),
-    (0.8, 1.2, 2.0, 1.7, 2.6, -0.4, 0.8595408817254788803804),
-    (0.8, 1.2, 2.0, 1.7, 2.6, -30.0, 0.1395526299602334426265),
     (1.5, 1.5, 3.5, 2.5, 2.5, -0.17539, 0.8162374045716492440339),
 ]
 
@@ -193,26 +193,31 @@ def test_2f1_vs_euler_integral():
 def test_2f1_matches_mpmath_on_the_3f2_integrand_domain():
     # differential test of _hyp2f1, the 2F1 evaluator under hyper_3f2's
     # integral, on the 2F1(mI, m0 + mI; 1 + mI; x) of the capacity closed
-    # form: m_I in [0.3, 12], x in [-1e14, -1e-3] log-uniform, m0 in
-    # [0.3, 6] and, on every other draw, an integer m0 in 1..6.  On 129 of
-    # the 833 integer-m0 draws at x < -1, scipy's hyp2f1 alone returns
-    # -inf, and _hyp2f1 takes Pfaff's polynomial there.  The worst case of
-    # scipy's own 2F1 sits where b - a = m0 is near an integer and x is
-    # near -2..-4 (3.9e-12 in a 3000-draw scan; 1.6e-13 over these draws);
-    # the specfun integrand assumes 1e-11.
+    # form: m_I log-uniform in [0.05, 300], x log-uniform in [-1e14, -1e-8],
+    # m0 in [0.3, 6] and, on every other draw, an integer m0 in 1..6, with
+    # values in the normal range.  scipy's hyp2f1 alone misses 1e-11 on 9
+    # of these draws past x = -1, with -inf, NaN or a wrong number at m_I
+    # in the tens and hundreds; the incomplete beta there keeps the worst
+    # error at 2.3e-13 (1.3e-12 over 8 000 draws).
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20151215)
-    worst = 0.0
-    with mpmath.workdps(30):
-        for n, (m_i, m0, m0_int, lx) in enumerate(zip(
-                rng.uniform(0.3, 12.0, 2000), rng.uniform(0.3, 6.0, 2000),
-                rng.integers(1, 7, 2000), rng.uniform(-3.0, 14.0, 2000))):
-            m_i, x = float(m_i), -10.0 ** float(lx)
+    bad, n_normal = [], 0
+    with mpmath.workdps(40):
+        for n, (lg_mi, m0, m0_int, lx) in enumerate(zip(
+                rng.uniform(math.log10(0.05), math.log10(300.0), 2000),
+                rng.uniform(0.3, 6.0, 2000), rng.integers(1, 7, 2000),
+                rng.uniform(-8.0, 14.0, 2000))):
+            m_i, x = 10.0 ** float(lg_mi), -10.0 ** float(lx)
             m0 = float(m0_int) if n % 2 else float(m0)
             ref = float(mpmath.hyp2f1(m_i, m0 + m_i, 1.0 + m_i, x))
-            got = _hyp2f1(m_i, m0 + m_i, 1.0 + m_i)(x)
-            worst = max(worst, abs(got - ref) / abs(ref))
-    assert worst <= 1e-11, f"worst relative error {worst:g}"
+            if not sys.float_info.min <= abs(ref) <= sys.float_info.max:
+                continue
+            n_normal += 1
+            err = abs(_hyp2f1(m_i, m0)(x) - ref) / abs(ref)
+            if not err <= 1e-11:
+                bad.append((m_i, m0, x, err))
+    assert n_normal > 1700
+    assert not bad, bad
 
 
 def test_2f1_contiguous_relation_residuals():
@@ -223,74 +228,71 @@ def test_2f1_contiguous_relation_residuals():
 # ----------------------------------------------------------------- hyper_3f2
 
 def test_3f2_empty_series():
-    r = hyper_3f2(1.5, 1.5, 3.5, 2.5, 2.5, 0.0)
+    r = hyper_3f2(1.5, 2.0, 0.0)
     assert r.value == 1.0
     assert r.method == "series"
 
 
 @pytest.mark.parametrize("z", [-0.3, -3.0])
 def test_3f2_upper_lower_cancellation(z):
-    # a3 = b2 cancels term by term, leaving 2F1(a1, a2; b1; z)
-    r = hyper_3f2(1.2, 1.8, 3.0, 2.2, 3.0, z)
+    # at m0 = 1, a3 = m0 + mI = b2 cancels term by term, leaving
+    # 2F1(mI, mI; 1 + mI; z)
+    r = hyper_3f2(1.2, 1.0, z)
     assert r.ok
-    assert r.value == pytest.approx(hyp2f1(1.2, 1.8, 2.2, z), rel=1e-9)
+    assert r.value == pytest.approx(hyp2f1(1.2, 1.2, 2.2, z), rel=1e-9)
 
 
 @pytest.mark.parametrize("a1,a2,a3,b1,b2,z,ref", FIX_3F2)
 def test_3f2_fixtures(a1, a2, a3, b1, b2, z, ref):
-    check_eval(hyper_3f2(a1, a2, a3, b1, b2, z), ref)
+    assert a1 == a2 and b1 == b2 == 1.0 + a1
+    check_eval(hyper_3f2(a1, a3 - a1, z), ref)
 
 
 def test_3f2_dual_method_cross_check():
     # the shipped path at z = -10 is the integral representation; the frozen
     # reference was produced by series continuation at 50 digits — the two
     # independent routes must agree
-    r = hyper_3f2(1.5, 1.5, 3.5, 2.5, 2.5, -10.0)
+    r = hyper_3f2(1.5, 2.0, -10.0)
     assert r.method == "integral-representation"
     assert r.value == pytest.approx(0.0511712415968985564339, rel=1e-8)
 
 
 def test_3f2_methods():
-    assert hyper_3f2(1.5, 1.5, 3.5, 2.5, 2.5, -2.0).method == "integral-representation"
+    assert hyper_3f2(1.5, 2.0, -2.0).method == "integral-representation"
 
 
 def test_3f2_just_inside_the_unit_disk():
     # a0/k just below 1 at (m_I, m0) = (2.41, 3.44), where the direct
     # series needs more than 1e5 terms
-    r = hyper_3f2(2.41, 2.41, 5.85, 3.41, 3.41, -0.99958)
+    r = hyper_3f2(2.41, 3.44, -0.99958)
     check_eval(r, 0.1482193159985727386391)
 
 
 def test_3f2_matches_mpmath_on_the_capacity_pattern():
     # 3F2(mI, mI, m0+mI; 1+mI, 1+mI; z) as the capacity closed form takes
     # it: m_I in [0.15, 12], m0 in [0.3, 6] or, on every other draw, an
-    # integer in 1..6, z in [-1e14, -1e-2] log-uniform.  Every draw must
-    # evaluate, within its own error estimate and 1e-11 of mpmath (4.9e-14
-    # worst in a 1000-draw scan)
+    # integer in 1..6, z in [-1e14, -1e-2] log-uniform, and one point at
+    # m_I = 40.94 where scipy's hyp2f1 under the integral erred by 2.6e-10
+    # and the 3F2 came back ok=False.  Every draw must evaluate, within its
+    # own error estimate and 1e-11 of mpmath (4.9e-14 worst in a 1000-draw
+    # scan, 1.9e-14 at the m_I = 40.94 point)
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20151216)
+    draws = [(float(m_i), float(m0_int) if n % 2 else float(m0),
+              -10.0 ** float(lz))
+             for n, (m_i, m0, m0_int, lz) in enumerate(zip(
+                 rng.uniform(0.15, 12.0, 200), rng.uniform(0.3, 6.0, 200),
+                 rng.integers(1, 7, 200), rng.uniform(-2.0, 14.0, 200)))]
+    draws.append((40.94, 1.439, -2.72))
     with mpmath.workdps(30):
-        for n, (m_i, m0, m0_int, lz) in enumerate(zip(
-                rng.uniform(0.15, 12.0, 200), rng.uniform(0.3, 6.0, 200),
-                rng.integers(1, 7, 200), rng.uniform(-2.0, 14.0, 200))):
-            m_i, z = float(m_i), -10.0 ** float(lz)
-            m0 = float(m0_int) if n % 2 else float(m0)
+        for m_i, m0, z in draws:
             ref = float(mpmath.hyp3f2(m_i, m_i, m0 + m_i, 1.0 + m_i,
                                       1.0 + m_i, z))
-            r = hyper_3f2(m_i, m_i, m0 + m_i, 1.0 + m_i, 1.0 + m_i, z)
+            r = hyper_3f2(m_i, m0, z)
             assert r.ok, (m_i, m0, z)
             dev = abs(r.value - ref)
             assert dev <= 1e-11 * abs(ref), (m_i, m0, z, r.value, ref)
             assert dev <= r.abs_error_estimate, (m_i, m0, z, r, ref)
-
-
-def test_3f2_unavailable_is_flagged_not_guessed():
-    # no (upper, lower) pair with bj > ai > 0: the far-argument integral
-    # representation does not apply, and the result must say so
-    r = hyper_3f2(2.0, 3.0, 4.0, 1.5, 1.2, -2.0)
-    assert not r.ok
-    assert math.isnan(r.value)
-    assert r.abs_error_estimate == math.inf
 
 
 @pytest.mark.parametrize("m_i, m0, z",
@@ -300,16 +302,19 @@ def test_3f2_below_the_normal_doubles_is_flagged(m_i, m0, z):
     # mpmath puts these at 4.39089e-318 and 1.11513e-315: subnormal values
     # with a few digits left, whose error estimates underflow to 0.  One
     # came out 3e-5 off with an estimate of 0 and ok=True.
-    r = hyper_3f2(m_i, m_i, m0 + m_i, 1.0 + m_i, 1.0 + m_i, z)
+    r = hyper_3f2(m_i, m0, z)
     assert not r.ok
     assert math.isnan(r.value)
+    assert r.abs_error_estimate == math.inf
 
 
 def test_3f2_domain():
     with pytest.raises(ValueError):
-        hyper_3f2(1.0, 1.0, 1.0, -2.0, 1.5, -0.5)  # lower nonpositive integer
+        hyper_3f2(1.0, 1.5, 0.5)    # positive axis
     with pytest.raises(ValueError):
-        hyper_3f2(1.0, 1.0, 1.0, 2.0, 1.5, 0.5)    # positive axis
+        hyper_3f2(0.0, 1.5, -0.5)   # a shape that is not positive
+    with pytest.raises(ValueError):
+        hyper_3f2(1.0, -2.0, -0.5)
 
 
 # ------------------------------------------------------------------- errors
