@@ -13,8 +13,7 @@ from .mcsim import (MCConfig, SampleStats, estimate_fd_rates, estimate_hd,
                     interference_samples)
 from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
                     derived_geometry, load_config, parse_config, validate)
-from .powercontrol import (WaterfillSolution, avg_power, power_policy,
-                           solve_cutoff)
+from .powercontrol import WaterfillSolution, avg_power, solve_cutoff
 from .specfun import EvalResult, hyper_3f2
 
 __version__ = "0.1.0"

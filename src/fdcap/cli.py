@@ -15,6 +15,7 @@ environment echoes, so a fixed (config, samples, seed) is byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -232,10 +233,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _ks_vs_gamma(samples: np.ndarray, shape: float, scale: float) -> float:
+def _ks_vs_gamma(x: np.ndarray, shape: float, scale: float) -> float:
     """Kolmogorov-Smirnov distance between the sample and Gamma(shape, scale):
     the largest of (i+1)/n - F(x_i) and F(x_i) - i/n over the order
-    statistics x_0 <= ... <= x_(n-1).
+    statistics x_0 <= ... <= x_(n-1), which `x` holds: the sample sorted
+    ascending, as cmd_validate sorts it once for this and the histogram.
 
     The cdf F is evaluated at every _KS_BLOCK-th order statistic and at the
     last.  A block [lo, hi] of order statistics then bounds its own terms
@@ -247,7 +249,6 @@ def _ks_vs_gamma(samples: np.ndarray, shape: float, scale: float) -> float:
     the fit, that evaluates F at 8% of 20 000 order statistics and 4% of
     1e5; on a sample from the law itself, at about half.
     """
-    x = np.sort(samples)
     n = x.size
 
     def terms(idx):
@@ -267,27 +268,50 @@ def _ks_vs_gamma(samples: np.ndarray, shape: float, scale: float) -> float:
     return float(best)
 
 
-def _write_histogram_csv(path: str, samples: np.ndarray,
+def _bin_counts(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram(x, bins=edges)[0] of the ascending `x`: the searchsorted
+    of numpy's explicit-edge path, every bin half-open but the last
+    closed."""
+    return np.diff(np.append(x.searchsorted(edges[:-1], "left"),
+                             x.searchsorted(edges[-1], "right")))
+
+
+def _sorted_percentile(x: np.ndarray, q: float) -> float:
+    """np.percentile(x, 100*q) of the ascending `x`, to the bit: numpy's
+    linear method, a lerp at the virtual index q*(n-1) that runs from the
+    upper neighbour when its weight is 0.5 or more."""
+    pos = q * (x.size - 1)
+    lo = math.floor(pos)
+    t = pos - lo
+    a, b = float(x[lo]), float(x[min(lo + 1, x.size - 1)])
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def _write_histogram_csv(path: str, x: np.ndarray,
                          shape: float, scale: float) -> None:
-    """Write the samples' Freedman-Diaconis histogram as CSV rows
-    bin_left,bin_right,density,model_density, the last column being the
-    Gamma(shape, scale) density at the bin midpoint.
+    """Write the Freedman-Diaconis histogram of the sample `x`, sorted
+    ascending, as CSV rows bin_left,bin_right,density,model_density, the
+    last column being the Gamma(shape, scale) density at the bin midpoint.
 
     The bins are numpy's "fd" ones, 2*IQR*n^(-1/3) wide (one bin for a zero
-    IQR), but at most _HIST_MAX_BINS of them.
+    IQR), but at most _HIST_MAX_BINS of them.  The sorted input gives the
+    quartiles (_sorted_percentile) and the counts (_bin_counts) without a
+    partition or a sort: the same bits as np.percentile and np.histogram on
+    the unsorted sample.
     """
-    n = samples.size
-    q75, q25 = np.percentile(samples, [75, 25])
-    width = 2.0 * float(q75 - q25) * n ** (-1.0 / 3.0)
-    bins = (math.ceil(min(float(np.ptp(samples)) / width, _HIST_MAX_BINS))
+    n = x.size
+    q75, q25 = (_sorted_percentile(x, q) for q in (0.75, 0.25))
+    width = 2.0 * (q75 - q25) * n ** (-1.0 / 3.0)
+    bins = (math.ceil(min(float(x[-1] - x[0]) / width, _HIST_MAX_BINS))
             if width else 1)
-    edges = np.histogram_bin_edges(samples, bins=bins)
-    counts, edges = np.histogram(samples, bins=edges)
+    edges = np.histogram_bin_edges(x, bins=bins)
+    counts = _bin_counts(x, edges)
     density = counts / (n * np.diff(edges))
     log_norm = -math.lgamma(shape) - shape * math.log(scale)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("bin_left,bin_right,density,model_density\n")
-        for left, right, dens in zip(edges[:-1], edges[1:], density):
+        for left, right, dens in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                     density.tolist()):
             mid = 0.5 * (left + right)
             pdf = (math.exp((shape - 1.0) * math.log(mid) - mid / scale
                             + log_norm) if mid > 0 else 0.0)
@@ -319,6 +343,9 @@ def cmd_validate(args) -> int:
     if args.r0 is not None:
         samples = mcsim.interference_samples(cfg, mc, r_min=args.r0)
     stats = mcsim.summarize(samples)
+    # sorted after summarize, whose sums run in the draw order; the KS
+    # statistic and the histogram both read the order statistics
+    samples.sort()
     n = stats.n
     mean_model = mean_interference(cfg, r_min=args.r0)
     second_model = second_moment(cfg, r_min=args.r0)
@@ -385,7 +412,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "worker-count independent")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fdcap parser, built once per process: main parses every argv
+    with it, and parse_args keeps no state between calls."""
     top = _Parser(prog="fdcap",
                   description="Upper bound on uplink capacity in an in-band "
                               "full-duplex cellular network, with Monte Carlo "

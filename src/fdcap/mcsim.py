@@ -12,9 +12,12 @@ Gamma(m, Omega).
 
 The sampler draws only the near field [r0, R_near] point by point: counts
 are Poisson(lambda*pi*(R_near^2 - r0^2)) and radii have density
-2r/(R_near^2 - r0^2).  Each sample adds one Gamma variate (shape
-kappa_1^2/kappa_2, scale kappa_2/kappa_1) for the far ring [R_near, R_max],
-matched to the ring's first two Campbell cumulants
+2r/(R_near^2 - r0^2).  A chunk's points lie in draw order, each sample's
+as one run, and np.add.reduceat sums every run (its first point plus
+numpy's pairwise sum of the others; a sample without points gets 0.0).
+Each sample adds one Gamma variate (shape kappa_1^2/kappa_2, scale
+kappa_2/kappa_1) for the far ring [R_near, R_max], matched to the ring's
+first two Campbell cumulants
 
     kappa_n = 2*pi*lambda*E[mark^n]*E[tx^n]
               * (R_near^(2-n eta) - R_max^(2-n eta))/(n eta - 2),
@@ -62,7 +65,7 @@ import numpy as np
 
 from ._integrate import NumericsError
 from .model import NetworkConfig, derived_geometry
-from .powercontrol import WaterfillSolution, power_policy
+from .powercontrol import WaterfillSolution
 
 CHUNK = 1024
 # share of the annulus' third interference cumulant left to the far ring,
@@ -179,10 +182,12 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
         w *= draw(total, rng)
     r_sq **= -0.5 * cfg.eta
     w *= r_sq
-    idx = np.repeat(np.arange(size), counts)
-    # float64 where the chunk drew no point: bincount returns int64 zeros
-    out = np.bincount(idx, weights=w, minlength=size).astype(np.float64,
-                                                             copy=False)
+    # each sample's run of points starts at its offset; the 0.0 sentinel
+    # keeps every offset, `total` too, a valid index, and reduceat returns
+    # the element at the offset for an empty run
+    starts = np.cumsum(counts) - counts
+    out = np.add.reduceat(np.append(w, 0.0), starts)
+    out[counts == 0] = 0.0
     mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
     k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * cfg.eta - 2.0)
               * (r_near ** (2.0 - n * cfg.eta) - rmax ** (2.0 - n * cfg.eta))
@@ -258,8 +263,9 @@ def _signal_gain(cfg: NetworkConfig, rng: np.random.Generator,
                  size: int) -> np.ndarray:
     """Composite signal gain h = alpha0 / (2 sqrt(lambda))^eta."""
     fs = cfg.fading_signal
-    alpha0 = rng.gamma(fs.shape, fs.scale, size)
-    return alpha0 * (2.0 * math.sqrt(cfg.lam)) ** (-cfg.eta)
+    h = rng.gamma(fs.shape, fs.scale, size)
+    h *= (2.0 * math.sqrt(cfg.lam)) ** (-cfg.eta)
+    return h
 
 
 def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
@@ -272,16 +278,28 @@ def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
     Per sample: I from the Poisson field (not the Gamma fit), h from the
     signal fading, gamma = h/(I + N0), rate = B*log2(1 + P(gamma)*gamma).
     All rates share the field and the h drawn after it, so each equals the
-    same call with that power alone.  Water-filling contributions are
-    exactly zero below the cutoff 1/a0, where power_policy returns zero.
+    same call with that power alone.  Under the water-filling policy
+    P(gamma) = (a0 - 1/gamma)^+, 1 + P(gamma)*gamma is max(a0*gamma, 1), and
+    that is the form evaluated: no division by gamma, and a rate of exactly
+    zero at and below the cutoff 1/a0, where the maximum is 1.  Each chunk
+    writes the field and the rates in place, as the rows of one array.
     """
     def chunk(i_agg, rng):
-        h = _signal_gain(cfg, rng, i_agg.size)
-        gamma = h / (i_agg + cfg.n0)
-        return np.stack([i_agg] + [
-            cfg.bandwidth * np.log2(1.0 + (
-                power_policy(p, gamma) if isinstance(p, WaterfillSolution)
-                else p) * gamma) for p in powers])
+        rows = np.empty((1 + len(powers), i_agg.size))
+        rows[0] = i_agg
+        gamma = _signal_gain(cfg, rng, i_agg.size)
+        i_agg += cfg.n0  # copied into row 0: reused as I + N0
+        gamma /= i_agg
+        for p, row in zip(powers, rows[1:]):
+            if isinstance(p, WaterfillSolution):
+                np.multiply(gamma, p.a0, out=row)
+                np.maximum(row, 1.0, out=row)
+            else:
+                np.multiply(gamma, p, out=row)
+                row += 1.0
+            np.log2(row, out=row)
+            row *= cfg.bandwidth
+        return rows
 
     field, *rates = _field_chunks(cfg, mc, chunk)
     return field, [summarize(r) for r in rates]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc
 
@@ -39,16 +38,6 @@ class WaterfillSolution:
     achieved_avg_power: float
     solver_iterations: int
     residual: float
-
-
-def power_policy(sol: WaterfillSolution, gamma):
-    """(a0 - 1/gamma)^+ in watts; exactly zero at and below the cutoff 1/a0."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("CINR must be >= 0")
-    with np.errstate(divide="ignore"):
-        p = np.maximum(sol.a0 - 1.0 / g, 0.0)
-    return p if p.ndim else float(p)
 
 
 def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:

@@ -29,6 +29,31 @@ def make_cfg(lam=5e-5, p_bs=1.0, eta=4.0, n0=1e-9, bandwidth=180e3, p_bar=0.2,
                          fading_signal=GammaParams(shape=m_sig, mean=omega_sig))
 
 
+# The valid config domain out to its bounds: field -> (low, high, drawn in
+# log10).  p_bs also takes 0, and m_sig also the integers 1..6.
+DOMAIN = {"lam": (-9.0, -2.0, True), "p_bs": (-3.0, 3.0, True),
+          "eta": (2.05, 8.0, False), "m_int": (0.05, 10.0, False),
+          "m_sig": (0.3, 6.0, False), "n0": (-15.0, -6.0, True),
+          "p_bar": (-6.0, 1.0, True)}
+
+
+def fixed_scan():
+    """The property nets' fixed scan: 300 make_cfg field dicts drawn
+    uniformly over DOMAIN (numpy seed 20151217), every fourth with p_bs = 0
+    and every other with an integer m_sig."""
+    rng = np.random.default_rng(20151217)
+    for n in range(300):
+        fields = {}
+        for name, (lo, hi, log) in DOMAIN.items():
+            x = float(rng.uniform(lo, hi))
+            fields[name] = 10.0 ** x if log else x
+        if n % 4 == 0:
+            fields["p_bs"] = 0.0
+        if n % 2:
+            fields["m_sig"] = float(rng.integers(1, 7))
+        yield fields
+
+
 @pytest.fixture
 def micro() -> NetworkConfig:
     """Dense small-cell baseline: lambda = 50/km^2, P_BS = 1 W."""

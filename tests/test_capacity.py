@@ -27,7 +27,8 @@ from fdcap.cinr import cinr_distribution
 from fdcap.interference import gamma_fit
 from fdcap.mcsim import MCConfig, estimate_fd_rates, estimate_hd
 from fdcap.model import ConfigError
-from conftest import SHAPE_VARIANTS, make_cfg, mp_beta_expect
+from conftest import (DOMAIN, SHAPE_VARIANTS, fixed_scan, make_cfg,
+                      mp_beta_expect)
 
 # regression anchors for the two baseline scenarios (bit/s, deterministic
 # quadrature); recomputed values must agree to well beyond plot precision
@@ -309,12 +310,7 @@ def test_ppp_gap_is_the_known_model_error(p_bs, lo, hi):
 
 
 # ------------------------------------------------------------- property net
-# The valid config domain out to its bounds: field -> (low, high, drawn in
-# log10).  p_bs also takes 0, and m_sig also the integers 1..6.
-DOMAIN = {"lam": (-9.0, -2.0, True), "p_bs": (-3.0, 3.0, True),
-          "eta": (2.05, 8.0, False), "m_int": (0.05, 10.0, False),
-          "m_sig": (0.3, 6.0, False), "n0": (-15.0, -6.0, True),
-          "p_bar": (-6.0, 1.0, True)}
+# Over conftest.DOMAIN, the valid config domain out to its bounds.
 
 
 def _field(name: str):
@@ -385,16 +381,7 @@ def test_closed_form_presence_over_a_fixed_scan():
     # p_bs = 0 and every other with an integer m_sig.  4 closed forms are
     # blank, where mpmath puts the 3F2 below the normal doubles (m_I from
     # 54 to 267).  One solve fails by name, at eta = 2.055.
-    rng = np.random.default_rng(20151217)
     seen = collections.Counter()
-    for n in range(300):
-        fields = {}
-        for name, (lo, hi, log) in DOMAIN.items():
-            x = float(rng.uniform(lo, hi))
-            fields[name] = 10.0 ** x if log else x
-        if n % 4 == 0:
-            fields["p_bs"] = 0.0
-        if n % 2:
-            fields["m_sig"] = float(rng.integers(1, 7))
+    for fields in fixed_scan():
         _check_analytic_entries(fields, seen)
     assert seen["blank"] <= 4 and seen["named"] <= 1, seen

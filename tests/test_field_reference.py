@@ -18,7 +18,7 @@ from scipy.stats import gamma as gamma_dist
 from fdcap import capacity
 from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.model import derived_geometry
-from fdcap.powercontrol import avg_power, power_policy
+from fdcap.powercontrol import avg_power
 from conftest import (FieldLaw, conditional_power, field_cinr, gamma_cinr,
                       make_cfg, mc_annulus, signal_scale)
 
@@ -155,9 +155,9 @@ def test_conditional_power_matches_policy_quadrature(micro):
     theta = signal_scale(micro)
     u_law = gamma_dist(micro.fading_signal.shape)
     for j in (micro.n0, 3e-8, 2e-7):
-        direct, _ = quad(lambda u: power_policy(sol, u * theta / j)
-                         * u_law.pdf(u), j / (sol.a0 * theta), math.inf,
-                         epsrel=1e-11)
+        # above the cutoff the policy (a0 - 1/gamma)^+ is a0 - 1/gamma
+        direct, _ = quad(lambda u: (sol.a0 - j / (u * theta)) * u_law.pdf(u),
+                         j / (sol.a0 * theta), math.inf, epsrel=1e-11)
         assert conditional_power(micro, sol.a0, j) == pytest.approx(
             direct, rel=1e-9)
 

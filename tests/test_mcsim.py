@@ -124,37 +124,58 @@ def test_worker_count_does_not_change_results(fig2):
         assert np.array_equal(base, par)
 
 
+def _first_chunk_by_hand(cfg, eps, size, seed):
+    """The first chunk's draws, made by hand as the module docstring orders
+    them: Poisson counts, then uniform radii out to R_near, then unit-scale
+    Gamma marks times one folded scale, then one Gamma variate per sample
+    with the Campbell mean and variance of the ring [R_near, R_max], all
+    from the chunk-0 PCG64 stream.  Returns (counts, point weights, ring)."""
+    r0, eta = derived_geometry(cfg).r0, cfg.eta
+    fi = cfg.fading_interferer
+    rmax = r0 * eps ** (1.0 / (2.0 - eta))
+    q = (rmax / r0) ** (2.0 - 3.0 * eta)
+    rn = min(rmax, r0 * (q + mcsim.NEAR_SKEW_SHARE * (1.0 - q))
+             ** (1.0 / (2.0 - 3.0 * eta)))
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    counts = rng.poisson(cfg.lam * math.pi * (rn * rn - r0 * r0), size)
+    u = rng.random(int(counts.sum()))
+    r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
+    marks = rng.standard_gamma(fi.shape, int(counts.sum()))
+    w = marks * (fi.scale * cfg.p_bs) * r_sq ** (-0.5 * eta)
+    mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
+    k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * eta - 2.0)
+              * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
+              for n, moment in ((1, fi.mean * cfg.p_bs),
+                                (2, mark_sq * cfg.p_bs * cfg.p_bs)))
+    return counts, w, rng.gamma(k1 * k1 / k2, k2 / k1, size)
+
+
 def test_chunk_draw_order_is_the_documented_one(fig2):
-    # reproduce the first chunk by hand: Poisson counts, then uniform radii
-    # out to R_near, then unit-scale Gamma marks times one folded scale,
-    # then one Gamma variate per sample with the Campbell mean and variance
-    # of the ring [R_near, R_max], all from the chunk-0 PCG64 stream
-    geo = derived_geometry(fig2)
-    r0, eta = geo.r0, fig2.eta
-    fi = fig2.fading_interferer
+    # each sample's points are summed by reduceat over its run
     for eps in (1e-2, 1e-3):
-        mc = MCConfig(100, 99, tail_epsilon=eps)
-        vals = interference_samples(fig2, mc)
-        rmax = r0 * eps ** (1.0 / (2.0 - eta))
-        q = (rmax / r0) ** (2.0 - 3.0 * eta)
-        rn = min(rmax, r0 * (q + mcsim.NEAR_SKEW_SHARE * (1.0 - q))
-                 ** (1.0 / (2.0 - 3.0 * eta)))
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(99, spawn_key=(0,))))
-        counts = rng.poisson(fig2.lam * math.pi * (rn * rn - r0 * r0), 100)
-        u = rng.random(int(counts.sum()))
-        r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
-        marks = rng.standard_gamma(fi.shape, int(counts.sum()))
-        w = marks * (fi.scale * fig2.p_bs) * r_sq ** (-0.5 * eta)
-        mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
-        k1, k2 = (2.0 * math.pi * fig2.lam * moment / (n * eta - 2.0)
-                  * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
-                  for n, moment in ((1, fi.mean * fig2.p_bs),
-                                    (2, mark_sq * fig2.p_bs * fig2.p_bs)))
-        ring = rng.gamma(k1 * k1 / k2, k2 / k1, 100)
-        manual = np.bincount(np.repeat(np.arange(100), counts), weights=w,
-                             minlength=100) + ring
-        assert np.array_equal(manual, vals)
+        counts, w, ring = _first_chunk_by_hand(fig2, eps, 100, 99)
+        starts = np.cumsum(counts) - counts
+        near = np.add.reduceat(np.append(w, 0.0), starts)
+        near[counts == 0] = 0.0
+        manual = near + ring
+        assert np.array_equal(manual, interference_samples(
+            fig2, MCConfig(100, 99, tail_epsilon=eps)))
+
+
+def test_a_sample_without_near_points_is_its_ring_variate_alone():
+    # at eta = 8 a sample expects about 2.4 near-field points, so about 9%
+    # of the samples draw none: each of those is its ring variate alone,
+    # to the bit, and every other is its own points' sum plus its ring
+    cfg = make_cfg(eta=8.0)
+    counts, w, ring = _first_chunk_by_hand(cfg, 1e-3, 1024, 10)
+    empty = counts == 0
+    assert 50 < np.count_nonzero(empty) < 150
+    starts = np.cumsum(counts) - counts
+    near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
+    vals = interference_samples(cfg, MCConfig(1024, 10))
+    assert np.array_equal(vals[empty], ring[empty])
+    assert np.allclose(vals, near + ring, rtol=1e-14, atol=0.0)
 
 
 class _GammaSpy:
@@ -248,6 +269,38 @@ def test_fd_rates_pass_equals_the_single_estimators(micro, workers):
     assert [opt] == estimate_fd_rates(micro, mc, [sol])[1]
     assert [fixed] == estimate_fd_rates(micro, mc, [micro.p_bar])[1]
     assert opt.n == fixed.n == 5000 and opt.mean != fixed.mean
+
+
+def test_water_filling_row_is_exactly_zero_at_and_below_the_cutoff(
+        micro, monkeypatch):
+    # the chunk body on chosen CINRs: a zero field and n0 = 1 make gamma
+    # the signal gain itself, and an identity summarize returns the rows.
+    # The row is B*log2(max(a0*gamma, 1)), which is 1 + P(gamma)*gamma under
+    # the policy P = (a0 - 1/gamma)^+: 0 at and below 1/a0, B bit/s at
+    # 2/a0 where P = a0/2, and B*log2(a0*gamma) as P tends to a0
+    _, sol = capacity.solve_network(micro)
+    a0, bandwidth = sol.a0, micro.bandwidth
+    gamma = np.array([0.0, 0.5 / a0, 1.0 / a0, 2.0 / a0, 1e12])
+    gamma = np.concatenate([gamma, np.random.default_rng(5).gamma(
+        0.5, 4.0 / a0, 1000)])
+    monkeypatch.setattr(mcsim, "_field_chunks",
+                        lambda cfg, mc, fn: fn(np.zeros(gamma.size), None))
+    monkeypatch.setattr(mcsim, "_signal_gain",
+                        lambda cfg, rng, size: gamma.copy())
+    monkeypatch.setattr(mcsim, "summarize", lambda values: values)
+    _, (row, fixed) = estimate_fd_rates(replace(micro, n0=1.0),
+                                        MCConfig(gamma.size, 0),
+                                        [sol, micro.p_bar])
+    assert row[:3].tolist() == [0.0, 0.0, 0.0]
+    assert row[3] == bandwidth
+    assert row[4] == pytest.approx(bandwidth * math.log2(a0 * 1e12),
+                                   rel=1e-15)
+    assert np.all(row[gamma <= 1.0 / a0] == 0.0)
+    policy = np.maximum(a0 - 1.0 / gamma[1:], 0.0)
+    assert np.allclose(row[1:], bandwidth * np.log2(1.0 + policy * gamma[1:]),
+                       rtol=1e-12, atol=0.0)
+    assert np.array_equal(fixed,
+                          bandwidth * np.log2(1.0 + micro.p_bar * gamma))
 
 
 # ------------------------------------------------------------- sampling --

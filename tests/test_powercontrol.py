@@ -11,8 +11,7 @@ from fdcap import powercontrol
 from fdcap._integrate import NumericsError, expect
 from fdcap.cinr import BetaPrimeDist, cinr_distribution
 from fdcap.interference import gamma_fit
-from fdcap.powercontrol import (WaterfillSolution, avg_power, power_policy,
-                                solve_cutoff)
+from fdcap.powercontrol import WaterfillSolution, avg_power, solve_cutoff
 from conftest import SHAPE_VARIANTS, make_cfg, mp_beta_expect
 
 # regression constants recorded when the baselines were frozen
@@ -33,35 +32,6 @@ def d_macro(macro):
 @pytest.fixture
 def sol_micro(micro, d_micro):
     return solve_cutoff(d_micro, micro.p_bar)
-
-
-# -------------------------------------------------------------------- policy
-
-def test_policy_cutoff_is_exact(sol_micro):
-    assert power_policy(sol_micro, 1.0 / sol_micro.a0) == 0.0
-    assert power_policy(sol_micro, 0.5 / sol_micro.a0) == 0.0
-    assert power_policy(sol_micro, 0.0) == 0.0
-
-
-def test_policy_water_level_limits(sol_micro):
-    a0 = sol_micro.a0
-    assert power_policy(sol_micro, 1e12) == pytest.approx(a0, rel=1e-10)
-    assert power_policy(sol_micro, 2.0 / a0) == pytest.approx(a0 / 2.0, rel=1e-14)
-
-
-def test_policy_rejects_negative_cinr(sol_micro):
-    with pytest.raises(ValueError):
-        power_policy(sol_micro, -0.5)
-
-
-def test_policy_vectorizes(sol_micro):
-    a0 = sol_micro.a0
-    g = np.array([0.0, 1.0 / a0, 2.0 / a0, 1e9])
-    p = power_policy(sol_micro, g)
-    assert p.shape == (4,)
-    assert p[0] == p[1] == 0.0
-    assert 0.0 < p[2] < p[3] < a0
-    assert isinstance(power_policy(sol_micro, 2.0 / a0), float)
 
 
 # ----------------------------------------------------------------- avg_power
@@ -87,7 +57,7 @@ def test_avg_power_against_sampled_policy(d_micro, sol_micro):
     n = 1_000_000
     gamma = betaprime(d_micro.m0, d_micro.mI, scale=1.0 / d_micro.k).rvs(
         size=n, random_state=rng)
-    p = power_policy(sol_micro, gamma)
+    p = np.maximum(sol_micro.a0 - 1.0 / gamma, 0.0)
     se = float(np.std(p, ddof=1) / math.sqrt(n))
     assert se < 2e-3 * sol_micro.a0
     assert abs(float(np.mean(p)) - avg_power(d_micro, sol_micro.a0)) <= 3.0 * se
@@ -270,7 +240,7 @@ def test_kkt_stationarity_above_cutoff(micro, sol_micro):
     # water-filling first-order condition
     mu0 = micro.bandwidth / (sol_micro.a0 * math.log(2.0))
     for g in np.logspace(0.1, 6, 9) / sol_micro.a0:
-        p = power_policy(sol_micro, g)
+        p = sol_micro.a0 - 1.0 / g
         assert p > 0.0
         marginal = micro.bandwidth * g / (math.log(2.0) * (1.0 + g * p))
         assert marginal == pytest.approx(mu0, rel=1e-8)
@@ -339,6 +309,7 @@ def test_policy_underspends_under_the_poisson_field():
         rng = np.random.default_rng(seed)
         h = (rng.gamma(fs.shape, fs.scale, i_vals.size)
              * (2.0 * math.sqrt(cfg.lam)) ** (-cfg.eta))
-        spent = float(np.mean(power_policy(sol, h / (i_vals + cfg.n0))))
+        gamma = h / (i_vals + cfg.n0)
+        spent = float(np.mean(np.maximum(sol.a0 - 1.0 / gamma, 0.0)))
         assert lo < spent / cfg.p_bar < hi, \
             f"E[P]/p_bar = {spent / cfg.p_bar:.4f} left [{lo}, {hi}]"
