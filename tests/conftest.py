@@ -1,6 +1,7 @@
 """Shared test helpers: canonical configs, the exact Poisson-field reference
 law, and the acceptance summary hook."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaincc, poch
 
-from fdcap import GammaParams, NetworkConfig
+from fdcap import GammaParams, NetworkConfig, mcsim
 from fdcap.mcsim import MCConfig, _resolve_rmax
 from fdcap.model import derived_geometry
 
@@ -268,6 +269,19 @@ def conditional_power(cfg: NetworkConfig, a0: float, j) -> np.ndarray:
     t = j / (a0 * theta)
     return (a0 * gammaincc(m0, t)
             - j * gammaincc(m0 - 1.0, t) / (theta * (m0 - 1.0)))
+
+
+def fd_rate_rows(monkeypatch, cfg: NetworkConfig, powers, gamma) -> list:
+    """The rate rows of mcsim.estimate_fd_rates' chunk body on chosen CINRs:
+    a zero field and n0 = 1 make gamma the signal gain itself, and an
+    identity summarize returns each row, one per entry of `powers`."""
+    gamma = np.asarray(gamma, dtype=float)
+    monkeypatch.setattr(mcsim, "_field_chunks",
+                        lambda cfg, mc, fn: fn(np.zeros(gamma.size), None))
+    monkeypatch.setattr(mcsim, "_signal_gain",
+                        lambda cfg, rng, size: gamma.copy())
+    monkeypatch.setattr(mcsim, "summarize", lambda values: values)
+    return mcsim.estimate_fd_rates(replace(cfg, n0=1.0), MCConfig(gamma.size, 0), powers)[1]
 
 
 # Variants of configs/micro.cfg whose interference shape m_I spans the

@@ -23,7 +23,8 @@ from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import (MCConfig, estimate_fd_rates, estimate_hd,
                          interference_samples, summarize)
 from fdcap.model import derived_geometry
-from conftest import FieldLaw, ks_distance, make_cfg, mc_annulus
+from conftest import (FieldLaw, fd_rate_rows, ks_distance, make_cfg,
+                      mc_annulus)
 
 
 @pytest.fixture(scope="module")
@@ -271,33 +272,17 @@ def test_fd_rates_pass_equals_the_single_estimators(micro, workers):
     assert opt.n == fixed.n == 5000 and opt.mean != fixed.mean
 
 
-def test_water_filling_row_is_exactly_zero_at_and_below_the_cutoff(
-        micro, monkeypatch):
-    # the chunk body on chosen CINRs: a zero field and n0 = 1 make gamma
-    # the signal gain itself, and an identity summarize returns the rows.
-    # The row is B*log2(max(a0*gamma, 1)), which is 1 + P(gamma)*gamma under
-    # the policy P = (a0 - 1/gamma)^+: 0 at and below 1/a0, B bit/s at
-    # 2/a0 where P = a0/2, and B*log2(a0*gamma) as P tends to a0
+def test_fd_rate_rows_are_the_policy_and_fixed_power_forms(micro, monkeypatch):
+    # the water-filling row B*log2(max(a0*gamma, 1)) is B*log2(1 + P*gamma)
+    # under the policy P = (a0 - 1/gamma)^+, and the fixed-power row is
+    # B*log2(1 + p*gamma) to the bit; test_powercontrol checks the policy's
+    # cutoff and limits on the same row
     _, sol = capacity.solve_network(micro)
     a0, bandwidth = sol.a0, micro.bandwidth
-    gamma = np.array([0.0, 0.5 / a0, 1.0 / a0, 2.0 / a0, 1e12])
-    gamma = np.concatenate([gamma, np.random.default_rng(5).gamma(
-        0.5, 4.0 / a0, 1000)])
-    monkeypatch.setattr(mcsim, "_field_chunks",
-                        lambda cfg, mc, fn: fn(np.zeros(gamma.size), None))
-    monkeypatch.setattr(mcsim, "_signal_gain",
-                        lambda cfg, rng, size: gamma.copy())
-    monkeypatch.setattr(mcsim, "summarize", lambda values: values)
-    _, (row, fixed) = estimate_fd_rates(replace(micro, n0=1.0),
-                                        MCConfig(gamma.size, 0),
-                                        [sol, micro.p_bar])
-    assert row[:3].tolist() == [0.0, 0.0, 0.0]
-    assert row[3] == bandwidth
-    assert row[4] == pytest.approx(bandwidth * math.log2(a0 * 1e12),
-                                   rel=1e-15)
-    assert np.all(row[gamma <= 1.0 / a0] == 0.0)
-    policy = np.maximum(a0 - 1.0 / gamma[1:], 0.0)
-    assert np.allclose(row[1:], bandwidth * np.log2(1.0 + policy * gamma[1:]),
+    gamma = np.random.default_rng(5).gamma(0.5, 4.0 / a0, 1000)
+    row, fixed = fd_rate_rows(monkeypatch, micro, [sol, micro.p_bar], gamma)
+    policy = np.maximum(a0 - 1.0 / gamma, 0.0)
+    assert np.allclose(row, bandwidth * np.log2(1.0 + policy * gamma),
                        rtol=1e-12, atol=0.0)
     assert np.array_equal(fixed,
                           bandwidth * np.log2(1.0 + micro.p_bar * gamma))

@@ -12,7 +12,7 @@ from fdcap._integrate import NumericsError, expect
 from fdcap.cinr import BetaPrimeDist, cinr_distribution
 from fdcap.interference import gamma_fit
 from fdcap.powercontrol import WaterfillSolution, avg_power, solve_cutoff
-from conftest import SHAPE_VARIANTS, make_cfg, mp_beta_expect
+from conftest import SHAPE_VARIANTS, fd_rate_rows, make_cfg, mp_beta_expect
 
 # regression constants recorded when the baselines were frozen
 A0_MICRO = 0.6793691055610199
@@ -32,6 +32,31 @@ def d_macro(macro):
 @pytest.fixture
 def sol_micro(micro, d_micro):
     return solve_cutoff(d_micro, micro.p_bar)
+
+
+# -------------------------------------------------------------------- policy
+# The policy P(gamma) = (a0 - 1/gamma)^+ as mcsim.estimate_fd_rates applies
+# it: the rate row B*log2(max(a0*gamma, 1)) is B*log2(1 + P(gamma)*gamma).
+
+def test_policy_cutoff_is_exact(micro, sol_micro, monkeypatch):
+    # the rate, hence the power, is exactly zero at and below 1/a0
+    a0 = sol_micro.a0
+    gamma = np.concatenate([[0.0, 0.5 / a0, 1.0 / a0],
+                            np.random.default_rng(5).gamma(0.5, 4.0 / a0, 1000)])
+    row, = fd_rate_rows(monkeypatch, micro, [sol_micro], gamma)
+    assert row[:3].tolist() == [0.0, 0.0, 0.0]
+    assert np.all(row[gamma <= 1.0 / a0] == 0.0)
+    assert np.all(row[gamma > 1.0 / a0] > 0.0)
+
+
+def test_policy_water_level_limits(micro, sol_micro, monkeypatch):
+    # P = a0/2 at 2/a0, a rate of B bit/s; P tends to a0 as gamma grows
+    a0, bandwidth = sol_micro.a0, micro.bandwidth
+    half, big = fd_rate_rows(monkeypatch, micro, [sol_micro],
+                             [2.0 / a0, 1e12])[0]
+    assert half == bandwidth
+    assert big == pytest.approx(bandwidth * math.log2(a0 * 1e12), rel=1e-15)
+    assert (2.0 ** (big / bandwidth) - 1.0) / 1e12 == pytest.approx(a0, rel=1e-10)
 
 
 # ----------------------------------------------------------------- avg_power
