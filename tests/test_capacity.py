@@ -220,8 +220,9 @@ def test_fd_fixed_power_capacity_at_hundreds_of_interferer_shape():
 
 def test_closed_form_at_ninety_interferer_shape():
     # draw 158 of test_closed_form_presence_over_a_fixed_scan: m_I = 89.6,
-    # z = -5.68, a 3F2 of 1.2e-74.  scipy's hyp2f1 under the integral was
-    # too rough there for the 3F2's 1e-11, and the closed form was blank
+    # z = -5.68, a 3F2 of 1.2e-74.  scipy's hyp2f1 under an Euler integral
+    # was once too rough there for the 3F2's 1e-11, and the closed form was
+    # blank
     cfg = make_cfg(lam=1.2979488967151133e-06, p_bs=16.468689321829743,
                    eta=2.1636728279379795, m_int=1.0650572470799573,
                    m_sig=2.0595518664356143, n0=1.48132721665835e-07,

@@ -191,28 +191,6 @@ def test_median_other_shapes(m0, mI, k):
 
 # ------------------------------------------------------------------ sampling
 
-def test_sampler_matches_the_law(d_micro):
-    rng = np.random.default_rng(11)
-    s = law(d_micro).rvs(size=200_000, random_state=rng)
-    assert np.all(s >= 0.0)
-    # measured 0.0014 for this seed; the ratio construction would sit at
-    # ~0.25 if the spurious mI/m0 normalization of the F-distribution
-    # convention were included, so the margin to 0.004 is diagnostic
-    assert ks_distance(s, law(d_micro).cdf) < 0.004
-
-
-def test_sample_statistics_match_the_law(d_micro):
-    rng = np.random.default_rng(14)
-    s = law(d_micro).rvs(size=1_000_000, random_state=rng)
-    # the median is the robust check: with mI = 1.5 the law has infinite
-    # variance, so the sample mean wanders at the percent level even for
-    # 1e6 draws (several seeds put it past 4%); the seed here was checked
-    # to be unremarkable, not hand-picked to flatter the mean
-    assert np.median(s) == pytest.approx(law(d_micro).median(), rel=5e-3)
-    analytic_mean = d_micro.m0 / (d_micro.k * (d_micro.mI - 1.0))
-    assert np.mean(s) == pytest.approx(analytic_mean, rel=0.01)
-
-
 def test_exact_model_sampling_recovers_the_law(micro):
     # h and I drawn from the very Gamma laws the derivation assumes: the
     # only remaining gaps are the noise mean-shift and float error, and the

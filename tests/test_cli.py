@@ -466,6 +466,22 @@ def test_sweep_blanks_a_closed_form_beyond_double_range(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_sweep_blanks_a_closed_form_at_a_subnormal_k(capsys, tmp_path):
+    # k = 2.1e-321 is subnormal but positive, so -a0/k is -inf: the 3F2 is
+    # unavailable and its cell blank, while analyze, which needs the
+    # quadrature rate too, fails by name
+    cfg = micro_with(tmp_path, **{"lambda": 1e-6}, p_bs=0.0, n0=1e-15,
+                     p_bar=1.0, omega_sig=1e295)
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", "p_bar",
+                       "--from", "1", "--to", "2", "--points", "2",
+                       "--outputs", "fd_opt_cf")
+    assert (rc, err) == (0, "")
+    assert out == "p_bar_w,fd_opt_cf_kbps\n1,\n2,\n"
+    rc, out, err = run(capsys, "analyze", cfg)
+    assert rc == 2 and out == ""
+    assert err.startswith("numeric failure: fd_optimal_capacity: ")
+
+
 @pytest.mark.parametrize("field", [{"m_int": 0.05}, {"eta": 8.0}])
 def test_sweep_answers_beta_weights_singular_at_one(capsys, tmp_path, field):
     # m_I = 0.143 and 0.389: the Beta weight (1-t)^(m_I-1) is singular at
