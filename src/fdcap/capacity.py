@@ -32,8 +32,7 @@ from .specfun import hyper_3f2
 def solve_network(cfg: NetworkConfig) -> tuple[BetaPrimeDist, WaterfillSolution]:
     """Interference fit -> CINR law -> water level, the shared pipeline."""
     d = cinr_distribution(cfg, gamma_fit(cfg))
-    sol = solve_cutoff(d, cfg.p_bar)
-    return d, sol
+    return d, solve_cutoff(d, cfg.p_bar)
 
 
 def waterfill_rate(d: BetaPrimeDist, a0: float, bandwidth: float) -> float:
@@ -87,7 +86,8 @@ def fd_optimal_capacity_closed_form(d: BetaPrimeDist, a0: float,
     return math.exp(log_c) if log_c < 709.0 else None
 
 
-def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
+def fd_fixed_power_capacity(d: BetaPrimeDist, p_bar: float,
+                            bandwidth: float) -> float:
     """(B/ln 2) * int_0^inf ln(1 + p_bar x) f_gamma(x) dx by quadrature.
 
     Constant transmit power p_bar spends the average-power budget with
@@ -106,8 +106,7 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
     u in [u_c, 1], goes further, by expect_log in w = -ln u, where the
     integrand is ln(1 + r (e^w - 1)).
     """
-    d = cinr_distribution(cfg, gamma_fit(cfg))
-    r = cfg.p_bar / d.k
+    r = p_bar / d.k
     if r == 0.0:
         # p_bar/k below the doubles: no rate to double precision, and the
         # window [0, 1 - t_c] has no width
@@ -133,7 +132,7 @@ def fd_fixed_power_capacity(cfg: NetworkConfig) -> float:
                          0.0, u_c)
         log_part, _ = expect(mI, m0, stage, lambda u: 1.0, 0.0, u_c,
                              log_at=0.0)
-    return cfg.bandwidth / math.log(2.0) * (low + high - log_part)
+    return bandwidth / math.log(2.0) * (low + high - log_part)
 
 
 def default_rho(cfg: NetworkConfig):

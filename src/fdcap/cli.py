@@ -133,7 +133,7 @@ def cmd_analyze(args) -> int:
     a0 = solve_cutoff(d, cfg.p_bar).a0
     c_opt = capacity.waterfill_rate(d, a0, cfg.bandwidth)
     c_cf = capacity.fd_optimal_capacity_closed_form(d, a0, cfg.bandwidth)
-    c_fixed = capacity.fd_fixed_power_capacity(cfg)
+    c_fixed = capacity.fd_fixed_power_capacity(d, cfg.p_bar, cfg.bandwidth)
     hd = mcsim.estimate_hd(cfg, rho, mc)
     doc = {
         "config": _config_doc(cfg),
@@ -200,15 +200,18 @@ def cmd_sweep(args) -> int:
     for value in grid:
         cfg = replace(base, **{field: value})
         cell = {}
+        if need_solution or "fd_fixed" in outputs:
+            d = cinr_distribution(cfg, gamma_fit(cfg))
         if need_solution:
-            d, sol = capacity.solve_network(cfg)
+            sol = solve_cutoff(d, cfg.p_bar)
             if "fd_opt" in outputs:
                 cell["fd_opt"] = capacity.waterfill_rate(d, sol.a0, cfg.bandwidth)
             if "fd_opt_cf" in outputs:
                 cell["fd_opt_cf"] = capacity.fd_optimal_capacity_closed_form(
                     d, sol.a0, cfg.bandwidth)
         if "fd_fixed" in outputs:
-            cell["fd_fixed"] = capacity.fd_fixed_power_capacity(cfg)
+            cell["fd_fixed"] = capacity.fd_fixed_power_capacity(
+                d, cfg.p_bar, cfg.bandwidth)
         # the MC rates share one pass: one field and one h for both columns
         mc_cols = [o for o in ("fd_opt_mc", "fd_fixed_mc") if o in outputs]
         if mc_cols:

@@ -6,18 +6,16 @@ The optimal policy for maximizing ergodic rate subject to E[P] <= p_bar is
 
 where the water level a0 = B / (mu0 ln 2) absorbs the bandwidth and the
 Lagrange multiplier mu0; the user stays silent below the cutoff CINR 1/a0.
-a0 solves E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR law: Brent's
-method on E[P], which is two regularized incomplete betas for m0 > 1 and a
-Beta-weight quadrature (_integrate.expect, QUADPACK's algebraic-weight rule
-QAWS) for m0 <= 1.  One quadrature of E[P] at the root then checks the
-root, and with it the Beta-weight kernel that the rate integrals in
-capacity and the 3F2 share.
+a0 solves E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR law: Newton
+steps on E[P], two regularized incomplete betas for m0 > 1 and a Beta-weight
+quadrature (_integrate.expect, QUADPACK's algebraic-weight rule QAWS) for
+m0 <= 1, with its slope P(gamma > 1/a0), one more.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
 from scipy.special import betainc
 
 from ._integrate import NumericsError, expect
@@ -90,12 +88,13 @@ def avg_power(d: BetaPrimeDist, a0: float) -> float:
 def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
     """Solve E[(a0 - 1/gamma)^+] = p_bar for the water level a0.
 
-    Since E[(a0 - 1/gamma)^+] < a0, starting at a0 = p_bar and doubling
-    until the constraint is crossed always brackets the root; Brent's method
-    (scipy.optimize.brentq) on avg_power then solves it to xtol = 1e-7 p_bar.
-    The slope dE[P]/da0 = P(gamma > 1/a0) is at most 1, so the constraint
-    residual stays under 1e-6 p_bar, with a tenfold margin for the error of
-    E[P].
+    Newton's method on ln E[P] against ln a0, whose slope is the elasticity
+    a0 I_s(mI, m0) / E[P], s = a0/(k + a0), since dE[P]/da0 =
+    P(gamma > 1/a0) = I_s(mI, m0).  It starts at a0 = p_bar, left of the
+    root since E[P] < a0, and keeps a bracket [lo, hi] from the signs seen;
+    where a step leaves it, or E[P] underflows to 0, it doubles a0 while
+    there is no upper end and bisects the bracket in ln a0 after.  It stops
+    once a step moves a0 by at most 1e-10 a0, within 201 avg_power calls.
 
     The root is then checked by one quadrature of E[P] at a0, which is
     achieved_avg_power: if it fails, or misses p_bar by more than 1e-6 p_bar
@@ -107,36 +106,35 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
     """
     if not p_bar > 0:
         raise ValueError(f"p_bar must be > 0, got {p_bar}")
-    powers = {}  # a0 -> avg_power(d, a0): brentq re-evaluates the bracket ends
-
-    def excess(a: float) -> float:
-        if a not in powers:
-            powers[a] = avg_power(d, a)
-        return powers[a] - p_bar
-
-    hi = p_bar
-    while excess(hi) < 0.0:
+    a0, lo, hi, powers = p_bar, 0.0, math.inf, []  # E[P] at each a0 tried
+    while True:
+        power = avg_power(d, a0)
+        powers.append(power)
+        lo, hi = (a0, hi) if power < p_bar else (lo, a0)
+        slope = betainc(d.mI, d.m0, a0 / (d.k + a0))
+        # Newton step in ln a0, none at E[P] = 0 or slope 0; e^710 overflows
+        step = ((math.log(p_bar) - math.log(power)) * power / (a0 * slope)
+                if power > 0.0 and slope > 0.0 else math.inf)
+        new = a0 * math.exp(step) if step < 709.0 else math.inf
+        if abs(new - a0) <= 1e-10 * a0:
+            a0 = new
+            break
         if len(powers) > 200:
-            if all(p == 0.0 for p in powers.values()):
-                cause = ("E[P] underflows to 0.0 at every bracket point: "
-                         "p_bar is too small for double precision at "
-                         "this a0/k")
-            else:
-                cause = ("mI grows without bound as eta -> 2, like "
-                         "1/(eta-2)^2, and the E[P] quadrature cannot "
-                         "resolve a Beta(m0, mI) weight that narrow")
+            cause = ("E[P] underflows to 0.0 at every bracket point: "
+                     "p_bar is too small for double precision at this a0/k"
+                     if all(p == 0.0 for p in powers) else
+                     "mI grows without bound as eta -> 2, like 1/(eta-2)^2, "
+                     "and the E[P] quadrature cannot resolve a Beta(m0, mI) "
+                     "weight that narrow")
             raise NumericsError(
                 "solve_cutoff",
-                f"no bracket for the power constraint after 200 doublings "
-                f"(a0={hi!r}, a0/k={hi / d.k!r}, E[P]={powers[hi]!r}, "
+                f"{'no bracket for' if hi == math.inf else 'no root of'} "
+                f"the power constraint after 200 steps "
+                f"(a0={a0!r}, a0/k={a0 / d.k!r}, E[P]={power!r}, "
                 f"p_bar={p_bar!r}, mI={d.mI!r}); {cause}")
-        hi *= 2.0
+        a0 = new if lo < new < hi else (
+            2.0 * a0 if hi == math.inf else math.sqrt(lo) * math.sqrt(hi))
 
-    a0, info = brentq(excess, 0.5 * hi, hi, xtol=1e-7 * p_bar,
-                      full_output=True, disp=False)
-    if not info.converged:
-        raise NumericsError("solve_cutoff", f"Brent's method stopped at "
-                                            f"a0={a0!r}: {info.flag}")
     narrow = ("mI grows without bound as eta -> 2, like 1/(eta-2)^2, and "
               "the quadrature over a Beta(m0, mI) weight that narrow, which "
               "the rate integrals share, misses it")

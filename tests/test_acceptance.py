@@ -180,13 +180,15 @@ def test_criterion_5_trend_reproduction():
         cfg = make_cfg(p_bs=p_bs)
         d, sol = capacity.solve_network(cfg)
         caps.append(capacity.waterfill_rate(d, sol.a0, cfg.bandwidth))
-        fixed.append(capacity.fd_fixed_power_capacity(cfg))
+        fixed.append(capacity.fd_fixed_power_capacity(d, cfg.p_bar,
+                                                      cfg.bandwidth))
     ok_a = all(x > y for x, y in zip(caps, caps[1:]))
     macro = make_cfg(lam=5e-6, p_bs=20.0)
     d, sol = capacity.solve_network(macro)
     ok_b = (all(c >= f for c, f in zip(caps, fixed))
             and capacity.waterfill_rate(d, sol.a0, macro.bandwidth)
-            >= capacity.fd_fixed_power_capacity(macro))
+            >= capacity.fd_fixed_power_capacity(d, macro.p_bar,
+                                                macro.bandwidth))
 
     # (c) density/target doubling
     micro = make_cfg()
@@ -202,7 +204,7 @@ def test_criterion_5_trend_reproduction():
     lowp = make_cfg(p_bs=0.1)
     d, sol = capacity.solve_network(lowp)
     c_opt = capacity.waterfill_rate(d, sol.a0, lowp.bandwidth)
-    c_fix = capacity.fd_fixed_power_capacity(lowp)
+    c_fix = capacity.fd_fixed_power_capacity(d, lowp.p_bar, lowp.bandwidth)
     hd = mcsim.estimate_hd(lowp, capacity.default_rho(lowp),
                            MCConfig(100_000, 9125, tail_epsilon=1e-3))
     r_opt, r_fix = c_opt / hd.mean, c_fix / hd.mean

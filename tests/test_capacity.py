@@ -44,16 +44,22 @@ def fd_optimal(cfg):
     return waterfill_rate(d, sol.a0, cfg.bandwidth), sol.a0
 
 
+def fd_fixed(cfg):
+    """Fixed-power rate in bit/s on the config's own CINR law."""
+    d = cinr_distribution(cfg, gamma_fit(cfg))
+    return fd_fixed_power_capacity(d, cfg.p_bar, cfg.bandwidth)
+
+
 def test_micro_baseline_regression(micro):
     c, a0 = fd_optimal(micro)
     assert c == pytest.approx(C_OPT_MICRO, rel=1e-9)
     assert a0 == pytest.approx(0.6793691055610199, rel=1e-9)
-    assert fd_fixed_power_capacity(micro) == pytest.approx(C_FIX_MICRO, rel=1e-9)
+    assert fd_fixed(micro) == pytest.approx(C_FIX_MICRO, rel=1e-9)
 
 
 def test_macro_baseline_regression(macro):
     assert fd_optimal(macro)[0] == pytest.approx(C_OPT_MACRO, rel=1e-9)
-    assert fd_fixed_power_capacity(macro) == pytest.approx(C_FIX_MACRO, rel=1e-9)
+    assert fd_fixed(macro) == pytest.approx(C_FIX_MACRO, rel=1e-9)
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"lam": 5e-6, "p_bs": 20.0},
@@ -62,7 +68,7 @@ def test_optimal_dominates_fixed_power(kwargs):
     # constant power p_bar is feasible for the average-power constraint, so
     # the water-filling optimum can never fall below it
     cfg = make_cfg(**kwargs)
-    assert fd_optimal(cfg)[0] > fd_fixed_power_capacity(cfg)
+    assert fd_optimal(cfg)[0] > fd_fixed(cfg)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -194,14 +200,17 @@ def test_fd_fixed_power_capacity_matches_mpmath(variant, m_sig):
         t_c = 1 / (1 + r)
         want = (mp_beta_expect(d.m0, d.mI, rate, 0, t_c)
                 + mp_beta_expect(d.m0, d.mI, rate, t_c))
-        assert_nats_close(fd_fixed_power_capacity(fixed), want, (d, ratio))
+        assert_nats_close(
+            fd_fixed_power_capacity(d, fixed.p_bar, fixed.bandwidth), want,
+            (d, ratio))
 
 
 def test_fd_fixed_power_capacity_of_a_budget_below_the_doubles():
     # configs/micro.cfg at lambda = 1e-3: p_bar/k = 5e-324/k rounds to 0.0
     cfg = make_cfg(lam=1e-3, p_bar=5e-324, omega_sig=1.6e-15)
-    assert cinr_distribution(cfg, gamma_fit(cfg)).k > 2.0
-    assert fd_fixed_power_capacity(cfg) == 0.0
+    d = cinr_distribution(cfg, gamma_fit(cfg))
+    assert d.k > 2.0
+    assert fd_fixed_power_capacity(d, cfg.p_bar, cfg.bandwidth) == 0.0
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -214,8 +223,7 @@ def test_fd_fixed_power_capacity_at_hundreds_of_interferer_shape():
                    eta=2.0663455282358516, m_int=3.6901431153461446,
                    m_sig=3.0, n0=5.755658589959969e-10,
                    p_bar=2.11705633377068e-06)
-    assert fd_fixed_power_capacity(cfg) == pytest.approx(2.9337e-5, rel=1e-3,
-                                                         abs=0.0)
+    assert fd_fixed(cfg) == pytest.approx(2.9337e-5, rel=1e-3, abs=0.0)
 
 
 def test_closed_form_at_ninety_interferer_shape():
@@ -269,7 +277,62 @@ def test_capacity_is_exactly_linear_in_bandwidth(micro):
     # rounding
     half = make_cfg(bandwidth=90e3)
     assert fd_optimal(half)[0] == 0.5 * fd_optimal(micro)[0]
-    assert fd_fixed_power_capacity(half) == 0.5 * fd_fixed_power_capacity(micro)
+    assert fd_fixed(half) == 0.5 * fd_fixed(micro)
+
+
+def analytic_rates(cfg):
+    """k and the three analytic rates, from one CINR law and one solve."""
+    d, sol = solve_network(cfg)
+    return {"k": d.k,
+            "fd_opt": waterfill_rate(d, sol.a0, cfg.bandwidth),
+            "fd_opt_cf": fd_optimal_capacity_closed_form(d, sol.a0,
+                                                         cfg.bandwidth),
+            "fd_fixed": fd_fixed_power_capacity(d, cfg.p_bar, cfg.bandwidth)}
+
+
+# The served gain's mean Omega_0 held fixed, as in the config files:
+# k = (2 sqrt(lambda))^eta m0 (Omega_I + N0) / (m_I Omega_0) with
+# Omega_I proportional to lambda^(eta/2) p_bs and m_I free of both.
+@pytest.mark.parametrize("lam, p_bs", [(5e-5, 1.0), (5e-6, 20.0)])
+def test_rates_depend_on_lambda_p_bs_and_n0_only_through_k(lam, p_bs):
+    # at eta = 4, doubling lambda scales the interference term of k by
+    # 2^4 and the noise term by 2^2: a BS power 16 times lower and a
+    # noise 4 times lower give the same k, hence the same rates
+    omega_sig = (2.0 * math.sqrt(lam)) ** 8
+    base = analytic_rates(make_cfg(lam=lam, p_bs=p_bs, omega_sig=omega_sig))
+    dense = analytic_rates(make_cfg(lam=2.0 * lam, p_bs=p_bs / 16.0,
+                                    n0=1e-9 / 4.0, omega_sig=omega_sig))
+    for name, value in base.items():
+        assert dense[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("lam, p_bs, ratio", [(5e-5, 1.0, 4.081),
+                                              (5e-6, 20.0, 4.405)])
+def test_density_outweighs_bs_power_by_the_k_elasticity(lam, p_bs, ratio):
+    # d ln C/d ln lambda = (eta/2)(1 + s) d ln C/d ln k and
+    # d ln C/d ln p_bs = s d ln C/d ln k, s = Omega_I/(Omega_I + N0): the
+    # ratio of the two elasticities is (eta/2)(1 + s)/s for k and every
+    # rate.  Central differences at h = 1e-4 meet it to 6e-10
+    omega_sig = (2.0 * math.sqrt(lam)) ** 8
+    h = 1e-4
+
+    def elasticity(field, value):
+        up, down = (analytic_rates(make_cfg(**{"lam": lam, "p_bs": p_bs,
+                                               field: value * math.exp(x)},
+                                            omega_sig=omega_sig))
+                    for x in (h, -h))
+        return {name: math.log(up[name] / down[name]) / (2.0 * h)
+                for name in up}
+
+    cfg = make_cfg(lam=lam, p_bs=p_bs, omega_sig=omega_sig)
+    fit = gamma_fit(cfg)
+    s = fit.mean / (fit.mean + cfg.n0)
+    want = cfg.eta / 2.0 * (1.0 + s) / s
+    assert want == pytest.approx(ratio, abs=5e-4)
+    by_lam, by_p_bs = elasticity("lam", lam), elasticity("p_bs", p_bs)
+    for name in by_lam:
+        assert by_lam[name] / by_p_bs[name] == pytest.approx(
+            want, rel=1e-8, abs=0.0), name
 
 
 def test_default_rho_values(micro, macro):
@@ -347,7 +410,7 @@ def _check_analytic_entries(fields: dict, seen: collections.Counter) -> None:
     else:
         assert c_cf == pytest.approx(c_opt, rel=1e-6, abs=0.0), fields
     try:
-        c_fix = fd_fixed_power_capacity(cfg)
+        c_fix = fd_fixed_power_capacity(d, cfg.p_bar, cfg.bandwidth)
     except NumericsError:
         seen["named"] += 1
         return

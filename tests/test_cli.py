@@ -342,7 +342,7 @@ def test_sweep_rejects_non_finite_bounds(capsys, flag, start, stop, points):
 
 def test_analyze_refuses_a_nan_in_its_report(capsys, monkeypatch):
     monkeypatch.setattr(capacity, "fd_fixed_power_capacity",
-                        lambda cfg: math.nan)
+                        lambda d, p_bar, bandwidth: math.nan)
     rc, out, err = run(capsys, "analyze", MICRO, "--samples", "2000")
     assert rc == 2
     assert out == ""

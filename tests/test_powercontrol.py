@@ -12,7 +12,8 @@ from fdcap._integrate import NumericsError, expect
 from fdcap.cinr import BetaPrimeDist, cinr_distribution
 from fdcap.interference import gamma_fit
 from fdcap.powercontrol import WaterfillSolution, avg_power, solve_cutoff
-from conftest import SHAPE_VARIANTS, fd_rate_rows, make_cfg, mp_beta_expect
+from conftest import (SHAPE_VARIANTS, fd_rate_rows, fixed_scan, make_cfg,
+                      mp_beta_expect)
 
 # regression constants recorded when the baselines were frozen
 A0_MICRO = 0.6793691055610199
@@ -212,6 +213,92 @@ def test_tiny_budget_is_met_against_mpmath(micro, d_micro):
     sol = solve_cutoff(d_micro, 1e-12)
     assert mp_avg_power(d_micro.m0, d_micro.mI, d_micro.k, sol.a0) == \
         pytest.approx(1e-12, rel=1e-9, abs=0.0)
+
+
+def test_newton_needs_few_steps_at_the_baselines(micro, macro, d_micro,
+                                                 d_macro):
+    # Newton from a0 = p_bar takes 4 steps on either baseline
+    for cfg, d in ((micro, d_micro), (macro, d_macro)):
+        assert solve_cutoff(d, cfg.p_bar).solver_iterations <= 6
+
+
+def test_solver_meets_the_mpmath_root_over_the_fixed_scan():
+    # one Newton step on the 40-digit E[P] and its slope P(gamma > 1/a0) =
+    # I_s(mI, m0) takes a0 to the mpmath root to second order, so
+    # |E[P] - p_bar| / (a0 I_s) is the relative error of a0; E[P] for
+    # m0 <= 1 by conftest.mp_beta_expect.  Newton takes 3.0 steps per
+    # solve here, and the one named failure is the root check at
+    # eta = 2.055.
+    pytest.importorskip("mpmath")
+    import mpmath
+    steps, failed = [], []
+    for fields in fixed_scan():
+        cfg = make_cfg(**fields)
+        d = cinr_distribution(cfg, gamma_fit(cfg))
+        try:
+            sol = solve_cutoff(d, cfg.p_bar)
+        except NumericsError as err:
+            failed.append((fields["eta"], str(err)))
+            continue
+        steps.append(sol.solver_iterations)
+        with mpmath.workdps(40):
+            k, a0 = mpmath.mpf(d.k), mpmath.mpf(sol.a0)
+            if d.m0 > 1.0:
+                power = mp_avg_power(d.m0, d.mI, d.k, sol.a0)
+            else:
+                power = mp_beta_expect(d.m0, d.mI, lambda t, u: a0 - k * u / t,
+                                       k / (k + a0))
+            slope = mp_reg_inc_beta(mpmath.mpf(d.mI), mpmath.mpf(d.m0),
+                                    a0 / (k + a0))
+            error = float(abs(power - cfg.p_bar) / (a0 * slope))
+        assert error <= 1e-9, (fields, d, sol.a0, error)
+    assert len(steps) == 299 and np.mean(steps) <= 3.5, np.mean(steps)
+    (eta, message), = failed
+    assert eta == pytest.approx(2.055, abs=5e-4)
+    assert message.startswith("solve_cutoff: ") and "eta -> 2" in message
+
+
+def test_a_newton_step_that_overshoots_is_bisected_back(monkeypatch):
+    # a 3 000-config scan draw: E[P] first leaves 0 at a0 = 0.743 as the
+    # subnormal 1.8e-308, where the closed form's second term has
+    # underflowed, so the elasticity reads 1, not about mI + 1 = 379, and
+    # the Newton step lands at 6e304.  Bisecting the bracket in ln a0
+    # brings it back to the root in 21 steps
+    pytest.importorskip("mpmath")
+    d = BetaPrimeDist(1.1752077358914186, 377.9052804898105, 4.113174369794371)
+    p_bar = 0.0014513499356744925
+    tried = []
+
+    def recorded(d, a0):
+        tried.append(a0)
+        return avg_power(d, a0)
+
+    monkeypatch.setattr(powercontrol, "avg_power", recorded)
+    sol = solve_cutoff(d, p_bar)
+    assert max(tried) > 1e300
+    assert sol.solver_iterations <= 25
+    assert mp_avg_power(d.m0, d.mI, d.k, sol.a0) == pytest.approx(
+        p_bar, rel=1e-9, abs=0.0)
+
+
+def test_a_solve_that_never_settles_stops_after_200_steps(monkeypatch,
+                                                         d_micro):
+    # an E[P] that misses p_bar by 0.1% either way on alternate calls keeps
+    # every Newton step near 1e-3 a0: the bracket closes in, but no step
+    # gets below 1e-10 a0, and the solve stops by name at its cap
+    tried = []
+
+    def noisy(d, a0):
+        tried.append(a0)
+        return 0.2 * (1.0 + (-1e-3 if len(tried) % 2 else 1e-3))
+
+    monkeypatch.setattr(powercontrol, "avg_power", noisy)
+    with pytest.raises(NumericsError, match="^solve_cutoff: no root of the "
+                                            "power constraint after 200 "
+                                            "steps") as err:
+        solve_cutoff(d_micro, 0.2)
+    assert err.value.stage == "solve_cutoff"
+    assert len(tried) == 201
 
 
 def test_root_check_names_a_beta_weight_too_narrow_for_quadrature():
