@@ -13,8 +13,9 @@ Gamma(m, Omega).
 The sampler draws only the near field [r0, R_near] point by point: counts
 are Poisson(lambda*pi*(R_near^2 - r0^2)) and radii have density
 2r/(R_near^2 - r0^2).  A chunk's points lie in draw order, each sample's
-as one run, and np.add.reduceat sums every run (its first point plus
-numpy's pairwise sum of the others; a sample without points gets 0.0).
+as one run, in a buffer whose last slot is a 0.0 sentinel, and
+np.add.reduceat sums every run (its first point plus numpy's pairwise sum
+of the others; a sample without points gets 0.0).
 Each sample adds one Gamma variate (shape kappa_1^2/kappa_2, scale
 kappa_2/kappa_1) for the far ring [R_near, R_max], matched to the ring's
 first two Campbell cumulants
@@ -46,10 +47,11 @@ Draw order inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
 fd estimators: counts, radii, marks, ring, then alpha0;
 hd estimator:  counts, radii, marks, d^2 (power control), ring, then g.
-Marks are unit-scale standard_gamma draws and d^2 unit-mean
-standard_exponential draws.  Their scales multiply the chunk's points in
-place: once for the BS field (mark scale times p_bs), and for the uplink
-field once by the mark scale and once by rho*(pi*lambda)^(-eta/2).
+Marks are unit-scale standard_gamma draws (standard_exponential, the same
+stream, at m = 1) into that buffer, and d^2 unit-mean standard_exponential
+draws E.  One in-place multiply scales the marks: by the mark scale times
+p_bs for the BS field, or times rho*(pi*lambda)^(-eta/2) for the uplink
+field, whose points then take one power, (E/r^2)^(eta/2).
 The fd order extends the interference order, so one pass serves both:
 estimate_fd_rates returns its field with its rates, and `fdcap validate`
 draws a second field only for an --r0 override, on that other annulus.
@@ -153,13 +155,14 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     moment-matched Gamma variate per sample (only if its mean is positive).
 
     Draws counts, radii, marks and the ring, in that order.  Every
-    interferer sends p_bs unless `tx_power` is a triple (draw, mean, mean
-    of square): then draw(n, rng) draws the n interferers' transmit powers,
-    after their marks.  Raises NumericsError("mcsim") before drawing when a
-    chunk would hold more than MAX_CHUNK_POINTS points on average.
+    interferer sends p_bs unless `tx_power` is (draw, scale, mean, mean of
+    square): then each sends scale*v^(eta/2), with draw(n, rng) drawing the
+    n interferers' v after their marks.  Raises NumericsError("mcsim")
+    before drawing when a chunk would hold more than MAX_CHUNK_POINTS points
+    on average.
     """
-    draw, tx_mean, tx_sq = ((None, cfg.p_bs, cfg.p_bs * cfg.p_bs)
-                            if tx_power is None else tx_power)
+    draw, tx_scale, tx_mean, tx_sq = tx_power or (
+        None, cfg.p_bs, cfg.p_bs, cfg.p_bs * cfg.p_bs)
     r_near = _near_radius(cfg.eta, r0, rmax)
     nu = cfg.lam * math.pi * (r_near * r_near - r0 * r0)
     if nu * CHUNK > MAX_CHUNK_POINTS:
@@ -174,19 +177,25 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     r_sq *= r_near * r_near - r0 * r0
     r_sq += r0 * r0
     fi = cfg.fading_interferer
-    w = rng.standard_gamma(fi.shape, total)
-    if draw is None:
-        w *= fi.scale * tx_mean
+    w = np.empty(total + 1)
+    w[total] = 0.0
+    marks = w[:total]
+    if fi.shape == 1.0:  # standard_gamma(1.0)'s own stream, without dispatch
+        rng.standard_exponential(out=marks)
     else:
-        w *= fi.scale
-        w *= draw(total, rng)
-    r_sq **= -0.5 * cfg.eta
-    w *= r_sq
-    # each sample's run of points starts at its offset; the 0.0 sentinel
-    # keeps every offset, `total` too, a valid index, and reduceat returns
-    # the element at the offset for an empty run
+        rng.standard_gamma(fi.shape, out=marks)
+    marks *= fi.scale * tx_scale
+    if draw is None:
+        r_sq **= -0.5 * cfg.eta
+    else:  # tx*r^-eta = scale*(v/r^2)^(eta/2): one power per point
+        np.divide(draw(total, rng), r_sq, out=r_sq)
+        r_sq **= 0.5 * cfg.eta
+    marks *= r_sq
+    # each sample's run of points starts at its offset; the 0.0 sentinel in
+    # w's last slot keeps every offset, `total` too, a valid index, and
+    # reduceat returns the element at the offset for an empty run
     starts = np.cumsum(counts) - counts
-    out = np.add.reduceat(np.append(w, 0.0), starts)
+    out = np.add.reduceat(w, starts)
     out[counts == 0] = 0.0
     mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
     k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * cfg.eta - 2.0)
@@ -306,18 +315,15 @@ def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
 
 
 def _uplink_power(cfg: NetworkConfig, rho: float) -> tuple:
-    """estimate_hd's interferer transmit-power law as (draw, mean, mean of
-    square): rho*d^eta with d^2 ~ Exp(mean 1/(pi*lambda)), whose moments are
-    E[tx^n] = rho^n*Gamma(1 + n*eta/2)*(pi*lambda)^(-n*eta/2)."""
-    def draw(n, rng):
-        tx = rng.standard_exponential(n)
-        tx **= 0.5 * cfg.eta
-        tx *= rho * (math.pi * cfg.lam) ** (-0.5 * cfg.eta)
-        return tx
-
-    return (draw, *(rho ** n * math.gamma(1.0 + 0.5 * n * cfg.eta)
-                    * (math.pi * cfg.lam) ** (-0.5 * n * cfg.eta)
-                    for n in (1, 2)))
+    """estimate_hd's interferer transmit-power law as _field_interference's
+    (draw, scale, mean, mean of square): rho*d^eta with d^2 ~ Exp(mean
+    1/(pi*lambda)), that is scale*E^(eta/2) with scale =
+    rho*(pi*lambda)^(-eta/2) and E the unit-mean exponential draw, whose
+    moments are E[tx^n] = scale^n*Gamma(1 + n*eta/2)."""
+    scale = rho * (math.pi * cfg.lam) ** (-0.5 * cfg.eta)
+    return (lambda n, rng: rng.standard_exponential(n), scale,
+            *(rho ** n * math.gamma(1.0 + 0.5 * n * cfg.eta)
+              * (math.pi * cfg.lam) ** (-0.5 * n * cfg.eta) for n in (1, 2)))
 
 
 def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
@@ -335,7 +341,7 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
     The served link sees a unit-mean Gamma(m0, 1/m0) gain g, so the received
     signal power is rho*g.  The estimate is insensitive to both lambda and
     rho (tested), which is what makes this reconstruction usable as a
-    benchmark.
+    benchmark.  Each chunk evaluates its rates in place, in g.
     """
     if not rho >= 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
@@ -343,8 +349,13 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
 
     def chunk(i_up, rng):
         g = rng.gamma(m0, 1.0 / m0, i_up.size)
-        sinr = rho * g / (i_up + cfg.n0)
-        return 0.5 * cfg.bandwidth * np.log2(1.0 + sinr)
+        g *= rho
+        i_up += cfg.n0
+        g /= i_up
+        g += 1.0
+        np.log2(g, out=g)
+        g *= 0.5 * cfg.bandwidth
+        return g
 
     return summarize(_field_chunks(cfg, mc, chunk,
                                    tx_power=_uplink_power(cfg, rho)))

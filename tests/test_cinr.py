@@ -72,7 +72,8 @@ def test_k_reference_value():
     assert d.k == pytest.approx(3.4232e-8, rel=1e-4)
     # and in that normalization k collapses to m0 (Omega_I + N0) / mI
     omega_i = mean_interference(cfg)
-    assert d.k == pytest.approx(2.0 * (omega_i + cfg.n0) / 1.5, rel=1e-14)
+    assert d.k == pytest.approx(2.0 * (omega_i + cfg.n0) / 1.5, rel=1e-14,
+                                abs=0.0)
 
 
 def test_k_scales_with_interference_plus_noise(micro):

@@ -119,7 +119,7 @@ def test_cdf_inversion_recovers_the_moments():
     # E[I] = int (1 - F), E[I^2] = int 2x (1 - F); Simpson on the grid
     assert simpson(1.0 - f, x=grid) == pytest.approx(mu, rel=1e-6, abs=0.0)
     assert simpson(2.0 * grid * (1.0 - f), x=grid) == pytest.approx(
-        field.cumulant(2) + mu * mu, rel=1e-6)
+        field.cumulant(2) + mu * mu, rel=1e-6, abs=0.0)
     interp = field.cdf_interpolant(12.0 * mu)
     mid = np.linspace(0.013, 11.9, 97) * mu
     assert np.max(np.abs(interp(mid) - field.cdf(mid))) < 1e-6
@@ -157,9 +157,10 @@ def test_conditional_power_matches_policy_quadrature(micro):
     for j in (micro.n0, 3e-8, 2e-7):
         # above the cutoff the policy (a0 - 1/gamma)^+ is a0 - 1/gamma
         direct, _ = quad(lambda u: (sol.a0 - j / (u * theta)) * u_law.pdf(u),
-                         j / (sol.a0 * theta), math.inf, epsrel=1e-11)
+                         j / (sol.a0 * theta), math.inf, epsabs=0.0,
+                         epsrel=1e-11)
         assert conditional_power(micro, sol.a0, j) == pytest.approx(
-            direct, rel=1e-9)
+            direct, rel=1e-9, abs=0.0)
 
 
 def test_field_law_rejects_an_unbounded_annulus(micro):

@@ -71,7 +71,7 @@ def test_mean_reference_value():
     mean = mean_interference(cfg)
     assert mean == pytest.approx(2.4674e-9, rel=1e-4, abs=0.0)
     assert mean == pytest.approx(2.0 * (math.pi * 5e-6) ** 2 * 10.0 / 2.0,
-                                 rel=1e-14)
+                                 rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("m,eta", [(1.0, 2.5), (1.0, 4.0), (2.7, 3.0),
@@ -117,10 +117,10 @@ def test_silent_downlink_has_no_interference():
 def test_mean_scalings():
     base = make_cfg(lam=5e-6, p_bs=10.0)
     assert mean_interference(make_cfg(lam=5e-6, p_bs=20.0)) == pytest.approx(
-        2.0 * mean_interference(base), rel=1e-14)
+        2.0 * mean_interference(base), rel=1e-14, abs=0.0)
     # at eta = 4 the mean goes like lambda^2
     assert mean_interference(make_cfg(lam=2e-5, p_bs=10.0)) == pytest.approx(
-        16.0 * mean_interference(base), rel=1e-14)
+        16.0 * mean_interference(base), rel=1e-14, abs=0.0)
 
 
 def test_mean_insensitive_to_fading_shape():
@@ -140,9 +140,9 @@ def test_explicit_radius_reduces_to_default():
     cfg = make_cfg(lam=5e-6, p_bs=20.0)
     r0 = derived_geometry(cfg).r0
     assert mean_interference(cfg, r_min=r0) == pytest.approx(
-        mean_interference(cfg), rel=1e-12)
+        mean_interference(cfg), rel=1e-12, abs=0.0)
     assert second_moment(cfg, r_min=r0) == pytest.approx(
-        second_moment(cfg), rel=1e-12)
+        second_moment(cfg), rel=1e-12, abs=0.0)
 
 
 def test_exclusion_radius_power_laws():
@@ -246,7 +246,7 @@ def test_fit_matches_both_moments():
         assert fit.mean == mean_interference(cfg)
         # Gamma(shape, mean): E[X^2] = mean^2 (1 + 1/shape)
         assert fit.mean ** 2 * (1.0 + 1.0 / fit.shape) == pytest.approx(
-            second_moment(cfg), rel=1e-12)
+            second_moment(cfg), rel=1e-12, abs=0.0)
 
 
 def test_fit_with_radius_override():

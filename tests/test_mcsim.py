@@ -125,12 +125,15 @@ def test_worker_count_does_not_change_results(fig2):
         assert np.array_equal(base, par)
 
 
-def _first_chunk_by_hand(cfg, eps, size, seed):
+def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     """The first chunk's draws, made by hand as the module docstring orders
     them: Poisson counts, then uniform radii out to R_near, then unit-scale
     Gamma marks times one folded scale, then one Gamma variate per sample
     with the Campbell mean and variance of the ring [R_near, R_max], all
-    from the chunk-0 PCG64 stream.  Returns (counts, point weights, ring)."""
+    from the chunk-0 PCG64 stream.  With rho it is estimate_hd's uplink
+    field: after the marks, each point's d^2 ~ Exp(mean 1/(pi lambda)), and
+    it sends rho d^eta, taken as two powers.  Returns (counts, point
+    weights, ring)."""
     r0, eta = derived_geometry(cfg).r0, cfg.eta
     fi = cfg.fading_interferer
     rmax = r0 * eps ** (1.0 / (2.0 - eta))
@@ -143,12 +146,20 @@ def _first_chunk_by_hand(cfg, eps, size, seed):
     u = rng.random(int(counts.sum()))
     r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
     marks = rng.standard_gamma(fi.shape, int(counts.sum()))
-    w = marks * (fi.scale * cfg.p_bs) * r_sq ** (-0.5 * eta)
+    if rho is None:
+        tx, tx_moments = cfg.p_bs, (cfg.p_bs, cfg.p_bs * cfg.p_bs)
+    else:
+        tx = (rng.standard_exponential(marks.size) ** (0.5 * eta)
+              * (rho * (math.pi * cfg.lam) ** (-0.5 * eta)))
+        tx_moments = [rho ** n * math.gamma(1.0 + 0.5 * n * eta)
+                      * (math.pi * cfg.lam) ** (-0.5 * n * eta)
+                      for n in (1, 2)]
+    w = marks * (fi.scale * tx) * r_sq ** (-0.5 * eta)
     mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
     k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * eta - 2.0)
               * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
-              for n, moment in ((1, fi.mean * cfg.p_bs),
-                                (2, mark_sq * cfg.p_bs * cfg.p_bs)))
+              for n, moment in ((1, fi.mean * tx_moments[0]),
+                                (2, mark_sq * tx_moments[1])))
     return counts, w, rng.gamma(k1 * k1 / k2, k2 / k1, size)
 
 
@@ -181,7 +192,9 @@ def test_a_sample_without_near_points_is_its_ring_variate_alone():
 
 class _GammaSpy:
     """A Generator that records its Gamma draws in order: ("gamma", shape,
-    scale, size) and ("standard_gamma", shape, 1.0, size)."""
+    scale, size), ("standard_gamma", shape, 1.0, size) and the unit
+    exponential ("standard_exponential", 1.0, 1.0, size).  The unit draws
+    take `out=` as numpy's do."""
 
     def __init__(self, rng):
         self._rng, self.gamma_calls = rng, []
@@ -193,20 +206,57 @@ class _GammaSpy:
         self.gamma_calls.append(("gamma", shape, scale, size))
         return self._rng.gamma(shape, scale, size)
 
-    def standard_gamma(self, shape, size):
-        self.gamma_calls.append(("standard_gamma", shape, 1.0, size))
-        return self._rng.standard_gamma(shape, size)
+    def standard_gamma(self, shape, size=None, out=None):
+        self.gamma_calls.append(("standard_gamma", shape, 1.0,
+                                 size if out is None else out.size))
+        return self._rng.standard_gamma(shape, size, out=out)
+
+    def standard_exponential(self, size=None, out=None):
+        self.gamma_calls.append(("standard_exponential", 1.0, 1.0,
+                                 size if out is None else out.size))
+        return self._rng.standard_exponential(size, out=out)
 
 
 def _ring_mean_and_variance(cfg, r0, rmax, tx=None):
     """Mean and variance of the ring variate _field_interference draws:
-    its one scaled gamma draw, after the unit-scale marks."""
+    its one scaled gamma draw, after the unit-scale marks (unit exponentials
+    at m = 1) and, for an uplink tx, the unit exponentials of d^2."""
     spy = _GammaSpy(np.random.default_rng(0))
     mcsim._field_interference(cfg, r0, rmax, 8, spy, tx)
-    assert [c[0] for c in spy.gamma_calls] == ["standard_gamma", "gamma"]
+    marks = ("standard_exponential" if cfg.fading_interferer.shape == 1.0
+             else "standard_gamma")
+    assert [c[0] for c in spy.gamma_calls] == (
+        [marks] + ["standard_exponential"] * (tx is not None) + ["gamma"])
     _, shape, scale, size = spy.gamma_calls[-1]
     assert size == 8
     return shape * scale, shape * scale * scale
+
+
+def test_rayleigh_marks_are_the_unit_gamma_stream():
+    # the sampler draws m = 1 marks by standard_exponential: from the same
+    # PCG64 state standard_gamma(1.0) gives the same array and leaves the
+    # same state, so the draws after the marks are the same too
+    a, b = np.empty(1000), np.empty(1000)
+    rng_a, rng_b = mcsim._chunk_rng(5, 0), mcsim._chunk_rng(5, 0)
+    rng_a.standard_gamma(1.0, out=a)
+    rng_b.standard_exponential(out=b)
+    assert np.array_equal(a, b)
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("eta, m_int", [(3.0, 1.0), (4.0, 1.0), (4.0, 2.5)])
+def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
+    # one power per point, scale*(E/r^2)^(eta/2), is the power rho*d^eta
+    # taken to r^-eta by two powers, to rounding, on the documented draws
+    cfg = make_cfg(eta=eta, m_int=m_int)
+    rho = capacity.default_rho(cfg)
+    counts, w, ring = _first_chunk_by_hand(cfg, 1e-3, 1024, 21, rho)
+    starts = np.cumsum(counts) - counts
+    near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
+    vals = mcsim._field_chunks(cfg, MCConfig(1024, 21),
+                               lambda field, rng: field,
+                               tx_power=mcsim._uplink_power(cfg, rho))
+    assert vals == pytest.approx(near + ring, rel=1e-13, abs=0.0)
 
 
 def test_ring_variate_has_the_ring_cumulants(fig2):

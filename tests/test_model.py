@@ -212,7 +212,8 @@ def test_shipped_baseline_files_load():
     micro = load_config(str(CONFIG_DIR / "micro.cfg"))
     assert (micro.lam, micro.p_bs) == (5e-5, 1.0)
     assert micro.fading_signal.mean == pytest.approx(
-        (2.0 * math.sqrt(micro.lam)) ** (2.0 * micro.eta), rel=1e-12)
+        (2.0 * math.sqrt(micro.lam)) ** (2.0 * micro.eta), rel=1e-12,
+        abs=0.0)
     macro = load_config(str(CONFIG_DIR / "macro.cfg"))
     assert (macro.lam, macro.p_bs) == (5e-6, 20.0)
 

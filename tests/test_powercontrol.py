@@ -15,8 +15,9 @@ from fdcap.powercontrol import WaterfillSolution, avg_power, solve_cutoff
 from conftest import (SHAPE_VARIANTS, fd_rate_rows, fixed_scan, make_cfg,
                       mp_beta_expect)
 
-# regression constants recorded when the baselines were frozen
-A0_MICRO = 0.6793691055610199
+# regression constants recorded when the baselines were frozen; A0_MICRO is
+# mpmath's root of E[P] = p_bar, 0.67936910616804570
+A0_MICRO = 0.6793691061680457
 A0_MACRO = 3.4697039663513136
 
 
