@@ -34,14 +34,16 @@ tail_epsilon is.
 
 Determinism
 -----------
-Realizations are generated in fixed chunks of CHUNK; chunk c uses an
-independent PCG64 stream (numpy's default bit generator) spawned as
-SeedSequence(seed, spawn_key=(c,)).
-The stream therefore depends only on the chunk index, never on the worker
-that happens to run it, and per-sample values land at fixed positions in the
-output array — identical results for any `workers`.  Statistics are
-numpy's fixed-order reductions of that array, so they are bit-identical for
-any `workers` as well; see summarize for their error bound.
+A chunk holds max(1, CHUNK_POINTS // (1 + nu)) samples, nu the expected
+near-field points per sample, and chunk c draws from its own PCG64 stream
+(numpy's default bit generator) SeedSequence(seed, spawn_key=(c,)).  Both
+depend only on the config, the annulus and c, never on the worker that runs
+the chunk, and per-sample values land at fixed positions in the output array:
+identical results for any `workers`.  Worker w of W draws chunks w, w + W,
+... into point buffers it allocates once per call and reuses; a chunk
+returns a fresh array.  Statistics are numpy's fixed-order reductions of
+that array, so they are bit-identical for any `workers` as well; see
+summarize for their error bound.
 
 Draw order inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
@@ -51,7 +53,8 @@ Marks are unit-scale standard_gamma draws (standard_exponential, the same
 stream, at m = 1) into that buffer, and d^2 unit-mean standard_exponential
 draws E.  One in-place multiply scales the marks: by the mark scale times
 p_bs for the BS field, or times rho*(pi*lambda)^(-eta/2) for the uplink
-field, whose points then take one power, (E/r^2)^(eta/2).
+field.  Every point then takes one divide and one power: (1/r^2)^(eta/2)
+in the BS field, (E/r^2)^(eta/2) in the uplink field.
 The fd order extends the interference order, so one pass serves both:
 estimate_fd_rates returns its field with its rates, and `fdcap validate`
 draws a second field only for an --r0 override, on that other annulus.
@@ -69,13 +72,17 @@ from ._integrate import NumericsError
 from .model import NetworkConfig, derived_geometry
 from .powercontrol import WaterfillSolution
 
-CHUNK = 1024
+# field points one chunk holds: three point buffers of this size (radii,
+# marks with reduceat's sentinel, the uplink's E) take about 1 MB, half a
+# core's 2 MiB L2
+CHUNK_POINTS = 1 << 15
 # share of the annulus' third interference cumulant left to the far ring,
 # which each sample carries as one moment-matched Gamma variate instead of
 # point by point
 NEAR_SKEW_SHARE = 1e-6
-# expected field points in one chunk above which the sampler refuses to
-# draw: one float64 array of this many points takes 128 MiB
+# expected field points per sample above which the sampler refuses to
+# draw, since even a chunk of one sample would hold more: one float64 array
+# of this many points takes 128 MiB
 MAX_CHUNK_POINTS = 1 << 24
 
 
@@ -147,37 +154,39 @@ def _near_radius(eta: float, r_min: float, r_max: float) -> float:
     return min(r_max, r_min * (q + NEAR_SKEW_SHARE * (1.0 - q)) ** (1.0 / e))
 
 
+def _chunk_samples(nu: float) -> int:
+    """Samples per chunk at nu expected near-field points per sample."""
+    return max(1, int(CHUNK_POINTS // (1.0 + nu)))
+
+
 def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
-                        size: int, rng: np.random.Generator,
+                        r_near: float, nu: float, size: int,
+                        rng: np.random.Generator, bufs: list,
                         tx_power: Optional[tuple] = None) -> np.ndarray:
     """`size` i.i.d. draws of the aggregate interference (W) of the field
-    on [r0, rmax]: the near field point by point, the far ring as one
+    on [r0, rmax], as a fresh array: the near field [r0, r_near], nu
+    expected points per sample, point by point, the far ring as one
     moment-matched Gamma variate per sample (only if its mean is positive).
 
-    Draws counts, radii, marks and the ring, in that order.  Every
-    interferer sends p_bs unless `tx_power` is (draw, scale, mean, mean of
-    square): then each sends scale*v^(eta/2), with draw(n, rng) drawing the
-    n interferers' v after their marks.  Raises NumericsError("mcsim")
-    before drawing when a chunk would hold more than MAX_CHUNK_POINTS points
-    on average.
+    Draws counts, radii, marks and the ring, in that order, the points into
+    views of the three float64 arrays in `bufs`, which it replaces by larger
+    ones when the chunk's points outgrow them.  Every interferer sends p_bs
+    unless `tx_power` is (draw, scale, mean, mean of square): then each
+    sends scale*v^(eta/2), with draw(out, rng) drawing the interferers' v
+    into `out` after their marks.
     """
     draw, tx_scale, tx_mean, tx_sq = tx_power or (
         None, cfg.p_bs, cfg.p_bs, cfg.p_bs * cfg.p_bs)
-    r_near = _near_radius(cfg.eta, r0, rmax)
-    nu = cfg.lam * math.pi * (r_near * r_near - r0 * r0)
-    if nu * CHUNK > MAX_CHUNK_POINTS:
-        raise NumericsError(
-            "mcsim", f"the field on [{r0:.6g}, {r_near:.6g}] m holds "
-                     f"{nu:.3g} expected points per sample, and a chunk of "
-                     f"{CHUNK} samples would exceed {MAX_CHUNK_POINTS} points")
     counts = rng.poisson(nu, size)
     total = int(counts.sum())
+    if bufs[1].size <= total:  # one slot more for reduceat's sentinel
+        bufs[:] = [np.empty(total + total // 8 + 1) for _ in bufs]
     # in place: every fresh temporary of a chunk's size costs page faults
-    r_sq = rng.random(total)
+    r_sq = rng.random(out=bufs[0][:total])
     r_sq *= r_near * r_near - r0 * r0
     r_sq += r0 * r0
     fi = cfg.fading_interferer
-    w = np.empty(total + 1)
+    w = bufs[1][:total + 1]
     w[total] = 0.0
     marks = w[:total]
     if fi.shape == 1.0:  # standard_gamma(1.0)'s own stream, without dispatch
@@ -185,11 +194,10 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     else:
         rng.standard_gamma(fi.shape, out=marks)
     marks *= fi.scale * tx_scale
-    if draw is None:
-        r_sq **= -0.5 * cfg.eta
-    else:  # tx*r^-eta = scale*(v/r^2)^(eta/2): one power per point
-        np.divide(draw(total, rng), r_sq, out=r_sq)
-        r_sq **= 0.5 * cfg.eta
+    # tx*r^-eta = scale*(v/r^2)^(eta/2), v = 1 in the BS field: one power
+    np.divide(1.0 if draw is None else draw(bufs[2][:total], rng), r_sq,
+              out=r_sq)
+    r_sq **= 0.5 * cfg.eta
     marks *= r_sq
     # each sample's run of points starts at its offset; the 0.0 sentinel in
     # w's last slot keeps every offset, `total` too, a valid index, and
@@ -216,28 +224,44 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     [r_min, R_max] (r_min defaults to the model's r0; tx_power as in
     _field_interference), drawn from chunk_rng before fn's own draws.  fn
     returns one value per sample, or rows of them, as estimate_fd_rates
-    does.  Chunks join in index order: the same result for any workers.
+    does.  R_near, nu and the chunk size _chunk_samples(nu) are set once
+    per call.  Worker w runs chunks w, w + W, ... with its own point
+    buffers, and the chunks join in index order: the same result for any
+    workers.  Raises NumericsError("mcsim") before drawing when one sample
+    would hold more than MAX_CHUNK_POINTS points on average.
     """
     if r_min is None:
         r_min = derived_geometry(cfg).r0
     elif not r_min > 0:
         raise ValueError(f"r_min must be > 0, got {r_min}")
     rmax = _resolve_rmax(cfg, mc, r_min)
-    n = mc.n_samples
+    r_near = _near_radius(cfg.eta, r_min, rmax)
+    nu = cfg.lam * math.pi * (r_near * r_near - r_min * r_min)
+    if nu > MAX_CHUNK_POINTS:
+        raise NumericsError(
+            "mcsim", f"the field on [{r_min:.6g}, {r_near:.6g}] m holds "
+                     f"{nu:.3g} expected points per sample, more than "
+                     f"{MAX_CHUNK_POINTS}")
+    n, size = mc.n_samples, _chunk_samples(nu)
+    chunks = -(-n // size)
+    workers = min(mc.workers, chunks)
 
-    def work(c):
-        rng = _chunk_rng(mc.seed, c)
-        size = min(CHUNK, n - c * CHUNK)
-        return fn(_field_interference(cfg, r_min, rmax, size, rng, tx_power),
-                  rng)
+    def work(first):
+        bufs, parts = [np.empty(0)] * 3, []
+        for c in range(first, chunks, workers):
+            rng = _chunk_rng(mc.seed, c)
+            parts.append(fn(_field_interference(
+                cfg, r_min, rmax, r_near, nu, min(size, n - c * size), rng,
+                bufs, tx_power), rng))
+        return parts
 
-    chunks = range((n + CHUNK - 1) // CHUNK)
-    if mc.workers == 1:
-        parts = [work(c) for c in chunks]
+    if workers == 1:
+        strided = [work(0)]
     else:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            parts = list(pool.map(work, chunks))
-    return np.concatenate(parts, axis=-1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            strided = list(pool.map(work, range(workers)))
+    return np.concatenate([strided[c % workers][c // workers]
+                           for c in range(chunks)], axis=-1)
 
 
 def summarize(values: np.ndarray) -> SampleStats:
@@ -321,7 +345,7 @@ def _uplink_power(cfg: NetworkConfig, rho: float) -> tuple:
     rho*(pi*lambda)^(-eta/2) and E the unit-mean exponential draw, whose
     moments are E[tx^n] = scale^n*Gamma(1 + n*eta/2)."""
     scale = rho * (math.pi * cfg.lam) ** (-0.5 * cfg.eta)
-    return (lambda n, rng: rng.standard_exponential(n), scale,
+    return (lambda out, rng: rng.standard_exponential(out=out), scale,
             *(rho ** n * math.gamma(1.0 + 0.5 * n * cfg.eta)
               * (math.pi * cfg.lam) ** (-0.5 * n * cfg.eta) for n in (1, 2)))
 

@@ -236,6 +236,22 @@ def mc_annulus(cfg: NetworkConfig, tail_epsilon: float) -> tuple:
                              r0)
 
 
+def near_field(cfg: NetworkConfig, r0: float, rmax: float) -> tuple:
+    """(R_near, nu): the near field the sampler draws point by point on
+    [r0, rmax], and its expected points per sample."""
+    rn = mcsim._near_radius(cfg.eta, r0, rmax)
+    return rn, cfg.lam * math.pi * (rn * rn - r0 * r0)
+
+
+def mc_chunk(cfg: NetworkConfig, tail_epsilon: float = 1e-3,
+             r_min=None) -> int:
+    """Samples per chunk of an MC run on [r_min (default r0), R_max]: the
+    chunk size at the run's expected near-field points per sample."""
+    r0 = derived_geometry(cfg).r0 if r_min is None else r_min
+    rmax = _resolve_rmax(cfg, MCConfig(1, 0, tail_epsilon=tail_epsilon), r0)
+    return mcsim._chunk_samples(near_field(cfg, r0, rmax)[1])
+
+
 def field_cinr(cfg: NetworkConfig, r_min: float, r_max: float) -> CinrLaw:
     """CINR law with J = I + N0 and I the exact field on [r_min, r_max]."""
     field = FieldLaw(cfg, r_min, r_max)

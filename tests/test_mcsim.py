@@ -24,7 +24,7 @@ from fdcap.mcsim import (MCConfig, estimate_fd_rates, estimate_hd,
                          interference_samples, summarize)
 from fdcap.model import derived_geometry
 from conftest import (FieldLaw, fd_rate_rows, ks_distance, make_cfg,
-                      mc_annulus)
+                      mc_annulus, mc_chunk, near_field)
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +93,8 @@ def test_near_field_leaves_the_ring_its_third_cumulant_share(eta,
     # the third cumulant, which costs about delta3^(-2/(3 eta - 2)) points
     cfg = make_cfg(eta=eta)
     r0, rmax = mc_annulus(cfg, 1e-3)
-    rn = mcsim._near_radius(eta, r0, rmax)
-    assert cfg.lam * math.pi * (rn * rn - r0 * r0) < most_points
+    rn, nu = near_field(cfg, r0, rmax)
+    assert nu < most_points
     share = (FieldLaw(cfg, rn, rmax).cumulant(3)
              / FieldLaw(cfg, r0, rmax).cumulant(3))
     assert share == pytest.approx(mcsim.NEAR_SKEW_SHARE, rel=1e-9, abs=0.0)
@@ -125,15 +125,95 @@ def test_worker_count_does_not_change_results(fig2):
         assert np.array_equal(base, par)
 
 
+@pytest.mark.parametrize("eta, size", [(4.0, 2067), (3.0, 632)])
+def test_a_chunk_holds_about_chunk_points(monkeypatch, eta, size):
+    # CHUNK_POINTS // (1 + nu) samples: 14.9 near-field points per sample
+    # at eta = 4 and 50.8 at eta = 3; the last chunk holds the rest
+    cfg = make_cfg(eta=eta)
+    seen = []
+    draw = mcsim._field_interference
+
+    def spy(cfg, r0, rmax, r_near, nu, n, *rest):
+        seen.append((nu, n))
+        return draw(cfg, r0, rmax, r_near, nu, n, *rest)
+
+    monkeypatch.setattr(mcsim, "_field_interference", spy)
+    interference_samples(cfg, MCConfig(3 * size + 5, 1, workers=2))
+    nu = seen[0][0]
+    assert size * (1.0 + nu) <= mcsim.CHUNK_POINTS < (size + 1) * (1.0 + nu)
+    assert sorted(n for _, n in seen) == [5] + [size] * 3
+    assert mc_chunk(cfg) == size
+
+
+def test_chunk_size_limits(micro):
+    # a field without near points fills a chunk with samples; past
+    # CHUNK_POINTS points per sample a chunk is one sample, which the
+    # guard bounds
+    assert mcsim._chunk_samples(0.0) == mcsim.CHUNK_POINTS
+    assert mcsim._chunk_samples(mcsim.CHUNK_POINTS - 2.0) == 1
+    assert mcsim._chunk_samples(float(mcsim.MAX_CHUNK_POINTS)) == 1
+    # r_min = 5 km: about 5.9e4 points per sample, one sample per chunk
+    assert mc_chunk(micro, r_min=5000.0) == 1
+    mc = MCConfig(3, 4, workers=2)
+    vals = interference_samples(micro, mc, r_min=5000.0)
+    assert np.array_equal(vals, interference_samples(
+        micro, replace(mc, workers=1), r_min=5000.0))
+
+
+@pytest.mark.parametrize("eta", [3.0, 2.5])
+def test_field_chunks_do_not_depend_on_workers(eta):
+    # the uplink field (all three buffers) and a draw after it, over 7
+    # chunks and 3 samples: workers 2 and 3 run unequal chunk counts
+    cfg = make_cfg(eta=eta, m_int=2.5)
+    mc = MCConfig(7 * mc_chunk(cfg) + 3, 6)
+    tx = mcsim._uplink_power(cfg, capacity.default_rho(cfg))
+
+    def rows(workers):
+        return mcsim._field_chunks(
+            cfg, replace(mc, workers=workers),
+            lambda field, rng: np.stack([field, rng.random(field.size)]),
+            tx_power=tx)
+
+    base = rows(1)
+    assert base.shape == (2, mc.n_samples)
+    for workers in (2, 3):
+        assert np.array_equal(rows(workers), base)
+
+
+@pytest.mark.parametrize("uplink", [False, True])
+def test_reused_buffers_leak_nothing_into_a_later_chunk(uplink):
+    # a chunk drawn into the buffers a larger chunk left is the chunk drawn
+    # into fresh ones, bit for bit, and neither chunk's result is a view
+    # of the buffers
+    cfg = make_cfg(eta=3.0, m_int=2.5)
+    r0, rmax = mc_annulus(cfg, 1e-3)
+    rn, nu = near_field(cfg, r0, rmax)
+    tx = mcsim._uplink_power(cfg, capacity.default_rho(cfg)) if uplink else None
+
+    def chunk(size, c, bufs):
+        return mcsim._field_interference(cfg, r0, rmax, rn, nu, size,
+                                         mcsim._chunk_rng(3, c), bufs, tx)
+
+    bufs = [np.empty(0)] * 3
+    big = chunk(600, 0, bufs)
+    grown = list(bufs)
+    small = chunk(200, 1, bufs)
+    assert all(a is b for a, b in zip(grown, bufs))
+    assert np.array_equal(small, chunk(200, 1, [np.empty(0)] * 3))
+    assert np.array_equal(big, chunk(600, 0, [np.empty(0)] * 3))
+    assert not any(np.shares_memory(x, b) for x in (big, small)
+                   for b in bufs)
+
+
 def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     """The first chunk's draws, made by hand as the module docstring orders
     them: Poisson counts, then uniform radii out to R_near, then unit-scale
-    Gamma marks times one folded scale, then one Gamma variate per sample
-    with the Campbell mean and variance of the ring [R_near, R_max], all
-    from the chunk-0 PCG64 stream.  With rho it is estimate_hd's uplink
-    field: after the marks, each point's d^2 ~ Exp(mean 1/(pi lambda)), and
-    it sends rho d^eta, taken as two powers.  Returns (counts, point
-    weights, ring)."""
+    Gamma marks times one folded scale and (1/r^2)^(eta/2), one power per
+    point, then one Gamma variate per sample with the Campbell mean and
+    variance of the ring [R_near, R_max], all from the chunk-0 PCG64
+    stream.  With rho it is estimate_hd's uplink field: after the marks,
+    each point's d^2 ~ Exp(mean 1/(pi lambda)), and it sends rho d^eta,
+    taken as two powers.  Returns (counts, point weights, ring)."""
     r0, eta = derived_geometry(cfg).r0, cfg.eta
     fi = cfg.fading_interferer
     rmax = r0 * eps ** (1.0 / (2.0 - eta))
@@ -147,14 +227,15 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
     marks = rng.standard_gamma(fi.shape, int(counts.sum()))
     if rho is None:
-        tx, tx_moments = cfg.p_bs, (cfg.p_bs, cfg.p_bs * cfg.p_bs)
+        tx_moments = (cfg.p_bs, cfg.p_bs * cfg.p_bs)
+        w = marks * (fi.scale * cfg.p_bs) * (1.0 / r_sq) ** (0.5 * eta)
     else:
         tx = (rng.standard_exponential(marks.size) ** (0.5 * eta)
               * (rho * (math.pi * cfg.lam) ** (-0.5 * eta)))
         tx_moments = [rho ** n * math.gamma(1.0 + 0.5 * n * eta)
                       * (math.pi * cfg.lam) ** (-0.5 * n * eta)
                       for n in (1, 2)]
-    w = marks * (fi.scale * tx) * r_sq ** (-0.5 * eta)
+        w = marks * (fi.scale * tx) * r_sq ** (-0.5 * eta)
     mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
     k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * eta - 2.0)
               * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
@@ -222,7 +303,8 @@ def _ring_mean_and_variance(cfg, r0, rmax, tx=None):
     its one scaled gamma draw, after the unit-scale marks (unit exponentials
     at m = 1) and, for an uplink tx, the unit exponentials of d^2."""
     spy = _GammaSpy(np.random.default_rng(0))
-    mcsim._field_interference(cfg, r0, rmax, 8, spy, tx)
+    mcsim._field_interference(cfg, r0, rmax, *near_field(cfg, r0, rmax), 8,
+                              spy, [np.empty(0)] * 3, tx)
     marks = ("standard_exponential" if cfg.fading_interferer.shape == 1.0
              else "standard_gamma")
     assert [c[0] for c in spy.gamma_calls] == (
@@ -250,10 +332,11 @@ def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
     # taken to r^-eta by two powers, to rounding, on the documented draws
     cfg = make_cfg(eta=eta, m_int=m_int)
     rho = capacity.default_rho(cfg)
-    counts, w, ring = _first_chunk_by_hand(cfg, 1e-3, 1024, 21, rho)
+    size = mc_chunk(cfg)
+    counts, w, ring = _first_chunk_by_hand(cfg, 1e-3, size, 21, rho)
     starts = np.cumsum(counts) - counts
     near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
-    vals = mcsim._field_chunks(cfg, MCConfig(1024, 21),
+    vals = mcsim._field_chunks(cfg, MCConfig(size, 21),
                                lambda field, rng: field,
                                tx_power=mcsim._uplink_power(cfg, rho))
     assert vals == pytest.approx(near + ring, rel=1e-13, abs=0.0)
@@ -310,12 +393,12 @@ def test_estimator_stats_do_not_depend_on_workers(micro):
 def test_fd_rates_pass_equals_the_single_estimators(micro, workers):
     # one pass returns the field interference_samples draws and the rate of
     # each power as a pass with that power alone gives it, bit for bit;
-    # 5000 is not a multiple of CHUNK, so the last chunk is short
+    # 5000 is not a multiple of the chunk, so the last chunk is short
     _, sol = capacity.solve_network(micro)
     mc = MCConfig(5000, 8, tail_epsilon=1e-2, workers=workers)
     field, (opt, fixed) = mcsim.estimate_fd_rates(micro, mc,
                                                   [sol, micro.p_bar])
-    assert 5000 % mcsim.CHUNK and field.shape == (5000,)
+    assert 5000 % mc_chunk(micro, 1e-2) and field.shape == (5000,)
     assert np.array_equal(field, interference_samples(micro, mc))
     assert [opt] == estimate_fd_rates(micro, mc, [sol])[1]
     assert [fixed] == estimate_fd_rates(micro, mc, [micro.p_bar])[1]
