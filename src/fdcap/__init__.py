@@ -11,8 +11,8 @@ from .cinr import BetaPrimeDist, cinr_distribution
 from .interference import gamma_fit, mean_interference, second_moment
 from .mcsim import (MCConfig, SampleStats, estimate_fd_rates, estimate_hd,
                     interference_samples)
-from .model import (ConfigError, GammaParams, Geometry, NetworkConfig,
-                    derived_geometry, load_config, parse_config, validate)
+from .model import (ConfigError, GammaParams, NetworkConfig, config_values,
+                    load_config, parse_config, validate)
 from .powercontrol import WaterfillSolution, avg_power, solve_cutoff
 from .specfun import EvalResult, hyper_3f2
 

@@ -35,10 +35,15 @@ def quad_strict(stage: str, func, a: float, b: float, *,
     error estimate raises, and so does a QUADPACK warning, with the achieved
     error estimate in the message, unless that estimate meets the requested
     tolerance anyway (QUADPACK also warns of roundoff it detected after
-    converging).
+    converging).  QUADPACK's refusal of its input, as a QAWS exponent that
+    rounds to -1, raises too.
     """
-    out = quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
-               full_output=1, weight=weight, wvar=wvar)
+    try:
+        out = quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                   full_output=1, weight=weight, wvar=wvar)
+    except ValueError as exc:
+        raise NumericsError(stage, f"quadrature failed: {exc} (weight="
+                                   f"{weight!r}, wvar={wvar!r})") from None
     value, abserr = out[0], abs(out[1])
     if not (math.isfinite(value) and math.isfinite(abserr)):
         raise NumericsError(

@@ -24,7 +24,7 @@ import math
 from ._integrate import expect, expect_log
 from .cinr import BetaPrimeDist, cinr_distribution
 from .interference import gamma_fit
-from .model import NetworkConfig, derived_geometry
+from .model import NetworkConfig
 from .powercontrol import WaterfillSolution, solve_cutoff
 from .specfun import hyper_3f2
 
@@ -142,5 +142,4 @@ def default_rho(cfg: NetworkConfig):
     The HD estimate is (by design, and by test) nearly invariant to rho, so
     the default mainly fixes a scale comparable to the FD budget.
     """
-    geo = derived_geometry(cfg)
-    return cfg.p_bar * geo.rbar ** (-cfg.eta)
+    return cfg.p_bar * cfg.rbar ** (-cfg.eta)

@@ -54,9 +54,14 @@ class BetaPrimeDist:
 def cinr_distribution(cfg: NetworkConfig, fit: GammaParams) -> BetaPrimeDist:
     """Build the CINR law from a config and its interference Gamma fit.
 
-    Raises NumericsError("cinr_distribution") when k leaves the positive
-    doubles, which an extreme lambda does: k scales like lambda^eta.
+    Raises NumericsError("cinr_distribution") when the fit's shape m_I is
+    not positive, as where it underflows at a tiny m_int, or when k leaves
+    the positive doubles, which an extreme lambda does: k scales like
+    lambda^eta.
     """
+    if not fit.shape > 0.0:
+        raise NumericsError("cinr_distribution", f"interference shape m_I = "
+                            f"{fit.shape!r} is not positive")
     m0 = cfg.fading_signal.shape
     om0 = cfg.fading_signal.mean
     try:

@@ -27,8 +27,8 @@ from scipy import special as sps
 from . import capacity, mcsim
 from ._integrate import NumericsError
 from .cinr import cinr_distribution
-from .interference import gamma_fit, mean_interference, second_moment
-from .model import ConfigError, NetworkConfig, derived_geometry, load_config
+from .interference import gamma_fit, second_moment
+from .model import ConfigError, NetworkConfig, config_values, load_config
 from .powercontrol import solve_cutoff
 
 EXIT_OK = 0
@@ -112,20 +112,8 @@ def _print_json(doc: dict) -> None:
     print(text)
 
 
-def _config_doc(cfg: NetworkConfig) -> dict:
-    return {
-        "lambda": cfg.lam, "p_bs": cfg.p_bs, "eta": cfg.eta, "n0": cfg.n0,
-        "bandwidth": cfg.bandwidth, "p_bar": cfg.p_bar,
-        "m_int": cfg.fading_interferer.shape,
-        "omega_int": cfg.fading_interferer.mean,
-        "m_sig": cfg.fading_signal.shape,
-        "omega_sig": cfg.fading_signal.mean,
-    }
-
-
 def cmd_analyze(args) -> int:
     cfg = _load(args)
-    geo = derived_geometry(cfg)
     fit = gamma_fit(cfg)
     d = cinr_distribution(cfg, fit)
     mc = _mc_from(args)
@@ -136,10 +124,10 @@ def cmd_analyze(args) -> int:
     c_fixed = capacity.fd_fixed_power_capacity(d, cfg.p_bar, cfg.bandwidth)
     hd = mcsim.estimate_hd(cfg, rho, mc)
     doc = {
-        "config": _config_doc(cfg),
+        "config": config_values(cfg),
         "derived": {
-            "r0_m": geo.r0,
-            "rbar_m": geo.rbar,
+            "r0_m": cfg.r0,
+            "rbar_m": cfg.rbar,
             "m_I": fit.shape,
             "omega_I_w": fit.mean,
             "k": d.k,
@@ -216,8 +204,8 @@ def cmd_sweep(args) -> int:
         mc_cols = [o for o in ("fd_opt_mc", "fd_fixed_mc") if o in outputs]
         if mc_cols:
             _, rates = mcsim.estimate_fd_rates(
-                cfg, mc, [sol if o == "fd_opt_mc" else cfg.p_bar
-                          for o in mc_cols])
+                cfg, mc, sol.a0 if "fd_opt_mc" in mc_cols else None,
+                cfg.p_bar if "fd_fixed_mc" in mc_cols else None)
             cell.update(zip(mc_cols, (r.mean for r in rates)))
         if "hd" in outputs:
             rho = args.rho if args.rho is not None else capacity.default_rho(cfg)
@@ -335,13 +323,12 @@ def cmd_validate(args) -> int:
                           f"are meaningless below that")
     if args.r0 is not None and not args.r0 > 0:
         raise _UsageError(f"--r0 must be > 0, got {args.r0}")
-    geo = derived_geometry(cfg)
-    r_min = args.r0 if args.r0 is not None else geo.r0
+    r_min = args.r0 if args.r0 is not None else cfg.r0
     mc = _mc_from(args)
 
     d, sol = capacity.solve_network(cfg)
     c_quad = capacity.waterfill_rate(d, sol.a0, cfg.bandwidth)
-    samples, (fd_mc,) = mcsim.estimate_fd_rates(cfg, mc, [sol])
+    samples, (fd_mc,) = mcsim.estimate_fd_rates(cfg, mc, sol.a0)
     fd_gap = abs(fd_mc.mean - c_quad) / c_quad
     if args.r0 is not None:
         samples = mcsim.interference_samples(cfg, mc, r_min=args.r0)
@@ -350,16 +337,15 @@ def cmd_validate(args) -> int:
     # statistic and the histogram both read the order statistics
     samples.sort()
     n = stats.n
-    mean_model = mean_interference(cfg, r_min=args.r0)
+    fit = gamma_fit(cfg, r_min=args.r0)
     second_model = second_moment(cfg, r_min=args.r0)
     second_mc = stats.mean ** 2 + stats.variance * (n - 1) / n
-    fit = gamma_fit(cfg, r_min=args.r0)
     ks = _ks_vs_gamma(samples, fit.shape, fit.scale)
 
     checks = [
         {"name": "interference_mean_vs_model",
-         "mc": stats.mean, "model": mean_model,
-         "rel_error": abs(stats.mean - mean_model) / mean_model,
+         "mc": stats.mean, "model": fit.mean,
+         "rel_error": abs(stats.mean - fit.mean) / fit.mean,
          "tolerance": 0.01},
         {"name": "interference_second_moment_vs_model",
          "mc": second_mc, "model": second_model,
@@ -379,7 +365,7 @@ def cmd_validate(args) -> int:
         _write_histogram_csv(args.hist_out, samples, fit.shape, fit.scale)
 
     doc = {
-        "config": _config_doc(cfg),
+        "config": config_values(cfg),
         "mc": {"n_samples": mc.n_samples, "seed": mc.seed,
                "tail_epsilon": mc.tail_epsilon},
         "exclusion_radius_m": r_min,

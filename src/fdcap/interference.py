@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 
 from ._integrate import NumericsError
-from .model import GammaParams, NetworkConfig, derived_geometry
+from .model import GammaParams, NetworkConfig
 
 
 def _exclusion_radius(cfg: NetworkConfig, r_min: float | None) -> float:
     if r_min is None:
-        return derived_geometry(cfg).r0
+        return cfg.r0
     if not r_min > 0:
         raise ValueError(f"exclusion radius must be > 0, got {r_min}")
     return r_min

@@ -45,7 +45,9 @@ returns a fresh array.  Statistics are numpy's fixed-order reductions of
 that array, so they are bit-identical for any `workers` as well; see
 summarize for their error bound.
 
-Draw order inside a chunk (relied on by the determinism tests):
+The sampler draws two fields: the BS field, and with a received-power
+target rho (_field_chunks' rho) estimate_hd's uplink field.  Draw order
+inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
 fd estimators: counts, radii, marks, ring, then alpha0;
 hd estimator:  counts, radii, marks, d^2 (power control), ring, then g.
@@ -64,13 +66,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from ._integrate import NumericsError
-from .model import NetworkConfig, derived_geometry
-from .powercontrol import WaterfillSolution
+from .model import NetworkConfig
 
 # field points one chunk holds: three point buffers of this size (radii,
 # marks with reduceat's sentinel, the uplink's E) take about 1 MB, half a
@@ -162,7 +163,7 @@ def _chunk_samples(nu: float) -> int:
 def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
                         r_near: float, nu: float, size: int,
                         rng: np.random.Generator, bufs: list,
-                        tx_power: Optional[tuple] = None) -> np.ndarray:
+                        rho: Optional[float] = None) -> np.ndarray:
     """`size` i.i.d. draws of the aggregate interference (W) of the field
     on [r0, rmax], as a fresh array: the near field [r0, r_near], nu
     expected points per sample, point by point, the far ring as one
@@ -170,13 +171,19 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
 
     Draws counts, radii, marks and the ring, in that order, the points into
     views of the three float64 arrays in `bufs`, which it replaces by larger
-    ones when the chunk's points outgrow them.  Every interferer sends p_bs
-    unless `tx_power` is (draw, scale, mean, mean of square): then each
-    sends scale*v^(eta/2), with draw(out, rng) drawing the interferers' v
-    into `out` after their marks.
+    ones when the chunk's points outgrow them.  Every interferer sends p_bs,
+    or with `rho` (estimate_hd's uplink field) rho*d^eta, d^2 ~ Exp(mean
+    1/(pi*lambda)): scale*E^(eta/2), scale = rho*(pi*lambda)^(-eta/2), with
+    E the unit exponentials drawn after the marks and E[tx^n] =
+    scale^n*Gamma(1 + n*eta/2).
     """
-    draw, tx_scale, tx_mean, tx_sq = tx_power or (
-        None, cfg.p_bs, cfg.p_bs, cfg.p_bs * cfg.p_bs)
+    if rho is None:
+        tx_scale, tx_mean, tx_sq = cfg.p_bs, cfg.p_bs, cfg.p_bs * cfg.p_bs
+    else:
+        tx_scale = rho * (math.pi * cfg.lam) ** (-0.5 * cfg.eta)
+        tx_mean, tx_sq = (rho ** n * math.gamma(1.0 + 0.5 * n * cfg.eta)
+                          * (math.pi * cfg.lam) ** (-0.5 * n * cfg.eta)
+                          for n in (1, 2))
     counts = rng.poisson(nu, size)
     total = int(counts.sum())
     if bufs[1].size <= total:  # one slot more for reduceat's sentinel
@@ -195,7 +202,8 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
         rng.standard_gamma(fi.shape, out=marks)
     marks *= fi.scale * tx_scale
     # tx*r^-eta = scale*(v/r^2)^(eta/2), v = 1 in the BS field: one power
-    np.divide(1.0 if draw is None else draw(bufs[2][:total], rng), r_sq,
+    np.divide(1.0 if rho is None
+              else rng.standard_exponential(out=bufs[2][:total]), r_sq,
               out=r_sq)
     r_sq **= 0.5 * cfg.eta
     marks *= r_sq
@@ -217,21 +225,21 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
 def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
                   fn: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                   r_min: Optional[float] = None,
-                  tx_power: Optional[tuple] = None) -> np.ndarray:
+                  rho: Optional[float] = None) -> np.ndarray:
     """fn(field, chunk_rng) of every chunk, joined along the last axis.
 
     field holds the chunk's draws of the interference of the field on
-    [r_min, R_max] (r_min defaults to the model's r0; tx_power as in
-    _field_interference), drawn from chunk_rng before fn's own draws.  fn
-    returns one value per sample, or rows of them, as estimate_fd_rates
-    does.  R_near, nu and the chunk size _chunk_samples(nu) are set once
-    per call.  Worker w runs chunks w, w + W, ... with its own point
-    buffers, and the chunks join in index order: the same result for any
-    workers.  Raises NumericsError("mcsim") before drawing when one sample
+    [r_min, R_max] (r_min defaults to the model's r0), the BS field or with
+    rho the uplink field (_field_interference), drawn from chunk_rng before
+    fn's own draws.  fn returns one value per sample, or rows of them, as
+    estimate_fd_rates does.  R_near, nu and the chunk size
+    _chunk_samples(nu) are set once per call.  Worker w runs chunks w,
+    w + W, ... with its own point buffers, and the chunks join in index
+    order: the same result for any workers.  Raises NumericsError("mcsim") before drawing when one sample
     would hold more than MAX_CHUNK_POINTS points on average.
     """
     if r_min is None:
-        r_min = derived_geometry(cfg).r0
+        r_min = cfg.r0
     elif not r_min > 0:
         raise ValueError(f"r_min must be > 0, got {r_min}")
     rmax = _resolve_rmax(cfg, mc, r_min)
@@ -252,7 +260,7 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
             rng = _chunk_rng(mc.seed, c)
             parts.append(fn(_field_interference(
                 cfg, r_min, rmax, r_near, nu, min(size, n - c * size), rng,
-                bufs, tx_power), rng))
+                bufs, rho), rng))
         return parts
 
     if workers == 1:
@@ -302,33 +310,37 @@ def _signal_gain(cfg: NetworkConfig, rng: np.random.Generator,
 
 
 def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
-                      powers: Sequence[Union[float, WaterfillSolution]]
+                      a0: Optional[float] = None,
+                      power: Optional[float] = None
                       ) -> tuple[np.ndarray, list[SampleStats]]:
     """One field pass: the draws of I, equal to interference_samples(cfg,
-    mc), and the FD rate's SampleStats (bit/s) for each entry of `powers`,
-    a constant transmit power (W) or a WaterfillSolution's policy.
+    mc), and the FD rate's SampleStats (bit/s) under the water-filling
+    policy of water level a0 (W) and at the constant transmit power `power`
+    (W), in that order, each only if given.
 
     Per sample: I from the Poisson field (not the Gamma fit), h from the
     signal fading, gamma = h/(I + N0), rate = B*log2(1 + P(gamma)*gamma).
-    All rates share the field and the h drawn after it, so each equals the
-    same call with that power alone.  Under the water-filling policy
+    Both rates share the field and the h drawn after it, so each equals the
+    same call with that argument alone.  Under the water-filling policy
     P(gamma) = (a0 - 1/gamma)^+, 1 + P(gamma)*gamma is max(a0*gamma, 1), and
     that is the form evaluated: no division by gamma, and a rate of exactly
     zero at and below the cutoff 1/a0, where the maximum is 1.  Each chunk
     writes the field and the rates in place, as the rows of one array.
     """
+    levels = [(p, waterfill) for p, waterfill in ((a0, True), (power, False))
+              if p is not None]
+
     def chunk(i_agg, rng):
-        rows = np.empty((1 + len(powers), i_agg.size))
+        rows = np.empty((1 + len(levels), i_agg.size))
         rows[0] = i_agg
         gamma = _signal_gain(cfg, rng, i_agg.size)
         i_agg += cfg.n0  # copied into row 0: reused as I + N0
         gamma /= i_agg
-        for p, row in zip(powers, rows[1:]):
-            if isinstance(p, WaterfillSolution):
-                np.multiply(gamma, p.a0, out=row)
+        for (p, waterfill), row in zip(levels, rows[1:]):
+            np.multiply(gamma, p, out=row)
+            if waterfill:
                 np.maximum(row, 1.0, out=row)
             else:
-                np.multiply(gamma, p, out=row)
                 row += 1.0
             np.log2(row, out=row)
             row *= cfg.bandwidth
@@ -336,18 +348,6 @@ def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
 
     field, *rates = _field_chunks(cfg, mc, chunk)
     return field, [summarize(r) for r in rates]
-
-
-def _uplink_power(cfg: NetworkConfig, rho: float) -> tuple:
-    """estimate_hd's interferer transmit-power law as _field_interference's
-    (draw, scale, mean, mean of square): rho*d^eta with d^2 ~ Exp(mean
-    1/(pi*lambda)), that is scale*E^(eta/2) with scale =
-    rho*(pi*lambda)^(-eta/2) and E the unit-mean exponential draw, whose
-    moments are E[tx^n] = scale^n*Gamma(1 + n*eta/2)."""
-    scale = rho * (math.pi * cfg.lam) ** (-0.5 * cfg.eta)
-    return (lambda out, rng: rng.standard_exponential(out=out), scale,
-            *(rho ** n * math.gamma(1.0 + 0.5 * n * cfg.eta)
-              * (math.pi * cfg.lam) ** (-0.5 * n * cfg.eta) for n in (1, 2)))
 
 
 def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
@@ -381,5 +381,4 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
         g *= 0.5 * cfg.bandwidth
         return g
 
-    return summarize(_field_chunks(cfg, mc, chunk,
-                                   tx_power=_uplink_power(cfg, rho)))
+    return summarize(_field_chunks(cfg, mc, chunk, rho=rho))

@@ -1,4 +1,4 @@
-"""Network model: configuration types, validation, and derived cell geometry.
+"""Network model: config types and keys, validation, derived cell geometry.
 
 The scenario is a cellular uplink where base stations (BSs) form a planar
 Poisson field of intensity ``lambda`` (1/m^2).  The analysis cell is a disc of
@@ -68,13 +68,15 @@ class NetworkConfig:
     def __post_init__(self):
         validate(self)
 
+    @property
+    def r0(self) -> float:
+        """Exclusion radius 1/sqrt(pi*lambda) (m)."""
+        return 1.0 / (math.sqrt(math.pi) * math.sqrt(self.lam))
 
-@dataclass(frozen=True)
-class Geometry:
-    """Derived cell geometry: exclusion radius r0 and user link distance rbar."""
-
-    r0: float
-    rbar: float
+    @property
+    def rbar(self) -> float:
+        """User link distance 1/(2*sqrt(lambda)) (m)."""
+        return 0.5 / math.sqrt(self.lam)
 
 
 def validate(cfg: NetworkConfig) -> NetworkConfig:
@@ -107,19 +109,19 @@ def validate(cfg: NetworkConfig) -> NetworkConfig:
             raise ConfigError(name_shape, f"Gamma shape must be > 0, got {params.shape}")
         if not params.mean > 0:
             raise ConfigError(name_mean, f"Gamma mean must be > 0, got {params.mean}")
-    fi, fs = cfg.fading_interferer, cfg.fading_signal
-    for key, value in zip(_CONFIG_KEYS, (cfg.lam, cfg.p_bs, cfg.eta, cfg.n0,
-                                         cfg.bandwidth, cfg.p_bar, fi.shape,
-                                         fi.mean, fs.shape, fs.mean)):
+    for key, value in config_values(cfg).items():
         if not math.isfinite(value):
             raise ConfigError(key, f"must be finite, got {value}")
     return cfg
 
 
-def derived_geometry(cfg: NetworkConfig) -> Geometry:
-    """r0 = 1/sqrt(pi*lambda), rbar = 1/(2*sqrt(lambda))."""
-    root = math.sqrt(cfg.lam)
-    return Geometry(r0=1.0 / (math.sqrt(math.pi) * root), rbar=0.5 / root)
+def config_values(cfg: NetworkConfig) -> dict[str, float]:
+    """The config file's key -> value, in _CONFIG_KEYS order: the inverse
+    of parse_config."""
+    fi, fs = cfg.fading_interferer, cfg.fading_signal
+    return dict(zip(_CONFIG_KEYS, (cfg.lam, cfg.p_bs, cfg.eta, cfg.n0,
+                                   cfg.bandwidth, cfg.p_bar, fi.shape,
+                                   fi.mean, fs.shape, fs.mean)))
 
 
 _CONFIG_KEYS = ("lambda", "p_bs", "eta", "n0", "bandwidth", "p_bar",

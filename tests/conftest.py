@@ -11,7 +11,6 @@ from scipy.special import gammaincc, poch
 
 from fdcap import GammaParams, NetworkConfig, mcsim
 from fdcap.mcsim import MCConfig, _resolve_rmax
-from fdcap.model import derived_geometry
 
 
 def make_cfg(lam=5e-5, p_bs=1.0, eta=4.0, n0=1e-9, bandwidth=180e3, p_bar=0.2,
@@ -231,7 +230,7 @@ class CinrLaw:
 
 def mc_annulus(cfg: NetworkConfig, tail_epsilon: float) -> tuple:
     """[r0, R_max] that an MC run with this tail_epsilon samples."""
-    r0 = derived_geometry(cfg).r0
+    r0 = cfg.r0
     return r0, _resolve_rmax(cfg, MCConfig(1, 0, tail_epsilon=tail_epsilon),
                              r0)
 
@@ -247,7 +246,7 @@ def mc_chunk(cfg: NetworkConfig, tail_epsilon: float = 1e-3,
              r_min=None) -> int:
     """Samples per chunk of an MC run on [r_min (default r0), R_max]: the
     chunk size at the run's expected near-field points per sample."""
-    r0 = derived_geometry(cfg).r0 if r_min is None else r_min
+    r0 = cfg.r0 if r_min is None else r_min
     rmax = _resolve_rmax(cfg, MCConfig(1, 0, tail_epsilon=tail_epsilon), r0)
     return mcsim._chunk_samples(near_field(cfg, r0, rmax)[1])
 
@@ -287,17 +286,19 @@ def conditional_power(cfg: NetworkConfig, a0: float, j) -> np.ndarray:
             - j * gammaincc(m0 - 1.0, t) / (theta * (m0 - 1.0)))
 
 
-def fd_rate_rows(monkeypatch, cfg: NetworkConfig, powers, gamma) -> list:
+def fd_rate_rows(monkeypatch, cfg: NetworkConfig, gamma, a0=None,
+                 power=None) -> list:
     """The rate rows of mcsim.estimate_fd_rates' chunk body on chosen CINRs:
     a zero field and n0 = 1 make gamma the signal gain itself, and an
-    identity summarize returns each row, one per entry of `powers`."""
+    identity summarize returns each row: a0's, then power's."""
     gamma = np.asarray(gamma, dtype=float)
     monkeypatch.setattr(mcsim, "_field_chunks",
                         lambda cfg, mc, fn: fn(np.zeros(gamma.size), None))
     monkeypatch.setattr(mcsim, "_signal_gain",
                         lambda cfg, rng, size: gamma.copy())
     monkeypatch.setattr(mcsim, "summarize", lambda values: values)
-    return mcsim.estimate_fd_rates(replace(cfg, n0=1.0), MCConfig(gamma.size, 0), powers)[1]
+    return mcsim.estimate_fd_rates(replace(cfg, n0=1.0), MCConfig(gamma.size, 0),
+                                   a0, power)[1]
 
 
 # Variants of configs/micro.cfg whose interference shape m_I spans the

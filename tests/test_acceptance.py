@@ -145,7 +145,7 @@ def test_criterion_4_three_way_capacity_agreement():
         c_cf = capacity.fd_optimal_capacity_closed_form(d, sol.a0,
                                                         cfg.bandwidth)
         st = mcsim.estimate_fd_rates(cfg, MCConfig(
-            200_000, 9140, tail_epsilon=TAIL_EPSILON), [sol])[1][0]
+            200_000, 9140, tail_epsilon=TAIL_EPSILON), sol.a0)[1][0]
         worst_time = max(worst_time, time.process_time() - t0)
         assert c_cf is not None, f"closed form unavailable at p_bs={p_bs}"
         worst_cf = max(worst_cf, abs(c_cf - c_q) / c_q)

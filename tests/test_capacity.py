@@ -369,7 +369,7 @@ def test_ppp_gap_is_the_known_model_error(p_bs, lo, hi):
     d, sol = solve_network(cfg)
     c_opt = waterfill_rate(d, sol.a0, cfg.bandwidth)
     st = estimate_fd_rates(cfg, MCConfig(50_000, 301, tail_epsilon=1e-3),
-                           [sol])[1][0]
+                           sol.a0)[1][0]
     gap = abs(st.mean - c_opt) / c_opt
     assert st.mean < c_opt  # the analytic bound is optimistic, never shy
     assert lo < gap < hi, f"gap {gap:.4f} outside frozen bracket [{lo}, {hi}]"

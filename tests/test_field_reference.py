@@ -17,7 +17,6 @@ from scipy.stats import gamma as gamma_dist
 
 from fdcap import capacity
 from fdcap.interference import gamma_fit, mean_interference, second_moment
-from fdcap.model import derived_geometry
 from fdcap.powercontrol import avg_power
 from conftest import (FieldLaw, conditional_power, field_cinr, gamma_cinr,
                       make_cfg, mc_annulus, signal_scale)
@@ -40,7 +39,7 @@ def test_transform_matches_arctan_closed_form(r_max_over_r0):
     # m = 1, eta = 4: log L(s) = -pi lambda sqrt(sp) (atan(R^2/sqrt(sp))
     # - atan(r0^2/sqrt(sp))), valid for complex s off the negative axis
     cfg = make_cfg(p_bs=20.0)
-    r0 = derived_geometry(cfg).r0
+    r0 = cfg.r0
     r_max = r_max_over_r0 * r0
     field = FieldLaw(cfg, r0, r_max)
     mu = field.cumulant(1)
@@ -89,7 +88,7 @@ def test_transform_matches_the_package_transform():
     # adds -s * (its mean) to log L, which leaves ~(s mu)^2 1e-16
     for m in (2.3, 0.6):
         cfg = make_cfg(p_bs=2.0, m_int=m, omega_int=0.7)
-        r0 = derived_geometry(cfg).r0
+        r0 = cfg.r0
         field = FieldLaw(cfg, r0, 1e4 * r0)
         mu = mean_interference(cfg)
         for s in (0.1 / mu, 1.0 / mu, 10.0 / mu):

@@ -11,7 +11,7 @@ from scipy import integrate
 from scipy.special import betaincc, digamma
 
 import fdcap
-from fdcap._integrate import NumericsError, expect_log
+from fdcap._integrate import NumericsError, expect, expect_log
 
 SRC = Path(fdcap.__file__).parent
 
@@ -84,4 +84,12 @@ def test_error_estimate_is_never_negative():
 def test_expect_log_names_its_stage():
     with pytest.raises(NumericsError) as err:
         expect_log(2.0, 1.5, "some_stage", lambda w: math.nan, 1.0)
+    assert err.value.stage == "some_stage"
+
+
+def test_refused_input_names_its_stage():
+    # below p of about 5e-17 the QAWS exponent p - 1 rounds to -1, and
+    # QUADPACK refuses its input
+    with pytest.raises(NumericsError, match="input is invalid") as err:
+        expect(3e-17, 2.0, "some_stage", lambda t: 1.0)
     assert err.value.stage == "some_stage"

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import quad
 
 from fdcap.interference import gamma_fit, mean_interference, second_moment
-from fdcap.model import derived_geometry
 from conftest import FieldLaw, make_cfg, mc_annulus
 
 M_GRID = [0.5, 1.0, 2.0, 4.0]
@@ -27,7 +26,7 @@ def shape_closed_form(m: float, eta: float) -> float:
 def far_field(cfg) -> FieldLaw:
     """conftest.FieldLaw on [r0, 1e12 r0]: the field beyond holds the share
     1e-12^(eta-2) of the mean, 1e-6 at eta = 2.5."""
-    r0 = derived_geometry(cfg).r0
+    r0 = cfg.r0
     return FieldLaw(cfg, r0, 1e12 * r0)
 
 
@@ -82,7 +81,7 @@ def test_mean_matches_campbell_quadrature(m, eta):
     # the substitution u = r0/r (QUADPACK's raw semi-infinite transform
     # loses digits on steep power laws)
     cfg = make_cfg(lam=3e-5, p_bs=2.0, eta=eta, m_int=m, omega_int=1.3)
-    r0 = derived_geometry(cfg).r0
+    r0 = cfg.r0
     val, err = quad(lambda u: 2.0 * math.pi * cfg.lam * cfg.p_bs * 1.3
                     * r0 ** (2.0 - eta) * u ** (eta - 3.0), 0.0, 1.0,
                     epsabs=1e-14, epsrel=1e-12)
@@ -98,7 +97,7 @@ def test_second_moment_matches_campbell_quadrature(m, eta):
     # Same u = r0/r substitution as the mean oracle.
     om = 0.8
     cfg = make_cfg(lam=3e-5, p_bs=2.0, eta=eta, m_int=m, omega_int=om)
-    r0 = derived_geometry(cfg).r0
+    r0 = cfg.r0
     e_a2 = om * om * (1.0 + 1.0 / m)
     var, err = quad(lambda u: 2.0 * math.pi * cfg.lam * cfg.p_bs ** 2 * e_a2
                     * r0 ** (2.0 - 2.0 * eta) * u ** (2.0 * eta - 3.0),
@@ -138,7 +137,7 @@ def test_second_moment_exceeds_squared_mean(m, eta):
 
 def test_explicit_radius_reduces_to_default():
     cfg = make_cfg(lam=5e-6, p_bs=20.0)
-    r0 = derived_geometry(cfg).r0
+    r0 = cfg.r0
     assert mean_interference(cfg, r_min=r0) == pytest.approx(
         mean_interference(cfg), rel=1e-12, abs=0.0)
     assert second_moment(cfg, r_min=r0) == pytest.approx(
@@ -147,7 +146,7 @@ def test_explicit_radius_reduces_to_default():
 
 def test_exclusion_radius_power_laws():
     cfg = make_cfg(eta=4.0)
-    r0 = derived_geometry(cfg).r0
+    r0 = cfg.r0
     # mean ~ r_min^(2-eta), variance ~ r_min^(2-2 eta)
     assert (mean_interference(cfg, r_min=2.0 * r0)
             == pytest.approx(2.0 ** -2 * mean_interference(cfg, r_min=r0),
@@ -258,7 +257,7 @@ def test_fit_with_radius_override():
     assert fit.shape == pytest.approx(mean * mean / var, rel=1e-12,
                                             abs=0.0)
     # at r_min = r0 the generalized route lands on the default-shape value
-    r0 = derived_geometry(cfg).r0
+    r0 = cfg.r0
     assert gamma_fit(cfg, r_min=r0).shape == pytest.approx(
         gamma_fit(cfg).shape, rel=1e-12)
 

@@ -9,8 +9,10 @@ that is the fit's model error (the exact field law sits 0.0688 from the fit
 on the simulated annulus), not sampler noise.  The fit promises only the
 two moments, which are tested tightly.
 """
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from fdcap import capacity, mcsim
 from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import (MCConfig, estimate_fd_rates, estimate_hd,
                          interference_samples, summarize)
-from fdcap.model import derived_geometry
 from conftest import (FieldLaw, fd_rate_rows, ks_distance, make_cfg,
                       mc_annulus, mc_chunk, near_field)
 
@@ -46,6 +47,28 @@ def fig2_cumulant_samples(fig2):
                                                tail_epsilon=1e-3))
 
 
+# ---------------------------------------------------------- independence --
+
+def test_simulator_imports_only_the_model_from_the_package():
+    # ROADMAP item 1: the simulator is an independent check of the analytic
+    # layer, so from fdcap it takes only the model and the error type.  The
+    # source is read, since importing mcsim loads all of fdcap
+    tree = ast.parse(Path(mcsim.__file__).read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                taken.add((node.module, alias.name) if node.module
+                          else (alias.name, None))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            assert not any(n.split(".")[0] == "fdcap" for n in names)
+    assert {module for module, _ in taken} == {"model", "_integrate"}
+    assert {name for module, name in taken
+            if module == "_integrate"} == {"NumericsError"}
+
+
 # ---------------------------------------------------------------- config --
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -67,7 +90,7 @@ def test_mcconfig_accepts_64_bit_seed():
 
 
 def test_resolve_rmax(micro):
-    r0 = derived_geometry(micro).r0
+    r0 = micro.r0
 
     def rmax(cfg, r_min, **kwargs):
         return mcsim._resolve_rmax(cfg, MCConfig(1, 0, **kwargs), r_min)
@@ -166,13 +189,13 @@ def test_field_chunks_do_not_depend_on_workers(eta):
     # chunks and 3 samples: workers 2 and 3 run unequal chunk counts
     cfg = make_cfg(eta=eta, m_int=2.5)
     mc = MCConfig(7 * mc_chunk(cfg) + 3, 6)
-    tx = mcsim._uplink_power(cfg, capacity.default_rho(cfg))
+    rho = capacity.default_rho(cfg)
 
     def rows(workers):
         return mcsim._field_chunks(
             cfg, replace(mc, workers=workers),
             lambda field, rng: np.stack([field, rng.random(field.size)]),
-            tx_power=tx)
+            rho=rho)
 
     base = rows(1)
     assert base.shape == (2, mc.n_samples)
@@ -188,11 +211,11 @@ def test_reused_buffers_leak_nothing_into_a_later_chunk(uplink):
     cfg = make_cfg(eta=3.0, m_int=2.5)
     r0, rmax = mc_annulus(cfg, 1e-3)
     rn, nu = near_field(cfg, r0, rmax)
-    tx = mcsim._uplink_power(cfg, capacity.default_rho(cfg)) if uplink else None
+    rho = capacity.default_rho(cfg) if uplink else None
 
     def chunk(size, c, bufs):
         return mcsim._field_interference(cfg, r0, rmax, rn, nu, size,
-                                         mcsim._chunk_rng(3, c), bufs, tx)
+                                         mcsim._chunk_rng(3, c), bufs, rho)
 
     bufs = [np.empty(0)] * 3
     big = chunk(600, 0, bufs)
@@ -214,7 +237,7 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     stream.  With rho it is estimate_hd's uplink field: after the marks,
     each point's d^2 ~ Exp(mean 1/(pi lambda)), and it sends rho d^eta,
     taken as two powers.  Returns (counts, point weights, ring)."""
-    r0, eta = derived_geometry(cfg).r0, cfg.eta
+    r0, eta = cfg.r0, cfg.eta
     fi = cfg.fading_interferer
     rmax = r0 * eps ** (1.0 / (2.0 - eta))
     q = (rmax / r0) ** (2.0 - 3.0 * eta)
@@ -298,17 +321,18 @@ class _GammaSpy:
         return self._rng.standard_exponential(size, out=out)
 
 
-def _ring_mean_and_variance(cfg, r0, rmax, tx=None):
+def _ring_mean_and_variance(cfg, r0, rmax, rho=None):
     """Mean and variance of the ring variate _field_interference draws:
     its one scaled gamma draw, after the unit-scale marks (unit exponentials
-    at m = 1) and, for an uplink tx, the unit exponentials of d^2."""
+    at m = 1) and, for the uplink field of rho, the unit exponentials of
+    d^2."""
     spy = _GammaSpy(np.random.default_rng(0))
     mcsim._field_interference(cfg, r0, rmax, *near_field(cfg, r0, rmax), 8,
-                              spy, [np.empty(0)] * 3, tx)
+                              spy, [np.empty(0)] * 3, rho)
     marks = ("standard_exponential" if cfg.fading_interferer.shape == 1.0
              else "standard_gamma")
     assert [c[0] for c in spy.gamma_calls] == (
-        [marks] + ["standard_exponential"] * (tx is not None) + ["gamma"])
+        [marks] + ["standard_exponential"] * (rho is not None) + ["gamma"])
     _, shape, scale, size = spy.gamma_calls[-1]
     assert size == 8
     return shape * scale, shape * scale * scale
@@ -337,8 +361,7 @@ def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
     starts = np.cumsum(counts) - counts
     near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
     vals = mcsim._field_chunks(cfg, MCConfig(size, 21),
-                               lambda field, rng: field,
-                               tx_power=mcsim._uplink_power(cfg, rho))
+                               lambda field, rng: field, rho=rho)
     assert vals == pytest.approx(near + ring, rel=1e-13, abs=0.0)
 
 
@@ -367,8 +390,7 @@ def test_uplink_ring_variate_has_the_ring_cumulants():
         assert err < 1e-11 * val
         return (rho * d_sq_mean ** (0.5 * cfg.eta)) ** n * val
 
-    mean, var = _ring_mean_and_variance(cfg, r0, rmax,
-                                        mcsim._uplink_power(cfg, rho))
+    mean, var = _ring_mean_and_variance(cfg, r0, rmax, rho)
     assert mean == pytest.approx(unit.cumulant(1) * tx_moment(1), rel=1e-10,
                                  abs=0.0)
     assert var == pytest.approx(unit.cumulant(2) * tx_moment(2), rel=1e-10,
@@ -382,7 +404,7 @@ def test_estimator_stats_do_not_depend_on_workers(micro):
 
     def stats(workers):
         mc = MCConfig(10_000, 42, tail_epsilon=1e-2, workers=workers)
-        return (estimate_fd_rates(micro, mc, [sol, micro.p_bar])[1]
+        return (estimate_fd_rates(micro, mc, sol.a0, micro.p_bar)[1]
                 + [estimate_hd(micro, 0.5, mc)])
 
     base = stats(1)
@@ -396,12 +418,12 @@ def test_fd_rates_pass_equals_the_single_estimators(micro, workers):
     # 5000 is not a multiple of the chunk, so the last chunk is short
     _, sol = capacity.solve_network(micro)
     mc = MCConfig(5000, 8, tail_epsilon=1e-2, workers=workers)
-    field, (opt, fixed) = mcsim.estimate_fd_rates(micro, mc,
-                                                  [sol, micro.p_bar])
+    field, (opt, fixed) = mcsim.estimate_fd_rates(micro, mc, sol.a0,
+                                                  micro.p_bar)
     assert 5000 % mc_chunk(micro, 1e-2) and field.shape == (5000,)
     assert np.array_equal(field, interference_samples(micro, mc))
-    assert [opt] == estimate_fd_rates(micro, mc, [sol])[1]
-    assert [fixed] == estimate_fd_rates(micro, mc, [micro.p_bar])[1]
+    assert [opt] == estimate_fd_rates(micro, mc, sol.a0)[1]
+    assert [fixed] == estimate_fd_rates(micro, mc, power=micro.p_bar)[1]
     assert opt.n == fixed.n == 5000 and opt.mean != fixed.mean
 
 
@@ -413,7 +435,7 @@ def test_fd_rate_rows_are_the_policy_and_fixed_power_forms(micro, monkeypatch):
     _, sol = capacity.solve_network(micro)
     a0, bandwidth = sol.a0, micro.bandwidth
     gamma = np.random.default_rng(5).gamma(0.5, 4.0 / a0, 1000)
-    row, fixed = fd_rate_rows(monkeypatch, micro, [sol, micro.p_bar], gamma)
+    row, fixed = fd_rate_rows(monkeypatch, micro, gamma, a0, micro.p_bar)
     policy = np.maximum(a0 - 1.0 / gamma, 0.0)
     assert np.allclose(row, bandwidth * np.log2(1.0 + policy * gamma),
                        rtol=1e-12, atol=0.0)
@@ -482,9 +504,8 @@ def test_uplink_field_mean_is_the_annulus_campbell_mean():
     cfg = make_cfg(eta=3.0)
     rho = capacity.default_rho(cfg)
     r0, rmax = mc_annulus(cfg, 1e-3)
-    tx = mcsim._uplink_power(cfg, rho)
     vals = mcsim._field_chunks(cfg, MCConfig(30_000, 13),
-                               lambda field, rng: field, tx_power=tx)
+                               lambda field, rng: field, rho=rho)
     unit = FieldLaw(replace(cfg, p_bs=1.0), r0, rmax)
     k1, k2, k4 = (unit.cumulant(n) * rho ** n * gamma_fn(1.0 + 1.5 * n)
                   * (math.pi * cfg.lam) ** (-1.5 * n) for n in (1, 2, 4))
@@ -584,7 +605,7 @@ def test_summarize_matches_exact_sums(fig2, micro, monkeypatch):
     monkeypatch.setattr(mcsim, "summarize",
                         lambda values: rates.append(values) or summarize(values))
     _, sol = capacity.solve_network(micro)
-    estimate_fd_rates(micro, MCConfig(40_000, 4), [sol, micro.p_bar])
+    estimate_fd_rates(micro, MCConfig(40_000, 4), sol.a0, micro.p_bar)
     field = interference_samples(fig2, MCConfig(40_000, 3), r_min=10.0)
     assert len(rates) == 2
     for values in [field] + rates:

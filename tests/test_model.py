@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from fdcap import (ConfigError, GammaParams, Geometry, NetworkConfig,
-                   derived_geometry, load_config, parse_config, validate)
+from fdcap import (ConfigError, GammaParams, NetworkConfig, config_values,
+                   load_config, parse_config, validate)
 from conftest import make_cfg
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -118,12 +118,12 @@ def test_gamma_scale_is_mean_over_shape():
 # ------------------------------------------------------------------ geometry
 
 def test_unit_intensity_geometry():
-    geo = derived_geometry(make_cfg(lam=1.0 / math.pi))
+    geo = make_cfg(lam=1.0 / math.pi)
     assert geo.r0 == pytest.approx(1.0, rel=1e-15)
 
 
 def test_micro_geometry_values(micro):
-    geo = derived_geometry(micro)
+    geo = micro
     assert geo.r0 == pytest.approx(79.78845608028655, rel=1e-12)
     assert geo.rbar == pytest.approx(70.71067811865476, rel=1e-12)
     assert geo.rbar < geo.r0
@@ -133,27 +133,30 @@ def test_macro_r0(macro):
     # the formula gives ~252.3 m at 5 BS/km^2 (not the 300 m sometimes quoted
     # for this regime; the validation CLI accepts an explicit radius override
     # so both can be exercised)
-    geo = derived_geometry(macro)
+    geo = macro
     assert geo.r0 == pytest.approx(252.31325220201604, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [1e-6, 5e-6, 5e-5, 1e-3, 0.25])
 def test_cell_area_identity(lam):
-    geo = derived_geometry(make_cfg(lam=lam))
+    geo = make_cfg(lam=lam)
     assert math.pi * lam * geo.r0 ** 2 == pytest.approx(1.0, rel=1e-14)
     assert geo.rbar / geo.r0 == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
 
 
 def test_geometry_scaling():
-    g1 = derived_geometry(make_cfg(lam=2e-5))
-    g4 = derived_geometry(make_cfg(lam=8e-5))
+    g1 = make_cfg(lam=2e-5)
+    g4 = make_cfg(lam=8e-5)
     assert g4.r0 == pytest.approx(g1.r0 / 2.0, rel=1e-14)
     assert g4.rbar == pytest.approx(g1.rbar / 2.0, rel=1e-14)
 
 
-def test_geometry_type_is_plain_value():
-    geo = Geometry(r0=1.0, rbar=0.5)
-    assert (geo.r0, geo.rbar) == (1.0, 0.5)
+def test_geometry_type_is_plain_value(micro):
+    # r0 and rbar are plain floats derived from lambda, so a replaced
+    # config carries its own geometry
+    moved = replace(micro, lam=4.0 * micro.lam)
+    assert type(micro.r0) is float and type(micro.rbar) is float
+    assert (moved.r0, moved.rbar) == (micro.r0 / 2.0, micro.rbar / 2.0)
 
 
 # ------------------------------------------------------------------- parsing
@@ -168,6 +171,16 @@ def test_parse_round_trip():
     assert cfg.p_bar == 0.2
     assert cfg.fading_interferer == GammaParams(1.0, 1.0)
     assert cfg.fading_signal == GammaParams(2.0, 1.6e-15)
+
+
+def test_config_values_inverts_parse_config(macro):
+    # every key in the file's order, and its repr parses back to the config
+    values = config_values(macro)
+    assert list(values) == ["lambda", "p_bs", "eta", "n0", "bandwidth",
+                            "p_bar", "m_int", "omega_int", "m_sig",
+                            "omega_sig"]
+    text = "".join(f"{key} = {value!r}\n" for key, value in values.items())
+    assert parse_config(text) == macro
 
 
 def test_parse_unknown_key():

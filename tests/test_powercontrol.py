@@ -45,7 +45,7 @@ def test_policy_cutoff_is_exact(micro, sol_micro, monkeypatch):
     a0 = sol_micro.a0
     gamma = np.concatenate([[0.0, 0.5 / a0, 1.0 / a0],
                             np.random.default_rng(5).gamma(0.5, 4.0 / a0, 1000)])
-    row, = fd_rate_rows(monkeypatch, micro, [sol_micro], gamma)
+    row, = fd_rate_rows(monkeypatch, micro, gamma, a0)
     assert row[:3].tolist() == [0.0, 0.0, 0.0]
     assert np.all(row[gamma <= 1.0 / a0] == 0.0)
     assert np.all(row[gamma > 1.0 / a0] > 0.0)
@@ -54,8 +54,7 @@ def test_policy_cutoff_is_exact(micro, sol_micro, monkeypatch):
 def test_policy_water_level_limits(micro, sol_micro, monkeypatch):
     # P = a0/2 at 2/a0, a rate of B bit/s; P tends to a0 as gamma grows
     a0, bandwidth = sol_micro.a0, micro.bandwidth
-    half, big = fd_rate_rows(monkeypatch, micro, [sol_micro],
-                             [2.0 / a0, 1e12])[0]
+    half, big = fd_rate_rows(monkeypatch, micro, [2.0 / a0, 1e12], a0)[0]
     assert half == bandwidth
     assert big == pytest.approx(bandwidth * math.log2(a0 * 1e12), rel=1e-15)
     assert (2.0 ** (big / bandwidth) - 1.0) / 1e12 == pytest.approx(a0, rel=1e-10)
