@@ -35,15 +35,15 @@ tail_epsilon is.
 Determinism
 -----------
 A chunk holds max(1, CHUNK_POINTS // (1 + nu)) samples, nu the expected
-near-field points per sample, and chunk c draws from its own PCG64 stream
-(numpy's default bit generator) SeedSequence(seed, spawn_key=(c,)).  Both
-depend only on the config, the annulus and c, never on the worker that runs
-the chunk, and per-sample values land at fixed positions in the output array:
-identical results for any `workers`.  Worker w of W draws chunks w, w + W,
-... into point buffers it allocates once per call and reuses; a chunk
-returns a fresh array.  Statistics are numpy's fixed-order reductions of
-that array, so they are bit-identical for any `workers` as well; see
-summarize for their error bound.
+near-field points per sample, and chunk c draws from its own SFC64 stream
+SeedSequence(seed, spawn_key=(c,)).  Both depend only on the config, the
+annulus and c, never on the worker that runs the chunk, and per-sample
+values land at fixed positions in the output array: identical results for
+any `workers`.  Worker w of W draws chunks w, w + W, ... into point
+buffers it allocates once per call and reuses; a chunk returns a fresh
+array.  Statistics are numpy's fixed-order reductions of that array, so
+they are bit-identical for any `workers` as well; see summarize for their
+error bound.
 
 The sampler draws two fields: the BS field, and with a received-power
 target rho (_field_chunks' rho) estimate_hd's uplink field.  Draw order
@@ -51,12 +51,18 @@ inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
 fd estimators: counts, radii, marks, ring, then alpha0;
 hd estimator:  counts, radii, marks, d^2 (power control), ring, then g.
-Marks are unit-scale standard_gamma draws (standard_exponential, the same
-stream, at m = 1) into that buffer, and d^2 unit-mean standard_exponential
-draws E.  One in-place multiply scales the marks: by the mark scale times
-p_bs for the BS field, or times rho*(pi*lambda)^(-eta/2) for the uplink
-field.  Every point then takes one divide and one power: (1/r^2)^(eta/2)
-in the BS field, (E/r^2)^(eta/2) in the uplink field.
+Counts come from one Walker/Vose alias table of their Poisson law, built
+once per call on a window that leaves out less than 1e-30 of the mass, one
+uniform U per sample: slot floor(U*K) of the table's K, coin U*K - slot.
+Radii are uniforms.  Marks are unit-scale standard_gamma draws into the
+sum buffer, but at m = 1 unit exponentials by inversion, -ln(1 - U) with
+1 - U exact, so never ln 0; d^2 takes unit exponentials E the same way.
+Both are drawn as ln(1 - U) = -E, and the sign rides on a multiply that is
+there anyway.  One in-place multiply scales the marks: by the mark scale
+times p_bs for the BS field, or times rho*(pi*lambda)^(-eta/2) for the
+uplink field, negated at m = 1.  Every point then takes one divide and one
+power: (1/r^2)^(eta/2) in the BS field, (-E/-r^2)^(eta/2) in the uplink
+field, whose squared radii are scaled negative for it.
 The fd order extends the interference order, so one pass serves both:
 estimate_fd_rates returns its field with its rates, and `fdcap validate`
 draws a second field only for an --r0 override, on that other annulus.
@@ -143,8 +149,67 @@ def _resolve_rmax(cfg: NetworkConfig, mc: MCConfig, r_min: float) -> float:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
+
+
+def _poisson_table(nu: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, prob, alias): a Walker/Vose alias table of the Poisson(nu) law
+    on k in [lo, nu + 12 sqrt(nu) + 30], lo = max(0, floor(nu - 12 sqrt(nu)
+    - 30)), a window whose outside holds less than 1e-30 of the mass.
+
+    The pmf is built in logs from the mode floor(nu) outward by the steps
+    ln(nu/k), then normalised: k*ln(nu) - nu - lgamma(k + 1) would lose
+    about nu*eps to cancellation, an error of 8e-14 in the pmf at nu = 1e4.
+    Slot j keeps lo + j with probability prob[j] and otherwise gives
+    lo + alias[j].
+    """
+    root = math.sqrt(nu)
+    lo = max(0, math.floor(nu - 12.0 * root - 30.0))
+    k = np.arange(lo, math.floor(nu + 12.0 * root + 30.0) + 1)
+    if nu == 0.0:
+        pmf = (k == 0).astype(float)
+    else:
+        mode = math.floor(nu) - lo
+        steps = np.log(nu / k[1:])  # ln p_k - ln p_(k-1)
+        pmf = np.exp(np.concatenate([-np.cumsum(steps[:mode][::-1])[::-1],
+                                     [0.0], np.cumsum(steps[mode:])]))
+        pmf /= math.fsum(pmf)
+    size = k.size
+    scaled = (pmf * size).tolist()
+    prob, alias = [1.0] * size, list(range(size))
+    small = [j for j, q in enumerate(scaled) if q < 1.0]
+    large = [j for j, q in enumerate(scaled) if q >= 1.0]
+    while small and large:
+        j, g = small.pop(), large.pop()
+        prob[j], alias[j] = scaled[j], g
+        scaled[g] = (scaled[g] + scaled[j]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    return lo, np.array(prob), np.array(alias, dtype=np.intp)
+
+
+def _poisson_counts(table: tuple, rng: np.random.Generator,
+                    size: int) -> np.ndarray:
+    """`size` Poisson counts from the alias table `table` (_poisson_table),
+    one uniform U each: slot floor(U*K) of the K, and U*K - slot as its
+    coin."""
+    lo, prob, alias = table
+    u = rng.random(size)
+    u *= prob.size
+    slot = u.astype(np.intp)
+    u -= slot
+    counts = np.where(u < prob[slot], slot, alias[slot])
+    counts += lo
+    return counts
+
+
+def _minus_exponentials(rng: np.random.Generator,
+                        out: np.ndarray) -> np.ndarray:
+    """`out` filled with -E for unit exponentials E, by inversion: ln(1 - U),
+    where 1 - U is exact for numpy's 53-bit uniforms and never 0."""
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    return np.log(out, out=out)
 
 
 def _near_radius(eta: float, r_min: float, r_max: float) -> float:
@@ -161,13 +226,14 @@ def _chunk_samples(nu: float) -> int:
 
 
 def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
-                        r_near: float, nu: float, size: int,
+                        r_near: float, table: tuple, size: int,
                         rng: np.random.Generator, bufs: list,
                         rho: Optional[float] = None) -> np.ndarray:
     """`size` i.i.d. draws of the aggregate interference (W) of the field
-    on [r0, rmax], as a fresh array: the near field [r0, r_near], nu
-    expected points per sample, point by point, the far ring as one
-    moment-matched Gamma variate per sample (only if its mean is positive).
+    on [r0, rmax], as a fresh array: the near field [r0, r_near], its
+    per-sample counts from the alias table `table` of their Poisson law
+    (_poisson_table), point by point, the far ring as one moment-matched
+    Gamma variate per sample (only if its mean is positive).
 
     Draws counts, radii, marks and the ring, in that order, the points into
     views of the three float64 arrays in `bufs`, which it replaces by larger
@@ -175,7 +241,9 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     or with `rho` (estimate_hd's uplink field) rho*d^eta, d^2 ~ Exp(mean
     1/(pi*lambda)): scale*E^(eta/2), scale = rho*(pi*lambda)^(-eta/2), with
     E the unit exponentials drawn after the marks and E[tx^n] =
-    scale^n*Gamma(1 + n*eta/2).
+    scale^n*Gamma(1 + n*eta/2).  E and the m = 1 marks are drawn as their
+    negatives ln(1 - U) (_minus_exponentials); the marks' scale and the
+    uplink's squared radii carry the sign.
     """
     if rho is None:
         tx_scale, tx_mean, tx_sq = cfg.p_bs, cfg.p_bs, cfg.p_bs * cfg.p_bs
@@ -184,26 +252,30 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
         tx_mean, tx_sq = (rho ** n * math.gamma(1.0 + 0.5 * n * cfg.eta)
                           * (math.pi * cfg.lam) ** (-0.5 * n * cfg.eta)
                           for n in (1, 2))
-    counts = rng.poisson(nu, size)
+    counts = _poisson_counts(table, rng, size)
     total = int(counts.sum())
     if bufs[1].size <= total:  # one slot more for reduceat's sentinel
         bufs[:] = [np.empty(total + total // 8 + 1) for _ in bufs]
-    # in place: every fresh temporary of a chunk's size costs page faults
+    # in place: every fresh temporary of a chunk's size costs page faults;
+    # the uplink's r_sq holds -r^2, to divide its -E by
+    sign = 1.0 if rho is None else -1.0
     r_sq = rng.random(out=bufs[0][:total])
-    r_sq *= r_near * r_near - r0 * r0
-    r_sq += r0 * r0
+    r_sq *= sign * (r_near * r_near - r0 * r0)
+    r_sq += sign * r0 * r0
     fi = cfg.fading_interferer
     w = bufs[1][:total + 1]
     w[total] = 0.0
     marks = w[:total]
-    if fi.shape == 1.0:  # standard_gamma(1.0)'s own stream, without dispatch
-        rng.standard_exponential(out=marks)
+    mark_scale = fi.scale * tx_scale
+    if fi.shape == 1.0:  # -E, so the scale takes the sign
+        _minus_exponentials(rng, marks)
+        mark_scale = -mark_scale
     else:
         rng.standard_gamma(fi.shape, out=marks)
-    marks *= fi.scale * tx_scale
+    marks *= mark_scale
     # tx*r^-eta = scale*(v/r^2)^(eta/2), v = 1 in the BS field: one power
     np.divide(1.0 if rho is None
-              else rng.standard_exponential(out=bufs[2][:total]), r_sq,
+              else _minus_exponentials(rng, bufs[2][:total]), r_sq,
               out=r_sq)
     r_sq **= 0.5 * cfg.eta
     marks *= r_sq
@@ -232,11 +304,12 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     [r_min, R_max] (r_min defaults to the model's r0), the BS field or with
     rho the uplink field (_field_interference), drawn from chunk_rng before
     fn's own draws.  fn returns one value per sample, or rows of them, as
-    estimate_fd_rates does.  R_near, nu and the chunk size
-    _chunk_samples(nu) are set once per call.  Worker w runs chunks w,
-    w + W, ... with its own point buffers, and the chunks join in index
-    order: the same result for any workers.  Raises NumericsError("mcsim") before drawing when one sample
-    would hold more than MAX_CHUNK_POINTS points on average.
+    estimate_fd_rates does.  R_near, nu, the chunk size _chunk_samples(nu)
+    and the counts' alias table _poisson_table(nu) are set once per call.
+    Worker w runs chunks w, w + W, ... with its own point buffers, and the
+    chunks join in index order: the same result for any workers.  Raises
+    NumericsError("mcsim") before drawing when one sample would hold more
+    than MAX_CHUNK_POINTS points on average.
     """
     if r_min is None:
         r_min = cfg.r0
@@ -251,6 +324,7 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
                      f"{nu:.3g} expected points per sample, more than "
                      f"{MAX_CHUNK_POINTS}")
     n, size = mc.n_samples, _chunk_samples(nu)
+    table = _poisson_table(nu)
     chunks = -(-n // size)
     workers = min(mc.workers, chunks)
 
@@ -259,8 +333,8 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
         for c in range(first, chunks, workers):
             rng = _chunk_rng(mc.seed, c)
             parts.append(fn(_field_interference(
-                cfg, r_min, rmax, r_near, nu, min(size, n - c * size), rng,
-                bufs, rho), rng))
+                cfg, r_min, rmax, r_near, table, min(size, n - c * size),
+                rng, bufs, rho), rng))
         return parts
 
     if workers == 1:

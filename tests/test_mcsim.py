@@ -151,20 +151,22 @@ def test_worker_count_does_not_change_results(fig2):
 @pytest.mark.parametrize("eta, size", [(4.0, 2067), (3.0, 632)])
 def test_a_chunk_holds_about_chunk_points(monkeypatch, eta, size):
     # CHUNK_POINTS // (1 + nu) samples: 14.9 near-field points per sample
-    # at eta = 4 and 50.8 at eta = 3; the last chunk holds the rest
+    # at eta = 4 and 50.8 at eta = 3; the last chunk holds the rest, and
+    # every chunk of the call draws its counts from the call's one table
     cfg = make_cfg(eta=eta)
     seen = []
     draw = mcsim._field_interference
 
-    def spy(cfg, r0, rmax, r_near, nu, n, *rest):
-        seen.append((nu, n))
-        return draw(cfg, r0, rmax, r_near, nu, n, *rest)
+    def spy(cfg, r0, rmax, r_near, table, n, *rest):
+        seen.append((table, n))
+        return draw(cfg, r0, rmax, r_near, table, n, *rest)
 
     monkeypatch.setattr(mcsim, "_field_interference", spy)
     interference_samples(cfg, MCConfig(3 * size + 5, 1, workers=2))
-    nu = seen[0][0]
+    nu = near_field(cfg, *mc_annulus(cfg, 1e-3))[1]
     assert size * (1.0 + nu) <= mcsim.CHUNK_POINTS < (size + 1) * (1.0 + nu)
     assert sorted(n for _, n in seen) == [5] + [size] * 3
+    assert all(table is seen[0][0] for table, _ in seen)
     assert mc_chunk(cfg) == size
 
 
@@ -211,10 +213,11 @@ def test_reused_buffers_leak_nothing_into_a_later_chunk(uplink):
     cfg = make_cfg(eta=3.0, m_int=2.5)
     r0, rmax = mc_annulus(cfg, 1e-3)
     rn, nu = near_field(cfg, r0, rmax)
+    table = mcsim._poisson_table(nu)
     rho = capacity.default_rho(cfg) if uplink else None
 
     def chunk(size, c, bufs):
-        return mcsim._field_interference(cfg, r0, rmax, rn, nu, size,
+        return mcsim._field_interference(cfg, r0, rmax, rn, table, size,
                                          mcsim._chunk_rng(3, c), bufs, rho)
 
     bufs = [np.empty(0)] * 3
@@ -230,13 +233,16 @@ def test_reused_buffers_leak_nothing_into_a_later_chunk(uplink):
 
 def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     """The first chunk's draws, made by hand as the module docstring orders
-    them: Poisson counts, then uniform radii out to R_near, then unit-scale
-    Gamma marks times one folded scale and (1/r^2)^(eta/2), one power per
-    point, then one Gamma variate per sample with the Campbell mean and
-    variance of the ring [R_near, R_max], all from the chunk-0 PCG64
-    stream.  With rho it is estimate_hd's uplink field: after the marks,
-    each point's d^2 ~ Exp(mean 1/(pi lambda)), and it sends rho d^eta,
-    taken as two powers.  Returns (counts, point weights, ring)."""
+    them, all from the chunk-0 SFC64 stream: Poisson counts from the alias
+    table of their law, one uniform each (slot floor(U K), coin U K - slot),
+    then uniform radii out to R_near, then unit-scale Gamma marks (at m = 1
+    the unit exponentials -ln(1 - U)) times one folded scale and
+    (1/r^2)^(eta/2), one power per point, then one Gamma variate per sample
+    with the Campbell mean and variance of the ring [R_near, R_max].  With
+    rho it is estimate_hd's uplink field: after the marks, each point's
+    d^2 ~ Exp(mean 1/(pi lambda)), again -ln(1 - U), and it sends
+    rho d^eta, taken as two powers.  Returns (counts, point weights,
+    ring)."""
     r0, eta = cfg.r0, cfg.eta
     fi = cfg.fading_interferer
     rmax = r0 * eps ** (1.0 / (2.0 - eta))
@@ -244,16 +250,21 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     rn = min(rmax, r0 * (q + mcsim.NEAR_SKEW_SHARE * (1.0 - q))
              ** (1.0 / (2.0 - 3.0 * eta)))
     rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
-    counts = rng.poisson(cfg.lam * math.pi * (rn * rn - r0 * r0), size)
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    lo, prob, alias = mcsim._poisson_table(
+        cfg.lam * math.pi * (rn * rn - r0 * r0))
+    u = rng.random(size) * prob.size
+    slot = np.floor(u).astype(int)
+    counts = lo + np.where(u - slot < prob[slot], slot, alias[slot])
     u = rng.random(int(counts.sum()))
     r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
-    marks = rng.standard_gamma(fi.shape, int(counts.sum()))
+    marks = (-np.log(1.0 - rng.random(u.size)) if fi.shape == 1.0
+             else rng.standard_gamma(fi.shape, u.size))
     if rho is None:
         tx_moments = (cfg.p_bs, cfg.p_bs * cfg.p_bs)
         w = marks * (fi.scale * cfg.p_bs) * (1.0 / r_sq) ** (0.5 * eta)
     else:
-        tx = (rng.standard_exponential(marks.size) ** (0.5 * eta)
+        tx = ((-np.log(1.0 - rng.random(u.size))) ** (0.5 * eta)
               * (rho * (math.pi * cfg.lam) ** (-0.5 * eta)))
         tx_moments = [rho ** n * math.gamma(1.0 + 0.5 * n * eta)
                       * (math.pi * cfg.lam) ** (-0.5 * n * eta)
@@ -294,60 +305,102 @@ def test_a_sample_without_near_points_is_its_ring_variate_alone():
     assert np.allclose(vals, near + ring, rtol=1e-14, atol=0.0)
 
 
-class _GammaSpy:
-    """A Generator that records its Gamma draws in order: ("gamma", shape,
-    scale, size), ("standard_gamma", shape, 1.0, size) and the unit
-    exponential ("standard_exponential", 1.0, 1.0, size).  The unit draws
-    take `out=` as numpy's do."""
+class _DrawSpy:
+    """A Generator that records its draws in order: ("random", size) for
+    uniforms, ("standard_gamma", shape, 1.0, size) and ("gamma", shape,
+    scale, size).  The unit draws take `out=` as numpy's do."""
 
     def __init__(self, rng):
-        self._rng, self.gamma_calls = rng, []
+        self._rng, self.calls = rng, []
 
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+    def random(self, size=None, out=None):
+        self.calls.append(("random", size if out is None else out.size))
+        return self._rng.random(size, out=out)
 
     def gamma(self, shape, scale, size):
-        self.gamma_calls.append(("gamma", shape, scale, size))
+        self.calls.append(("gamma", shape, scale, size))
         return self._rng.gamma(shape, scale, size)
 
     def standard_gamma(self, shape, size=None, out=None):
-        self.gamma_calls.append(("standard_gamma", shape, 1.0,
-                                 size if out is None else out.size))
+        self.calls.append(("standard_gamma", shape, 1.0,
+                           size if out is None else out.size))
         return self._rng.standard_gamma(shape, size, out=out)
-
-    def standard_exponential(self, size=None, out=None):
-        self.gamma_calls.append(("standard_exponential", 1.0, 1.0,
-                                 size if out is None else out.size))
-        return self._rng.standard_exponential(size, out=out)
 
 
 def _ring_mean_and_variance(cfg, r0, rmax, rho=None):
     """Mean and variance of the ring variate _field_interference draws:
-    its one scaled gamma draw, after the unit-scale marks (unit exponentials
-    at m = 1) and, for the uplink field of rho, the unit exponentials of
-    d^2."""
-    spy = _GammaSpy(np.random.default_rng(0))
-    mcsim._field_interference(cfg, r0, rmax, *near_field(cfg, r0, rmax), 8,
+    its one scaled gamma draw, after the counts' uniforms, the radii, the
+    unit-scale marks (uniforms to invert at m = 1) and, for the uplink
+    field of rho, the uniforms of d^2."""
+    spy = _DrawSpy(np.random.default_rng(0))
+    rn, nu = near_field(cfg, r0, rmax)
+    mcsim._field_interference(cfg, r0, rmax, rn, mcsim._poisson_table(nu), 8,
                               spy, [np.empty(0)] * 3, rho)
-    marks = ("standard_exponential" if cfg.fading_interferer.shape == 1.0
+    marks = ("random" if cfg.fading_interferer.shape == 1.0
              else "standard_gamma")
-    assert [c[0] for c in spy.gamma_calls] == (
-        [marks] + ["standard_exponential"] * (rho is not None) + ["gamma"])
-    _, shape, scale, size = spy.gamma_calls[-1]
+    assert [c[0] for c in spy.calls] == (
+        ["random", "random", marks] + ["random"] * (rho is not None)
+        + ["gamma"])
+    assert spy.calls[0] == ("random", 8)
+    _, shape, scale, size = spy.calls[-1]
     assert size == 8
     return shape * scale, shape * scale * scale
 
 
-def test_rayleigh_marks_are_the_unit_gamma_stream():
-    # the sampler draws m = 1 marks by standard_exponential: from the same
-    # PCG64 state standard_gamma(1.0) gives the same array and leaves the
-    # same state, so the draws after the marks are the same too
-    a, b = np.empty(1000), np.empty(1000)
-    rng_a, rng_b = mcsim._chunk_rng(5, 0), mcsim._chunk_rng(5, 0)
-    rng_a.standard_gamma(1.0, out=a)
-    rng_b.standard_exponential(out=b)
-    assert np.array_equal(a, b)
-    assert rng_a.random() == rng_b.random()
+def test_rayleigh_marks_are_minus_log_of_one_minus_the_chunk_uniforms():
+    # on a unit circle at unit power and mark scale every point's weight is
+    # its mark, to the bit, and the ring is empty: the marks are
+    # -ln(1 - U) of the chunk's stream, after the counts' and radii's
+    # uniforms
+    cfg = make_cfg()
+    table = mcsim._poisson_table(3.0)
+    bufs = [np.empty(0)] * 3
+    out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, table, 500,
+                                    mcsim._chunk_rng(5, 0), bufs)
+    rng = mcsim._chunk_rng(5, 0)
+    counts = mcsim._poisson_counts(table, rng, 500)
+    total = int(counts.sum())
+    rng.random(total)
+    marks = -np.log(1.0 - rng.random(total))
+    assert np.array_equal(bufs[1][:total], marks)
+    starts = np.cumsum(counts) - counts
+    assert out == pytest.approx([math.fsum(marks[s:s + c])
+                                 for s, c in zip(starts, counts)],
+                                rel=1e-14, abs=0.0)
+
+
+class _ConstantUniforms:
+    """A generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.u)
+        out.fill(self.u)
+        return out
+
+
+@pytest.mark.parametrize("u, e", [(0.0, 0.0),
+                                  (1.0 - 2.0 ** -53, 53.0 * math.log(2.0))])
+def test_inverted_exponentials_at_the_ends_of_the_uniforms(u, e):
+    # U = 0 gives ln 1 and the largest uniform ln 2^-53, never ln 0: the
+    # marks and the uplink's E come out finite, with no RuntimeWarning.  A
+    # one-slot table puts three points in every sample on the unit circle,
+    # at unit mark scale and unit uplink power, with an empty ring
+    cfg = make_cfg()
+    minus_e = mcsim._minus_exponentials(_ConstantUniforms(u), np.empty(4))
+    assert np.all(-minus_e == pytest.approx(e, rel=1e-15, abs=0.0))
+    table = (3, np.array([1.0]), np.array([0]))
+    for rho, weight in ((None, e), ((math.pi * cfg.lam) ** 2, e * e * e)):
+        bufs = [np.empty(0)] * 3
+        out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, table, 2,
+                                        _ConstantUniforms(u), bufs, rho)
+        assert np.all(np.isfinite(bufs[1][:6]))
+        assert bufs[1][:6] == pytest.approx(np.full(6, weight), rel=1e-14,
+                                            abs=0.0)
+        assert out == pytest.approx([3.0 * weight] * 2, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("eta, m_int", [(3.0, 1.0), (4.0, 1.0), (4.0, 2.5)])
@@ -441,6 +494,70 @@ def test_fd_rate_rows_are_the_policy_and_fixed_power_forms(micro, monkeypatch):
                        rtol=1e-12, atol=0.0)
     assert np.array_equal(fixed,
                           bandwidth * np.log2(1.0 + micro.p_bar * gamma))
+
+
+# --------------------------------------------------------------- counts --
+
+@pytest.mark.parametrize("nu", [0.0, 1e-3, 0.3, 14.85, 51.0, 1e4])
+def test_alias_table_is_the_poisson_law_on_its_window(nu):
+    # slot j keeps lo + j with probability prob[j] and gives lo + alias[j]
+    # otherwise, each slot 1/K: the pmf that implies is Poisson's (40-digit
+    # mpmath) to 1e-15, and the window leaves out less than 1e-30 of the
+    # mass
+    mpmath = pytest.importorskip("mpmath")
+    lo, prob, alias = mcsim._poisson_table(nu)
+    size = prob.size
+    root = math.sqrt(nu)
+    assert lo == max(0, math.floor(nu - 12.0 * root - 30.0))
+    assert lo + size - 1 == math.floor(nu + 12.0 * root + 30.0)
+    assert np.all((prob >= 0.0) & (prob <= 1.0))
+    assert np.all((alias >= 0) & (alias < size))
+    implied = prob.copy()
+    np.add.at(implied, alias, 1.0 - prob)
+    implied /= size
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(nu)
+        pmf = np.array([float(mpmath.exp(k * mpmath.log(mu) - mu
+                                         - mpmath.loggamma(k + 1)))
+                        if nu else float(k == 0)
+                        for k in range(lo, lo + size)])
+        outside = (mpmath.gammainc(lo + size, 0, nu, regularized=True)
+                   + (mpmath.gammainc(lo, nu, mpmath.inf, regularized=True)
+                      if lo else 0))
+    assert np.max(np.abs(implied - pmf)) < 1e-15
+    assert outside < 1e-30
+
+
+@pytest.mark.parametrize("nu", [14.85, 1e4])
+def test_alias_counts_have_the_poisson_mean_and_variance(nu):
+    # the counts' mean and variance are nu, within 5 standard errors of
+    # 2e5 draws: at nu = 1e4 the window starts at lo = 8770
+    counts = mcsim._poisson_counts(mcsim._poisson_table(nu),
+                                   mcsim._chunk_rng(9, 0), 200_000)
+    assert counts.dtype.kind == "i"
+    n = counts.size
+    assert abs(counts.mean() - nu) < 5.0 * math.sqrt(nu / n)
+    assert abs(counts.var(ddof=1) - nu) < 5.0 * nu * math.sqrt(
+        (1.0 / nu + 2.0) / n)
+
+
+def test_a_silent_near_field_draws_no_points_and_one_sample_chunks_work():
+    # nu = 0: every count is 0.  One sample draws one count, also in a
+    # window far from 0, and a field of one-sample chunks (r_min = 5 km,
+    # about 5.9e4 points per sample) is whole
+    rng = mcsim._chunk_rng(2, 0)
+    assert not np.any(mcsim._poisson_counts(mcsim._poisson_table(0.0), rng,
+                                            1000))
+    table = mcsim._poisson_table(1e4)
+    one = mcsim._poisson_counts(table, rng, 1)
+    assert one.shape == (1,) and table[0] <= one[0] < table[0] + table[1].size
+    cfg = make_cfg()
+    assert mc_chunk(cfg, r_min=5000.0) == 1
+    vals = interference_samples(cfg, MCConfig(2, 3), r_min=5000.0)
+    law = FieldLaw(cfg, 5000.0, mc_annulus(cfg, 1e-3)[1] * 5000.0 / cfg.r0)
+    assert vals.shape == (2,)
+    assert np.all(np.abs(vals - law.cumulant(1))
+                  < 6.0 * math.sqrt(law.cumulant(2)))
 
 
 # ------------------------------------------------------------- sampling --
