@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._integrate import NumericsError
+from ._integrate import NumericsError, _log_beta
 from .model import GammaParams, NetworkConfig
 
 
@@ -47,8 +47,7 @@ class BetaPrimeDist:
     @property
     def log_beta(self) -> float:
         """log B(m0, mI), cached nowhere — cheap enough to recompute."""
-        return (math.lgamma(self.m0) + math.lgamma(self.mI)
-                - math.lgamma(self.m0 + self.mI))
+        return _log_beta(self.m0, self.mI)
 
 
 def cinr_distribution(cfg: NetworkConfig, fit: GammaParams) -> BetaPrimeDist:

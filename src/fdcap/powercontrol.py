@@ -8,8 +8,8 @@ where the water level a0 = B / (mu0 ln 2) absorbs the bandwidth and the
 Lagrange multiplier mu0; the user stays silent below the cutoff CINR 1/a0.
 a0 solves E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR law: Newton
 steps on E[P], two regularized incomplete betas for m0 > 1 and a Beta-weight
-quadrature (_integrate.expect, QUADPACK's algebraic-weight rule QAWS) for
-m0 <= 1, with its slope P(gamma > 1/a0), one more.
+quadrature (_integrate.expect, the tanh-sinh rule with the weight exact at
+the window's ends) for m0 <= 1, with its slope P(gamma > 1/a0), one more.
 """
 from __future__ import annotations
 
@@ -43,10 +43,10 @@ def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:
 
     In the beta variable t the integrand is a0 - k(1-t)/t on [t0, 1],
     t0 = k/(k + a0), where it vanishes; the (1-t)^(mI-1) factor of the Beta
-    weight is in the quadrature rule.  For a0 < k the same is taken in
-    u = 1 - t, as in capacity.waterfill_rate: a0 - k u/(1-u) on [0, s],
-    s = a0/(k + a0), a window that keeps its relative precision however
-    small a0/k is, under the Beta(mI, m0) weight of u.
+    weight is in the quadrature rule's end weight.  For a0 < k the same is
+    taken in u = 1 - t, as in capacity.waterfill_rate: a0 - k u/(1-u) on
+    [0, s], s = a0/(k + a0), a window that keeps its relative precision
+    however small a0/k is, under the Beta(mI, m0) weight of u.
     """
     k = d.k
     if a0 >= k:
@@ -100,9 +100,11 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
     achieved_avg_power: if it fails, or misses p_bar by more than 1e-6 p_bar
     and by more than its own error estimate, a NumericsError("solve_cutoff")
     is raised.  That quadrature integrates against the same Beta(m0, mI)
-    weight as the rate integrals in capacity, so a weight too narrow for it
-    (mI -> inf as eta -> 2) fails here by name rather than as a silently
-    wrong rate.
+    weight as the rate integrals in capacity, so a weight the kernel cannot
+    take fails here by name rather than as a silently wrong rate.  As
+    eta -> 2 (mI -> inf) the kernel meets mpmath to 1e-14 out to mI = 2e14
+    (eta = 2 + 1e-7), where scipy's betainc in the closed form for m0 > 1
+    is 4e-5 off and the check names it.
     """
     if not p_bar > 0:
         raise ValueError(f"p_bar must be > 0, got {p_bar}")
@@ -124,8 +126,7 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
                      "p_bar is too small for double precision at this a0/k"
                      if all(p == 0.0 for p in powers) else
                      "mI grows without bound as eta -> 2, like 1/(eta-2)^2, "
-                     "and the E[P] quadrature cannot resolve a Beta(m0, mI) "
-                     "weight that narrow")
+                     "and E[P] loses its precision at mI that large")
             raise NumericsError(
                 "solve_cutoff",
                 f"{'no bracket for' if hi == math.inf else 'no root of'} "
@@ -136,8 +137,8 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
             2.0 * a0 if hi == math.inf else math.sqrt(lo) * math.sqrt(hi))
 
     narrow = ("mI grows without bound as eta -> 2, like 1/(eta-2)^2, and "
-              "the quadrature over a Beta(m0, mI) weight that narrow, which "
-              "the rate integrals share, misses it")
+              "at mI that large the E[P] that solved for a0 (the incomplete "
+              "betas for m0 > 1) and its quadrature part ways")
     try:
         achieved, abserr = _avg_power_quad(d, a0)
     except NumericsError as exc:

@@ -123,7 +123,7 @@ def test_expect_log_factors_match_digamma(m0, mI):
     log_1mt = digamma(mI) - digamma(m0 + mI)
     for shapes, at, want in (((m0, mI), 0.0, log_t), ((m0, mI), 1.0, log_1mt),
                              ((mI, m0), 0.0, log_1mt), ((mI, m0), 1.0, log_t)):
-        got, _ = expect(*shapes, "test", lambda t: 1.0, log_at=at)
+        got, _ = expect(*shapes, "test", lambda t, lg: lg, log_at=at)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     for lo, hi, at in ((0.0, 0.5, 1.0), (0.5, 1.0, 0.5)):
         with pytest.raises(ValueError):
@@ -140,8 +140,9 @@ def test_quad_strict_refuses_a_nan(weight, wvar):
 
 
 def test_expect_on_a_window_a_few_ulps_wide(d_micro):
-    # QUADPACK nodes on [1 - 8 ulp, 1] round onto t = 1, where log(1 - t)
-    # is undefined; they contribute 0 and the window's mass stays tiny
+    # nodes on [1 - 8 ulp, 1] round onto t = 1, where log(1 - t) is
+    # undefined, but the weight takes each node's distance to t = 1 exactly;
+    # the window's mass stays tiny
     val, _ = expect(d_micro.m0, d_micro.mI, "test", lambda t: 1.0,
                     1.0 - 8 * 2.0 ** -53)
     assert 0.0 <= val < 1e-12

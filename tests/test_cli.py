@@ -110,8 +110,9 @@ def test_extreme_lambda_is_a_named_numeric_failure(capsys, lam, stage):
     ["validate", "--samples", "10000"]])
 def test_a_vanishing_interferer_shape_is_a_named_numeric_failure(
         capsys, tmp_path, fields, stage, command):
-    # at m_I = 3e-17 the QAWS exponent m_I - 1 rounds to -1, which QUADPACK
-    # refuses as input; at eta = 100 the fitted m_I underflows to 0
+    # at m_I = 3e-17 the weight exponent m_I - 1 rounds to -1, which the
+    # quadrature refuses as input; at eta = 100 the fitted m_I underflows
+    # to 0
     cfg = micro_with(tmp_path, **fields)
     rc, out, err = run(capsys, command[0], cfg, *command[1:])
     assert rc == 2
@@ -447,8 +448,9 @@ def test_tail_epsilon_default_is_the_library_default():
 
 def test_sweep_keeps_a_row_quadpack_warns_about_within_tolerance(
         capsys, tmp_path):
-    # at lambda = 7.2e-6 QUADPACK reports roundoff although its error
-    # estimate (4e-11 on 11.95) meets the requested 1e-10 relative
+    # at lambda = 7.2e-6 QUADPACK, the rule before the tanh-sinh kernel,
+    # reported roundoff although its error estimate (4e-11 on 11.95) met
+    # the requested 1e-10 relative
     cfg = micro_with(tmp_path, p_bs=5.0, eta=5.0, m_int=0.5)
     rc, out, _ = run(capsys, "sweep", cfg, "--sweep", "lambda", "--log",
                      "--from", "1e-6", "--to", "1e-4", "--points", "8",
@@ -472,17 +474,33 @@ def test_sweep_prints_the_closed_form_where_the_3f2_is_tiny(capsys,
     assert out.strip().split("\n")[1] == "1e-06,2485.128711,2485.128711"
 
 
-def test_sweep_blanks_a_closed_form_beyond_double_range(capsys, tmp_path):
+def test_sweep_prints_the_closed_form_beyond_double_range(capsys, tmp_path):
     # z = -a0/k = -3.3e7 and m_I = 60: a0^m_I / k^m_I is about e^1039, far
-    # beyond a double, and the 3F2 far below its integral's resolution
+    # beyond a double, and the 3F2 about e^-1039, far below one; the
+    # closed form takes their product from the 3F2's log_scaled, where it
+    # once left the cell blank
     cfg = micro_with(tmp_path, eta=2.2)
     rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda",
                        "--from", "1e-12", "--to", "1e-12", "--points", "1",
                        "--outputs", "fd_opt,fd_opt_cf")
-    assert rc == 0
-    rows = out.strip().split("\n")[1:]
-    assert len(rows) == 1 and rows[0].endswith(",")
-    assert "Traceback" not in err
+    assert (rc, err) == (0, "")
+    assert out.strip().split("\n")[1:] == ["1e-12,3544.709477,3544.709477"]
+
+
+def test_sweep_fills_every_column_at_eta_near_two(capsys, tmp_path):
+    # eta = 2.05, m_I = 840: QUADPACK's QAWS left the closed form blank
+    # from lambda = 1e-5 up; the quadrature and the closed form agree in
+    # every printed digit
+    cfg = micro_with(tmp_path, eta=2.05)
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda", "--log",
+                       "--from", "1e-9", "--to", "1e-3", "--points", "7",
+                       "--outputs", "fd_opt,fd_opt_cf,fd_fixed")
+    assert (rc, err) == (0, "")
+    rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+    assert len(rows) == 7
+    assert rows[0][:3] == ["1e-09", "247.271781", "247.271781"]
+    for _, fd_opt, fd_opt_cf, fd_fixed in rows:
+        assert fd_opt_cf == fd_opt and fd_fixed != ""
 
 
 def test_sweep_blanks_a_closed_form_at_a_subnormal_k(capsys, tmp_path):
@@ -539,8 +557,23 @@ def test_sweep_fills_the_closed_form_at_integer_m0_without_warnings(
         assert fd_opt_cf == fd_opt
 
 
+def test_sweep_answers_both_beta_shapes_in_the_hundreds(capsys, tmp_path):
+    # m_sig = 1000 and m_I = 589: 1/B(m0, m_I) overflows a double, and the
+    # kernel once raised OverflowError (a traceback); it now holds the
+    # normalisation in logs with the weight, and the closed form agrees
+    cfg = micro_with(tmp_path, eta=2.06, m_sig=1000.0, omega_sig=1e-10)
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", "p_bar", "--from",
+                       "0.2", "--to", "0.2", "--points", "1", "--outputs",
+                       "fd_opt,fd_opt_cf,fd_fixed")
+    assert (rc, err) == (0, "")
+    assert out.strip().split("\n")[1] == "0.2,0.009795,0.009795,0.008342"
+
+
 def test_eta_near_two_is_a_named_numeric_failure(capsys, tmp_path):
-    cfg = micro_with(tmp_path, eta=2.001)
+    # m_I = 2e14: scipy's betainc misses the quadrature's E[P] by 4e-5
+    # (test_powercontrol); eta = 2.001 (m_I = 2e6) answers since the
+    # kernel holds the Beta weight in logs
+    cfg = micro_with(tmp_path, eta=2.0000001)
     rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda",
                        "--from", "5e-5", "--to", "5e-5", "--points", "1",
                        "--outputs", "fd_opt")

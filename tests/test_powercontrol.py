@@ -1,6 +1,7 @@
 """Water-filling solver, the two-betainc closed form of E[P] and its
 quadrature, the root check, and the two-2F1 closed form as printed."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,8 +228,8 @@ def test_solver_meets_the_mpmath_root_over_the_fixed_scan():
     # I_s(mI, m0) takes a0 to the mpmath root to second order, so
     # |E[P] - p_bar| / (a0 I_s) is the relative error of a0; E[P] for
     # m0 <= 1 by conftest.mp_beta_expect.  Newton takes 3.0 steps per
-    # solve here, and the one named failure is the root check at
-    # eta = 2.055.
+    # solve here, and every config solves (under QUADPACK the root check
+    # failed by name at eta = 2.055, m_I = 1287).
     pytest.importorskip("mpmath")
     import mpmath
     steps, failed = [], []
@@ -252,10 +253,8 @@ def test_solver_meets_the_mpmath_root_over_the_fixed_scan():
                                     a0 / (k + a0))
             error = float(abs(power - cfg.p_bar) / (a0 * slope))
         assert error <= 1e-9, (fields, d, sol.a0, error)
-    assert len(steps) == 299 and np.mean(steps) <= 3.5, np.mean(steps)
-    (eta, message), = failed
-    assert eta == pytest.approx(2.055, abs=5e-4)
-    assert message.startswith("solve_cutoff: ") and "eta -> 2" in message
+    assert failed == [] and len(steps) == 300
+    assert np.mean(steps) <= 3.5, np.mean(steps)
 
 
 def test_a_newton_step_that_overshoots_is_bisected_back(monkeypatch):
@@ -301,14 +300,38 @@ def test_a_solve_that_never_settles_stops_after_200_steps(monkeypatch,
     assert len(tried) == 201
 
 
-def test_root_check_names_a_beta_weight_too_narrow_for_quadrature():
-    # the CINR law of configs/micro.cfg at eta = 2.001: the closed form
-    # solves for a0, but the quadrature at the root (like the rate
-    # quadratures after it) finds no mass under the Beta(2, 2e6) weight
+def test_solve_meets_mpmath_where_the_beta_weight_is_narrowest():
+    # m_I = 2e6, the CINR law of configs/micro.cfg at eta = 2.001 with the
+    # Beta(m0, m_I) weight's mass near t = 1e-6: QUADPACK's QAWS returned NaN
+    # for the root check here.  The root meets the 40-digit one to second
+    # order, as over the fixed scan, and the check's quadrature p_bar
     d = BetaPrimeDist(2.0, 2002000.0000004407, 0.001569037581396647)
+    sol = solve_cutoff(d, 0.2)
+    assert sol.achieved_avg_power == pytest.approx(0.2, rel=1e-12, abs=0.0)
+    pytest.importorskip("mpmath")
+    import mpmath
+    with mpmath.workdps(40):
+        k, a0 = mpmath.mpf(d.k), mpmath.mpf(sol.a0)
+        slope = mp_reg_inc_beta(mpmath.mpf(d.mI), mpmath.mpf(d.m0),
+                                a0 / (k + a0))
+        error = abs(mp_avg_power(d.m0, d.mI, d.k, sol.a0) - 0.2) / (a0 * slope)
+    assert float(error) <= 1e-9
+
+
+def test_root_check_names_a_closed_form_that_parts_from_its_quadrature():
+    # configs/micro.cfg at eta = 2 + 1e-7, m_I = 2e14: scipy's betainc in the
+    # closed form for m0 > 1 puts E[P] at p_bar where the quadrature reads
+    # 4e-5 more, as does mpmath, and the root check names the solve
+    pytest.importorskip("mpmath")
+    d = BetaPrimeDist(2.0, 200000020654631.6, 3.926987025739417)
     with pytest.raises(NumericsError, match="eta -> 2") as err:
         solve_cutoff(d, 0.2)
     assert err.value.stage == "solve_cutoff"
+    a0 = float(re.search(r"a0=([0-9.e+]+)", str(err.value)).group(1))
+    want = mp_avg_power(d.m0, d.mI, d.k, a0)
+    assert (want - 0.2) / 0.2 == pytest.approx(4.15e-5, rel=1e-3)
+    assert powercontrol._avg_power_quad(d, a0)[0] == pytest.approx(
+        want, rel=1e-12, abs=0.0)
 
 
 def test_root_check_allows_the_larger_of_its_two_tolerances(
