@@ -192,6 +192,21 @@ def quad_strict(stage: str, func, a: float, b: float, *,
     return value, abserr
 
 
+# Stirling's series B_2j / (2j (2j-1) z^(2j-1)), j = 1..7
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+             1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0)
+
+
+def _stirling(z: float) -> float:
+    """S(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for z >= 10,
+    where the series' next term is below 1e-16 of it."""
+    y = 1.0 / (z * z)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * y + c
+    return acc / z
+
+
 def _log_beta(p: float, q: float) -> float:
     """ln B(p, q).  Past q = 100 (or p), lgamma(q) - lgamma(p + q) cancels
     to about eps lgamma(q), 1e-9 at q = 2e6, so that difference is taken by
@@ -200,13 +215,8 @@ def _log_beta(p: float, q: float) -> float:
     p, q = min(p, q), max(p, q)
     if q < 100.0:
         return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-
-    def series(x: float) -> float:
-        y = 1.0 / (x * x)
-        return (1.0 / 12.0 - (1.0 / 360.0 - y / 1260.0) * y) / x
-
     return (math.lgamma(p) - (q - 0.5) * math.log1p(p / q)
-            - p * math.log(q + p) + p + series(q) - series(q + p))
+            - p * math.log(q + p) + p + _stirling(q) - _stirling(q + p))
 
 
 def expect(p: float, q: float, stage: str, g, lo: float = 0.0,

@@ -24,6 +24,7 @@ scale=1/k).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,9 +45,10 @@ class BetaPrimeDist:
             raise ValueError(f"beta-prime parameters must be positive, got "
                              f"(m0={self.m0}, mI={self.mI}, k={self.k})")
 
-    @property
+    @functools.cached_property
     def log_beta(self) -> float:
-        """log B(m0, mI), cached nowhere — cheap enough to recompute."""
+        """log B(m0, mI), taken once per law: every Newton step of
+        powercontrol.solve_cutoff reads it."""
         return _log_beta(self.m0, self.mI)
 
 

@@ -7,19 +7,28 @@ The optimal policy for maximizing ergodic rate subject to E[P] <= p_bar is
 where the water level a0 = B / (mu0 ln 2) absorbs the bandwidth and the
 Lagrange multiplier mu0; the user stays silent below the cutoff CINR 1/a0.
 a0 solves E[(a0 - 1/gamma)^+] = p_bar over the beta-prime CINR law: Newton
-steps on E[P], two regularized incomplete betas for m0 > 1 and a Beta-weight
-quadrature (_integrate.expect, the tanh-sinh rule with the weight exact at
-the window's ends) for m0 <= 1, with its slope P(gamma > 1/a0), one more.
+steps on ln E[P], whose value and slope P(gamma > 1/a0) come from one
+continued fraction of the regularized incomplete beta (specfun._beta_cf),
+and from a Beta-weight quadrature (_integrate.expect, the tanh-sinh rule
+with the weight exact at the window's ends) where that closed form does not
+hold or would lose its digits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy.special import betainc
-
 from ._integrate import NumericsError, expect
 from .cinr import BetaPrimeDist
+from .specfun import _beta_cf
+
+# past this shape the continued fraction's 1 + d_3 cancels to about eps
+# times the shape near its switch point: E[P] and its slope are then
+# quadratures
+_MAX_SHAPE = 1e5
+# above its switch point the closed form for m0 > 1 is a difference, kept
+# where E[P] is at least this share of the mean of 1/gamma
+_CANCEL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -38,7 +47,8 @@ class WaterfillSolution:
     residual: float
 
 
-def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:
+def _avg_power_quad(d: BetaPrimeDist, a0: float,
+                    **tol) -> tuple[float, float]:
     """E[(a0 - 1/gamma)^+] and its error estimate by _integrate.expect.
 
     In the beta variable t the integrand is a0 - k(1-t)/t on [t0, 1],
@@ -46,50 +56,106 @@ def _avg_power_quad(d: BetaPrimeDist, a0: float) -> tuple[float, float]:
     weight is in the quadrature rule's end weight.  For a0 < k the same is
     taken in u = 1 - t, as in capacity.waterfill_rate: a0 - k u/(1-u) on
     [0, s], s = a0/(k + a0), a window that keeps its relative precision
-    however small a0/k is, under the Beta(mI, m0) weight of u.
+    however small a0/k is, under the Beta(mI, m0) weight of u.  `tol` goes
+    to expect.
     """
     k = d.k
     if a0 >= k:
         return expect(d.m0, d.mI, "avg_power",
-                      lambda t: a0 - k * (1.0 - t) / t, k / (k + a0))
+                      lambda t: a0 - k * (1.0 - t) / t, k / (k + a0), **tol)
     s = a0 / (k + a0)
     if s == 0.0:
         # the transmit window has no width in the doubles; the expectation
         # itself lies in [0, a0]
         return 0.0, a0
     return expect(d.mI, d.m0, "avg_power", lambda u: a0 - k * u / (1.0 - u),
-                  0.0, s)
+                  0.0, s, **tol)
 
 
-def avg_power(d: BetaPrimeDist, a0: float) -> float:
-    """E[(a0 - 1/gamma)^+]: closed form for m0 > 1, quadrature otherwise.
+def _transmit_quad(d: BetaPrimeDist, a0: float) -> float:
+    """P(gamma > 1/a0) by _integrate.expect, in t or u as _avg_power_quad."""
+    k = d.k
+    if a0 >= k:
+        return expect(d.m0, d.mI, "avg_power", lambda t: 1.0, k / (k + a0))[0]
+    return expect(d.mI, d.m0, "avg_power", lambda u: 1.0, 0.0,
+                  a0 / (k + a0))[0]
 
-    For m0 > 1, with s = a0/(k + a0) the width of the transmit window
-    [t0, 1] of the beta variable t (see the cinr module),
 
-        E[P] = a0 I_s(mI, m0) - k mI/(m0 - 1) I_s(mI + 1, m0 - 1),
+def avg_power(d: BetaPrimeDist, a0: float, *, elasticity: bool = False):
+    """E[(a0 - 1/gamma)^+], or with elasticity=True the pair (E[P],
+    d ln E[P] / d ln a0), solve_cutoff's Newton slope.
 
-    I the regularized incomplete beta: the second term is k E[(1-t)/t] over
-    the same window, and B(m0-1, mI+1)/B(m0, mI) = mI/(m0-1).  For m0 <= 1
-    that mean diverges at t = 0 and E[P] is the Beta-weight quadrature.
+    With s = a0/(k + a0) and c = k/(k + a0), each logged without the
+    other's rounding (ln s = -ln(1 + k/a0)), and F = s^mI c^m0 / B(mI, m0),
+    the slope dE[P]/da0 = P(gamma > 1/a0) is I_s(mI, m0), and E[P] is
+    (k + a0)/B(mI, m0) int_0^s (s - u) u^(mI-1) (1-u)^(m0-2) du.  Both
+    come from one continued fraction (specfun._beta_cf) and its tails u, w:
+
+    - for s <= (mI+1)/(mI+m0+2), I_s = F cf/mI and E[P] = a0 I_s (1 + X)
+      /(mI + 1), X = mI (mI+m0) s u w/((mI+1)(mI+2)), for every m0: a sum
+      of positive terms, so the elasticity (mI + 1)/(1 + X) keeps its
+      digits also where E[P] and I_s are subnormal;
+    - above, for m0 > 1, with J = 1 - I_s = F cf/m0 from the fraction in c,
+      E[P] = a0 - k mI/(m0-1) + a0 J [1 + c (mI-1) (1 + m0 (mI+m0) c u w
+      /((m0+1)(m0+2)))/(m0+1)] / (s (m0-1)), the mean of 1/gamma and its
+      part above a0.
+
+    Both follow from the closed form a0 I_s(mI, m0) - k mI/(m0-1)
+    I_s(mI+1, m0-1) by I_x(a+1, b-1) = I_x(a, b) - x^a (1-x)^(b-1)/(a B(a,
+    b)) and the fraction's first two steps.  E[P] is the quadrature
+    (_avg_power_quad) above the switch for m0 <= 1, where the mean of
+    1/gamma diverges, where E[P] is below _CANCEL of that mean, and past
+    _MAX_SHAPE, where the fraction's 1 + d_3 cancels to about eps times the
+    shape near the switch and the slope is a quadrature too.
 
     Strictly increasing and continuous in a0, -> 0 as a0 -> 0+.
     """
     if not a0 > 0:
         raise ValueError(f"water level must be > 0, got {a0}")
-    if d.m0 <= 1.0:
-        return _avg_power_quad(d, a0)[0]
-    s = a0 / (d.k + a0)
-    return float(a0 * betainc(d.mI, d.m0, s)
-                 - d.k * d.mI / (d.m0 - 1.0)
-                 * betainc(d.mI + 1.0, d.m0 - 1.0, s))
+    m0, mi, k = d.m0, d.mI, d.k
+    power = ratio = None
+    tol = {}
+    if max(m0, mi) > _MAX_SHAPE:
+        slope = _transmit_quad(d, a0)
+    else:
+        s, c = a0 / (k + a0), k / (k + a0)
+        front = math.exp(-mi * math.log1p(k / a0) - m0 * math.log1p(a0 / k)
+                         - d.log_beta)
+        apb = m0 + mi
+        if s <= (mi + 1.0) / (apb + 2.0):
+            cf, u, w = _beta_cf(mi, m0, s)
+            slope = front / mi * cf
+            x = mi * apb * s * u * w / ((mi + 1.0) * (mi + 2.0))
+            power = a0 * slope * (1.0 + x) / (mi + 1.0)
+            ratio = (mi + 1.0) / (1.0 + x)
+        else:
+            cf, u, w = _beta_cf(m0, mi, c)
+            j = front / m0 * cf
+            slope = 1.0 - j
+            if m0 > 1.0:
+                mean = k * mi / (m0 - 1.0)
+                above = (a0 * j * (1.0 + c * (mi - 1.0) * (
+                    1.0 + m0 * apb * c * u * w / ((m0 + 1.0) * (m0 + 2.0)))
+                    / (m0 + 1.0)) / (s * (m0 - 1.0)))
+                power = (a0 - mean) + above
+                if not power > _CANCEL * mean:
+                    # the quadrature to 1e-10 of E[P] itself, as the
+                    # closed form would be
+                    power, tol = None, {"epsabs": 0.0}
+    if power is None:
+        power = _avg_power_quad(d, a0, **tol)[0]
+    if not elasticity:
+        return power
+    if ratio is None:
+        ratio = a0 * slope / power if power > 0.0 else 0.0
+    return power, ratio
 
 
 def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
     """Solve E[(a0 - 1/gamma)^+] = p_bar for the water level a0.
 
-    Newton's method on ln E[P] against ln a0, whose slope is the elasticity
-    a0 I_s(mI, m0) / E[P], s = a0/(k + a0), since dE[P]/da0 =
+    Newton's method on ln E[P] against ln a0, whose slope is avg_power's
+    elasticity a0 I_s(mI, m0) / E[P], s = a0/(k + a0), since dE[P]/da0 =
     P(gamma > 1/a0) = I_s(mI, m0).  It starts at a0 = p_bar, left of the
     root since E[P] < a0, and keeps a bracket [lo, hi] from the signs seen;
     where a step leaves it, or E[P] underflows to 0, it doubles a0 while
@@ -99,24 +165,31 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
     The root is then checked by one quadrature of E[P] at a0, which is
     achieved_avg_power: if it fails, or misses p_bar by more than 1e-6 p_bar
     and by more than its own error estimate, a NumericsError("solve_cutoff")
-    is raised.  That quadrature integrates against the same Beta(m0, mI)
-    weight as the rate integrals in capacity, so a weight the kernel cannot
-    take fails here by name rather than as a silently wrong rate.  As
-    eta -> 2 (mI -> inf) the kernel meets mpmath to 1e-14 out to mI = 2e14
-    (eta = 2 + 1e-7), where scipy's betainc in the closed form for m0 > 1
-    is 4e-5 off and the check names it.
+    is raised, as it is where avg_power's own quadrature fails.  That
+    quadrature integrates against the same Beta(m0, mI) weight as the rate
+    integrals in capacity, so a weight the kernel cannot take fails here by
+    name rather than as a silently wrong rate.  As eta -> 2 (mI -> inf)
+    that first happens at mI = 2e20 (eta = 2 + 1e-10 on configs/micro.cfg),
+    where the rule's last level misses 1e-10 of E[P].
     """
     if not p_bar > 0:
         raise ValueError(f"p_bar must be > 0, got {p_bar}")
     a0, lo, hi, powers = p_bar, 0.0, math.inf, []  # E[P] at each a0 tried
+    narrow = ("mI grows without bound as eta -> 2, like 1/(eta-2)^2, and "
+              "at mI that large the quadrature of E[P] does not settle or "
+              "parts from the E[P] that solved for a0")
     while True:
-        power = avg_power(d, a0)
+        try:
+            power, ratio = avg_power(d, a0, elasticity=True)
+        except NumericsError as exc:
+            raise NumericsError(
+                "solve_cutoff", f"E[P] at a0={a0!r} failed ({exc}) "
+                                f"(mI={d.mI!r}); {narrow}") from exc
         powers.append(power)
         lo, hi = (a0, hi) if power < p_bar else (lo, a0)
-        slope = betainc(d.mI, d.m0, a0 / (d.k + a0))
         # Newton step in ln a0, none at E[P] = 0 or slope 0; e^710 overflows
-        step = ((math.log(p_bar) - math.log(power)) * power / (a0 * slope)
-                if power > 0.0 and slope > 0.0 else math.inf)
+        step = ((math.log(p_bar) - math.log(power)) / ratio
+                if power > 0.0 and ratio > 0.0 else math.inf)
         new = a0 * math.exp(step) if step < 709.0 else math.inf
         if abs(new - a0) <= 1e-10 * a0:
             a0 = new
@@ -136,9 +209,6 @@ def solve_cutoff(d: BetaPrimeDist, p_bar: float) -> WaterfillSolution:
         a0 = new if lo < new < hi else (
             2.0 * a0 if hi == math.inf else math.sqrt(lo) * math.sqrt(hi))
 
-    narrow = ("mI grows without bound as eta -> 2, like 1/(eta-2)^2, and "
-              "at mI that large the E[P] that solved for a0 (the incomplete "
-              "betas for m0 > 1) and its quadrature part ways")
     try:
         achieved, abserr = _avg_power_quad(d, a0)
     except NumericsError as exc:

@@ -307,31 +307,45 @@ def fd_rate_rows(monkeypatch, cfg: NetworkConfig, gamma, a0=None,
 SHAPE_VARIANTS = ({"m_int": 0.05}, {"eta": 8.0}, {}, {"eta": 3.2442})
 
 
-def mp_beta_expect(m0, mI, G, lo, hi=1) -> float:
-    """int_lo^hi G(t, 1-t) t^(m0-1) (1-t)^(mI-1) / B(m0, mI) dt by mpmath
-    at 30 digits; lo and hi are exact (mpmath numbers or floats), G takes
-    mpmath numbers.
-
-    Below t = 1/2 it integrates in w = t^m0 and above in v = (1-t)^mI: each
-    substitution absorbs the weight's singular factor at its end, which
-    plain mpmath.quad over t misses (by 1.4e-4 at mI = 0.14).
-    """
+def mp_expect(p, q, G, lo, hi=1) -> float:
+    """int_lo^hi G(t, 1-t) t^(p-1) (1-t)^(q-1) / B(p, q) dt by mpmath at 30
+    digits; lo and hi are exact (mpmath numbers or floats), G takes mpmath
+    numbers.  The window is split at the weight's mode +- 1, 2, 4, 8 and 16
+    sd, so that a weight narrower than the window is not missed (unsplit
+    halves of [0, 1] read -7e-11 for -0.0374 at p = 718, q = 54), and the
+    pieces at t = 0 and t = 1 are taken in w = t^p and v = (1-t)^q, which
+    absorb a singular weight factor (plain mpmath.quad over t misses it, by
+    1.4e-4 at q = 0.14)."""
     import mpmath
     with mpmath.workdps(30):
-        m0, mI, lo, hi = (mpmath.mpf(v) for v in (m0, mI, lo, hi))
-        half, total = mpmath.mpf(1) / 2, mpmath.mpf(0)
-        if lo < half:
-            def in_w(w):
-                t = w ** (1 / m0)
-                return G(t, 1 - t) * (1 - t) ** (mI - 1) / m0
-            total += mpmath.quad(in_w, [lo ** m0, min(hi, half) ** m0])
-        if hi > half:
-            def in_v(v):
-                u = v ** (1 / mI)
-                return G(1 - u, u) * (1 - u) ** (m0 - 1) / mI
-            total += mpmath.quad(in_v, [(1 - hi) ** mI,
-                                        (1 - max(lo, half)) ** mI])
-        return float(total / mpmath.beta(m0, mI))
+        p, q, lo, hi = (mpmath.mpf(x) for x in (p, q, lo, hi))
+        mode = p / (p + q)
+        sd = mpmath.sqrt(p * q / ((p + q) ** 2 * (p + q + 1)))
+        cuts = {lo, hi}
+        for k in (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16):
+            if lo < mode + k * sd < hi:
+                cuts.add(mode + k * sd)
+        log_b = mpmath.log(mpmath.beta(p, q))
+        total = mpmath.mpf(0)
+        for a, b in zip(sorted(cuts), sorted(cuts)[1:]):
+            if a == 0:
+                def f(w):
+                    t = w ** (1 / p)
+                    return (G(t, 1 - t) / p
+                            * mpmath.exp((q - 1) * mpmath.log1p(-t) - log_b))
+                total += mpmath.quad(f, [0, b ** p])
+            elif b == 1:
+                def f(v):
+                    u = v ** (1 / q)
+                    return (G(1 - u, u) / q
+                            * mpmath.exp((p - 1) * mpmath.log1p(-u) - log_b))
+                total += mpmath.quad(f, [0, (1 - a) ** q])
+            else:
+                total += mpmath.quad(
+                    lambda t: G(t, 1 - t) * mpmath.exp(
+                        (p - 1) * mpmath.log(t) + (q - 1) * mpmath.log1p(-t)
+                        - log_b), [a, b])
+        return float(total)
 
 
 # test_acceptance.py records one (criterion, passed, detail) verdict per

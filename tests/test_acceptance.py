@@ -24,12 +24,12 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import betainc, gammainc, hyp2f1
+from scipy.special import gammainc, hyp2f1
 
 from fdcap import capacity, cli, mcsim
 from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import MCConfig
-from fdcap.specfun import hyper_3f2
+from fdcap.specfun import betainc, hyper_3f2
 from conftest import (FieldLaw, conditional_power, contiguous_residuals_2f1,
                       field_cinr, ks_distance, make_cfg, mc_annulus,
                       record_verdict)
@@ -230,7 +230,8 @@ def test_criterion_5_trend_reproduction():
 def test_criterion_6_special_function_suite():
     """Closed-form identities at stated precision and three-term recurrence
     residuals < 1e-8 over 1e3 random parameter draws."""
-    # the regularized incomplete beta I_t(a, b) that avg_power calls
+    # the regularized incomplete beta I_t(a, b) whose continued fraction
+    # gives avg_power's closed form
     devs = {
         "I_0": abs(betainc(2.0, 3.0, 0.0)),
         "I_1": abs(betainc(2.0, 3.0, 1.0) - 1.0),

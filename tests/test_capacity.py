@@ -28,7 +28,7 @@ from fdcap.interference import gamma_fit
 from fdcap.mcsim import MCConfig, estimate_fd_rates, estimate_hd
 from fdcap.model import ConfigError
 from conftest import (DOMAIN, SHAPE_VARIANTS, fixed_scan, make_cfg,
-                      mp_beta_expect)
+                      mp_expect)
 
 # regression anchors for the two baseline scenarios (bit/s, deterministic
 # quadrature); recomputed values must agree to well beyond plot precision.
@@ -146,9 +146,9 @@ def test_waterfill_rate_matches_mpmath(variant, m_sig):
     k = mpmath.mpf(d.k)
     for ratio in (1e-8, 1e-4, 1.0, 1e3):
         a0 = ratio * d.k
-        want = mp_beta_expect(d.m0, d.mI,
-                              lambda t, u: mpmath.log(a0 * t / (k * u)),
-                              k / (k + mpmath.mpf(a0)))
+        want = mp_expect(d.m0, d.mI,
+                         lambda t, u: mpmath.log(a0 * t / (k * u)),
+                         k / (k + mpmath.mpf(a0)))
         assert_nats_close(waterfill_rate(d, a0, cfg.bandwidth), want,
                           (d, ratio))
 
@@ -167,9 +167,9 @@ def test_waterfill_rate_below_the_resolution_of_t(variant, ratio):
     cfg, d = beta_weight_case(variant, 2.0)
     a0 = ratio * d.k
     k = mpmath.mpf(d.k)
-    want = mp_beta_expect(d.mI, d.m0,
-                          lambda u, t: mpmath.log(a0 * t / (k * u)),
-                          0, mpmath.mpf(a0) / (k + a0))
+    want = mp_expect(d.mI, d.m0,
+                     lambda u, t: mpmath.log(a0 * t / (k * u)),
+                     0, mpmath.mpf(a0) / (k + a0))
     assert waterfill_rate(d, a0, cfg.bandwidth) == pytest.approx(
         want, rel=1e-10, abs=0.0)
 
@@ -200,8 +200,8 @@ def test_fd_fixed_power_capacity_matches_mpmath(variant, m_sig):
             return mpmath.log1p(r * t / u)
 
         t_c = 1 / (1 + r)
-        want = (mp_beta_expect(d.m0, d.mI, rate, 0, t_c)
-                + mp_beta_expect(d.m0, d.mI, rate, t_c))
+        want = (mp_expect(d.m0, d.mI, rate, 0, t_c)
+                + mp_expect(d.m0, d.mI, rate, t_c))
         assert_nats_close(
             fd_fixed_power_capacity(d, fixed.p_bar, fixed.bandwidth), want,
             (d, ratio))
@@ -216,7 +216,7 @@ def test_fd_fixed_power_capacity_of_a_budget_below_the_doubles():
 
 
 def test_fd_fixed_power_capacity_at_hundreds_of_interferer_shape():
-    # m_I = 762, p_bar/k = 2.9e-8; mpmath (conftest.mp_beta_expect) gives
+    # m_I = 762, p_bar/k = 2.9e-8; mpmath (conftest.mp_expect) gives
     # 1.1297e-10 nats, 2.9337e-5 bit/s.  QUADPACK's first pass over the
     # weight e^(-762 w) w^2, whose mass lies in w < 0.01 of [0, 17.4], read
     # -2.74e-11 bit/s here
@@ -240,13 +240,13 @@ def test_rates_meet_mpmath_as_eta_nears_two(eta):
     k, a0 = mpmath.mpf(d.k), mpmath.mpf(sol.a0)
     r = mpmath.mpf(cfg.p_bar) / k
     with mpmath.workdps(30):
-        opt = mp_beta_expect(d.m0, d.mI,
-                             lambda t, u: mpmath.log(a0 * t / (k * u)),
-                             k / (k + a0))
+        opt = mp_expect(d.m0, d.mI,
+                        lambda t, u: mpmath.log(a0 * t / (k * u)),
+                        k / (k + a0))
         t_c = 1 / (1 + r)
-        fixed = sum(mp_beta_expect(d.m0, d.mI,
-                                   lambda t, u: mpmath.log1p(r * t / u),
-                                   lo, hi)
+        fixed = sum(mp_expect(d.m0, d.mI,
+                              lambda t, u: mpmath.log1p(r * t / u),
+                              lo, hi)
                     for lo, hi in ((0, t_c), (t_c, 1)))
     assert waterfill_rate(d, sol.a0, cfg.bandwidth) == pytest.approx(
         opt, rel=1e-10, abs=0.0)

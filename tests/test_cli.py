@@ -15,16 +15,15 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import special as sps
 
 from fdcap import capacity, cli, mcsim
 from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import MCConfig
 from fdcap.model import load_config
+from fdcap.specfun import gammainc
 from conftest import fixed_scan, mc_annulus, mc_chunk
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -131,15 +130,25 @@ def test_unwritable_output_is_named(capsys, tmp_path, argv):
     assert err.startswith("cannot write output: ") and target in err
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is the tests' reference law, and the slowest scipy
-    # import; the commands never need it
+def test_commands_leave_scipy_unimported(tmp_path):
+    # scipy is the tests' reference and no dependency of the commands: in a
+    # fresh interpreter, analyze, sweep and validate run through cli.main
+    # and import no scipy module, at module level or in a function body
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys, fdcap.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    code = "\n".join([
+        "import sys, fdcap.cli",
+        f"cfg, hist = {MICRO!r}, {str(tmp_path / 'h.csv')!r}",
+        "codes = [fdcap.cli.main(argv) for argv in (",
+        "    ['analyze', cfg, '--samples', '2000'],",
+        "    ['sweep', cfg, '--sweep', 'p_bar', '--from', '0.2', '--to',",
+        "     '0.4', '--points', '2', '--samples', '2000'],",
+        "    ['validate', cfg, '--samples', '10000', '--hist-out', hist])]",
+        "scipy = sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "print(codes, scipy, file=sys.stderr)"])
+    err = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+                         env={**os.environ, "PYTHONPATH": src}).stderr
+    assert err.splitlines()[-1] == "[0, 0, 3] []"
 
 
 def test_divergent_exponent_config(capsys, tmp_path):
@@ -570,10 +579,11 @@ def test_sweep_answers_both_beta_shapes_in_the_hundreds(capsys, tmp_path):
 
 
 def test_eta_near_two_is_a_named_numeric_failure(capsys, tmp_path):
-    # m_I = 2e14: scipy's betainc misses the quadrature's E[P] by 4e-5
-    # (test_powercontrol); eta = 2.001 (m_I = 2e6) answers since the
-    # kernel holds the Beta weight in logs
-    cfg = micro_with(tmp_path, eta=2.0000001)
+    # m_I = 2e20: the quadrature E[P] that stands in for the closed form
+    # past m_I = 1e5 misses 1e-10 of itself at the rule's last level.
+    # eta = 2 + 1e-7 (m_I = 2e14) answers since E[P] there is that
+    # quadrature (test_powercontrol), and eta = 2 + 1e-9 does too
+    cfg = micro_with(tmp_path, eta=2.0000000001)
     rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda",
                        "--from", "5e-5", "--to", "5e-5", "--points", "1",
                        "--outputs", "fd_opt")
@@ -906,11 +916,11 @@ def test_validate_r0_override_scopes(capsys, tmp_path):
     assert b["checks"][3] == a["checks"][3]
 
 
-def _ks_full(samples, shape, scale, gammainc):
+def _ks_full(samples, shape, scale, gamma_cdf):
     """The KS statistic with the cdf at every order statistic: the
     reference that cli._ks_vs_gamma must reproduce to the bit."""
     x = np.sort(samples)
-    cdf = gammainc(shape, x / scale)
+    cdf = gamma_cdf(shape, x / scale)
     n = x.size
     hi = np.arange(1, n + 1) / n - cdf
     lo = cdf - np.arange(0, n) / n
@@ -935,7 +945,7 @@ def test_ks_statistic_is_the_full_evaluation_to_the_bit():
                 x = np.round(x / scale, 1) * scale + 1e-3
             x = np.sort(x)
             assert cli._ks_vs_gamma(x, shape, scale) == \
-                _ks_full(x, shape, scale, sps.gammainc), (n, kind)
+                _ks_full(x, shape, scale, gammainc), (n, kind)
 
 
 @pytest.mark.parametrize("name", ["micro", "macro"])
@@ -951,7 +961,7 @@ def test_ks_statistic_of_validate_is_the_full_evaluation(capsys, tmp_path,
     fit = gamma_fit(cfg)
     x = mcsim.interference_samples(cfg, MCConfig(20_000, 1))
     assert by_name["ks_samples_vs_gamma_fit"]["statistic"] == \
-        _ks_full(x, fit.shape, fit.scale, sps.gammainc)
+        _ks_full(x, fit.shape, fit.scale, gammainc)
 
 
 def test_ks_block_bound_allows_for_the_rounding_of_the_cdf(monkeypatch):
@@ -970,7 +980,7 @@ def test_ks_block_bound_allows_for_the_rounding_of_the_cdf(monkeypatch):
                         np.arange(66, 129) / 128 - 0.35])
     want = _ks_full(x, 1.0, 1.0, cdf)
     assert want == 0.5 - (dip - 4e-13)
-    monkeypatch.setattr(cli, "sps", SimpleNamespace(gammainc=cdf))
+    monkeypatch.setattr(cli, "gammainc", cdf)
     assert cli._ks_vs_gamma(x, 1.0, 1.0) == want
 
 

@@ -1,7 +1,8 @@
-"""Water-filling solver, the two-betainc closed form of E[P] and its
-quadrature, the root check, and the two-2F1 closed form as printed."""
+"""Water-filling solver, the continued-fraction closed form of E[P] and its
+elasticity, its quadrature, the root check, and the two-2F1 closed form as
+printed."""
 import math
-import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fdcap.cinr import BetaPrimeDist, cinr_distribution
 from fdcap.interference import gamma_fit
 from fdcap.powercontrol import WaterfillSolution, avg_power, solve_cutoff
 from conftest import (SHAPE_VARIANTS, fd_rate_rows, fixed_scan, make_cfg,
-                      mp_beta_expect)
+                      mp_expect)
 
 # regression constants recorded when the baselines were frozen; A0_MICRO is
 # mpmath's root of E[P] = p_bar, 0.67936910616804570
@@ -142,6 +143,20 @@ def test_avg_power_closed_form_matches_mpmath():
     assert compared >= 150
 
 
+def test_avg_power_keeps_its_digits_as_m0_nears_one():
+    # above the switch E[P] = a0 - E[1/gamma] + (its part above a0), and
+    # E[1/gamma] = k mI/(m0 - 1) grows without bound as m0 -> 1: where
+    # E[P] falls below 1e-4 of it, E[P] is the quadrature instead (the
+    # difference read 1e-7 off at m0 = 1 + 1e-9)
+    pytest.importorskip("mpmath")
+    for m0 in (1.0 + 1e-9, 1.0 + 1e-6, 1.001):
+        for a0 in (4.0, 40.0):
+            d = BetaPrimeDist(m0, 2.0, 1.0)
+            assert a0 / (d.k + a0) > 3.0 / (4.0 + m0)
+            assert avg_power(d, a0) == pytest.approx(
+                mp_avg_power(m0, 2.0, 1.0, a0), rel=1e-9, abs=0.0), (m0, a0)
+
+
 def test_avg_power_closed_form_matches_the_quadrature(d_micro, d_macro):
     for d, a0 in ((d_micro, A0_MICRO), (d_macro, A0_MACRO),
                   (d_micro, 0.05), (d_micro, 8.0)):
@@ -162,29 +177,54 @@ def test_avg_power_quadrature_matches_mpmath(variant, m_sig):
     k = mpmath.mpf(d.k)
     for ratio in (1e-8, 1e-4, 1.0, 1e3):
         a0 = ratio * d.k
-        want = mp_beta_expect(d.m0, d.mI, lambda t, u: a0 - k * u / t,
-                              k / (k + mpmath.mpf(a0)))
+        want = mp_expect(d.m0, d.mI, lambda t, u: a0 - k * u / t,
+                         k / (k + mpmath.mpf(a0)))
         got = powercontrol._avg_power_quad(d, a0)[0]
         assert abs(got - want) <= max(1e-10 * want, 1e-13), (got, want, d)
 
 
-def test_avg_power_is_the_quadrature_for_m0_at_most_one():
-    # E[(1-t)/t] diverges at t = 0 for m0 <= 1: no closed form, and the
-    # branch is the Beta-weight quadrature, in t for a0 >= k and in
-    # u = 1 - t on [0, a0/(k + a0)] for a0 < k
+def test_avg_power_for_m0_at_most_one_is_closed_below_the_switch():
+    # E[k(1-t)/t] diverges at t = 0 for m0 <= 1, so above the continued
+    # fraction's switch s = (mI+1)/(mI+m0+2) E[P] is the Beta-weight
+    # quadrature, in t for a0 >= k and in u = 1 - t on [0, a0/(k + a0)] for
+    # a0 < k; below it the closed form holds for every m0
     for m0 in (0.6, 1.0):
-        d = BetaPrimeDist(m0, 1.5, 0.86)
-        for a0 in (1e-3, 0.68, 40.0):
+        for mi, a0, closed in ((1.5, 1e-3, True), (1.5, 0.68, True),
+                               (1.5, 40.0, False), (0.3, 0.8, False)):
+            d = BetaPrimeDist(m0, mi, 0.86)
             k = d.k
+            assert (a0 / (k + a0) <= (mi + 1.0) / (mi + m0 + 2.0)) == closed
             if a0 >= k:
-                want, _ = expect(m0, 1.5, "avg_power",
+                want, _ = expect(m0, mi, "avg_power",
                                  lambda t: a0 - k * (1.0 - t) / t,
                                  k / (k + a0))
             else:
-                want, _ = expect(1.5, m0, "avg_power",
+                want, _ = expect(mi, m0, "avg_power",
                                  lambda u: a0 - k * u / (1.0 - u),
                                  0.0, a0 / (k + a0))
-            assert avg_power(d, a0) == want
+            if closed:
+                assert avg_power(d, a0) == pytest.approx(want, rel=1e-10,
+                                                         abs=0.0)
+            else:
+                assert avg_power(d, a0) == want
+
+
+def test_avg_power_below_the_switch_matches_mpmath_for_m0_at_most_one():
+    # seeded draws over m0 in [0.3, 1], mI in [0.05, 1e3], k in [e^-10, e^5]
+    # and s from 1e-6 of the switch to the switch itself
+    pytest.importorskip("mpmath")
+    import mpmath
+    rng = np.random.default_rng(8102)
+    for _ in range(40):
+        m0, mi = rng.uniform(0.3, 1.0), math.exp(rng.uniform(-3.0, 6.9))
+        k = math.exp(rng.uniform(-10.0, 5.0))
+        s = (mi + 1.0) / (mi + m0 + 2.0) * 10.0 ** rng.uniform(-6.0, 0.0)
+        a0 = k * s / (1.0 - s)
+        kk = mpmath.mpf(k)
+        want = mp_expect(m0, mi, lambda t, u: a0 - kk * u / t,
+                         kk / (kk + mpmath.mpf(a0)))
+        got = avg_power(BetaPrimeDist(m0, mi, k), a0)
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0), (m0, mi, k, a0)
 
 
 # -------------------------------------------------------------------- solver
@@ -227,7 +267,7 @@ def test_solver_meets_the_mpmath_root_over_the_fixed_scan():
     # one Newton step on the 40-digit E[P] and its slope P(gamma > 1/a0) =
     # I_s(mI, m0) takes a0 to the mpmath root to second order, so
     # |E[P] - p_bar| / (a0 I_s) is the relative error of a0; E[P] for
-    # m0 <= 1 by conftest.mp_beta_expect.  Newton takes 3.0 steps per
+    # m0 <= 1 by conftest.mp_expect.  Newton takes 3.0 steps per
     # solve here, and every config solves (under QUADPACK the root check
     # failed by name at eta = 2.055, m_I = 1287).
     pytest.importorskip("mpmath")
@@ -247,8 +287,8 @@ def test_solver_meets_the_mpmath_root_over_the_fixed_scan():
             if d.m0 > 1.0:
                 power = mp_avg_power(d.m0, d.mI, d.k, sol.a0)
             else:
-                power = mp_beta_expect(d.m0, d.mI, lambda t, u: a0 - k * u / t,
-                                       k / (k + a0))
+                power = mp_expect(d.m0, d.mI, lambda t, u: a0 - k * u / t,
+                                  k / (k + a0))
             slope = mp_reg_inc_beta(mpmath.mpf(d.mI), mpmath.mpf(d.m0),
                                     a0 / (k + a0))
             error = float(abs(power - cfg.p_bar) / (a0 * slope))
@@ -257,25 +297,36 @@ def test_solver_meets_the_mpmath_root_over_the_fixed_scan():
     assert np.mean(steps) <= 3.5, np.mean(steps)
 
 
-def test_a_newton_step_that_overshoots_is_bisected_back(monkeypatch):
+def test_a_subnormal_power_keeps_its_newton_elasticity(monkeypatch):
     # a 3 000-config scan draw: E[P] first leaves 0 at a0 = 0.743 as the
-    # subnormal 1.8e-308, where the closed form's second term has
-    # underflowed, so the elasticity reads 1, not about mI + 1 = 379, and
-    # the Newton step lands at 6e304.  Bisecting the bracket in ln a0
-    # brings it back to the root in 21 steps
-    pytest.importorskip("mpmath")
+    # subnormal 5.6e-311.  The closed form is a sum of positive terms, so
+    # the elasticity there is 321.2, as in mpmath; the difference of two
+    # incomplete betas had lost its second term and read 1, the Newton step
+    # landed at 6e304 and seven bisections brought it back.  Now a0 doubles
+    # while E[P] is 0 and then only rises to the root: no bisection
+    mpmath = pytest.importorskip("mpmath")
     d = BetaPrimeDist(1.1752077358914186, 377.9052804898105, 4.113174369794371)
     p_bar = 0.0014513499356744925
+    a0 = 0.7430911670653402
+    power, ratio = avg_power(d, a0, elasticity=True)
+    assert 0.0 < power < sys.float_info.min
+    with mpmath.workdps(40):
+        m0, mi, k, x = (mpmath.mpf(v) for v in (d.m0, d.mI, d.k, a0))
+        s = x / (k + x)
+        slope = mp_reg_inc_beta(mi, m0, s)
+        want = x * slope / (x * slope - k * mi / (m0 - 1)
+                            * mp_reg_inc_beta(mi + 1, m0 - 1, s))
+    assert ratio == pytest.approx(float(want), rel=1e-12, abs=0.0)
     tried = []
 
-    def recorded(d, a0):
+    def recorded(d, a0, **kwargs):
         tried.append(a0)
-        return avg_power(d, a0)
+        return avg_power(d, a0, **kwargs)
 
     monkeypatch.setattr(powercontrol, "avg_power", recorded)
     sol = solve_cutoff(d, p_bar)
-    assert max(tried) > 1e300
-    assert sol.solver_iterations <= 25
+    assert all(b > a for a, b in zip(tried, tried[1:]))
+    assert sol.solver_iterations == 17
     assert mp_avg_power(d.m0, d.mI, d.k, sol.a0) == pytest.approx(
         p_bar, rel=1e-9, abs=0.0)
 
@@ -287,9 +338,11 @@ def test_a_solve_that_never_settles_stops_after_200_steps(monkeypatch,
     # gets below 1e-10 a0, and the solve stops by name at its cap
     tried = []
 
-    def noisy(d, a0):
+    def noisy(d, a0, elasticity=False):
         tried.append(a0)
-        return 0.2 * (1.0 + (-1e-3 if len(tried) % 2 else 1e-3))
+        power = 0.2 * (1.0 + (-1e-3 if len(tried) % 2 else 1e-3))
+        return (power, avg_power(d, a0, elasticity=True)[1]) if elasticity \
+            else power
 
     monkeypatch.setattr(powercontrol, "avg_power", noisy)
     with pytest.raises(NumericsError, match="^solve_cutoff: no root of the "
@@ -318,20 +371,22 @@ def test_solve_meets_mpmath_where_the_beta_weight_is_narrowest():
     assert float(error) <= 1e-9
 
 
-def test_root_check_names_a_closed_form_that_parts_from_its_quadrature():
-    # configs/micro.cfg at eta = 2 + 1e-7, m_I = 2e14: scipy's betainc in the
-    # closed form for m0 > 1 puts E[P] at p_bar where the quadrature reads
-    # 4e-5 more, as does mpmath, and the root check names the solve
-    pytest.importorskip("mpmath")
+def test_solve_meets_mpmath_at_eta_a_ten_millionth_above_two():
+    # configs/micro.cfg at eta = 2 + 1e-7, m_I = 2e14: past
+    # powercontrol._MAX_SHAPE E[P] and its slope are quadratures.  scipy's
+    # betainc put the closed form 4e-5 below them here, and the root check
+    # failed the solve; now a0 meets the 40-digit root to second order
     d = BetaPrimeDist(2.0, 200000020654631.6, 3.926987025739417)
-    with pytest.raises(NumericsError, match="eta -> 2") as err:
-        solve_cutoff(d, 0.2)
-    assert err.value.stage == "solve_cutoff"
-    a0 = float(re.search(r"a0=([0-9.e+]+)", str(err.value)).group(1))
-    want = mp_avg_power(d.m0, d.mI, d.k, a0)
-    assert (want - 0.2) / 0.2 == pytest.approx(4.15e-5, rel=1e-3)
-    assert powercontrol._avg_power_quad(d, a0)[0] == pytest.approx(
-        want, rel=1e-12, abs=0.0)
+    sol = solve_cutoff(d, 0.2)
+    assert sol.achieved_avg_power == pytest.approx(0.2, rel=1e-12, abs=0.0)
+    pytest.importorskip("mpmath")
+    import mpmath
+    with mpmath.workdps(40):
+        k, a0 = mpmath.mpf(d.k), mpmath.mpf(sol.a0)
+        slope = mp_reg_inc_beta(mpmath.mpf(d.mI), mpmath.mpf(d.m0),
+                                a0 / (k + a0))
+        error = abs(mp_avg_power(d.m0, d.mI, d.k, sol.a0) - 0.2) / (a0 * slope)
+    assert float(error) <= 1e-9
 
 
 def test_root_check_allows_the_larger_of_its_two_tolerances(

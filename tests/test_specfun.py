@@ -4,7 +4,9 @@ The fixture values below were generated once with mpmath at 50 decimal
 digits (brute-force series / mp.betainc) and frozen; the library is never
 consulted to produce its own expected values.  The beta function and the
 regularized incomplete beta are the ones the analytic layer uses:
-BetaPrimeDist.log_beta, and scipy.special.betainc in powercontrol.avg_power.
+BetaPrimeDist.log_beta, and specfun.betainc, whose continued fraction gives
+powercontrol.avg_power's closed form.  specfun.gammainc, validate's Gamma
+cdf, is held to mpmath as well.
 """
 import math
 import sys
@@ -15,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as sp_beta
-from scipy.special import betainc, hyp2f1
+from scipy.special import gammaincinv, hyp2f1
 
 from fdcap._integrate import NumericsError
 from fdcap.cinr import BetaPrimeDist
-from fdcap.specfun import EvalResult, hyper_3f2
+from fdcap.specfun import EvalResult, betainc, gammainc, hyper_3f2
 
 # (a, b, c, z, 50-digit reference)
 FIX_2F1 = [
@@ -71,8 +73,8 @@ def beta_fn(a: float, b: float) -> float:
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) as scipy.special.betainc gives it."""
-    return float(betainc(a, b, x))
+    """I_x(a, b) as specfun.betainc gives it."""
+    return betainc(a, b, x)
 
 
 # ------------------------------------------------------------------- beta_fn
@@ -114,7 +116,7 @@ def test_reg_inc_beta_fixtures(a, b, x, ref):
 
 def test_reg_inc_beta_matches_mpmath():
     # differential test at t = x/(1 + x), so that only the incomplete beta
-    # is measured: 2.9e-15 worst over these draws
+    # is measured: 1.4e-15 worst over these draws (2.9e-15 for scipy's)
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20151215)
     worst = 0.0
@@ -126,6 +128,98 @@ def test_reg_inc_beta_matches_mpmath():
             ref = mpmath.betainc(a, b, 0, t, regularized=True)
             worst = max(worst, abs(reg_inc_beta(a, b, t) - float(ref)))
     assert worst <= 1e-14, f"worst absolute error {worst:g}"
+
+
+def test_reg_inc_beta_meets_mpmath_on_a_seeded_grid():
+    # shapes log-uniform in [0.05, 1e3]; x uniform, log-uniform towards 0,
+    # within 1e-12 .. 0.5 of 1, and about the mean, so that both sides of
+    # the continued fraction's switch (a+1)/(a+b+2) are drawn: 1e-13
+    # relative wherever I_x is above 1e-300 (4.2e-14 worst over the 551
+    # draws compared)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261020)
+    sides = set()
+    with mpmath.workdps(40):
+        for n in range(600):
+            a, b = np.exp(rng.uniform(math.log(0.05), math.log(1e3), 2))
+            a, b = float(a), float(b)
+            sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+            x = float((rng.uniform(),
+                       10.0 ** rng.uniform(-12.0, 0.0),
+                       1.0 - 10.0 ** rng.uniform(-12.0, -0.3),
+                       min(max(a / (a + b) + 3.0 * sd * rng.normal(), 1e-300),
+                           1.0 - 2.0 ** -53))[n % 4])
+            ref = mpmath.betainc(a, b, 0, x, regularized=True)
+            if ref < mpmath.mpf("1e-300"):
+                continue
+            sides.add(x > (a + 1.0) / (a + b + 2.0))
+            err = float(abs(reg_inc_beta(a, b, x) - ref) / ref)
+            assert err <= 1e-13, (a, b, x, err)
+    assert sides == {False, True}
+
+
+def test_reg_inc_beta_carries_one_minus_x_exactly():
+    # x < 1/2 leaves 1 - x rounded; with b in the thousands its power
+    # would carry b eps of it (2.4e-13 at b = 5000, x = 7.7e-4) were the
+    # rounding not carried along (1.2e-14)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for b in (2000.0, 5000.0, 9000.0):
+            for x in (1e-4 + 3.3e-20, 2.9e-4, 7.7e-4, 1.3e-3):
+                for a in (0.5, 3.0):
+                    ref = mpmath.betainc(a, b, 0, x, regularized=True)
+                    assert float(abs(reg_inc_beta(a, b, x) - ref) / ref) \
+                        <= 1e-13, (a, b, x)
+
+
+def test_shift_identity_of_the_incomplete_beta():
+    # I_x(a+1, b-1) = I_x(a, b) - x^a (1-x)^(b-1)/(a B(a, b)), the step from
+    # the closed form's two incomplete betas to avg_power's one fraction:
+    # to 1e-13 of the larger side, with the power term from mpmath
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261021)
+    with mpmath.workdps(40):
+        for _ in range(300):
+            a = float(np.exp(rng.uniform(math.log(0.05), math.log(1e3))))
+            b = 1.0 + float(np.exp(rng.uniform(math.log(0.05),
+                                               math.log(1e3))))
+            x = float(rng.uniform())
+            term = float(mpmath.mpf(x) ** a * (1 - mpmath.mpf(x)) ** (b - 1)
+                         / (a * mpmath.beta(a, b)))
+            lhs, rhs = reg_inc_beta(a + 1.0, b - 1.0, x), reg_inc_beta(a, b, x)
+            assert abs(lhs - (rhs - term)) <= 1e-13 * max(rhs, term), \
+                (a, b, x)
+
+
+def test_gamma_cdf_meets_mpmath_between_the_extreme_quantiles():
+    # shapes log-uniform in [0.05, 1e3], x at the 1e-6 and 1 - 1e-12
+    # quantiles and at quantiles log-uniform towards both: 1e-14 absolute
+    # (7.8e-15 worst), and each value the same float alone as
+    # in the whole array
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261022)
+    with mpmath.workdps(40):
+        for _ in range(150):
+            s = float(np.exp(rng.uniform(math.log(0.05), math.log(1e3))))
+            q = np.concatenate([[1e-6, 1.0 - 1e-12],
+                                10.0 ** rng.uniform(-6.0, 0.0, 6),
+                                1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 6)])
+            x = gammaincinv(s, q)
+            got = gammainc(s, x)
+            for xi, gi in zip(x, got):
+                ref = mpmath.gammainc(s, 0, float(xi), regularized=True)
+                assert abs(gi - ref) <= 1e-14, (s, xi)
+                assert gammainc(s, [xi])[0] == gi
+
+
+def test_gamma_cdf_ends():
+    assert gammainc(1.5, [0.0])[0] == 0.0
+    for s in (0.3, 50.0):
+        assert gammainc(s, [1e6, 1e300, np.inf]).tolist() == [1.0] * 3
+    # the exponential law
+    x = np.array([1e-8, 0.3, 2.0, 30.0])
+    assert gammainc(1.0, x) == pytest.approx(-np.expm1(-x), rel=1e-14,
+                                             abs=0.0)
 
 
 @given(st.floats(min_value=0.1, max_value=50.0),
@@ -147,8 +241,9 @@ def test_reg_inc_beta_symmetry(a, b, x):
 @example(5.78125, 18.4375, 0.9177010366006173, 0.001953125)
 @settings(max_examples=60, deadline=None)
 def test_reg_inc_beta_monotone_in_x(a, b, x, dx):
-    # scipy's betainc is monotone only to within its last ulps near 1: at
-    # the pinned example it reads 1 - 1.1e-16 at x and 1 - 2.2e-16 at x + dx
+    # the incomplete beta is monotone only to within its last ulps near 1:
+    # at the pinned example scipy's read 1 - 1.1e-16 at x and 1 - 2.2e-16
+    # at x + dx
     assert reg_inc_beta(a, b, x) <= (reg_inc_beta(a, b, min(x + dx, 0.999))
                                      + 2.0 * math.ulp(1.0))
 
