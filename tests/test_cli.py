@@ -130,6 +130,17 @@ def test_unwritable_output_is_named(capsys, tmp_path, argv):
     assert err.startswith("cannot write output: ") and target in err
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the tests' reference law, and the slowest scipy
+    # import; the commands never need it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, fdcap.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
+
+
 def test_commands_leave_scipy_unimported(tmp_path):
     # scipy is the tests' reference and no dependency of the commands: in a
     # fresh interpreter, analyze, sweep and validate run through cli.main

@@ -5,7 +5,10 @@ QUADPACK (the QAWS rule it replaced) and mpmath."""
 import ast
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -52,6 +55,17 @@ def test_only_integrate_defines_quad():
             assert defined == ["quad"]
         else:
             assert defined == [] and not hasattr(module, "quad"), name
+
+
+def test_importing_the_cli_leaves_scipy_integrate_out():
+    # a fresh interpreter, as the benchmark's set-up time takes it
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, fdcap.cli; print(sorted(m for m "
+         "in sys.modules if m.startswith(('scipy.integrate', "
+         "'scipy.optimize'))))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert done.stdout.strip() == "[]"
 
 
 def test_numerics_error_is_defined_once():
