@@ -13,8 +13,11 @@ The mean-shift treatment of N0 is an approximation on top of the Gamma fit
 (the exact law of Gamma + constant is not Gamma); its error is measured by
 the sampling cross-checks in the tests, not assumed away.
 
-The package needs only the law's parameters.  Every rate and power
-integral is taken in the beta variable t = k*gamma/(1 + k*gamma), which is
+The package needs only the law's parameters.  A sweep over lambda, p_bs
+or p_bar keeps m0 and m_I, so its grid is one law whose k is an array,
+one element per grid point, which the rate routines take row by row.
+Every rate and power integral is taken in the beta variable
+t = k*gamma/(1 + k*gamma), which is
 Beta(m0, m_I) distributed, by _integrate.expect with the shapes (m0, m_I):
 then gamma = t/(k(1-t)) and 1/gamma = k(1-t)/t.  The law of 1/gamma has
 the beta variable u = 1 - t, Beta(m_I, m0) distributed, where a window of t
@@ -28,20 +31,25 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._integrate import NumericsError, _log_beta
+import numpy as np
+
+from ._integrate import NumericsError, _log_beta, _pick
 from .model import GammaParams, NetworkConfig
 
 
 @dataclass(frozen=True)
 class BetaPrimeDist:
-    """Beta-prime CINR law: signal shape m0, interference shape mI, inverse scale k."""
+    """Beta-prime CINR law: signal shape m0, interference shape mI, inverse
+    scale k (a float, or an array of them: one law per element)."""
 
     m0: float
     mI: float
     k: float
 
     def __post_init__(self):
-        if not (self.m0 > 0 and self.mI > 0 and self.k > 0):
+        k_ok = (self.k > 0).all() if isinstance(self.k, np.ndarray) \
+            else self.k > 0
+        if not (self.m0 > 0 and self.mI > 0 and k_ok):
             raise ValueError(f"beta-prime parameters must be positive, got "
                              f"(m0={self.m0}, mI={self.mI}, k={self.k})")
 
@@ -50,6 +58,16 @@ class BetaPrimeDist:
         """log B(m0, mI), taken once per law: every Newton step of
         powercontrol.solve_cutoff reads it."""
         return _log_beta(self.m0, self.mI)
+
+    def transmit_window(self, a0):
+        """(lo, hi, in_u): the window of the beta variable where gamma >
+        1/a0, per element of k and a0.  It is [k/(k + a0), 1] in t, or,
+        where a0 < k (in_u), [0, a0/(k + a0)] in u = 1 - t, a window that
+        keeps its relative precision however small a0/k is."""
+        k = self.k
+        in_u = a0 < k
+        return (_pick(in_u, 0.0, k / (k + a0)),
+                _pick(in_u, a0 / (k + a0), 1.0), in_u)
 
 
 def cinr_distribution(cfg: NetworkConfig, fit: GammaParams) -> BetaPrimeDist:

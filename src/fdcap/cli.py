@@ -25,7 +25,7 @@ import numpy as np
 
 from . import capacity, mcsim
 from ._integrate import NumericsError
-from .cinr import cinr_distribution
+from .cinr import BetaPrimeDist, cinr_distribution
 from .interference import gamma_fit, second_moment
 from .model import ConfigError, NetworkConfig, config_values, load_config
 from .powercontrol import solve_cutoff
@@ -183,37 +183,83 @@ def cmd_sweep(args) -> int:
     mc = _mc_from(args)
 
     need_solution = bool({"fd_opt", "fd_opt_cf", "fd_opt_mc"} & requested)
+    need_law = need_solution or "fd_fixed" in outputs
     field, column = _SWEEPS[args.sweep]
+    # Each point's config and CINR law, then the analytic columns over all
+    # points at once (solve_cutoff's Newton steps point by point), then the
+    # MC columns point by point.  A failure at point j leaves the points
+    # before it to check, and the earliest failing point's error is raised,
+    # as a point-by-point sweep would raise it.
+    n, error = len(grid), None
+    cfgs, ks = [], []
+    for i, value in enumerate(grid):
+        try:
+            cfg = replace(base, **{field: value})
+            if need_law:
+                d = cinr_distribution(cfg, gamma_fit(cfg))
+                # a lambda, p_bs or p_bar sweep keeps the shapes
+                assert not ks or (d.m0, d.mI) == (m0, mi)
+                m0, mi = d.m0, d.mI
+                ks.append(d.k)
+        except (ConfigError, NumericsError) as exc:
+            n, error = i, exc
+            break
+        cfgs.append(cfg)
+    p_bar = np.array([cfg.p_bar for cfg in cfgs])
+
+    def analytic(rate):
+        """rate(law, m) over the first m points, retried on the points
+        before the one that fails"""
+        nonlocal n, error
+        while n:
+            try:
+                return rate(BetaPrimeDist(m0, mi, np.array(ks[:n])), n)
+            except NumericsError as exc:
+                n, error = exc.row or 0, exc
+        return None
+
+    cells = {}
+    if need_solution:
+        a0 = analytic(lambda d, m: solve_cutoff(d, p_bar[:m]).a0)
+        if "fd_opt" in outputs:
+            cells["fd_opt"] = analytic(lambda d, m: capacity.waterfill_rate(
+                d, a0[:m], base.bandwidth))
+        if "fd_opt_cf" in outputs:
+            cells["fd_opt_cf"] = analytic(
+                lambda d, m: capacity.fd_optimal_capacity_closed_form(
+                    d, a0[:m], base.bandwidth))
+    if "fd_fixed" in outputs:
+        cells["fd_fixed"] = analytic(
+            lambda d, m: capacity.fd_fixed_power_capacity(d, p_bar[:m],
+                                                          base.bandwidth))
+    # the MC rates share one pass: one field and one h for both columns
+    mc_cols = [o for o in ("fd_opt_mc", "fd_fixed_mc") if o in outputs]
+    for i in range(n):
+        cfg = cfgs[i]
+        try:
+            if mc_cols:
+                _, rates = mcsim.estimate_fd_rates(
+                    cfg, mc, float(a0[i]) if "fd_opt_mc" in mc_cols else None,
+                    cfg.p_bar if "fd_fixed_mc" in mc_cols else None)
+                for name, r in zip(mc_cols, rates):
+                    cells.setdefault(name, []).append(r.mean)
+            if "hd" in outputs:
+                rho = (args.rho if args.rho is not None
+                       else capacity.default_rho(cfg))
+                cells.setdefault("hd", []).append(
+                    mcsim.estimate_hd(cfg, rho, mc).mean)
+        except NumericsError as exc:
+            n, error = i, exc
+            break
+    if error is not None:
+        raise error
     lines = [",".join([column] + [f"{name}_kbps" for name in outputs])]
-    for value in grid:
-        cfg = replace(base, **{field: value})
-        cell = {}
-        if need_solution or "fd_fixed" in outputs:
-            d = cinr_distribution(cfg, gamma_fit(cfg))
-        if need_solution:
-            sol = solve_cutoff(d, cfg.p_bar)
-            if "fd_opt" in outputs:
-                cell["fd_opt"] = capacity.waterfill_rate(d, sol.a0, cfg.bandwidth)
-            if "fd_opt_cf" in outputs:
-                cell["fd_opt_cf"] = capacity.fd_optimal_capacity_closed_form(
-                    d, sol.a0, cfg.bandwidth)
-        if "fd_fixed" in outputs:
-            cell["fd_fixed"] = capacity.fd_fixed_power_capacity(
-                d, cfg.p_bar, cfg.bandwidth)
-        # the MC rates share one pass: one field and one h for both columns
-        mc_cols = [o for o in ("fd_opt_mc", "fd_fixed_mc") if o in outputs]
-        if mc_cols:
-            _, rates = mcsim.estimate_fd_rates(
-                cfg, mc, sol.a0 if "fd_opt_mc" in mc_cols else None,
-                cfg.p_bar if "fd_fixed_mc" in mc_cols else None)
-            cell.update(zip(mc_cols, (r.mean for r in rates)))
-        if "hd" in outputs:
-            rho = args.rho if args.rho is not None else capacity.default_rho(cfg)
-            cell["hd"] = mcsim.estimate_hd(cfg, rho, mc).mean
+    for i, value in enumerate(grid):
         row = [f"{value:.10g}"]
         for name in outputs:
-            v = cell[name]
-            row.append("" if v is None else f"{v / 1e3:.6f}")
+            v = float(cells[name][i])
+            # a NaN closed form is one the 3F2 does not give
+            row.append("" if math.isnan(v) else f"{v / 1e3:.6f}")
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:

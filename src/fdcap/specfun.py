@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import NumericsError, _stirling, expect, quad_strict
+from ._integrate import (NumericsError, _each, _every, _pick, _stirling,
+                         expect, quad_strict)
 
 # relative tolerance of each quadrature piece; no absolute one, since the
 # pieces can sit far below any (about 1e-108 at z = -61, mI = 60, before
@@ -36,7 +37,9 @@ class EvalResult:
     normal doubles; ``value`` is NaN in that case.  ``log_scaled`` is
     ln((-z)^m_i 3F2), the product the capacity closed form takes, finite
     also where only the value itself underflows, and NaN where a piece
-    failed or the estimate is too large.
+    failed or the estimate is too large.  For an array of z, value,
+    abs_error_estimate, ok and log_scaled are arrays, one element per z,
+    and method is "series" only where every element is.
     """
 
     value: float
@@ -46,11 +49,7 @@ class EvalResult:
     log_scaled: float = 0.0
 
 
-_UNAVAILABLE = EvalResult(math.nan, math.inf, "integral-representation",
-                          ok=False, log_scaled=math.nan)
-
-
-def hyper_3f2(m_i: float, m0: float, z: float) -> EvalResult:
+def hyper_3f2(m_i: float, m0: float, z) -> EvalResult:
     """3F2(m_i, m_i, m0+m_i; 1+m_i, 1+m_i; z) for m_i, m0 > 0 and z <= 0.
 
     With a^2/(a+n)^2 = a^2 int_0^1 t^(a+n-1) (-ln t) dt, summing the series
@@ -69,59 +68,97 @@ def hyper_3f2(m_i: float, m0: float, z: float) -> EvalResult:
     to is ordinary: for z < -1, s^m_i (-z)^m_i = 1, so log_scaled, the log
     of (-z)^m_i 3F2, needs no power of |z| at all.  Each piece is taken to
     1e-11 relative, with no absolute tolerance.  When z is -inf, a piece
-    raises NumericsError (an error estimate that misses the tolerance at
-    the rule's last level, or a value that is not finite), or the error
-    estimate reaches 1e-3 of the value, the result is flagged unavailable
-    (ok=False, log_scaled NaN); where only the value is subnormal, it alone
-    is (ok=False, value NaN) — never a silent wrong number.
+    fails (an error estimate that misses the tolerance at the rule's last
+    level, or a value that is not finite), or the error estimate reaches
+    1e-3 of the value, the result is flagged unavailable (ok=False,
+    log_scaled NaN); where only the value is subnormal, it alone is
+    (ok=False, value NaN) — never a silent wrong number.
+
+    z may be an array, one 3F2 per element: each piece is then one kernel
+    call over the elements, the second with an empty window where
+    z >= -1, and each element is flagged on its own.
     """
-    if not (m_i > 0.0 and m0 > 0.0 and z <= 0.0):
+    if not (m_i > 0.0 and m0 > 0.0 and _every(z <= 0.0)):
         raise ValueError(f"hyper_3f2 needs m_i, m0 > 0 and z <= 0, got "
                          f"m_i={m_i}, m0={m0}, z={z}")
-    if z == 0.0:
-        return EvalResult(1.0, 0.0, "series")
-    if z == -math.inf:
-        return _UNAVAILABLE
+    method = "integral-representation"
+    if not isinstance(z, np.ndarray):
+        if z == 0.0:
+            return EvalResult(1.0, 0.0, "series")
+        value, error, log_scaled = (_integral(m_i, m0, z) if z > -math.inf
+                                    else ([math.nan], [math.inf], [math.nan]))
+        return EvalResult(value[0], error[0], method,
+                          ok=not math.isnan(value[0]),
+                          log_scaled=log_scaled[0])
+    # z = 0 is the series' exact 1; -inf and the failures are unavailable
+    zs = z.ravel()
+    value = np.where(zs == 0.0, 1.0, math.nan)
+    error = np.where(zs == 0.0, 0.0, math.inf)
+    log_scaled = np.where(zs == 0.0, 0.0, math.nan)
+    rows = np.flatnonzero((zs < 0.0) & (zs > -math.inf))
+    if rows.size:
+        value[rows], error[rows], log_scaled[rows] = _integral(m_i, m0,
+                                                                zs[rows])
+    if (zs == 0.0).all():
+        method = "series"
+    return EvalResult(value.reshape(z.shape), error.reshape(z.shape), method,
+                      ok=~np.isnan(value).reshape(z.shape),
+                      log_scaled=log_scaled.reshape(z.shape))
+
+
+def _aslist(x) -> list:
+    """The elements of an array x, or [x] for a number."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _integral(m_i: float, m0: float, z) -> tuple[list, list, list]:
+    """hyper_3f2's integral representation at the finite z < 0, a number or
+    an array of them: lists of the values, error estimates and log_scaled,
+    NaN, inf and NaN where a value is unavailable (and NaN, inf and its
+    log_scaled where only the value is subnormal)."""
     b = m0 + m_i
-    log_z = math.log(-z) if z < -1.0 else 0.0   # L = -ln s
-    zs = max(z, -1.0)                           # z s
-    tol = {"epsabs": 0.0, "epsrel": _EPSREL}
+    log_z = _each(lambda v: math.log(-v) if v < -1.0 else 0.0, z)  # L
+    tol = {"epsabs": 0.0, "epsrel": _EPSREL, "nan_rows": True}
+    zs = _aslist(z)
+    value, error, log_scaled = ([math.nan] * len(zs), [math.inf] * len(zs),
+                                [math.nan] * len(zs))
     try:
-        # the log_at=0.0 argument is ln v
+        # the log_at=0.0 argument is ln v; z s is max(z, -1)
         head, head_err = expect(
             m_i, 1.0, "hyper_3f2",
-            lambda v, log_v: (log_z - log_v) * np.exp(-b * np.log1p(-zs * v)),
-            log_at=0.0, **tol)
-        tail, tail_err = 0.0, 0.0
-        if log_z > 0.0:
-            tail, tail_err = quad_strict(
-                "hyper_3f2",
-                lambda w: np.exp(-m0 * w - b * np.log1p(np.exp(-w))),
-                0.0, log_z, weight="alg", wvar=(0.0, 1.0), **tol)
+            lambda v, log_v, log_z, zs: ((log_z - log_v)
+                                         * np.exp(-b * np.log1p(-zs * v))),
+            log_at=0.0, args=(log_z, _pick(z < -1.0, -1.0, z)), **tol)
+        # an empty window, and 0, where z >= -1
+        tail, tail_err = quad_strict(
+            "hyper_3f2",
+            lambda w: np.exp(-m0 * w - b * np.log1p(np.exp(-w))),
+            0.0, log_z, weight="alg", wvar=(0.0, 1.0), **tol) \
+            if not _every(log_z == 0.0) else (log_z, log_z)
     except NumericsError:
-        return _UNAVAILABLE
-    # the 3F2 is m_i s^m_i total: expect's weight holds 1/B(m_i, 1) = m_i
-    total = head + m_i * tail
-    if not total > 0.0:
-        return _UNAVAILABLE
-    # no better than the requested tolerance, with a margin of 10: the
-    # rule's estimate extrapolates from its last three levels.  Its roundoff
-    # floor, 50 eps times the absolute terms, holds however small the 3F2
-    # is, since neither piece holds s^m_i
-    rel = ((head_err + m_i * tail_err) / total + _EPSREL) * 10.0
-    if not rel < 1e-3:
-        return _UNAVAILABLE
-    log_total = math.log(m_i * total)
-    if log_z > 0.0:
-        log_scaled, val = log_total, math.exp(log_total - m_i * log_z)
-    else:
-        log_scaled, val = log_total + m_i * math.log(-z), m_i * total
-    # a subnormal value (0 included) has lost its relative precision
-    if not val >= sys.float_info.min:
-        return EvalResult(math.nan, math.inf, "integral-representation",
-                          ok=False, log_scaled=log_scaled)
-    return EvalResult(val, rel * val, "integral-representation",
-                      log_scaled=log_scaled)
+        return value, error, log_scaled
+    for row, (zi, lz, h, he, t, te) in enumerate(zip(
+            zs, *map(_aslist, (log_z, head, head_err, tail, tail_err)))):
+        # the 3F2 is m_i s^m_i total: expect's weight holds 1/B(m_i, 1) = m_i
+        total = h + m_i * t
+        if not total > 0.0:
+            continue
+        # no better than the requested tolerance, with a margin of 10: the
+        # rule's estimate extrapolates from its last three levels.  Its
+        # roundoff floor, 50 eps times the absolute terms, holds however
+        # small the 3F2 is, since neither piece holds s^m_i
+        rel = ((he + m_i * te) / total + _EPSREL) * 10.0
+        if not rel < 1e-3:
+            continue
+        log_total = math.log(m_i * total)
+        if lz > 0.0:
+            log_scaled[row], val = log_total, math.exp(log_total - m_i * lz)
+        else:
+            log_scaled[row], val = log_total + m_i * math.log(-zi), m_i * total
+        # a subnormal value (0 included) has lost its relative precision
+        if val >= sys.float_info.min:
+            value[row], error[row] = val, rel * val
+    return value, error, log_scaled
 
 
 # ---------------------------------------------------------------- betainc
@@ -315,19 +352,38 @@ def _gamma_q_cf(s: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _series_terms(s: float, top: float) -> int:
+    """The terms, a multiple of 8, after which the rest of the series
+    sum_n y^n/((s+1)...(s+n)) is below 2^-56 of its sum for every y <= top
+    (the rest's share grows with y): past the largest term, the rest is
+    below term r/(1 - r), r = top/(s + n + 1)."""
+    term = total = 1.0
+    n = 0
+    while True:
+        for _ in range(8):
+            n += 1
+            term *= top / (s + n)
+            total += term
+        r = top / (s + n + 1.0)
+        if r < 1.0 and term < total * (2.0 ** -56 / r * (1.0 - r)):
+            return n
+
+
 def gammainc(s: float, x) -> np.ndarray:
     """The regularized lower incomplete gamma P(s, x), the Gamma(s, 1) cdf,
     at each element of the array x >= 0 (inf included), for s > 0.
 
     Each value depends on its own x alone, so it is the same float in any
     array.  Below s = _GAMMA_LARGE it is x^s e^(-x)/Gamma(s+1) times the
-    series sum_n x^n/((s+1)...(s+n)), whose terms are added to every
-    element until the rest of each element's series is below 2^-56 of its
-    sum, a rest that no longer moves the sum; where the bound
-    Q(s, x) <= x^(s-1) e^(-x) / (Gamma(s) (1 - (s-1)^+/x)) is below e^(-40),
-    P is 1.0.  From s = _GAMMA_LARGE, P = 1 - Q above x = s + 1, Q by
-    Legendre's continued fraction.  mpmath's value is met to 1e-14 or
-    better from the 1e-6 to the 1 - 1e-12 quantile, for s from 0.05 to 1e3
+    series sum_n x^n/((s+1)...(s+n)), its terms added in order out to the
+    count the largest element needs (_series_terms): past it the rest of
+    each element's series is below 2^-56 of its sum, which no longer moves
+    it.  Where the bound
+    Q(s, x) <= x^(s-1) e^(-x) / (Gamma(s) (1 - (s-1)^+/x)) is below
+    e^(-40), P is 1.0.  From s = _GAMMA_LARGE, P = 1 - Q above x = s + 1,
+    Q by Legendre's continued fraction, and the prefactor is the uniform
+    one.  mpmath's value is met to 1e-14 or better
+    from the 1e-6 to the 1 - 1e-12 quantile, for s from 0.05 to 1e3
     (tests/test_specfun.py).
     """
     x = np.asarray(x, dtype=float)
@@ -353,19 +409,13 @@ def gammainc(s: float, x) -> np.ndarray:
     y = x[series]
     if not y.size:
         return p
+    # term by term, first to last: a term past those an element needs is
+    # below half an ulp of its sum and leaves it as it is, so the element's
+    # value does not depend on the count
     term, total = np.ones_like(y), np.ones_like(y)
-    top = float(y.max())
-    n = 0
-    while True:
-        for _ in range(8):
-            n += 1
-            term *= y
-            term *= 1.0 / (s + n)
-            total += term
-        # past the largest term, the rest is below term r/(1 - r)
-        r = top / (s + n + 1.0)
-        if r < 1.0 and not (term >= total * (2.0 ** -56 / r * (1.0 - r))
-                            ).any():
-            break
+    for n in range(1, _series_terms(s, float(y.max())) + 1):
+        term *= y
+        term *= 1.0 / (s + n)
+        total += term
     p[series] = _gamma_front(s, y) * total
     return p

@@ -23,10 +23,11 @@ from fdcap._integrate import NumericsError
 from fdcap.capacity import (default_rho, fd_fixed_power_capacity,
                             fd_optimal_capacity_closed_form, solve_network,
                             waterfill_rate)
-from fdcap.cinr import cinr_distribution
+from fdcap.cinr import BetaPrimeDist, cinr_distribution
 from fdcap.interference import gamma_fit
 from fdcap.mcsim import MCConfig, estimate_fd_rates, estimate_hd
 from fdcap.model import ConfigError
+from fdcap.powercontrol import solve_cutoff
 from conftest import (DOMAIN, SHAPE_VARIANTS, fixed_scan, make_cfg,
                       mp_expect)
 
@@ -380,6 +381,48 @@ def test_density_outweighs_bs_power_by_the_k_elasticity(lam, p_bs, ratio):
     for name in by_lam:
         assert by_lam[name] / by_p_bs[name] == pytest.approx(
             want, rel=1e-8, abs=0.0), name
+
+
+@pytest.mark.parametrize("m_sig", [0.7, 2.0])
+@pytest.mark.parametrize("variant", SHAPE_VARIANTS)
+@pytest.mark.parametrize("field, lo, hi, base", [
+    ("lam", 1e-7, 1e-2, {"p_bs": 1e-3}), ("p_bs", 1e-3, 1e3, {}),
+    ("p_bar", 1e-4, 1e3, {})])
+def test_grid_rates_are_the_point_by_point_rates(field, lo, hi, base,
+                                                 variant, m_sig):
+    # a grid of laws sharing m0 and m_I, one row per point, crossing a0 = k
+    # and p_bar = k (both orientations, t and u, in one kernel call): the
+    # same floats as the point-by-point calls
+    grid = np.geomspace(lo, hi, 9)
+    cfgs = [make_cfg(m_sig=m_sig, **dict(base, **variant,
+                                         **{field: float(v)}))
+            for v in grid]
+    laws = [cinr_distribution(cfg, gamma_fit(cfg)) for cfg in cfgs]
+    p_bar = np.array([cfg.p_bar for cfg in cfgs])
+    grid_law = BetaPrimeDist(laws[0].m0, laws[0].mI,
+                             np.array([d.k for d in laws]))
+    sol = solve_cutoff(grid_law, p_bar)
+    sols = [solve_cutoff(d, p) for d, p in zip(laws, p_bar.tolist())]
+    assert sol.a0.tolist() == [s.a0 for s in sols]
+    assert sol.achieved_avg_power.tolist() == [
+        s.achieved_avg_power for s in sols]
+    assert sol.residual.tolist() == [s.residual for s in sols]
+    assert sol.solver_iterations == sum(s.solver_iterations for s in sols)
+    a0 = sol.a0
+    if not variant:
+        # on configs/micro.cfg these grids cross a0 = k and p_bar = k
+        assert (a0 < grid_law.k).any() and (a0 >= grid_law.k).any()
+        assert (p_bar <= grid_law.k).any() and (p_bar > grid_law.k).any()
+    b = cfgs[0].bandwidth
+    assert waterfill_rate(grid_law, a0, b).tolist() == [
+        waterfill_rate(d, s.a0, b) for d, s in zip(laws, sols)]
+    assert fd_fixed_power_capacity(grid_law, p_bar, b).tolist() == [
+        fd_fixed_power_capacity(d, p, b) for d, p in zip(laws,
+                                                         p_bar.tolist())]
+    closed = fd_optimal_capacity_closed_form(grid_law, a0, b)
+    for c, d, s in zip(closed.tolist(), laws, sols):
+        one = fd_optimal_capacity_closed_form(d, s.a0, b)
+        assert (math.isnan(c) and one is None) or c == one
 
 
 def test_default_rho_values(micro, macro):

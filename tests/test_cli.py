@@ -19,7 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from fdcap import capacity, cli, mcsim
+from fdcap._integrate import NumericsError
+from fdcap.cinr import cinr_distribution
+from fdcap.powercontrol import solve_cutoff
 from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import MCConfig
 from fdcap.model import load_config
@@ -651,16 +656,130 @@ def test_budget_below_double_resolution_is_answered(capsys):
     assert out.strip().split("\n")[1] == "1e-100,0.000000,0.000000,0.000000"
 
 
-def test_budget_whose_power_underflows_is_a_named_numeric_failure(capsys):
-    # E[P] underflows to 0.0 at every a0 = 1e-300 * 2^j the bracket tries
+@pytest.mark.parametrize("p_bar", ["1e-300", "5e-324"])
+def test_budget_whose_power_underflows_is_answered(capsys, p_bar):
+    # E[P] underflows to 0.0 at a0 = p_bar, where the bracket once doubled
+    # a0 for 200 steps and failed by name; Newton steps on the closed
+    # form's ln E[P] reach the root, a0 = 9.1e-121 at p_bar = 1e-300, whose
+    # quadrature E[P] meets p_bar
     rc, out, err = run(capsys, "sweep", MICRO, "--sweep", "p_bar",
-                       "--from", "1e-300", "--to", "1e-300", "--points", "1",
-                       "--outputs", "fd_opt")
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("numeric failure: solve_cutoff: no bracket")
-    assert "a0/k=" in err and "underflows to 0.0" in err
-    assert "eta -> 2" not in err
+                       "--from", p_bar, "--to", p_bar, "--points", "1",
+                       "--outputs", "fd_opt,fd_opt_cf,fd_fixed")
+    assert (rc, err) == (0, "")
+    assert out.strip().split("\n")[1].endswith(",0.000000,0.000000,0.000000")
+    d = capacity.solve_network(load_config(MICRO))[0]
+    sol = capacity.solve_cutoff(d, float(p_bar))
+    assert sol.residual <= 1e-6 * float(p_bar)
+
+
+# ------------------------------------------------ sweeps as one grid --
+
+def point_by_point(path, field, grid, outputs):
+    """The analytic sweep rows of the point-by-point functions, as the CLI
+    prints them, or the first NumericsError in the order in which a
+    point-by-point sweep meets it."""
+    base = load_config(path)
+    lines = []
+    for value in grid:
+        cfg = replace(base, **{field: value})
+        d = cinr_distribution(cfg, gamma_fit(cfg))
+        a0 = solve_cutoff(d, cfg.p_bar).a0 if {"fd_opt", "fd_opt_cf"} & set(
+            outputs) else None
+        cells = {"fd_opt": lambda: capacity.waterfill_rate(
+                     d, a0, cfg.bandwidth),
+                 "fd_opt_cf": lambda: capacity.fd_optimal_capacity_closed_form(
+                     d, a0, cfg.bandwidth),
+                 "fd_fixed": lambda: capacity.fd_fixed_power_capacity(
+                     d, cfg.p_bar, cfg.bandwidth)}
+        row = [f"{value:.10g}"]
+        for name in outputs:
+            v = cells[name]()
+            row.append("" if v is None else f"{v / 1e3:.6f}")
+        lines.append(",".join(row))
+    return lines
+
+
+@pytest.mark.parametrize("sweep, field, start, stop, fields", [
+    ("lambda", "lam", "1e-7", "1e-2", {"p_bs": 1e-3}),
+    ("p_bs", "p_bs", "1e-3", "1e3", {}),
+    ("p_bar", "p_bar", "1e-4", "1e3", {}),
+    # the blank closed form of a subnormal k at the first points, and
+    # values after
+    ("lambda", "lam", "1e-6", "1e-4", {"lambda": 1e-6, "p_bs": 0.0,
+                                       "n0": 1e-15, "p_bar": 1.0,
+                                       "omega_sig": 1e284})])
+def test_sweep_rows_are_the_point_by_point_functions(capsys, tmp_path, sweep,
+                                                     field, start, stop,
+                                                     fields):
+    # the analytic columns over the whole grid at once, with grids across
+    # a0 = k and p_bar = k: the rows of the point-by-point functions
+    cfg = micro_with(tmp_path, **fields)
+    outputs = (["fd_opt_cf"] if "omega_sig" in fields
+               else ["fd_opt", "fd_opt_cf", "fd_fixed"])
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", sweep, "--log",
+                       "--from", start, "--to", stop, "--points", "9",
+                       "--outputs", ",".join(outputs))
+    assert (rc, err) == (0, "")
+    grid = [float(v) for v in np.geomspace(float(start), float(stop), 9)]
+    rows = out.strip().split("\n")[1:]
+    assert rows == point_by_point(cfg, field, grid, outputs)
+    if "omega_sig" in fields:
+        # blank while k is subnormal, then filled
+        blank = [row.endswith(",") for row in rows]
+        assert blank[0] and not blank[-1]
+        assert blank == sorted(blank, reverse=True)
+
+
+@pytest.mark.parametrize("fields, start, stop, points, stage", [
+    # the middle point's k overflows, and so does the last one's
+    ({}, "1e-6", "1e300", "3", "cinr_distribution"),
+    # the quadrature rate of a subnormal k is not finite at the first two
+    # points, and the closed form is blank there
+    ({"lambda": 1e-6, "p_bs": 0.0, "n0": 1e-15, "p_bar": 1.0,
+      "omega_sig": 1e284}, "1e-6", "1e-4", "5", "fd_optimal_capacity")])
+def test_a_failing_sweep_names_its_earliest_point(capsys, tmp_path, fields,
+                                                  start, stop, points, stage):
+    cfg = micro_with(tmp_path, **fields)
+    rc, out, err = run(capsys, "sweep", cfg, "--sweep", "lambda", "--log",
+                       "--from", start, "--to", stop, "--points", points,
+                       "--outputs", "fd_opt,fd_opt_cf,fd_fixed")
+    assert (rc, out) == (2, "")
+    grid = [float(v) for v in np.geomspace(float(start), float(stop),
+                                           int(points))]
+    with pytest.raises(NumericsError) as want:
+        point_by_point(cfg, "lam", grid, ["fd_opt", "fd_opt_cf", "fd_fixed"])
+    assert want.value.stage == stage
+    assert err.startswith(f"numeric failure: {stage}: ")
+    if stage == "fd_optimal_capacity":
+        # the batched call names the failing row's window
+        assert "at row 0, window [2.1333333333333e-310, 1.0]" in err
+
+
+def test_a_sweep_raises_the_earliest_point_of_any_column(capsys,
+                                                         monkeypatch):
+    # the rate column fails at point 3 of 4, the fixed-power column at
+    # point 1: a point-by-point sweep meets the fixed-power failure first
+    real_rate, real_fixed = (capacity.waterfill_rate,
+                             capacity.fd_fixed_power_capacity)
+
+    def rate(d, a0, bandwidth):
+        if np.size(a0) > 3:
+            raise NumericsError("fd_optimal_capacity", "at point 3", row=3)
+        return real_rate(d, a0, bandwidth)
+
+    def fixed(d, p_bar, bandwidth):
+        if np.size(p_bar) > 1:
+            raise NumericsError("fd_fixed_power_capacity", "at point 1",
+                                row=1)
+        return real_fixed(d, p_bar, bandwidth)
+
+    monkeypatch.setattr(capacity, "waterfill_rate", rate)
+    monkeypatch.setattr(capacity, "fd_fixed_power_capacity", fixed)
+    rc, out, err = run(capsys, "sweep", MICRO, "--sweep", "lambda", "--log",
+                       "--from", "1e-5", "--to", "1e-4", "--points", "4",
+                       "--outputs", "fd_opt,fd_fixed")
+    assert (rc, out) == (2, "")
+    assert err == "numeric failure: fd_fixed_power_capacity: at point 1\n"
 
 
 # -------------------------------------------------------------- validate --

@@ -236,3 +236,72 @@ def test_fixed_power_rate_meets_mpmath_where_qaws_parted():
                 + mp_expect(d.m0, d.mI, rate, t_c))
         got = fd_fixed_power_capacity(d, cfg.p_bar, cfg.bandwidth)
         assert abs(got - want) <= max(1e-10 * want, 1e-13), (i, got, want)
+
+
+# ------------------------------------------------------------------- rows
+
+def test_rows_equal_the_one_row_calls():
+    # seeded batches of windows, some flipped into u = 1 - t: each row is
+    # the float of the one-row call, a flipped row the Beta(q, p) call in u
+    # with its log at the mirrored end, bit for bit
+    rng = np.random.default_rng(28)
+    for i in range(40):
+        p, q = 10.0 ** rng.uniform(-1.0, 2.0, 2)
+        rows = int(rng.integers(2, 10))
+        cut = rng.uniform(0.0, 1.0, rows)
+        flip = rng.uniform(size=rows) < 0.5
+        # t windows [cut, 1] and u windows [0, cut]: both reach t = 1
+        lo, hi = np.where(flip, 0.0, cut), np.where(flip, cut, 1.0)
+        c = rng.uniform(0.5, 30.0, rows)
+        log_at = [None, 1.0][i % 2]
+        if log_at is None:
+            g = lambda x, c: np.cos(c * x) + 2.0             # noqa: E731
+        else:
+            g = lambda x, lg, c: (np.cos(c * x) + 2.0) * lg  # noqa: E731
+        got, err = expect(p, q, "rows", g, lo, hi, log_at=log_at, flip=flip,
+                          args=(c,))
+        for j in range(rows):
+            one = (lambda x, *a: g(x, *a[:-1], c[j]))     # noqa: E731
+            want = expect(q if flip[j] else p, p if flip[j] else q, "row", one,
+                          lo[j], hi[j], log_at=None if log_at is None
+                          else 1.0 - log_at if flip[j] else log_at,
+                          args=(c[j],))
+            assert (got[j], err[j]) == want, (i, j)
+
+
+def test_a_row_that_refines_leaves_its_neighbours():
+    # 64 periods of the cosine over [0, 1] need level 6; the rows beside it
+    # stop at level 3, with the values and node counts of their own calls
+    freq = np.array([2.0, 400.0, 3.0])
+    value, err, info = fdcap._integrate.quad(
+        lambda x, c: np.cos(c * x), 0.0, 1.0, args=(freq,))
+    alone = [fdcap._integrate.quad(lambda x, c: np.cos(c * x), 0.0, 1.0,
+                                   args=(c,)) for c in freq]
+    assert info["level"].tolist() == [3, 6, 3]
+    assert info["neval"] == sum(a[2]["neval"] for a in alone)
+    assert value.tolist() == [a[0] for a in alone]
+    assert err.tolist() == [a[1] for a in alone]
+
+
+def test_a_failing_row_is_named_and_its_neighbours_kept():
+    # the middle row's integrand is NaN: quad_strict names that row and its
+    # window; with nan_rows it is NaN alone
+    def g(x, bad):
+        return np.where(bad, np.nan, np.exp(-x))
+
+    hi = np.array([1.0, 2.0, 3.0])
+    bad = np.array([False, True, False])
+    with pytest.raises(NumericsError, match=r"at row 1, window \[0\.0, 2\.0\]"
+                       ) as err:
+        fdcap._integrate.quad_strict("some_stage", g, 0.0, hi, args=(bad,))
+    assert (err.value.stage, err.value.row) == ("some_stage", 1)
+    value, abserr = fdcap._integrate.quad_strict("some_stage", g, 0.0, hi,
+                                                 args=(bad,), nan_rows=True)
+    assert math.isnan(value[1]) and math.isnan(abserr[1])
+    for j in (0, 2):
+        assert (value[j], abserr[j]) == fdcap._integrate.quad_strict(
+            "some_stage", lambda x: np.exp(-x), 0.0, hi[j])
+    # a one-row call keeps its message and carries no row
+    with pytest.raises(NumericsError) as err:
+        fdcap._integrate.quad_strict("some_stage", g, 0.0, 2.0, args=(True,))
+    assert err.value.row is None and "row" not in str(err.value)

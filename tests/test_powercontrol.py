@@ -302,21 +302,28 @@ def test_a_subnormal_power_keeps_its_newton_elasticity(monkeypatch):
     # subnormal 5.6e-311.  The closed form is a sum of positive terms, so
     # the elasticity there is 321.2, as in mpmath; the difference of two
     # incomplete betas had lost its second term and read 1, the Newton step
-    # landed at 6e304 and seven bisections brought it back.  Now a0 doubles
-    # while E[P] is 0 and then only rises to the root: no bisection
+    # landed at 6e304 and seven bisections brought it back.  ln E[P] comes
+    # from the closed form too, finite where E[P] underflows: Newton steps
+    # from a0 = p_bar only rise to the root, in 8 steps where doubling a0
+    # while E[P] was 0 took 17
     mpmath = pytest.importorskip("mpmath")
     d = BetaPrimeDist(1.1752077358914186, 377.9052804898105, 4.113174369794371)
     p_bar = 0.0014513499356744925
     a0 = 0.7430911670653402
-    power, ratio = avg_power(d, a0, elasticity=True)
+    power, ratio, log_power = avg_power(d, a0, elasticity=True)
     assert 0.0 < power < sys.float_info.min
     with mpmath.workdps(40):
         m0, mi, k, x = (mpmath.mpf(v) for v in (d.m0, d.mI, d.k, a0))
         s = x / (k + x)
         slope = mp_reg_inc_beta(mi, m0, s)
-        want = x * slope / (x * slope - k * mi / (m0 - 1)
-                            * mp_reg_inc_beta(mi + 1, m0 - 1, s))
+        want_power = x * slope - k * mi / (m0 - 1) * mp_reg_inc_beta(
+            mi + 1, m0 - 1, s)
+        want, log_want = x * slope / want_power, mpmath.log(want_power)
     assert ratio == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert log_power == pytest.approx(float(log_want), rel=1e-13, abs=0.0)
+    # at p_bar itself E[P] underflows to 0, and its log is still finite
+    power, _, log_power = avg_power(d, p_bar, elasticity=True)
+    assert power == 0.0 and -1e6 < log_power < -745.0
     tried = []
 
     def recorded(d, a0, **kwargs):
@@ -326,7 +333,7 @@ def test_a_subnormal_power_keeps_its_newton_elasticity(monkeypatch):
     monkeypatch.setattr(powercontrol, "avg_power", recorded)
     sol = solve_cutoff(d, p_bar)
     assert all(b > a for a, b in zip(tried, tried[1:]))
-    assert sol.solver_iterations == 17
+    assert sol.solver_iterations == 8 and len(tried) == 9
     assert mp_avg_power(d.m0, d.mI, d.k, sol.a0) == pytest.approx(
         p_bar, rel=1e-9, abs=0.0)
 
@@ -341,8 +348,8 @@ def test_a_solve_that_never_settles_stops_after_200_steps(monkeypatch,
     def noisy(d, a0, elasticity=False):
         tried.append(a0)
         power = 0.2 * (1.0 + (-1e-3 if len(tried) % 2 else 1e-3))
-        return (power, avg_power(d, a0, elasticity=True)[1]) if elasticity \
-            else power
+        return ((power, avg_power(d, a0, elasticity=True)[1], math.log(power))
+                if elasticity else power)
 
     monkeypatch.setattr(powercontrol, "avg_power", noisy)
     with pytest.raises(NumericsError, match="^solve_cutoff: no root of the "
@@ -371,13 +378,23 @@ def test_solve_meets_mpmath_where_the_beta_weight_is_narrowest():
     assert float(error) <= 1e-9
 
 
-def test_solve_meets_mpmath_at_eta_a_ten_millionth_above_two():
+def test_solve_meets_mpmath_at_eta_a_ten_millionth_above_two(monkeypatch):
     # configs/micro.cfg at eta = 2 + 1e-7, m_I = 2e14: past
     # powercontrol._MAX_SHAPE E[P] and its slope are quadratures.  scipy's
     # betainc put the closed form 4e-5 below them here, and the root check
-    # failed the solve; now a0 meets the 40-digit root to second order
+    # failed the solve; now a0 meets the 40-digit root to second order.
+    # E[P] underflows to 0 below a0 of about 1e12; Newton steps on the closed
+    # form's ln E[P] take a0 there from p_bar, where 43 doublings did
     d = BetaPrimeDist(2.0, 200000020654631.6, 3.926987025739417)
+    calls = []
+
+    def counted(d, a0, **kwargs):
+        calls.append(a0)
+        return avg_power(d, a0, **kwargs)
+
+    monkeypatch.setattr(powercontrol, "avg_power", counted)
     sol = solve_cutoff(d, 0.2)
+    assert len(calls) == 36 and sol.solver_iterations == 35
     assert sol.achieved_avg_power == pytest.approx(0.2, rel=1e-12, abs=0.0)
     pytest.importorskip("mpmath")
     import mpmath

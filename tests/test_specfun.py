@@ -400,3 +400,20 @@ def test_numerics_error_carries_stage():
     err = NumericsError("some_stage", "did not converge")
     assert err.stage == "some_stage"
     assert "some_stage" in str(err)
+
+
+def test_hyper_3f2_flags_each_element_of_an_array():
+    # z across -1 (with and without the second piece), the series' exact 0,
+    # and -inf, which is unavailable: each element is the one-element call,
+    # and the unavailable one leaves its neighbours their values
+    z = np.array([-1e3, -2.0, -1.0, -0.5, 0.0, -np.inf, -3.3e7, -1e-9])
+    got = hyper_3f2(1.5, 2.0, z)
+    assert got.method == "integral-representation"
+    assert got.ok.tolist() == [True] * 5 + [False, True, True]
+    for i, zi in enumerate(z.tolist()):
+        one = hyper_3f2(1.5, 2.0, zi)
+        assert bool(got.ok[i]) is one.ok
+        for field in ("value", "abs_error_estimate", "log_scaled"):
+            a, b = float(getattr(got, field)[i]), getattr(one, field)
+            assert a == b or math.isnan(a) and math.isnan(b), (zi, field)
+    assert hyper_3f2(1.5, 2.0, np.zeros(3)).method == "series"
