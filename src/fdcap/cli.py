@@ -445,8 +445,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         f"and variance, so the cost per sample does not "
                         f"grow with 1/eps")
     p.add_argument("--workers", type=int, default=1,
-                   help="Monte Carlo worker threads (default 1); results are "
-                        "worker-count independent")
+                   help=f"Monte Carlo worker threads, at most "
+                        f"{mcsim.MAX_WORKERS} (default 1); results are "
+                        f"worker-count independent")
 
 
 @functools.cache

@@ -39,11 +39,13 @@ near-field points per sample, and chunk c draws from its own SFC64 stream
 SeedSequence(seed, spawn_key=(c,)).  Both depend only on the config, the
 annulus and c, never on the worker that runs the chunk, and per-sample
 values land at fixed positions in the output array: identical results for
-any `workers`.  Worker w of W draws chunks w, w + W, ... into point
-buffers it allocates once per call and reuses; a chunk returns a fresh
-array.  Statistics are numpy's fixed-order reductions of that array, so
-they are bit-identical for any `workers` as well; see summarize for their
-error bound.
+any `workers`.  The calling thread builds every chunk's generator before
+any worker starts and is itself worker 0 of W; each worker claims the next
+unclaimed chunk from one shared counter and draws it into point buffers it
+allocates once per call and reuses.  A chunk returns a fresh array into
+its own slot, and the slots join in chunk order.  Statistics are numpy's
+fixed-order reductions of that array, so they are bit-identical for any
+`workers` as well; see summarize for their error bound.
 
 The sampler draws two fields: the BS field, and with a received-power
 target rho (_field_chunks' rho) estimate_hd's uplink field.  Draw order
@@ -70,7 +72,7 @@ draws a second field only for an --r0 override, on that other annulus.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -87,6 +89,9 @@ CHUNK_POINTS = 1 << 15
 # which each sample carries as one moment-matched Gamma variate instead of
 # point by point
 NEAR_SKEW_SHARE = 1e-6
+# most Monte Carlo worker threads a run may start: each allocates its own
+# point buffers, and threads past the host's cores only wait for the GIL
+MAX_WORKERS = 64
 # expected field points per sample above which the sampler refuses to
 # draw, since even a chunk of one sample would hold more: one float64 array
 # of this many points takes 128 MiB
@@ -119,8 +124,9 @@ class MCConfig:
         if not 0.0 < self.tail_epsilon <= 0.01:
             raise ValueError(
                 f"tail_epsilon must be in (0, 0.01], got {self.tail_epsilon}")
-        if not self.workers >= 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in [1, {MAX_WORKERS}], "
+                             f"got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -306,8 +312,13 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     fn's own draws.  fn returns one value per sample, or rows of them, as
     estimate_fd_rates does.  R_near, nu, the chunk size _chunk_samples(nu)
     and the counts' alias table _poisson_table(nu) are set once per call.
-    Worker w runs chunks w, w + W, ... with its own point buffers, and the
-    chunks join in index order: the same result for any workers.  Raises
+    The calling thread builds every chunk's generator, then runs as worker
+    0 beside min(workers, chunks) - 1 threads.  Each worker claims chunk
+    indices from one counter, draws into its own point buffers and puts
+    fn's result in the chunk's slot; the slots join in index order: the
+    same result for any workers.  A failing chunk stops further claims;
+    once every worker has returned, the exception of the lowest failing
+    chunk is raised, the one a single worker would meet first.  Raises
     NumericsError("mcsim") before drawing when one sample would hold more
     than MAX_CHUNK_POINTS points on average.
     """
@@ -326,24 +337,34 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     n, size = mc.n_samples, _chunk_samples(nu)
     table = _poisson_table(nu)
     chunks = -(-n // size)
-    workers = min(mc.workers, chunks)
+    rngs = [_chunk_rng(mc.seed, c) for c in range(chunks)]
+    parts, failures = [None] * chunks, {}
+    unclaimed, claim = iter(range(chunks)), threading.Lock()
 
-    def work(first):
-        bufs, parts = [np.empty(0)] * 3, []
-        for c in range(first, chunks, workers):
-            rng = _chunk_rng(mc.seed, c)
-            parts.append(fn(_field_interference(
-                cfg, r_min, rmax, r_near, table, min(size, n - c * size),
-                rng, bufs, rho), rng))
-        return parts
+    def work():
+        bufs = [np.empty(0)] * 3
+        while not failures:
+            with claim:
+                c = next(unclaimed, None)
+            if c is None:
+                return
+            try:
+                parts[c] = fn(_field_interference(
+                    cfg, r_min, rmax, r_near, table, min(size, n - c * size),
+                    rngs[c], bufs, rho), rngs[c])
+            except BaseException as exc:  # raised below, once all joined
+                failures[c] = exc
 
-    if workers == 1:
-        strided = [work(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            strided = list(pool.map(work, range(workers)))
-    return np.concatenate([strided[c % workers][c // workers]
-                           for c in range(chunks)], axis=-1)
+    threads = [threading.Thread(target=work)
+               for _ in range(min(mc.workers, chunks) - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if failures:
+        raise failures[min(failures)]
+    return np.concatenate(parts, axis=-1)
 
 
 def summarize(values: np.ndarray) -> SampleStats:

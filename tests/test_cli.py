@@ -146,6 +146,23 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+def test_import_and_analyze_leave_concurrent_futures_unloaded():
+    # the Monte Carlo workers are plain threads: in a fresh interpreter
+    # neither the import nor a two-worker analyze loads concurrent.futures
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "\n".join([
+        "import sys, fdcap.cli",
+        "loaded = ['concurrent.futures' in sys.modules]",
+        f"code = fdcap.cli.main(['analyze', {MICRO!r}, '--samples', '5000',",
+        "                        '--workers', '2'])",
+        "loaded.append('concurrent.futures' in sys.modules)",
+        "print(code, loaded, file=sys.stderr)"])
+    err = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stderr
+    assert err.splitlines()[-1] == "0 [False, False]"
+
+
 def test_commands_leave_scipy_unimported(tmp_path):
     # scipy is the tests' reference and no dependency of the commands: in a
     # fresh interpreter, analyze, sweep and validate run through cli.main
@@ -351,6 +368,7 @@ def test_sweep_writes_file_instead_of_stdout(capsys, tmp_path):
     ["--log", "--from", "0", "--to", "1"],
     ["--samples", "0"],
     ["--workers", "0"],
+    ["--workers", str(mcsim.MAX_WORKERS + 1)],
     ["--seed", "-1"],
     ["--tail-epsilon", "0.5"],
     ["--outputs", "fd_fixed", "--samples", "0"],
@@ -1012,6 +1030,23 @@ def test_validate_oversized_field_is_a_named_numeric_failure(capsys,
     assert out == ""
     assert err.startswith("numeric failure: mcsim: ")
     assert "2.33e+09 expected points per sample" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_too_many_workers_is_a_usage_error_before_any_thread(
+        capsys, monkeypatch, tmp_path, command):
+    # one thread per chunk of 1e9 samples would be about 5e5 threads; the
+    # worker bound refuses the run before the first one starts
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker thread was started")
+
+    monkeypatch.setattr(mcsim.threading, "Thread", no_thread)
+    hist = ["--hist-out", str(tmp_path / "h.csv")] * (command == "validate")
+    rc, out, err = run(capsys, command, MICRO, "--samples", "1000000000",
+                       "--workers", "1000000", *hist)
+    assert (rc, out) == (1, "")
+    assert err.startswith(
+        f"error: workers must be in [1, {mcsim.MAX_WORKERS}], got 1000000")
 
 
 def test_validate_reproducible_and_worker_independent(capsys, tmp_path):

@@ -11,6 +11,9 @@ two moments, which are tested tightly.
 """
 import ast
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,6 +82,8 @@ def test_simulator_imports_only_the_model_from_the_package():
     ({"n_samples": 10, "seed": 0, "tail_epsilon": 0.0}, "tail_epsilon"),
     ({"n_samples": 10, "seed": 0, "tail_epsilon": 0.5}, "tail_epsilon"),
     ({"n_samples": 10, "seed": 0, "workers": 0}, "workers"),
+    ({"n_samples": 10, "seed": 0, "workers": mcsim.MAX_WORKERS + 1},
+     "workers"),
 ])
 def test_mcconfig_rejects(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -203,6 +208,116 @@ def test_field_chunks_do_not_depend_on_workers(eta):
     assert base.shape == (2, mc.n_samples)
     for workers in (2, 3):
         assert np.array_equal(rows(workers), base)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_lowest_failing_chunk_fails_the_call(monkeypatch, workers):
+    # chunks 3 and 5 of 8 raise, chunk 3 after a wait, so with other
+    # workers chunk 5 fails first; every worker is joined, and the call
+    # raises chunk 3's exception, the one a single worker meets first
+    cfg = make_cfg()
+    made, make = {}, mcsim._chunk_rng
+
+    def chunk_rng(seed, c):
+        rng = make(seed, c)
+        made[id(rng)] = c, rng
+        return rng
+
+    def fn(field, rng):
+        c = made[id(rng)][0]
+        if c in (3, 5):
+            time.sleep(0.05 * (c == 3))
+            raise ZeroDivisionError(f"chunk {c}")
+        return field
+
+    monkeypatch.setattr(mcsim, "_chunk_rng", chunk_rng)
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match=r"^chunk 3$"):
+        mcsim._field_chunks(
+            cfg, MCConfig(7 * mc_chunk(cfg) + 3, 4, workers=workers), fn)
+    assert threading.active_count() == threads
+
+
+def test_many_workers_claim_every_chunk_once(monkeypatch):
+    # more workers than cores, switching threads every microsecond: each
+    # of 24 chunks is drawn once, and the joined field is the 1-worker one
+    cfg = make_cfg()
+    mc = MCConfig(23 * mc_chunk(cfg) + 1, 3)
+    base = interference_samples(cfg, mc)
+    drawn, draw = [], mcsim._field_interference
+
+    def field(cfg, r0, rmax, r_near, table, size, rng, *rest):
+        drawn.append(rng)
+        return draw(cfg, r0, rmax, r_near, table, size, rng, *rest)
+
+    monkeypatch.setattr(mcsim, "_field_interference", field)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = interference_samples(cfg, replace(mc, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawn) == len({id(rng) for rng in drawn}) == 24
+    assert np.array_equal(got, base)
+
+
+def spy_claims(monkeypatch, make, draw):
+    """Spies on mcsim's chunk generators (`make`) and chunk draws (`draw`)
+    for one call: the calling thread's first chunk waits until the other
+    workers have drawn three.  Returns the thread that made each chunk's
+    generator and the thread that drew it, by chunk index, and the count
+    of generators made before each draw."""
+    caller, held = threading.get_ident(), threading.Event()
+    made, maker, drawer, ready = {}, {}, {}, []
+
+    def chunk_rng(seed, c):
+        rng = make(seed, c)
+        made[id(rng)] = c, rng
+        maker[c] = threading.get_ident()
+        return rng
+
+    def field(cfg, r0, rmax, r_near, table, size, rng, *rest):
+        c, me = made[id(rng)][0], threading.get_ident()
+        first = me == caller and caller not in drawer.values()
+        drawer[c] = me
+        ready.append(len(maker))
+        if first:
+            held.wait(timeout=30.0)
+        out = draw(cfg, r0, rmax, r_near, table, size, rng, *rest)
+        if sum(t != caller for t in drawer.values()) >= 3:
+            held.set()
+        return out
+
+    monkeypatch.setattr(mcsim, "_chunk_rng", chunk_rng)
+    monkeypatch.setattr(mcsim, "_field_interference", field)
+    return caller, maker, drawer, ready
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_results_do_not_depend_on_the_claim_order(monkeypatch, micro,
+                                                  workers):
+    # with the calling thread's first chunk held back, the other workers
+    # claim most of the 8 chunks; the field and every statistic still
+    # equal the 1-worker call bit for bit, and the calling thread made
+    # every chunk's generator before any was drawn
+    _, sol = capacity.solve_network(micro)
+    mc = MCConfig(7 * mc_chunk(micro) + 3, 12)
+
+    def fd(mc):
+        field, stats = estimate_fd_rates(micro, mc, sol.a0, micro.p_bar)
+        return field.tobytes(), stats
+
+    def hd(mc):
+        return estimate_hd(micro, 0.5, mc)
+
+    bases = [(call, call(mc)) for call in (fd, hd)]
+    make, draw = mcsim._chunk_rng, mcsim._field_interference
+    for call, base in bases:
+        caller, maker, drawer, ready = spy_claims(monkeypatch, make, draw)
+        assert call(replace(mc, workers=workers)) == base
+        assert sorted(maker) == sorted(drawer) == list(range(8))
+        assert set(maker.values()) == {caller} and set(ready) == {8}
+        assert sum(t != caller for t in drawer.values()) >= 3
 
 
 @pytest.mark.parametrize("uplink", [False, True])
