@@ -381,6 +381,7 @@ def cmd_validate(args) -> int:
     if args.r0 is not None:
         samples = mcsim.interference_samples(cfg, mc, r_min=args.r0)
     stats = mcsim.summarize(samples)
+    r_near, nu = mcsim.near_field(cfg, mc, r_min)
     # sorted after summarize, whose sums run in the draw order; the KS
     # statistic and the histogram both read the order statistics
     samples.sort()
@@ -415,7 +416,9 @@ def cmd_validate(args) -> int:
     doc = {
         "config": config_values(cfg),
         "mc": {"n_samples": mc.n_samples, "seed": mc.seed,
-               "tail_epsilon": mc.tail_epsilon},
+               "tail_epsilon": mc.tail_epsilon, "r_near_m": r_near,
+               "near_points_per_sample": nu,
+               "law_gap_budget": mcsim.LAW_GAP_BUDGET},
         "exclusion_radius_m": r_min,
         "gamma_fit": {"shape": fit.shape, "mean_w": fit.mean},
         "a0_w": sol.a0,
@@ -443,7 +446,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         f"truncation radius (default {tail:g}); the far "
                         f"ring enters as one Gamma variate with its mean "
                         f"and variance, so the cost per sample does not "
-                        f"grow with 1/eps")
+                        f"grow with 1/eps, and the BS field's ring is as "
+                        f"wide as keeps its law within "
+                        f"{mcsim.LAW_GAP_BUDGET:g} of the annulus law")
     p.add_argument("--workers", type=int, default=1,
                    help=f"Monte Carlo worker threads, at most "
                         f"{mcsim.MAX_WORKERS} (default 1); results are "

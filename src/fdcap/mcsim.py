@@ -26,11 +26,23 @@ first two Campbell cumulants
 so every sample has the whole annulus' mean and variance: second-order
 moment matching of a guard-zone field (Heath, Kountouris & Bai, IEEE TSP
 2013) beyond the near/far split of Haenggi & Ganti (FnT Networking 2009).
-R_near leaves the ring the share delta3 = NEAR_SKEW_SHARE of the annulus'
-third cumulant, R_near^(2-3 eta) = R_max^(2-3 eta) + delta3 * (r0^(2-3 eta)
-- R_max^(2-3 eta)), for a cost of about delta3^(-2/(3 eta-2)) points per
-sample: 15 at eta = 4, 51 at eta = 3, under 1e3 as eta -> 2, whatever
-tail_epsilon is.
+R_near leaves the ring the share delta3 of the annulus' third cumulant,
+R_near^(2-3 eta) = R_max^(2-3 eta) + delta3 * (r0^(2-3 eta) - R_max^(2-3
+eta)), for a cost of about pi*lambda*r0^2 * delta3^(-2/(3 eta-2)) points per
+sample, whatever tail_epsilon is.  The sampled law differs from the
+annulus law only in the ring, whose Gamma variate misses its third and
+higher cumulants, so delta3 sets sup_x |F_sampled - F_annulus|, the law
+gap.  The uplink field keeps delta3 = NEAR_SKEW_SHARE = 1e-6: 15 points
+at eta = 4, 51 at eta = 3, under 1e3 as eta -> 2.  The BS field takes the
+widest ring whose law gap stays within LAW_GAP_BUDGET = 1e-4, ten times
+below what a KS distance resolves at 1e6 samples: _near_share's fitted
+envelope of that share, never below 1e-6 nor above MAX_SKEW_SHARE = 1e-3.
+At the baselines (eta = 4, m = 1) that is 1.7e-5, R_near = 3.0 r0 and
+8.0 points per sample, with a gap of 7.3e-5 (4.6e-6 at 1e-6).  Where the
+rule falls to 1e-6 (m below 0.34 at eta = 4 and 0.9 at eta = 5, every m
+from eta = 5.6 on) the ring keeps that share, though there the gap at
+1e-6 can already exceed the budget.  The tests compute the gap by
+transform inversion at the rule's own R_near.
 
 Determinism
 -----------
@@ -87,8 +99,20 @@ from .model import NetworkConfig
 CHUNK_POINTS = 1 << 15
 # share of the annulus' third interference cumulant left to the far ring,
 # which each sample carries as one moment-matched Gamma variate instead of
-# point by point
+# point by point: the uplink field's, and the least the BS field's ring takes
 NEAR_SKEW_SHARE = 1e-6
+# sup_x |F_sampled - F_annulus| the BS field's near field is sized for, ten
+# times below the ~1e-3 a KS distance resolves at 1e6 samples
+LAW_GAP_BUDGET = 1e-4
+# most of the third cumulant the BS field's ring takes: the top of the
+# shares _near_share's envelope was fitted on
+MAX_SKEW_SHARE = 1e-3
+# _near_share's log10 share at pi*lambda*r_min^2 = 1: row i, column j
+# multiplies eta^i * (ln m)^j
+_SHARE_FIT = ((-3.16896, -1.21717, -0.0953359, -0.0135956),
+              (0.288829, 1.00438, -0.0195234, 0.0),
+              (-0.194547, -0.11609, 0.0, 0.0),
+              (0.0055417, 0.0, 0.0, 0.0))
 # most Monte Carlo worker threads a run may start: each allocates its own
 # point buffers, and threads past the host's cores only wait for the GIL
 MAX_WORKERS = 64
@@ -105,7 +129,9 @@ class MCConfig:
     r_max=None means R_max = r0 * tail_epsilon^(1/(2-eta)).  The default
     tail budget 1e-3 is also the CLI's.  It sets the annulus whose law the
     samples follow, not the cost: the sampler draws points only out to
-    R_near and the ring beyond as one Gamma variate (module docstring).
+    R_near and the ring beyond as one Gamma variate, and in the BS field
+    R_near is as small as keeps the sampled law within LAW_GAP_BUDGET of
+    the annulus law (module docstring).
     """
 
     n_samples: int
@@ -218,12 +244,54 @@ def _minus_exponentials(rng: np.random.Generator,
     return np.log(out, out=out)
 
 
-def _near_radius(eta: float, r_min: float, r_max: float) -> float:
-    """Inner radius of the ring [R_near, r_max] that holds the share
-    NEAR_SKEW_SHARE of the third cumulant of the field on [r_min, r_max]."""
+def _near_radius(eta: float, r_min: float, r_max: float,
+                 share: float) -> float:
+    """Inner radius of the ring [R_near, r_max] that holds the share `share`
+    of the third cumulant of the field on [r_min, r_max]."""
     e = 2.0 - 3.0 * eta
     q = (r_max / r_min) ** e
-    return min(r_max, r_min * (q + NEAR_SKEW_SHARE * (1.0 - q)) ** (1.0 / e))
+    return min(r_max, r_min * (q + share * (1.0 - q)) ** (1.0 / e))
+
+
+def _near_share(cfg: NetworkConfig, r_min: float, r_max: float) -> float:
+    """Share delta3 of the third cumulant that the BS field's ring on
+    [r_min, r_max] may hold so that its law stays within LAW_GAP_BUDGET of
+    the annulus law (module docstring), in [NEAR_SKEW_SHARE, MAX_SKEW_SHARE].
+
+    log10 delta3 is a lower envelope, in eta and y = ln m, of the share at
+    which the transform gap meets the budget at pi*lambda*r_min^2 = 1,
+    fitted over eta in [2.05, 8], m in [0.05, 10] and tail shares 1e-4 to
+    1e-2; a sparser near field, a = pi*lambda*r_min^2 < 1, takes a^5 of it,
+    and a denser one its a = 1 share.  An annulus thinner than the fitted
+    ones, (r_max/r_min)^(2 - eta) > 1e-2, keeps NEAR_SKEW_SHARE.
+    """
+    if (r_max / r_min) ** (2.0 - cfg.eta) > 1.01e-2:  # 1e-2 and rounding
+        return NEAR_SKEW_SHARE
+    y = math.log(cfg.fading_interferer.shape)
+    log_share = sum(c * cfg.eta ** i * y ** j
+                    for i, row in enumerate(_SHARE_FIT)
+                    for j, c in enumerate(row))
+    log_share += 5.0 * math.log10(min(1.0, math.pi * cfg.lam * r_min * r_min))
+    return min(MAX_SKEW_SHARE, max(NEAR_SKEW_SHARE, 10.0 ** log_share))
+
+
+def _near_field(cfg: NetworkConfig, r_min: float, r_max: float,
+                uplink: bool = False) -> tuple[float, float]:
+    """(R_near, nu): the inner radius of the far ring on [r_min, r_max] and
+    the expected near-field points per sample, for the BS field at
+    _near_share, or for estimate_hd's uplink field at NEAR_SKEW_SHARE."""
+    share = NEAR_SKEW_SHARE if uplink else _near_share(cfg, r_min, r_max)
+    r_near = _near_radius(cfg.eta, r_min, r_max, share)
+    return r_near, cfg.lam * math.pi * (r_near * r_near - r_min * r_min)
+
+
+def near_field(cfg: NetworkConfig, mc: MCConfig,
+               r_min: Optional[float] = None) -> tuple[float, float]:
+    """(R_near, nu) of the BS field interference_samples(cfg, mc, r_min)
+    and estimate_fd_rates draw: the ring's inner radius (m) and the
+    expected near-field points per sample."""
+    r_min = cfg.r0 if r_min is None else r_min
+    return _near_field(cfg, r_min, _resolve_rmax(cfg, mc, r_min))
 
 
 def _chunk_samples(nu: float) -> int:
@@ -327,8 +395,7 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     elif not r_min > 0:
         raise ValueError(f"r_min must be > 0, got {r_min}")
     rmax = _resolve_rmax(cfg, mc, r_min)
-    r_near = _near_radius(cfg.eta, r_min, rmax)
-    nu = cfg.lam * math.pi * (r_near * r_near - r_min * r_min)
+    r_near, nu = _near_field(cfg, r_min, rmax, rho is not None)
     if nu > MAX_CHUNK_POINTS:
         raise NumericsError(
             "mcsim", f"the field on [{r_min:.6g}, {r_near:.6g}] m holds "

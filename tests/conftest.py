@@ -235,20 +235,61 @@ def mc_annulus(cfg: NetworkConfig, tail_epsilon: float) -> tuple:
                              r0)
 
 
-def near_field(cfg: NetworkConfig, r0: float, rmax: float) -> tuple:
+def near_field(cfg: NetworkConfig, r0: float, rmax: float,
+               uplink: bool = False) -> tuple:
     """(R_near, nu): the near field the sampler draws point by point on
-    [r0, rmax], and its expected points per sample."""
-    rn = mcsim._near_radius(cfg.eta, r0, rmax)
-    return rn, cfg.lam * math.pi * (rn * rn - r0 * r0)
+    [r0, rmax], and its expected points per sample; the BS field's, whose
+    ring takes the share mcsim._near_share allows, or with `uplink` the
+    uplink field's, whose ring takes NEAR_SKEW_SHARE."""
+    return mcsim._near_field(cfg, r0, rmax, uplink)
 
 
 def mc_chunk(cfg: NetworkConfig, tail_epsilon: float = 1e-3,
-             r_min=None) -> int:
-    """Samples per chunk of an MC run on [r_min (default r0), R_max]: the
-    chunk size at the run's expected near-field points per sample."""
+             r_min=None, uplink: bool = False) -> int:
+    """Samples per chunk of an MC run on [r_min (default r0), R_max] of the
+    BS field, or with `uplink` the uplink field: the chunk size at the
+    run's expected near-field points per sample."""
     r0 = cfg.r0 if r_min is None else r_min
     rmax = _resolve_rmax(cfg, MCConfig(1, 0, tail_epsilon=tail_epsilon), r0)
-    return mcsim._chunk_samples(near_field(cfg, r0, rmax)[1])
+    return mcsim._chunk_samples(near_field(cfg, r0, rmax, uplink)[1])
+
+
+def law_gap(cfg: NetworkConfig, r_min: float, r_max: float,
+            r_near: float) -> float:
+    """sup_x |F_sampled(x) - F_field(x)| for the BS field on [r_min, r_max]
+    drawn point by point out to r_near and as one Gamma variate with the
+    ring's mean and variance beyond: no sampling, no fit.
+
+    The two laws share the near field, so the difference of their
+    characteristic functions is phi_near(w) phi_ring(w) (phi_gamma(w) /
+    phi_ring(w) - 1), taken through expm1 of the log ratio.  Its Gil-Pelaez
+    integral runs out to w = 12/sd_ring, where the ring's factor is below
+    e^-72, and is evaluated every sd_ring/4 on [0, E[I] + 5 sd(I)]: the
+    difference varies on the ring's scale, and its largest values lie below
+    E[I].
+    """
+    if not r_near < r_max:
+        return 0.0
+    near, ring = FieldLaw(cfg, r_min, r_near), FieldLaw(cfg, r_near, r_max)
+    k1, k2 = ring.cumulant(1), ring.cumulant(2)
+    sd = math.sqrt(k2)
+    x_max = near.cumulant(1) + k1 + 5.0 * math.sqrt(near.cumulant(2) + k2)
+    w_max = 12.0 / sd
+    w, wt = _gauss_legendre(0.0, w_max, math.ceil(w_max * x_max / 20.0))
+    # in blocks: FieldLaw holds s x nodes terms at once
+    log_near, log_ring = (np.concatenate([law.log_laplace(-1j * w[i:i + 256])
+                                          for i in range(0, w.size, 256)])
+                          for law in (near, ring))
+    log_gamma = -(k1 * k1 / k2) * np.log1p(-1j * w * (k2 / k1))
+    dphi = (np.exp(log_near + log_ring) * np.expm1(log_gamma - log_ring)
+            * wt / w)
+    x = np.arange(0.0, x_max, 0.25 * sd)
+    gap = 0.0
+    for i in range(0, x.size, 128):
+        wx = np.multiply.outer(x[i:i + 128], w)
+        gap = max(gap, float(np.max(np.abs(np.cos(wx) @ dphi.imag
+                                           - np.sin(wx) @ dphi.real))))
+    return gap / math.pi
 
 
 def field_cinr(cfg: NetworkConfig, r_min: float, r_max: float) -> CinrLaw:

@@ -29,7 +29,7 @@ from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import MCConfig
 from fdcap.model import load_config
 from fdcap.specfun import gammainc
-from conftest import fixed_scan, mc_annulus, mc_chunk
+from conftest import fixed_scan, mc_annulus, mc_chunk, near_field
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MICRO = str(CONFIG_DIR / "micro.cfg")
@@ -874,6 +874,28 @@ def test_validate_histogram_matches_golden(capsys, tmp_path, name):
         (DATA_DIR / f"validate_hist_{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("r0", [None, "300"])
+def test_validate_reports_the_near_field_it_drew(capsys, tmp_path, r0):
+    # the mc block names the near field behind the interference checks, on
+    # the --r0 annulus where one is given: R_near, its expected points per
+    # sample and the law-gap budget the BS field's ring is sized by
+    rc, out, _ = run(capsys, "validate", MICRO, "--samples", "10000",
+                     "--seed", "2", "--hist-out", str(tmp_path / "h.csv"),
+                     *(["--r0", r0] if r0 else []))
+    assert rc == 3
+    mc = json.loads(out)["mc"]
+    cfg = load_config(MICRO)
+    r_min = float(r0) if r0 else cfg.r0
+    r_near, nu = near_field(cfg, r_min, mcsim._resolve_rmax(
+        cfg, MCConfig(1, 0), r_min))
+    assert sorted(mc) == ["law_gap_budget", "n_samples",
+                          "near_points_per_sample", "r_near_m", "seed",
+                          "tail_epsilon"]
+    assert mc["r_near_m"] == r_near and mc["near_points_per_sample"] == nu
+    assert mc["law_gap_budget"] == mcsim.LAW_GAP_BUDGET == 1e-4
+    assert r_min < r_near and 0.0 < nu <= 10.0 * (r_min / cfg.r0) ** 2
+
+
 def _read_histogram(path):
     lines = path.read_text(encoding="ascii").splitlines()
     assert lines[0] == "bin_left,bin_right,density,model_density"
@@ -1023,13 +1045,16 @@ def test_validate_names_a_zero_bs_power(capsys, tmp_path):
 
 def test_validate_oversized_field_is_a_named_numeric_failure(capsys,
                                                              tmp_path):
-    # at r0 = 1e6 m the near field holds 2.33e9 points per sample
+    # at r0 = 1e6 m the near field holds about 1e9 points per sample
     rc, out, err = run(capsys, "validate", MICRO, "--samples", "10000",
                        "--r0", "1e6", "--hist-out", str(tmp_path / "h.csv"))
     assert rc == 2
     assert out == ""
     assert err.startswith("numeric failure: mcsim: ")
-    assert "2.33e+09 expected points per sample" in err
+    cfg = load_config(MICRO)
+    nu = near_field(cfg, 1e6, mcsim._resolve_rmax(cfg, MCConfig(1, 0),
+                                                  1e6))[1]
+    assert nu > 1e9 and f"{nu:.3g} expected points per sample" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
@@ -1167,7 +1192,7 @@ def test_validate_draws_each_field_once(capsys, tmp_path, monkeypatch, r0,
     rc, _, _ = run(capsys, *argv, *(["--r0", r0] if r0 else []))
     cfg = load_config(MICRO)
     chunks = -(-20_000 // mc_chunk(cfg))
-    assert rc == 3 and chunks == 10
+    assert rc == 3 and chunks == 6
     if r0:
         r0_chunks = -(-20_000 // mc_chunk(cfg, r_min=300.0))
         assert calls.count(300.0) == r0_chunks > chunks

@@ -27,8 +27,8 @@ from fdcap import capacity, mcsim
 from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import (MCConfig, estimate_fd_rates, estimate_hd,
                          interference_samples, summarize)
-from conftest import (FieldLaw, fd_rate_rows, ks_distance, make_cfg,
-                      mc_annulus, mc_chunk, near_field)
+from conftest import (FieldLaw, fd_rate_rows, ks_distance, law_gap,
+                      make_cfg, mc_annulus, mc_chunk, near_field)
 
 
 @pytest.fixture(scope="module")
@@ -113,19 +113,89 @@ def test_resolve_rmax(micro):
     assert rmax(make_cfg(eta=2.005), r0) == math.inf
 
 
-@pytest.mark.parametrize("eta, most_points", [(4.0, 15.0), (3.0, 51.0),
-                                              (2.05, 1e3)])
-def test_near_field_leaves_the_ring_its_third_cumulant_share(eta,
-                                                             most_points):
-    # R_near leaves the ring [R_near, R_max] the share NEAR_SKEW_SHARE of
-    # the third cumulant, which costs about delta3^(-2/(3 eta - 2)) points
-    cfg = make_cfg(eta=eta)
+# the law-gap grid, (eta, m_int, r_min / r0, tail_epsilon): eta and m_int
+# across DOMAIN, at both ends and inside, on the model's annulus, and the
+# baselines' geometry at r_min = r0/2, r0 and 2 r0 and tail shares 1e-4
+# to 1e-2
+GAP_GRID = ([(eta, m, 1.0, 1e-3) for eta in (3.0, 4.0, 5.0, 8.0)
+             for m in (0.05, 0.3, 1.0, 3.0, 10.0)]
+            + [(2.05, m, 1.0, 1e-3) for m in (0.05, 1.0, 10.0)]
+            + [(2.5, 0.15, 1.0, 1e-3), (3.6, 0.6, 1.0, 1e-3),
+               (4.4, 1.8, 1.0, 1e-3), (5.5, 2.5, 1.0, 1e-3)]
+            + [(4.0, 1.0, f, eps) for f in (0.5, 1.0, 2.0)
+               for eps in (1e-4, 1e-3, 1e-2) if (f, eps) != (1.0, 1e-3)])
+
+
+def _gap_case(eta, m, r_factor, eps):
+    """(cfg, r_min, R_max) of one GAP_GRID point, on the micro baseline."""
+    cfg = make_cfg(eta=eta, m_int=m)
+    r_min = r_factor * cfg.r0
+    return cfg, r_min, mcsim._resolve_rmax(
+        cfg, MCConfig(1, 0, tail_epsilon=eps), r_min)
+
+
+@pytest.mark.parametrize("eta, m, uplink", [(4.0, 1.0, False),
+                                            (3.0, 1.0, False),
+                                            (3.0, 10.0, False),
+                                            (2.05, 0.05, False),
+                                            (4.0, 1.0, True),
+                                            (2.05, 1.0, True)])
+def test_near_field_leaves_the_ring_the_rules_third_cumulant_share(
+        eta, m, uplink):
+    # R_near leaves the ring [R_near, R_max] the share of the third
+    # cumulant that the rule picks: _near_share's for the BS field,
+    # NEAR_SKEW_SHARE for the uplink field
+    cfg = make_cfg(eta=eta, m_int=m)
     r0, rmax = mc_annulus(cfg, 1e-3)
-    rn, nu = near_field(cfg, r0, rmax)
-    assert nu < most_points
+    rn, _ = near_field(cfg, r0, rmax, uplink)
+    want = (mcsim.NEAR_SKEW_SHARE if uplink
+            else mcsim._near_share(cfg, r0, rmax))
     share = (FieldLaw(cfg, rn, rmax).cumulant(3)
              / FieldLaw(cfg, r0, rmax).cumulant(3))
-    assert share == pytest.approx(mcsim.NEAR_SKEW_SHARE, rel=1e-9, abs=0.0)
+    assert share == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_near_field_never_holds_more_points_than_at_the_least_share():
+    # the budget only widens the ring: over the law-gap grid the BS field
+    # draws at most the points per sample that delta3 = NEAR_SKEW_SHARE
+    # draws, and at the baselines (eta = 4, m = 1, r0) at most 10 where
+    # that share draws 14.85
+    for point in GAP_GRID:
+        cfg, r_min, rmax = _gap_case(*point)
+        share = mcsim._near_share(cfg, r_min, rmax)
+        assert mcsim.NEAR_SKEW_SHARE <= share <= mcsim.MAX_SKEW_SHARE
+        least = near_field(cfg, r_min, rmax, uplink=True)[1]
+        assert near_field(cfg, r_min, rmax)[1] <= least
+    for cfg in (make_cfg(), make_cfg(lam=5e-6, p_bs=20.0)):
+        r0, rmax = mc_annulus(cfg, 1e-3)
+        assert near_field(cfg, r0, rmax, uplink=True)[1] == pytest.approx(
+            14.85, abs=0.01)
+        assert near_field(cfg, r0, rmax)[1] <= 10.0
+    # an annulus thinner than any the rule was fitted on, (R_max/r0)^(2 -
+    # eta) = 1/4 here, which only an explicit r_max reaches, keeps the least
+    # share
+    cfg = make_cfg()
+    assert (mcsim._near_share(cfg, cfg.r0, 2.0 * cfg.r0)
+            == mcsim.NEAR_SKEW_SHARE)
+
+
+def test_sampled_law_stays_within_the_law_gap_budget():
+    # the BS field's sampled law, by transform inversion and no sampling, at
+    # the rule's own R_near: within LAW_GAP_BUDGET of the annulus law, or
+    # no further than at delta3 = NEAR_SKEW_SHARE, where the rule keeps
+    # that share
+    start = time.process_time()
+    for point in GAP_GRID:
+        cfg, r_min, rmax = _gap_case(*point)
+        share = mcsim._near_share(cfg, r_min, rmax)
+        if share == mcsim.NEAR_SKEW_SHARE:
+            continue
+        gap = law_gap(cfg, r_min, rmax, near_field(cfg, r_min, rmax)[0])
+        if gap > mcsim.LAW_GAP_BUDGET:
+            least = law_gap(cfg, r_min, rmax,
+                            near_field(cfg, r_min, rmax, uplink=True)[0])
+            assert gap <= least, (point, share, gap, least)
+    assert time.process_time() - start < 20.0
 
 
 def test_explicit_rmax_must_exceed_exclusion_radius(micro):
@@ -155,24 +225,33 @@ def test_worker_count_does_not_change_results(fig2):
 
 @pytest.mark.parametrize("eta, size", [(4.0, 2067), (3.0, 632)])
 def test_a_chunk_holds_about_chunk_points(monkeypatch, eta, size):
-    # CHUNK_POINTS // (1 + nu) samples: 14.9 near-field points per sample
-    # at eta = 4 and 50.8 at eta = 3; the last chunk holds the rest, and
-    # every chunk of the call draws its counts from the call's one table
+    # CHUNK_POINTS // (1 + nu) samples: the uplink field's ring keeps
+    # NEAR_SKEW_SHARE, 14.9 near-field points per sample at eta = 4 and
+    # 50.8 at eta = 3, and the BS field's ring takes a wider share, so
+    # fewer points and more samples per chunk; the last chunk holds the
+    # rest, and every chunk of a call draws its counts from the call's one
+    # table
     cfg = make_cfg(eta=eta)
-    seen = []
+    rho = capacity.default_rho(cfg)
     draw = mcsim._field_interference
+    for uplink in (True, False):
+        seen = []
 
-    def spy(cfg, r0, rmax, r_near, table, n, *rest):
-        seen.append((table, n))
-        return draw(cfg, r0, rmax, r_near, table, n, *rest)
+        def spy(cfg, r0, rmax, r_near, table, n, *rest):
+            seen.append((table, n))
+            return draw(cfg, r0, rmax, r_near, table, n, *rest)
 
-    monkeypatch.setattr(mcsim, "_field_interference", spy)
-    interference_samples(cfg, MCConfig(3 * size + 5, 1, workers=2))
-    nu = near_field(cfg, *mc_annulus(cfg, 1e-3))[1]
-    assert size * (1.0 + nu) <= mcsim.CHUNK_POINTS < (size + 1) * (1.0 + nu)
-    assert sorted(n for _, n in seen) == [5] + [size] * 3
-    assert all(table is seen[0][0] for table, _ in seen)
-    assert mc_chunk(cfg) == size
+        monkeypatch.setattr(mcsim, "_field_interference", spy)
+        chunk = mc_chunk(cfg, uplink=uplink)
+        mcsim._field_chunks(cfg, MCConfig(3 * chunk + 5, 1, workers=2),
+                            lambda field, rng: field,
+                            rho=rho if uplink else None)
+        nu = near_field(cfg, *mc_annulus(cfg, 1e-3), uplink)[1]
+        assert (chunk * (1.0 + nu) <= mcsim.CHUNK_POINTS
+                < (chunk + 1) * (1.0 + nu))
+        assert sorted(n for _, n in seen) == [5] + [chunk] * 3
+        assert all(table is seen[0][0] for table, _ in seen)
+        assert (chunk == size) if uplink else (chunk > size)
 
 
 def test_chunk_size_limits(micro):
@@ -195,7 +274,7 @@ def test_field_chunks_do_not_depend_on_workers(eta):
     # the uplink field (all three buffers) and a draw after it, over 7
     # chunks and 3 samples: workers 2 and 3 run unequal chunk counts
     cfg = make_cfg(eta=eta, m_int=2.5)
-    mc = MCConfig(7 * mc_chunk(cfg) + 3, 6)
+    mc = MCConfig(7 * mc_chunk(cfg, uplink=True) + 3, 6)
     rho = capacity.default_rho(cfg)
 
     def rows(workers):
@@ -301,7 +380,6 @@ def test_results_do_not_depend_on_the_claim_order(monkeypatch, micro,
     # equal the 1-worker call bit for bit, and the calling thread made
     # every chunk's generator before any was drawn
     _, sol = capacity.solve_network(micro)
-    mc = MCConfig(7 * mc_chunk(micro) + 3, 12)
 
     def fd(mc):
         field, stats = estimate_fd_rates(micro, mc, sol.a0, micro.p_bar)
@@ -310,9 +388,12 @@ def test_results_do_not_depend_on_the_claim_order(monkeypatch, micro,
     def hd(mc):
         return estimate_hd(micro, 0.5, mc)
 
-    bases = [(call, call(mc)) for call in (fd, hd)]
+    # 8 chunks of each field
+    runs = [(call, MCConfig(7 * mc_chunk(micro, uplink=call is hd) + 3, 12))
+            for call in (fd, hd)]
+    bases = [(call, mc, call(mc)) for call, mc in runs]
     make, draw = mcsim._chunk_rng, mcsim._field_interference
-    for call, base in bases:
+    for call, mc, base in bases:
         caller, maker, drawer, ready = spy_claims(monkeypatch, make, draw)
         assert call(replace(mc, workers=workers)) == base
         assert sorted(maker) == sorted(drawer) == list(range(8))
@@ -350,20 +431,22 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     """The first chunk's draws, made by hand as the module docstring orders
     them, all from the chunk-0 SFC64 stream: Poisson counts from the alias
     table of their law, one uniform each (slot floor(U K), coin U K - slot),
-    then uniform radii out to R_near, then unit-scale Gamma marks (at m = 1
-    the unit exponentials -ln(1 - U)) times one folded scale and
-    (1/r^2)^(eta/2), one power per point, then one Gamma variate per sample
-    with the Campbell mean and variance of the ring [R_near, R_max].  With
-    rho it is estimate_hd's uplink field: after the marks, each point's
-    d^2 ~ Exp(mean 1/(pi lambda)), again -ln(1 - U), and it sends
-    rho d^eta, taken as two powers.  Returns (counts, point weights,
-    ring)."""
+    then uniform radii out to R_near (where the ring keeps the share
+    _near_share picks, NEAR_SKEW_SHARE in the uplink field), then
+    unit-scale Gamma marks (at m = 1 the unit exponentials -ln(1 - U))
+    times one folded scale and (1/r^2)^(eta/2), one power per point, then
+    one Gamma variate per sample with the Campbell mean and variance of
+    the ring [R_near, R_max].  With rho it is estimate_hd's uplink field:
+    after the marks, each point's d^2 ~ Exp(mean 1/(pi lambda)), again
+    -ln(1 - U), and it sends rho d^eta, taken as two powers.  Returns
+    (counts, point weights, ring)."""
     r0, eta = cfg.r0, cfg.eta
     fi = cfg.fading_interferer
     rmax = r0 * eps ** (1.0 / (2.0 - eta))
+    share = (mcsim._near_share(cfg, r0, rmax) if rho is None
+             else mcsim.NEAR_SKEW_SHARE)
     q = (rmax / r0) ** (2.0 - 3.0 * eta)
-    rn = min(rmax, r0 * (q + mcsim.NEAR_SKEW_SHARE * (1.0 - q))
-             ** (1.0 / (2.0 - 3.0 * eta)))
+    rn = min(rmax, r0 * (q + share * (1.0 - q)) ** (1.0 / (2.0 - 3.0 * eta)))
     rng = np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
     lo, prob, alias = mcsim._poisson_table(
@@ -448,7 +531,7 @@ def _ring_mean_and_variance(cfg, r0, rmax, rho=None):
     unit-scale marks (uniforms to invert at m = 1) and, for the uplink
     field of rho, the uniforms of d^2."""
     spy = _DrawSpy(np.random.default_rng(0))
-    rn, nu = near_field(cfg, r0, rmax)
+    rn, nu = near_field(cfg, r0, rmax, uplink=rho is not None)
     mcsim._field_interference(cfg, r0, rmax, rn, mcsim._poisson_table(nu), 8,
                               spy, [np.empty(0)] * 3, rho)
     marks = ("random" if cfg.fading_interferer.shape == 1.0
@@ -524,7 +607,7 @@ def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
     # taken to r^-eta by two powers, to rounding, on the documented draws
     cfg = make_cfg(eta=eta, m_int=m_int)
     rho = capacity.default_rho(cfg)
-    size = mc_chunk(cfg)
+    size = mc_chunk(cfg, uplink=True)
     counts, w, ring = _first_chunk_by_hand(cfg, 1e-3, size, 21, rho)
     starts = np.cumsum(counts) - counts
     near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
@@ -535,7 +618,7 @@ def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
 
 def test_ring_variate_has_the_ring_cumulants(fig2):
     r0, rmax = mc_annulus(fig2, 1e-3)
-    ring = FieldLaw(fig2, mcsim._near_radius(fig2.eta, r0, rmax), rmax)
+    ring = FieldLaw(fig2, near_field(fig2, r0, rmax)[0], rmax)
     mean, var = _ring_mean_and_variance(fig2, r0, rmax)
     assert mean == pytest.approx(ring.cumulant(1), rel=1e-10, abs=0.0)
     assert var == pytest.approx(ring.cumulant(2), rel=1e-10, abs=0.0)
@@ -550,7 +633,7 @@ def test_uplink_ring_variate_has_the_ring_cumulants():
     d_sq_mean = 1.0 / (math.pi * cfg.lam)
     r0, rmax = mc_annulus(cfg, 1e-3)
     unit = FieldLaw(replace(cfg, p_bs=1.0),
-                    mcsim._near_radius(cfg.eta, r0, rmax), rmax)
+                    near_field(cfg, r0, rmax, uplink=True)[0], rmax)
 
     def tx_moment(n):
         val, err = quad(lambda t: t ** (0.5 * n * cfg.eta) * math.exp(-t),
@@ -715,8 +798,9 @@ def test_field_cumulants_match_the_annulus_law(fig2, fig2_cumulant_samples):
 
 def test_field_third_cumulant_matches_the_annulus_law(fig2,
                                                       fig2_cumulant_samples):
-    # the ring holds the share NEAR_SKEW_SHARE of the third cumulant, and
-    # its Gamma variate matches only two: far below the k-statistic's noise
+    # the ring holds the share _near_share picks of the third cumulant,
+    # and its Gamma variate matches only two: far below the k-statistic's
+    # noise
     x = fig2_cumulant_samples
     n = x.size
     k = [FieldLaw(fig2, *mc_annulus(fig2, 1e-3)).cumulant(j)
