@@ -147,7 +147,9 @@ def cmd_analyze(args) -> int:
         "flags": {"fd_harmful": c_opt < hd.mean,
                   "fd_beneficial": c_fixed > hd.mean},
         "mc": {"n_samples": mc.n_samples, "seed": mc.seed,
-               "tail_epsilon": mc.tail_epsilon, "rho_w": rho},
+               "tail_epsilon": mc.tail_epsilon, "rho_w": rho,
+               "near_points_per_sample": mcsim.uplink_near_points(cfg, mc),
+               "law_gap_budget": mcsim.LAW_GAP_BUDGET},
     }
     _print_json(doc)
     return EXIT_OK

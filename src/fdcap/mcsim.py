@@ -20,7 +20,7 @@ Each sample adds one Gamma variate (shape kappa_1^2/kappa_2, scale
 kappa_2/kappa_1) for the far ring [R_near, R_max], matched to the ring's
 first two Campbell cumulants
 
-    kappa_n = 2*pi*lambda*E[mark^n]*E[tx^n]
+    kappa_n = 2*pi*lambda*E[mark^n]*p_bs^n
               * (R_near^(2-n eta) - R_max^(2-n eta))/(n eta - 2),
 
 so every sample has the whole annulus' mean and variance: second-order
@@ -32,17 +32,39 @@ eta)), for a cost of about pi*lambda*r0^2 * delta3^(-2/(3 eta-2)) points per
 sample, whatever tail_epsilon is.  The sampled law differs from the
 annulus law only in the ring, whose Gamma variate misses its third and
 higher cumulants, so delta3 sets sup_x |F_sampled - F_annulus|, the law
-gap.  The uplink field keeps delta3 = NEAR_SKEW_SHARE = 1e-6: 15 points
-at eta = 4, 51 at eta = 3, under 1e3 as eta -> 2.  The BS field takes the
-widest ring whose law gap stays within LAW_GAP_BUDGET = 1e-4, ten times
-below what a KS distance resolves at 1e6 samples: _near_share's fitted
-envelope of that share, never below 1e-6 nor above MAX_SKEW_SHARE = 1e-3.
-At the baselines (eta = 4, m = 1) that is 1.7e-5, R_near = 3.0 r0 and
-8.0 points per sample, with a gap of 7.3e-5 (4.6e-6 at 1e-6).  Where the
-rule falls to 1e-6 (m below 0.34 at eta = 4 and 0.9 at eta = 5, every m
-from eta = 5.6 on) the ring keeps that share, though there the gap at
-1e-6 can already exceed the budget.  The tests compute the gap by
-transform inversion at the rule's own R_near.
+gap.  The ring takes the widest share whose law gap stays within
+LAW_GAP_BUDGET = 1e-4, ten times below what a KS distance resolves at 1e6
+samples: _near_share's fitted envelope of that share, never below
+NEAR_SKEW_SHARE = 1e-6 nor above MAX_SKEW_SHARE = 1e-3.  At the baselines
+(eta = 4, m = 1) that is 1.7e-5, R_near = 3.0 r0 and 8.0 points per
+sample, with a gap of 7.3e-5 (4.6e-6 at 1e-6).  Where the rule falls to
+1e-6 (m below 0.34 at eta = 4 and 0.9 at eta = 5, every m from eta = 5.6
+on) the ring keeps that share, though there the gap at 1e-6 can already
+exceed the budget.  The tests compute the gap by transform inversion at
+the rule's own R_near.
+
+estimate_hd's uplink field has users of intensity lambda on the same
+annulus, each sending rho*d^eta with d^2 ~ Exp(mean 1/(pi*lambda)) its
+own-cell distance.  With v = pi*lambda*r^2 and E = pi*lambda*d^2 a unit
+exponential, a user is received at mark*rho*(E/v)^(eta/2) =
+mark*rho*t^(-eta/2), t = v/E, and by the mapping theorem (Kingman, Poisson
+Processes, 1993) the t form a Poisson field of intensity (1 + x)*e^(-x)
+taken between x = V/t and x = v_min/t, v_min and V the v of r0 and R_max:
+the BS field's form in v.  So the uplink near field is cut by received
+power, at t <= T = pi*lambda*R_near^2 with R_near from the BS field's rule:
+its counts are Poisson(T*(e^(-v_min/T) - e^(-V/T))), each point's v has
+the law e^(-v/T) truncated to [v_min, V], drawn by inversion, and its
+E = v/T + X, X a unit exponential.  The ring t > T holds only weak points
+and takes one Gamma variate with
+
+    kappa_n = E[mark^n]*rho^n*[v^(1-a)*(gamma(a-1, v/T) + gamma(a, v/T))]
+              from v = V to v = v_min,   a = n eta/2,
+
+gamma the lower incomplete gamma (_uplink_ring_term) and the V term 0 at
+R_max = inf.  At the baselines that is 8.06 points per sample, with a law
+gap of 6.3e-5.  A radius split does not suit this field: its ring's
+E^(eta/2) transmit powers keep it far from a Gamma law (a gap of 2.05e-3
+at delta3 = 1e-6, for 14.85 points, and more for a wider ring).
 
 Determinism
 -----------
@@ -64,19 +86,21 @@ target rho (_field_chunks' rho) estimate_hd's uplink field.  Draw order
 inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
 fd estimators: counts, radii, marks, ring, then alpha0;
-hd estimator:  counts, radii, marks, d^2 (power control), ring, then g.
+hd estimator:  counts, v, marks, E, ring, then g.
 Counts come from one Walker/Vose alias table of their Poisson law, built
 once per call on a window that leaves out less than 1e-30 of the mass, one
 uniform U per sample: slot floor(U*K) of the table's K, coin U*K - slot.
-Radii are uniforms.  Marks are unit-scale standard_gamma draws into the
-sum buffer, but at m = 1 unit exponentials by inversion, -ln(1 - U) with
-1 - U exact, so never ln 0; d^2 takes unit exponentials E the same way.
-Both are drawn as ln(1 - U) = -E, and the sign rides on a multiply that is
-there anyway.  One in-place multiply scales the marks: by the mark scale
-times p_bs for the BS field, or times rho*(pi*lambda)^(-eta/2) for the
-uplink field, negated at m = 1.  Every point then takes one divide and one
-power: (1/r^2)^(eta/2) in the BS field, (-E/-r^2)^(eta/2) in the uplink
-field, whose squared radii are scaled negative for it.
+Radii and v are uniforms, v as w = v/T with -w = ln(1 - c*U) - v_min/T,
+c = 1 - e^(-(V - v_min)/T).  Marks are unit-scale standard_gamma draws
+into the sum buffer, but at m = 1 unit exponentials by inversion,
+-ln(1 - U) with 1 - U exact, so never ln 0; E takes its unit exponential X
+the same way.  Both are drawn as ln(1 - U) = -X, and the sign rides on a
+multiply or divide that is there anyway.  One in-place multiply scales the
+marks: by the mark scale times p_bs for the BS field, or times
+rho*T^(-eta/2) for the uplink field, negated at m = 1.  Every point then
+takes one power: (1/r^2)^(eta/2) in the BS field, after one divide, and
+(1 + X/w)^(eta/2) = (T*E/v)^(eta/2) in the uplink field, after one divide
+of -X by -w and one add.
 The fd order extends the interference order, so one pass serves both:
 estimate_fd_rates returns its field with its rates, and `fdcap validate`
 draws a second field only for an --r0 override, on that other annulus.
@@ -93,13 +117,13 @@ import numpy as np
 from ._integrate import NumericsError
 from .model import NetworkConfig
 
-# field points one chunk holds: three point buffers of this size (radii,
-# marks with reduceat's sentinel, the uplink's E) take about 1 MB, half a
-# core's 2 MiB L2
+# field points one chunk holds: three point buffers of this size (radii or
+# the uplink's v, marks with reduceat's sentinel, the uplink's E) take
+# about 1 MB, half a core's 2 MiB L2
 CHUNK_POINTS = 1 << 15
-# share of the annulus' third interference cumulant left to the far ring,
-# which each sample carries as one moment-matched Gamma variate instead of
-# point by point: the uplink field's, and the least the BS field's ring takes
+# least share of the annulus' third interference cumulant that the BS
+# field's far ring takes, which each sample carries as one moment-matched
+# Gamma variate instead of point by point
 NEAR_SKEW_SHARE = 1e-6
 # sup_x |F_sampled - F_annulus| the BS field's near field is sized for, ten
 # times below the ~1e-3 a KS distance resolves at 1e6 samples
@@ -128,10 +152,12 @@ class MCConfig:
 
     r_max=None means R_max = r0 * tail_epsilon^(1/(2-eta)).  The default
     tail budget 1e-3 is also the CLI's.  It sets the annulus whose law the
-    samples follow, not the cost: the sampler draws points only out to
-    R_near and the ring beyond as one Gamma variate, and in the BS field
-    R_near is as small as keeps the sampled law within LAW_GAP_BUDGET of
-    the annulus law (module docstring).
+    samples follow, not the cost: the sampler draws points one by one only
+    in the near field, out to R_near in the BS field and down to received
+    power rho*T^(-eta/2), T = pi*lambda*R_near^2, in the uplink field, and
+    the ring beyond as one Gamma variate.  R_near is as small as keeps the
+    BS field's sampled law within LAW_GAP_BUDGET of the annulus law
+    (module docstring).
     """
 
     n_samples: int
@@ -275,14 +301,22 @@ def _near_share(cfg: NetworkConfig, r_min: float, r_max: float) -> float:
     return min(MAX_SKEW_SHARE, max(NEAR_SKEW_SHARE, 10.0 ** log_share))
 
 
-def _near_field(cfg: NetworkConfig, r_min: float, r_max: float,
-                uplink: bool = False) -> tuple[float, float]:
-    """(R_near, nu): the inner radius of the far ring on [r_min, r_max] and
-    the expected near-field points per sample, for the BS field at
-    _near_share, or for estimate_hd's uplink field at NEAR_SKEW_SHARE."""
-    share = NEAR_SKEW_SHARE if uplink else _near_share(cfg, r_min, r_max)
-    r_near = _near_radius(cfg.eta, r_min, r_max, share)
+def _near_field(cfg: NetworkConfig, r_min: float,
+                r_max: float) -> tuple[float, float]:
+    """(R_near, nu): the inner radius of the BS field's far ring on [r_min,
+    r_max], at _near_share, and the expected near-field points per sample."""
+    r_near = _near_radius(cfg.eta, r_min, r_max, _near_share(cfg, r_min, r_max))
     return r_near, cfg.lam * math.pi * (r_near * r_near - r_min * r_min)
+
+
+def _uplink_points(cfg: NetworkConfig, r_min: float, r_max: float,
+                   r_near: float) -> float:
+    """Expected near-field points per sample of the uplink field on [r_min,
+    r_max] cut at T = pi*lambda*r_near^2: T*(e^(-v_min/T) - e^(-V/T)), with
+    v_min and V the pi*lambda*r^2 of r_min and r_max (module docstring)."""
+    t = math.pi * cfg.lam * r_near * r_near
+    return t * (math.exp(-math.pi * cfg.lam * r_min * r_min / t)
+                - math.exp(-math.pi * cfg.lam * r_max * r_max / t))
 
 
 def near_field(cfg: NetworkConfig, mc: MCConfig,
@@ -294,6 +328,59 @@ def near_field(cfg: NetworkConfig, mc: MCConfig,
     return _near_field(cfg, r_min, _resolve_rmax(cfg, mc, r_min))
 
 
+def uplink_near_points(cfg: NetworkConfig, mc: MCConfig) -> float:
+    """Expected near-field points per sample of the uplink field that
+    estimate_hd(cfg, rho, mc) draws, at any rho."""
+    r0 = cfg.r0
+    rmax = _resolve_rmax(cfg, mc, r0)
+    return _uplink_points(cfg, r0, rmax, _near_field(cfg, r0, rmax)[0])
+
+
+def _uplink_ring_term(a: float, v: float, t: float) -> float:
+    """v^(1-a) (gamma(a-1, v/t) + gamma(a, v/t)), lower incomplete gammas;
+    0 at v = inf.
+
+    With x = v/t it is t^(1-a) e^(-x) (1 + x sum_j x^j/(a+1)_j)/(a-1), a
+    series of positive terms, summed to a relative 1e-17.  Past x = 2a + 60
+    both gammas are complete to below 1e-17 of themselves, so the term is
+    v^(1-a) a Gamma(a-1)."""
+    x = v / t
+    if x > 2.0 * a + 60.0:
+        if v == math.inf:
+            return 0.0
+        return math.exp((1.0 - a) * math.log(v) + math.log(a)
+                        + math.lgamma(a - 1.0))
+    term = total = 1.0
+    j = 1.0
+    while term > 1e-17 * total:
+        term *= x / (a + j)
+        total += term
+        j += 1.0
+    return math.exp((1.0 - a) * math.log(t) - x + math.log1p(x * total)
+                    - math.log(a - 1.0))
+
+
+def _ring_cumulants(cfg: NetworkConfig, r_min: float, r_max: float,
+                    r_near: float,
+                    rho: Optional[float] = None) -> tuple[float, float]:
+    """(kappa_1, kappa_2) of the far ring of the field on [r_min, r_max]:
+    the BS field's beyond R_near = r_near, or with `rho` the uplink field's
+    points with t > T = pi*lambda*r_near^2 (module docstring)."""
+    fi = cfg.fading_interferer
+    marks = (fi.mean, fi.mean * fi.mean * (1.0 + 1.0 / fi.shape))
+    if rho is None:
+        tx = (cfg.p_bs, cfg.p_bs * cfg.p_bs)
+        return tuple(
+            2.0 * math.pi * cfg.lam * (mark * p) / (n * cfg.eta - 2.0)
+            * (r_near ** (2.0 - n * cfg.eta) - r_max ** (2.0 - n * cfg.eta))
+            for n, mark, p in zip((1, 2), marks, tx))
+    v_min, v_max, t = (math.pi * cfg.lam * r * r for r in (r_min, r_max, r_near))
+    return tuple(moment * rho ** n
+                 * (_uplink_ring_term(0.5 * n * cfg.eta, v_min, t)
+                    - _uplink_ring_term(0.5 * n * cfg.eta, v_max, t))
+                 for n, moment in zip((1, 2), marks))
+
+
 def _chunk_samples(nu: float) -> int:
     """Samples per chunk at nu expected near-field points per sample."""
     return max(1, int(CHUNK_POINTS // (1.0 + nu)))
@@ -301,41 +388,40 @@ def _chunk_samples(nu: float) -> int:
 
 def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
                         r_near: float, table: tuple, size: int,
-                        rng: np.random.Generator, bufs: list,
+                        rng: np.random.Generator, bufs: list, ring: tuple,
                         rho: Optional[float] = None) -> np.ndarray:
     """`size` i.i.d. draws of the aggregate interference (W) of the field
-    on [r0, rmax], as a fresh array: the near field [r0, r_near], its
-    per-sample counts from the alias table `table` of their Poisson law
-    (_poisson_table), point by point, the far ring as one moment-matched
-    Gamma variate per sample (only if its mean is positive).
+    on [r0, rmax], as a fresh array: the near field, its per-sample counts
+    from the alias table `table` of their Poisson law (_poisson_table),
+    point by point, and the far ring as one Gamma variate per sample with
+    the cumulants `ring` = (kappa_1, kappa_2) (_ring_cumulants), only if
+    kappa_1 is positive.
 
-    Draws counts, radii, marks and the ring, in that order, the points into
-    views of the three float64 arrays in `bufs`, which it replaces by larger
-    ones when the chunk's points outgrow them.  Every interferer sends p_bs,
-    or with `rho` (estimate_hd's uplink field) rho*d^eta, d^2 ~ Exp(mean
-    1/(pi*lambda)): scale*E^(eta/2), scale = rho*(pi*lambda)^(-eta/2), with
-    E the unit exponentials drawn after the marks and E[tx^n] =
-    scale^n*Gamma(1 + n*eta/2).  E and the m = 1 marks are drawn as their
-    negatives ln(1 - U) (_minus_exponentials); the marks' scale and the
-    uplink's squared radii carry the sign.
+    Draws in the module docstring's order into views of the three float64
+    arrays in `bufs`, which it replaces by larger ones when the chunk's
+    points outgrow them.  The BS field's near field is [r0, r_near], and
+    every point sends p_bs.  With `rho` it is estimate_hd's uplink field
+    cut at T = pi*lambda*r_near^2, each point at mark*rho*T^(-eta/2)*(1 +
+    X/w)^(eta/2) with w = v/T.  X and the m = 1 marks are drawn as their
+    negatives ln(1 - U) (_minus_exponentials); the marks' scale and -w
+    carry the sign.
     """
-    if rho is None:
-        tx_scale, tx_mean, tx_sq = cfg.p_bs, cfg.p_bs, cfg.p_bs * cfg.p_bs
-    else:
-        tx_scale = rho * (math.pi * cfg.lam) ** (-0.5 * cfg.eta)
-        tx_mean, tx_sq = (rho ** n * math.gamma(1.0 + 0.5 * n * cfg.eta)
-                          * (math.pi * cfg.lam) ** (-0.5 * n * cfg.eta)
-                          for n in (1, 2))
     counts = _poisson_counts(table, rng, size)
     total = int(counts.sum())
     if bufs[1].size <= total:  # one slot more for reduceat's sentinel
         bufs[:] = [np.empty(total + total // 8 + 1) for _ in bufs]
-    # in place: every fresh temporary of a chunk's size costs page faults;
-    # the uplink's r_sq holds -r^2, to divide its -E by
-    sign = 1.0 if rho is None else -1.0
-    r_sq = rng.random(out=bufs[0][:total])
-    r_sq *= sign * (r_near * r_near - r0 * r0)
-    r_sq += sign * r0 * r0
+    # in place: every fresh temporary of a chunk's size costs page faults
+    pos = rng.random(out=bufs[0][:total])
+    if rho is None:  # r^2
+        pos *= r_near * r_near - r0 * r0
+        pos += r0 * r0
+        tx_scale = cfg.p_bs
+    else:  # -w
+        t = math.pi * cfg.lam * r_near * r_near
+        pos *= math.expm1(math.pi * cfg.lam * (r0 * r0 - rmax * rmax) / t)
+        np.log1p(pos, out=pos)
+        pos -= math.pi * cfg.lam * r0 * r0 / t
+        tx_scale = rho * t ** (-0.5 * cfg.eta)
     fi = cfg.fading_interferer
     w = bufs[1][:total + 1]
     w[total] = 0.0
@@ -347,22 +433,21 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     else:
         rng.standard_gamma(fi.shape, out=marks)
     marks *= mark_scale
-    # tx*r^-eta = scale*(v/r^2)^(eta/2), v = 1 in the BS field: one power
-    np.divide(1.0 if rho is None
-              else _minus_exponentials(rng, bufs[2][:total]), r_sq,
-              out=r_sq)
-    r_sq **= 0.5 * cfg.eta
-    marks *= r_sq
+    # one power per point: (1/r^2)^(eta/2), or (1 + X/w)^(eta/2)
+    if rho is None:
+        np.divide(1.0, pos, out=pos)
+    else:
+        np.divide(_minus_exponentials(rng, bufs[2][:total]), pos, out=pos)
+        pos += 1.0
+    pos **= 0.5 * cfg.eta
+    marks *= pos
     # each sample's run of points starts at its offset; the 0.0 sentinel in
     # w's last slot keeps every offset, `total` too, a valid index, and
     # reduceat returns the element at the offset for an empty run
     starts = np.cumsum(counts) - counts
     out = np.add.reduceat(w, starts)
     out[counts == 0] = 0.0
-    mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
-    k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * cfg.eta - 2.0)
-              * (r_near ** (2.0 - n * cfg.eta) - rmax ** (2.0 - n * cfg.eta))
-              for n, moment in ((1, fi.mean * tx_mean), (2, mark_sq * tx_sq)))
+    k1, k2 = ring
     if k1 > 0.0:
         out += rng.gamma(k1 * k1 / k2, k2 / k1, size)
     return out
@@ -378,8 +463,9 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     [r_min, R_max] (r_min defaults to the model's r0), the BS field or with
     rho the uplink field (_field_interference), drawn from chunk_rng before
     fn's own draws.  fn returns one value per sample, or rows of them, as
-    estimate_fd_rates does.  R_near, nu, the chunk size _chunk_samples(nu)
-    and the counts' alias table _poisson_table(nu) are set once per call.
+    estimate_fd_rates does.  R_near, nu (_near_field, or _uplink_points
+    with rho), the chunk size _chunk_samples(nu), the counts' alias table
+    _poisson_table(nu) and the ring's cumulants are set once per call.
     The calling thread builds every chunk's generator, then runs as worker
     0 beside min(workers, chunks) - 1 threads.  Each worker claims chunk
     indices from one counter, draws into its own point buffers and puts
@@ -395,7 +481,9 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     elif not r_min > 0:
         raise ValueError(f"r_min must be > 0, got {r_min}")
     rmax = _resolve_rmax(cfg, mc, r_min)
-    r_near, nu = _near_field(cfg, r_min, rmax, rho is not None)
+    r_near, nu = _near_field(cfg, r_min, rmax)
+    if rho is not None:
+        nu = _uplink_points(cfg, r_min, rmax, r_near)
     if nu > MAX_CHUNK_POINTS:
         raise NumericsError(
             "mcsim", f"the field on [{r_min:.6g}, {r_near:.6g}] m holds "
@@ -403,6 +491,7 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
                      f"{MAX_CHUNK_POINTS}")
     n, size = mc.n_samples, _chunk_samples(nu)
     table = _poisson_table(nu)
+    ring = _ring_cumulants(cfg, r_min, rmax, r_near, rho)
     chunks = -(-n // size)
     rngs = [_chunk_rng(mc.seed, c) for c in range(chunks)]
     parts, failures = [None] * chunks, {}
@@ -418,7 +507,7 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
             try:
                 parts[c] = fn(_field_interference(
                     cfg, r_min, rmax, r_near, table, min(size, n - c * size),
-                    rngs[c], bufs, rho), rngs[c])
+                    rngs[c], bufs, ring, rho), rngs[c])
             except BaseException as exc:  # raised below, once all joined
                 failures[c] = exc
 
@@ -519,11 +608,13 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
     external; documented here and tested for its claimed invariances):
     interfering uplink users form a Poisson field of intensity lambda (one
     active co-channel user per cell) on the same annulus [r0, R_max] as the
-    BS field, sampled the same way: point by point out to R_near, plus one
-    Gamma variate with the far ring's Campbell mean and variance.  Each
-    transmits rho*d^eta where d is its own nearest-BS distance (Rayleigh,
-    d^2 ~ Exp(mean 1/(pi*lambda))) — path-loss inversion to received level
-    rho; interferer channels are Gamma(m, Omega).
+    BS field.  Each transmits rho*d^eta where d is its own nearest-BS
+    distance (Rayleigh, d^2 ~ Exp(mean 1/(pi*lambda))) — path-loss
+    inversion to received level rho; interferer channels are Gamma(m,
+    Omega).  The field is sampled point by point down to received power
+    rho*T^(-eta/2), T = pi*lambda*R_near^2 at the BS field's R_near, plus
+    one Gamma variate with the mean and variance of the weaker rest
+    (module docstring).
     The served link sees a unit-mean Gamma(m0, 1/m0) gain g, so the received
     signal power is rho*g.  The estimate is insensitive to both lambda and
     rho (tested), which is what makes this reconstruction usable as a

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gammaincc, poch
+from scipy.special import gamma as gamma_fn
+from scipy.special import gammainc, gammaincc, poch
 
 from fdcap import GammaParams, NetworkConfig, mcsim
 from fdcap.mcsim import MCConfig, _resolve_rmax
@@ -129,7 +130,8 @@ class FieldLaw:
     for real or complex s with Re s >= 0.  The integral runs in log v on
     panels of width 1/2 with 16-point Gauss-Legendre rules; the integrand is
     analytic in log v at least pi/eta away from the real axis for every such
-    s, so each panel converges to machine precision.
+    s, so each panel converges to machine precision.  FieldLaw.uplink gives
+    the uplink field's law in the same form.
     """
 
     def __init__(self, cfg: NetworkConfig, r_min: float, r_max: float):
@@ -143,6 +145,44 @@ class FieldLaw:
         self._g = (cfg.fading_interferer.mean * cfg.p_bs
                    * v ** (-0.5 * cfg.eta) / self.m)
         self._w = math.pi * cfg.lam * v * w  # dv = v d(log v)
+
+    @classmethod
+    def uplink(cls, cfg: NetworkConfig, rho: float, r_min: float,
+               r_max: float, t_lo: float = 0.0, t_hi: float = math.inf):
+        """Exact law of the uplink field's points with t in [t_lo, t_hi]:
+        users of intensity lambda on [r_min, r_max] (r_max finite), each at
+        its own-cell distance d, d^2 ~ Exp(mean 1/(pi lambda)), sending
+        rho d^eta.  With v = pi lambda r^2 and E = pi lambda d^2, each is
+        received at mark rho t^(-eta/2), t = v/E, and by the mapping theorem
+        the t form a Poisson field of intensity
+
+            lambda_t(t) = (1 + x) e^-x taken between x = V/t and v_min/t,
+
+        v_min and V the v of r_min and r_max: P(2, V/t) - P(2, v_min/t) in
+        regularized incomplete gammas, and Q(2, v_min/t) - Q(2, V/t) where
+        v_min/t > 1, so that neither difference cancels.  The integral runs
+        in log t as FieldLaw's does, from v_min/50, where lambda_t is below
+        1e-20, to 1e5 V, beyond which lambda_t ~ (V^2 - v_min^2)/(2 t^2)
+        leaves less than 1e-10 of the mean.
+        """
+        v_min, v_max = (math.pi * cfg.lam * r * r for r in (r_min, r_max))
+        if not 0.0 < v_min < v_max < math.inf:
+            raise ValueError(f"need 0 < r_min < r_max < inf, got "
+                             f"[{r_min}, {r_max}]")
+        lo = math.log(max(t_lo, v_min / 50.0))
+        hi = math.log(min(t_hi, 1e5 * v_max))
+        log_t, w = _gauss_legendre(lo, hi, math.ceil(2.0 * (hi - lo)))
+        t = np.exp(log_t)
+        x_lo, x_hi = v_min / t, v_max / t
+        density = np.where(x_lo > 1.0,
+                           gammaincc(2.0, x_lo) - gammaincc(2.0, x_hi),
+                           gammainc(2.0, x_hi) - gammainc(2.0, x_lo))
+        law = cls.__new__(cls)
+        law.m = cfg.fading_interferer.shape
+        law._g = (cfg.fading_interferer.mean * rho * t ** (-0.5 * cfg.eta)
+                  / law.m)
+        law._w = density * t * w
+        return law
 
     def log_laplace(self, s, k: int = 0):
         """k-th s-derivative of log L(s), for scalar or array s."""
@@ -235,61 +275,102 @@ def mc_annulus(cfg: NetworkConfig, tail_epsilon: float) -> tuple:
                              r0)
 
 
-def near_field(cfg: NetworkConfig, r0: float, rmax: float,
-               uplink: bool = False) -> tuple:
-    """(R_near, nu): the near field the sampler draws point by point on
-    [r0, rmax], and its expected points per sample; the BS field's, whose
-    ring takes the share mcsim._near_share allows, or with `uplink` the
-    uplink field's, whose ring takes NEAR_SKEW_SHARE."""
-    return mcsim._near_field(cfg, r0, rmax, uplink)
+def near_field(cfg: NetworkConfig, r0: float, rmax: float) -> tuple:
+    """(R_near, nu): the BS field's near field, which the sampler draws
+    point by point on [r0, R_near] with the ring beyond taking the share
+    mcsim._near_share allows, and its expected points per sample."""
+    return mcsim._near_field(cfg, r0, rmax)
 
 
 def mc_chunk(cfg: NetworkConfig, tail_epsilon: float = 1e-3,
-             r_min=None, uplink: bool = False) -> int:
-    """Samples per chunk of an MC run on [r_min (default r0), R_max] of the
-    BS field, or with `uplink` the uplink field: the chunk size at the
-    run's expected near-field points per sample."""
+             r_min=None) -> int:
+    """Samples per chunk of an MC run of the BS field on [r_min (default
+    r0), R_max]: the chunk size at its expected near-field points per
+    sample."""
     r0 = cfg.r0 if r_min is None else r_min
     rmax = _resolve_rmax(cfg, MCConfig(1, 0, tail_epsilon=tail_epsilon), r0)
-    return mcsim._chunk_samples(near_field(cfg, r0, rmax, uplink)[1])
+    return mcsim._chunk_samples(near_field(cfg, r0, rmax)[1])
+
+
+def uplink_chunk(cfg: NetworkConfig, tail_epsilon: float = 1e-3) -> int:
+    """Samples per chunk of an estimate_hd run: the chunk size at the
+    uplink field's expected near-field points per sample."""
+    return mcsim._chunk_samples(mcsim.uplink_near_points(
+        cfg, MCConfig(1, 0, tail_epsilon=tail_epsilon)))
+
+
+def uplink_ring_cumulant(cfg: NetworkConfig, rho: float, r_min: float,
+                         r_max: float, t_near: float, n: int) -> float:
+    """n-th cumulant of the uplink field's ring t > t_near on [r_min,
+    r_max], r_max = inf allowed, by scipy quadrature in v = pi lambda r^2
+    and not through the t field: a user at v sends into the ring when its
+    E = pi lambda d^2 is below v/t_near, received at mark rho (E/v)^(eta/2),
+    so the cumulant is E[mark^n] rho^n int_{v_min}^V v^-a gamma(a + 1,
+    v/t_near) dv with a = n eta/2 and gamma the lower incomplete gamma.
+    Past v = (a + 60) t_near gamma(a + 1, .) is Gamma(a + 1) to 1e-17, and
+    that piece of the integral is taken in closed form."""
+    a = 0.5 * n * cfg.eta
+    fi = cfg.fading_interferer
+    mark = fi.mean ** n * (1.0 + 1.0 / fi.shape) ** (n - 1)
+    v_min, v_max = (math.pi * cfg.lam * r * r for r in (r_min, r_max))
+    cut = min(v_max, max(v_min, (a + 60.0) * t_near))
+    full = gamma_fn(a + 1.0)
+    val, err = quad(lambda v: v ** -a * gammainc(a + 1.0, v / t_near),
+                    v_min, cut, epsabs=0.0, epsrel=2e-14, limit=200)
+    assert err <= 1e-13 * val, (val, err)
+    tail = (cut ** (1.0 - a) - v_max ** (1.0 - a)) / (a - 1.0)
+    return mark * rho ** n * full * (val + tail)
 
 
 def law_gap(cfg: NetworkConfig, r_min: float, r_max: float,
-            r_near: float) -> float:
-    """sup_x |F_sampled(x) - F_field(x)| for the BS field on [r_min, r_max]
-    drawn point by point out to r_near and as one Gamma variate with the
-    ring's mean and variance beyond: no sampling, no fit.
+            r_near: float, rho=None) -> float:
+    """sup_x |F_sampled(x) - F_field(x)| for the field on [r_min, r_max]
+    as the sampler draws it (ring_gap): the BS field cut at r_near, or with
+    `rho` the uplink field (FieldLaw.uplink) cut at t = T = pi lambda
+    r_near^2.  The gap does not depend on rho."""
+    if rho is None:
+        if not r_near < r_max:
+            return 0.0
+        return ring_gap(FieldLaw(cfg, r_min, r_near),
+                        FieldLaw(cfg, r_near, r_max))
+    t = math.pi * cfg.lam * r_near * r_near
+    return ring_gap(FieldLaw.uplink(cfg, rho, r_min, r_max, t_hi=t),
+                    FieldLaw.uplink(cfg, rho, r_min, r_max, t_lo=t))
+
+
+def ring_gap(near, ring) -> float:
+    """sup_x |F_sampled(x) - F_field(x)| for a field whose points split
+    into the independent laws `near`, drawn point by point, and `ring`,
+    drawn as one Gamma variate with its mean and variance: no sampling, no
+    fit.
 
     The two laws share the near field, so the difference of their
     characteristic functions is phi_near(w) phi_ring(w) (phi_gamma(w) /
     phi_ring(w) - 1), taken through expm1 of the log ratio.  Its Gil-Pelaez
-    integral runs out to w = 12/sd_ring, where the ring's factor is below
-    e^-72, and is evaluated every sd_ring/4 on [0, E[I] + 5 sd(I)]: the
-    difference varies on the ring's scale, and its largest values lie below
-    E[I].
+    integral is a trapezoid sum at steps 2 pi/P out to w = 12/sd_ring,
+    where the ring's factor has died out, taken as one FFT: by Poisson's
+    summation formula it gives sum_j D(x + jP) for the CDF difference D,
+    which is 0 below x = 0.  D varies on the ring's scale, and its largest
+    values lie within a few sd_ring of 0, far below E[I]; P = 2 E[I] + 20
+    sd_ring, so the images D(x + jP), j >= 1, come from where D has died
+    out, however far the near field's law spreads.  D is evaluated at most every
+    sd_ring/4 on [0, P).
     """
-    if not r_near < r_max:
-        return 0.0
-    near, ring = FieldLaw(cfg, r_min, r_near), FieldLaw(cfg, r_near, r_max)
     k1, k2 = ring.cumulant(1), ring.cumulant(2)
     sd = math.sqrt(k2)
-    x_max = near.cumulant(1) + k1 + 5.0 * math.sqrt(near.cumulant(2) + k2)
-    w_max = 12.0 / sd
-    w, wt = _gauss_legendre(0.0, w_max, math.ceil(w_max * x_max / 20.0))
+    period = 2.0 * (near.cumulant(1) + k1) + 20.0 * sd
+    step = 2.0 * math.pi / period
+    w = step * np.arange(1, math.ceil(12.0 / sd / step) + 1)
+    size = 1 << math.ceil(math.log2(max(4.0 * period / sd, w.size + 1)))
     # in blocks: FieldLaw holds s x nodes terms at once
     log_near, log_ring = (np.concatenate([law.log_laplace(-1j * w[i:i + 256])
                                           for i in range(0, w.size, 256)])
                           for law in (near, ring))
     log_gamma = -(k1 * k1 / k2) * np.log1p(-1j * w * (k2 / k1))
-    dphi = (np.exp(log_near + log_ring) * np.expm1(log_gamma - log_ring)
-            * wt / w)
-    x = np.arange(0.0, x_max, 0.25 * sd)
-    gap = 0.0
-    for i in range(0, x.size, 128):
-        wx = np.multiply.outer(x[i:i + 128], w)
-        gap = max(gap, float(np.max(np.abs(np.cos(wx) @ dphi.imag
-                                           - np.sin(wx) @ dphi.real))))
-    return gap / math.pi
+    terms = np.zeros(size, complex)
+    terms[1:w.size + 1] = (np.exp(log_near + log_ring)
+                           * np.expm1(log_gamma - log_ring) / w)
+    return float(np.max(np.abs(np.fft.fft(terms).imag))) * step / math.pi
 
 
 def field_cinr(cfg: NetworkConfig, r_min: float, r_max: float) -> CinrLaw:

@@ -236,9 +236,16 @@ def test_analyze_json_document(capsys):
     assert cap["c_hd"]["std_error"] > 0.0
     assert doc["flags"] == {"fd_harmful": False, "fd_beneficial": True}
     # reports must not echo execution environment (worker count)
-    assert sorted(doc["mc"].keys()) == ["n_samples", "rho_w", "seed",
-                                        "tail_epsilon"]
+    assert sorted(doc["mc"].keys()) == ["law_gap_budget", "n_samples",
+                                        "near_points_per_sample", "rho_w",
+                                        "seed", "tail_epsilon"]
     assert doc["mc"]["rho_w"] == pytest.approx(8e-9, rel=1e-9, abs=0.0)
+    # the uplink field estimate_hd drew: 8.06 points per sample at the
+    # baseline, cut by received power where the BS field's rule cuts
+    nu = mcsim.uplink_near_points(load_config(MICRO),
+                                  MCConfig(2000, 3, tail_epsilon=1e-2))
+    assert doc["mc"]["near_points_per_sample"] == nu and 8.0 < nu <= 8.1
+    assert doc["mc"]["law_gap_budget"] == mcsim.LAW_GAP_BUDGET
 
 
 def test_analyze_marks_an_unavailable_closed_form(capsys, monkeypatch):

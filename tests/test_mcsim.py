@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
@@ -28,7 +27,8 @@ from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import (MCConfig, estimate_fd_rates, estimate_hd,
                          interference_samples, summarize)
 from conftest import (FieldLaw, fd_rate_rows, ks_distance, law_gap,
-                      make_cfg, mc_annulus, mc_chunk, near_field)
+                      make_cfg, mc_annulus, mc_chunk, near_field, ring_gap,
+                      uplink_chunk, uplink_ring_cumulant)
 
 
 @pytest.fixture(scope="module")
@@ -142,35 +142,52 @@ def _gap_case(eta, m, r_factor, eps):
                                             (2.05, 1.0, True)])
 def test_near_field_leaves_the_ring_the_rules_third_cumulant_share(
         eta, m, uplink):
-    # R_near leaves the ring [R_near, R_max] the share of the third
-    # cumulant that the rule picks: _near_share's for the BS field,
-    # NEAR_SKEW_SHARE for the uplink field
+    # R_near leaves the BS field's ring [R_near, R_max] the share of the
+    # third cumulant that _near_share picks; the uplink field cuts at the
+    # same R_near, at t = T = pi lambda R_near^2, and its near field holds
+    # the mass of the exact t field below T
     cfg = make_cfg(eta=eta, m_int=m)
     r0, rmax = mc_annulus(cfg, 1e-3)
-    rn, _ = near_field(cfg, r0, rmax, uplink)
-    want = (mcsim.NEAR_SKEW_SHARE if uplink
-            else mcsim._near_share(cfg, r0, rmax))
+    rn, _ = near_field(cfg, r0, rmax)
     share = (FieldLaw(cfg, rn, rmax).cumulant(3)
              / FieldLaw(cfg, r0, rmax).cumulant(3))
-    assert share == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert share == pytest.approx(mcsim._near_share(cfg, r0, rmax),
+                                  rel=1e-9, abs=0.0)
+    if uplink:
+        t = math.pi * cfg.lam * rn * rn
+        exact = FieldLaw.uplink(cfg, 1.0, r0, rmax, t_hi=t).cumulant(0)
+        assert mcsim.uplink_near_points(cfg, MCConfig(1, 0)) == pytest.approx(
+            exact, rel=1e-12, abs=0.0)
+
+
+def _least_share_points(cfg, r_min, rmax):
+    """Expected near-field points per sample of a radius split that leaves
+    the ring delta3 = NEAR_SKEW_SHARE, in either field."""
+    rn = mcsim._near_radius(cfg.eta, r_min, rmax, mcsim.NEAR_SKEW_SHARE)
+    return math.pi * cfg.lam * (rn * rn - r_min * r_min)
 
 
 def test_near_field_never_holds_more_points_than_at_the_least_share():
     # the budget only widens the ring: over the law-gap grid the BS field
     # draws at most the points per sample that delta3 = NEAR_SKEW_SHARE
     # draws, and at the baselines (eta = 4, m = 1, r0) at most 10 where
-    # that share draws 14.85
+    # that share draws 14.85.  The uplink field, cut by received power at
+    # the same R_near, draws at most 8.1 there and 12.5 at eta = 3, where
+    # the radius split at that share drew 14.85 and 50.8
     for point in GAP_GRID:
         cfg, r_min, rmax = _gap_case(*point)
         share = mcsim._near_share(cfg, r_min, rmax)
         assert mcsim.NEAR_SKEW_SHARE <= share <= mcsim.MAX_SKEW_SHARE
-        least = near_field(cfg, r_min, rmax, uplink=True)[1]
+        least = _least_share_points(cfg, r_min, rmax)
         assert near_field(cfg, r_min, rmax)[1] <= least
-    for cfg in (make_cfg(), make_cfg(lam=5e-6, p_bs=20.0)):
+    for cfg, most, least in ((make_cfg(), 8.1, 14.85),
+                             (make_cfg(lam=5e-6, p_bs=20.0), 8.1, 14.85),
+                             (make_cfg(eta=3.0), 12.5, 50.8)):
         r0, rmax = mc_annulus(cfg, 1e-3)
-        assert near_field(cfg, r0, rmax, uplink=True)[1] == pytest.approx(
-            14.85, abs=0.01)
-        assert near_field(cfg, r0, rmax)[1] <= 10.0
+        assert _least_share_points(cfg, r0, rmax) == pytest.approx(
+            least, abs=0.01)
+        assert near_field(cfg, r0, rmax)[1] <= max(10.0, most)
+        assert mcsim.uplink_near_points(cfg, MCConfig(1, 0)) <= most
     # an annulus thinner than any the rule was fitted on, (R_max/r0)^(2 -
     # eta) = 1/4 here, which only an explicit r_max reaches, keeps the least
     # share
@@ -180,21 +197,33 @@ def test_near_field_never_holds_more_points_than_at_the_least_share():
 
 
 def test_sampled_law_stays_within_the_law_gap_budget():
-    # the BS field's sampled law, by transform inversion and no sampling, at
-    # the rule's own R_near: within LAW_GAP_BUDGET of the annulus law, or
-    # no further than at delta3 = NEAR_SKEW_SHARE, where the rule keeps
-    # that share
+    # both fields' sampled laws, by transform inversion and no sampling, at
+    # the rule's own R_near.  The BS field's is within LAW_GAP_BUDGET of the
+    # annulus law, or no further than at delta3 = NEAR_SKEW_SHARE, where the
+    # rule keeps that share.  The uplink field's, cut at t = pi lambda
+    # R_near^2, is within the budget or no further than the BS field's.
+    # Where the rule sits at NEAR_SKEW_SHARE both gaps can exceed the
+    # budget; there the uplink's may exceed the BS field's (3.3e-3 against
+    # 1.0e-3 at eta = 8, m = 3), but not the gap of the radius split at that
+    # share that the uplink field was drawn with before (5.9e-2 there)
     start = time.process_time()
     for point in GAP_GRID:
         cfg, r_min, rmax = _gap_case(*point)
         share = mcsim._near_share(cfg, r_min, rmax)
-        if share == mcsim.NEAR_SKEW_SHARE:
-            continue
-        gap = law_gap(cfg, r_min, rmax, near_field(cfg, r_min, rmax)[0])
-        if gap > mcsim.LAW_GAP_BUDGET:
-            least = law_gap(cfg, r_min, rmax,
-                            near_field(cfg, r_min, rmax, uplink=True)[0])
-            assert gap <= least, (point, share, gap, least)
+        rn = near_field(cfg, r_min, rmax)[0]
+        gap = law_gap(cfg, r_min, rmax, rn)
+        least = mcsim._near_radius(cfg.eta, r_min, rmax,
+                                   mcsim.NEAR_SKEW_SHARE)
+        if share > mcsim.NEAR_SKEW_SHARE and gap > mcsim.LAW_GAP_BUDGET:
+            least_gap = law_gap(cfg, r_min, rmax, least)
+            assert gap <= least_gap, (point, share, gap, least_gap)
+        uplink = law_gap(cfg, r_min, rmax, rn, rho=1.0)
+        if uplink > max(mcsim.LAW_GAP_BUDGET, gap):
+            assert share == mcsim.NEAR_SKEW_SHARE, (point, uplink, gap)
+            radius_split = ring_gap(
+                FieldLaw.uplink(cfg, 1.0, r_min, least),
+                FieldLaw.uplink(cfg, 1.0, least, rmax))
+            assert uplink <= radius_split, (point, uplink, radius_split)
     assert time.process_time() - start < 20.0
 
 
@@ -225,14 +254,16 @@ def test_worker_count_does_not_change_results(fig2):
 
 @pytest.mark.parametrize("eta, size", [(4.0, 2067), (3.0, 632)])
 def test_a_chunk_holds_about_chunk_points(monkeypatch, eta, size):
-    # CHUNK_POINTS // (1 + nu) samples: the uplink field's ring keeps
-    # NEAR_SKEW_SHARE, 14.9 near-field points per sample at eta = 4 and
-    # 50.8 at eta = 3, and the BS field's ring takes a wider share, so
-    # fewer points and more samples per chunk; the last chunk holds the
-    # rest, and every chunk of a call draws its counts from the call's one
-    # table
+    # CHUNK_POINTS // (1 + nu) samples: `size` is the chunk of a radius
+    # split whose ring keeps NEAR_SKEW_SHARE, 14.9 near-field points per
+    # sample at eta = 4 and 50.8 at eta = 3, and both fields cut wider
+    # rings, so fewer points and more samples per chunk; the last chunk
+    # holds the rest, and every chunk of a call draws its counts from the
+    # call's one table
     cfg = make_cfg(eta=eta)
     rho = capacity.default_rho(cfg)
+    r0, rmax = mc_annulus(cfg, 1e-3)
+    assert mcsim._chunk_samples(_least_share_points(cfg, r0, rmax)) == size
     draw = mcsim._field_interference
     for uplink in (True, False):
         seen = []
@@ -242,16 +273,17 @@ def test_a_chunk_holds_about_chunk_points(monkeypatch, eta, size):
             return draw(cfg, r0, rmax, r_near, table, n, *rest)
 
         monkeypatch.setattr(mcsim, "_field_interference", spy)
-        chunk = mc_chunk(cfg, uplink=uplink)
+        chunk = uplink_chunk(cfg) if uplink else mc_chunk(cfg)
         mcsim._field_chunks(cfg, MCConfig(3 * chunk + 5, 1, workers=2),
                             lambda field, rng: field,
                             rho=rho if uplink else None)
-        nu = near_field(cfg, *mc_annulus(cfg, 1e-3), uplink)[1]
+        nu = (mcsim.uplink_near_points(cfg, MCConfig(1, 0)) if uplink
+              else near_field(cfg, r0, rmax)[1])
         assert (chunk * (1.0 + nu) <= mcsim.CHUNK_POINTS
                 < (chunk + 1) * (1.0 + nu))
         assert sorted(n for _, n in seen) == [5] + [chunk] * 3
         assert all(table is seen[0][0] for table, _ in seen)
-        assert (chunk == size) if uplink else (chunk > size)
+        assert chunk > size
 
 
 def test_chunk_size_limits(micro):
@@ -274,7 +306,7 @@ def test_field_chunks_do_not_depend_on_workers(eta):
     # the uplink field (all three buffers) and a draw after it, over 7
     # chunks and 3 samples: workers 2 and 3 run unequal chunk counts
     cfg = make_cfg(eta=eta, m_int=2.5)
-    mc = MCConfig(7 * mc_chunk(cfg, uplink=True) + 3, 6)
+    mc = MCConfig(7 * uplink_chunk(cfg) + 3, 6)
     rho = capacity.default_rho(cfg)
 
     def rows(workers):
@@ -389,8 +421,8 @@ def test_results_do_not_depend_on_the_claim_order(monkeypatch, micro,
         return estimate_hd(micro, 0.5, mc)
 
     # 8 chunks of each field
-    runs = [(call, MCConfig(7 * mc_chunk(micro, uplink=call is hd) + 3, 12))
-            for call in (fd, hd)]
+    runs = [(fd, MCConfig(7 * mc_chunk(micro) + 3, 12)),
+            (hd, MCConfig(7 * uplink_chunk(micro) + 3, 12))]
     bases = [(call, mc, call(mc)) for call, mc in runs]
     make, draw = mcsim._chunk_rng, mcsim._field_interference
     for call, mc, base in bases:
@@ -412,9 +444,12 @@ def test_reused_buffers_leak_nothing_into_a_later_chunk(uplink):
     table = mcsim._poisson_table(nu)
     rho = capacity.default_rho(cfg) if uplink else None
 
+    ring = mcsim._ring_cumulants(cfg, r0, rmax, rn, rho)
+
     def chunk(size, c, bufs):
         return mcsim._field_interference(cfg, r0, rmax, rn, table, size,
-                                         mcsim._chunk_rng(3, c), bufs, rho)
+                                         mcsim._chunk_rng(3, c), bufs, ring,
+                                         rho)
 
     bufs = [np.empty(0)] * 3
     big = chunk(600, 0, bufs)
@@ -431,48 +466,53 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     """The first chunk's draws, made by hand as the module docstring orders
     them, all from the chunk-0 SFC64 stream: Poisson counts from the alias
     table of their law, one uniform each (slot floor(U K), coin U K - slot),
-    then uniform radii out to R_near (where the ring keeps the share
-    _near_share picks, NEAR_SKEW_SHARE in the uplink field), then
-    unit-scale Gamma marks (at m = 1 the unit exponentials -ln(1 - U))
-    times one folded scale and (1/r^2)^(eta/2), one power per point, then
-    one Gamma variate per sample with the Campbell mean and variance of
-    the ring [R_near, R_max].  With rho it is estimate_hd's uplink field:
-    after the marks, each point's d^2 ~ Exp(mean 1/(pi lambda)), again
-    -ln(1 - U), and it sends rho d^eta, taken as two powers.  Returns
-    (counts, point weights, ring)."""
+    then each point's position, then unit-scale Gamma marks (at m = 1 the
+    unit exponentials -ln(1 - U)), then one Gamma variate per sample with
+    the mean and variance of the ring.  R_near leaves the BS field's ring
+    the share _near_share picks.  In the BS field the positions are radii
+    uniform in r^2 on [r0, R_near], and each point weighs its mark times
+    one folded scale and (1/r^2)^(eta/2), one power per point; the ring is
+    [R_near, R_max], with its Campbell mean and variance.  With rho it is
+    estimate_hd's uplink field cut at t = T = pi lambda R_near^2: its
+    counts have mean T (e^(-v_min/T) - e^(-V/T)), its positions are
+    v = pi lambda r^2 from the exponential law e^(-v/T) truncated to
+    [v_min, V] by inversion, after the marks come E = v/T - ln(1 - U), and
+    each point weighs mark rho E^(eta/2) v^(-eta/2), taken as two powers;
+    the ring's cumulants come from conftest's quadrature.  Returns (counts,
+    point weights, ring)."""
     r0, eta = cfg.r0, cfg.eta
     fi = cfg.fading_interferer
     rmax = r0 * eps ** (1.0 / (2.0 - eta))
-    share = (mcsim._near_share(cfg, r0, rmax) if rho is None
-             else mcsim.NEAR_SKEW_SHARE)
+    share = mcsim._near_share(cfg, r0, rmax)
     q = (rmax / r0) ** (2.0 - 3.0 * eta)
     rn = min(rmax, r0 * (q + share * (1.0 - q)) ** (1.0 / (2.0 - 3.0 * eta)))
+    v_min, v_max, t = (math.pi * cfg.lam * r * r for r in (r0, rmax, rn))
     rng = np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
     lo, prob, alias = mcsim._poisson_table(
-        cfg.lam * math.pi * (rn * rn - r0 * r0))
+        cfg.lam * math.pi * (rn * rn - r0 * r0) if rho is None
+        else t * (math.exp(-v_min / t) - math.exp(-v_max / t)))
     u = rng.random(size) * prob.size
     slot = np.floor(u).astype(int)
     counts = lo + np.where(u - slot < prob[slot], slot, alias[slot])
     u = rng.random(int(counts.sum()))
-    r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
     marks = (-np.log(1.0 - rng.random(u.size)) if fi.shape == 1.0
              else rng.standard_gamma(fi.shape, u.size))
     if rho is None:
-        tx_moments = (cfg.p_bs, cfg.p_bs * cfg.p_bs)
+        r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
         w = marks * (fi.scale * cfg.p_bs) * (1.0 / r_sq) ** (0.5 * eta)
+        mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
+        k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * eta - 2.0)
+                  * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
+                  for n, moment in ((1, fi.mean * cfg.p_bs),
+                                    (2, mark_sq * (cfg.p_bs * cfg.p_bs))))
     else:
-        tx = ((-np.log(1.0 - rng.random(u.size))) ** (0.5 * eta)
-              * (rho * (math.pi * cfg.lam) ** (-0.5 * eta)))
-        tx_moments = [rho ** n * math.gamma(1.0 + 0.5 * n * eta)
-                      * (math.pi * cfg.lam) ** (-0.5 * n * eta)
-                      for n in (1, 2)]
-        w = marks * (fi.scale * tx) * r_sq ** (-0.5 * eta)
-    mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
-    k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * eta - 2.0)
-              * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
-              for n, moment in ((1, fi.mean * tx_moments[0]),
-                                (2, mark_sq * tx_moments[1])))
+        v = v_min - t * np.log(1.0 - u * (1.0 - math.exp(-(v_max - v_min)
+                                                          / t)))
+        e = v / t - np.log(1.0 - rng.random(u.size))
+        w = marks * fi.scale * rho * e ** (0.5 * eta) * v ** (-0.5 * eta)
+        k1, k2 = (uplink_ring_cumulant(cfg, rho, r0, rmax, t, n)
+                  for n in (1, 2))
     return counts, w, rng.gamma(k1 * k1 / k2, k2 / k1, size)
 
 
@@ -526,14 +566,17 @@ class _DrawSpy:
 
 
 def _ring_mean_and_variance(cfg, r0, rmax, rho=None):
-    """Mean and variance of the ring variate _field_interference draws:
-    its one scaled gamma draw, after the counts' uniforms, the radii, the
-    unit-scale marks (uniforms to invert at m = 1) and, for the uplink
-    field of rho, the uniforms of d^2."""
+    """Mean and variance of the ring variate _field_interference draws at
+    the ring cumulants _ring_cumulants gives: its one scaled gamma draw,
+    after the counts' uniforms, the positions, the unit-scale marks
+    (uniforms to invert at m = 1) and, for the uplink field of rho, the
+    uniforms of E."""
     spy = _DrawSpy(np.random.default_rng(0))
-    rn, nu = near_field(cfg, r0, rmax, uplink=rho is not None)
+    rn, nu = near_field(cfg, r0, rmax)
     mcsim._field_interference(cfg, r0, rmax, rn, mcsim._poisson_table(nu), 8,
-                              spy, [np.empty(0)] * 3, rho)
+                              spy, [np.empty(0)] * 3,
+                              mcsim._ring_cumulants(cfg, r0, rmax, rn, rho),
+                              rho)
     marks = ("random" if cfg.fading_interferer.shape == 1.0
              else "standard_gamma")
     assert [c[0] for c in spy.calls] == (
@@ -554,7 +597,7 @@ def test_rayleigh_marks_are_minus_log_of_one_minus_the_chunk_uniforms():
     table = mcsim._poisson_table(3.0)
     bufs = [np.empty(0)] * 3
     out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, table, 500,
-                                    mcsim._chunk_rng(5, 0), bufs)
+                                    mcsim._chunk_rng(5, 0), bufs, (0.0, 0.0))
     rng = mcsim._chunk_rng(5, 0)
     counts = mcsim._poisson_counts(table, rng, 500)
     total = int(counts.sum())
@@ -586,15 +629,19 @@ def test_inverted_exponentials_at_the_ends_of_the_uniforms(u, e):
     # U = 0 gives ln 1 and the largest uniform ln 2^-53, never ln 0: the
     # marks and the uplink's E come out finite, with no RuntimeWarning.  A
     # one-slot table puts three points in every sample on the unit circle,
-    # at unit mark scale and unit uplink power, with an empty ring
+    # at unit mark scale, with an empty ring.  The uplink field cut there,
+    # at T = v_min = V = pi lambda and unit rho T^(-eta/2), has every v at
+    # v_min, so E = 1 + X and each point weighs X (1 + X)^2 at eta = 4
     cfg = make_cfg()
     minus_e = mcsim._minus_exponentials(_ConstantUniforms(u), np.empty(4))
     assert np.all(-minus_e == pytest.approx(e, rel=1e-15, abs=0.0))
     table = (3, np.array([1.0]), np.array([0]))
-    for rho, weight in ((None, e), ((math.pi * cfg.lam) ** 2, e * e * e)):
+    for rho, weight in ((None, e),
+                        ((math.pi * cfg.lam) ** 2, e * (1.0 + e) ** 2)):
         bufs = [np.empty(0)] * 3
         out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, table, 2,
-                                        _ConstantUniforms(u), bufs, rho)
+                                        _ConstantUniforms(u), bufs,
+                                        (0.0, 0.0), rho)
         assert np.all(np.isfinite(bufs[1][:6]))
         assert bufs[1][:6] == pytest.approx(np.full(6, weight), rel=1e-14,
                                             abs=0.0)
@@ -603,11 +650,13 @@ def test_inverted_exponentials_at_the_ends_of_the_uniforms(u, e):
 
 @pytest.mark.parametrize("eta, m_int", [(3.0, 1.0), (4.0, 1.0), (4.0, 2.5)])
 def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
-    # one power per point, scale*(E/r^2)^(eta/2), is the power rho*d^eta
-    # taken to r^-eta by two powers, to rounding, on the documented draws
+    # the t-space chunk by hand: one power per point, rho T^(-eta/2) (1 +
+    # X/w)^(eta/2), is rho E^(eta/2) v^(-eta/2) by two powers, to rounding,
+    # on the documented draws, and the ring variate takes the quadrature's
+    # cumulants
     cfg = make_cfg(eta=eta, m_int=m_int)
     rho = capacity.default_rho(cfg)
-    size = mc_chunk(cfg, uplink=True)
+    size = uplink_chunk(cfg)
     counts, w, ring = _first_chunk_by_hand(cfg, 1e-3, size, 21, rho)
     starts = np.cumsum(counts) - counts
     near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
@@ -625,27 +674,38 @@ def test_ring_variate_has_the_ring_cumulants(fig2):
 
 
 def test_uplink_ring_variate_has_the_ring_cumulants():
-    # the uplink ring's cumulants are those of unit-power marks times
-    # E[tx^n], here by quadrature over d^2 ~ Exp(mean 1/(pi lambda)),
-    # in units of that mean
+    # the uplink ring holds the points with t > T = pi lambda R_near^2; its
+    # variate's mean and variance are the cumulants of the exact t field
+    # beyond T (FieldLaw.uplink's panels in log t)
     cfg = make_cfg(eta=3.0)
     rho = capacity.default_rho(cfg)
-    d_sq_mean = 1.0 / (math.pi * cfg.lam)
     r0, rmax = mc_annulus(cfg, 1e-3)
-    unit = FieldLaw(replace(cfg, p_bs=1.0),
-                    near_field(cfg, r0, rmax, uplink=True)[0], rmax)
-
-    def tx_moment(n):
-        val, err = quad(lambda t: t ** (0.5 * n * cfg.eta) * math.exp(-t),
-                        0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
-        assert err < 1e-11 * val
-        return (rho * d_sq_mean ** (0.5 * cfg.eta)) ** n * val
-
+    rn = near_field(cfg, r0, rmax)[0]
+    ring = FieldLaw.uplink(cfg, rho, r0, rmax, t_lo=math.pi * cfg.lam * rn * rn)
     mean, var = _ring_mean_and_variance(cfg, r0, rmax, rho)
-    assert mean == pytest.approx(unit.cumulant(1) * tx_moment(1), rel=1e-10,
-                                 abs=0.0)
-    assert var == pytest.approx(unit.cumulant(2) * tx_moment(2), rel=1e-10,
-                                abs=0.0)
+    assert mean == pytest.approx(ring.cumulant(1), rel=1e-10, abs=0.0)
+    assert var == pytest.approx(ring.cumulant(2), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("eta", [2.05, 3.0, 4.0, 8.0])
+@pytest.mark.parametrize("m", [0.05, 1.0, 10.0])
+def test_uplink_ring_cumulants_match_quadrature(eta, m):
+    # mcsim's closed form, kappa_n = E[mark^n] rho^n [v^(1-a) (gamma(a-1,
+    # v/T) + gamma(a, v/T))] from v_min to V, a = n eta/2, with its own
+    # incomplete-gamma series, against a scipy quadrature in v: on the run's
+    # annulus, out to R_max = inf, and on a thin explicit r_max = 1.5 r0
+    # cut at T = V, where the ring still holds every user with E < v/T
+    cfg = make_cfg(eta=eta, m_int=m)
+    rho = capacity.default_rho(cfg)
+    r0, rmax = mc_annulus(cfg, 1e-3)
+    rn = near_field(cfg, r0, rmax)[0]
+    thin = 1.5 * r0
+    for r_max, r_near in ((rmax, rn), (math.inf, rn), (thin, thin)):
+        got = mcsim._ring_cumulants(cfg, r0, r_max, r_near, rho)
+        want = [uplink_ring_cumulant(cfg, rho, r0, r_max,
+                                     math.pi * cfg.lam * r_near * r_near, n)
+                for n in (1, 2)]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_estimator_stats_do_not_depend_on_workers(micro):
