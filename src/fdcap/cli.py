@@ -446,10 +446,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail-epsilon", type=float, default=tail,
                    help=f"relative interference-tail budget for the field "
                         f"truncation radius (default {tail:g}); the far "
-                        f"ring enters as one Gamma variate with its mean "
-                        f"and variance, so the cost per sample does not "
-                        f"grow with 1/eps, and the BS field's ring is as "
-                        f"wide as keeps its law within "
+                        f"ring enters as one shifted Gamma variate with "
+                        f"its first three cumulants (or a Gamma with its "
+                        f"mean and variance), so the cost per sample does "
+                        f"not grow with 1/eps, and the ring is as wide as "
+                        f"keeps the sampled law within "
                         f"{mcsim.LAW_GAP_BUDGET:g} of the annulus law")
     p.add_argument("--workers", type=int, default=1,
                    help=f"Monte Carlo worker threads, at most "

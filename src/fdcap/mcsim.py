@@ -16,32 +16,37 @@ are Poisson(lambda*pi*(R_near^2 - r0^2)) and radii have density
 as one run, in a buffer whose last slot is a 0.0 sentinel, and
 np.add.reduceat sums every run (its first point plus numpy's pairwise sum
 of the others; a sample without points gets 0.0).
-Each sample adds one Gamma variate (shape kappa_1^2/kappa_2, scale
-kappa_2/kappa_1) for the far ring [R_near, R_max], matched to the ring's
-first two Campbell cumulants
+Each sample adds one variate for the far ring [R_near, R_max], matched to
+the ring's first three Campbell cumulants
 
     kappa_n = 2*pi*lambda*E[mark^n]*p_bs^n
               * (R_near^(2-n eta) - R_max^(2-n eta))/(n eta - 2),
 
-so every sample has the whole annulus' mean and variance: second-order
-moment matching of a guard-zone field (Heath, Kountouris & Bai, IEEE TSP
-2013) beyond the near/far split of Haenggi & Ganti (FnT Networking 2009).
-R_near leaves the ring the share delta3 of the annulus' third cumulant,
-R_near^(2-3 eta) = R_max^(2-3 eta) + delta3 * (r0^(2-3 eta) - R_max^(2-3
-eta)), for a cost of about pi*lambda*r0^2 * delta3^(-2/(3 eta-2)) points per
-sample, whatever tail_epsilon is.  The sampled law differs from the
-annulus law only in the ring, whose Gamma variate misses its third and
-higher cumulants, so delta3 sets sup_x |F_sampled - F_annulus|, the law
-gap.  The ring takes the widest share whose law gap stays within
-LAW_GAP_BUDGET = 1e-4, ten times below what a KS distance resolves at 1e6
-samples: _near_share's fitted envelope of that share, never below
-NEAR_SKEW_SHARE = 1e-6 nor above MAX_SKEW_SHARE = 1e-3.  At the baselines
-(eta = 4, m = 1) that is 1.7e-5, R_near = 3.0 r0 and 8.0 points per
-sample, with a gap of 7.3e-5 (4.6e-6 at 1e-6).  Where the rule falls to
-1e-6 (m below 0.34 at eta = 4 and 0.9 at eta = 5, every m from eta = 5.6
-on) the ring keeps that share, though there the gap at 1e-6 can already
-exceed the budget.  The tests compute the gap by transform inversion at
-the rule's own R_near.
+E[mark^n] = Omega^n*(1 + 1/m)...(1 + (n-1)/m): the shifted Gamma
+c + Gamma(k, theta) with theta = kappa_3/(2*kappa_2), k =
+4*kappa_2^3/kappa_3^2 and c = kappa_1 - k*theta (_ring_variate).  Where
+c < kappa_1/20, or k < 1.5 (a ring of about one effective point), it is
+the c = 0 Gamma of the first two alone, shape kappa_1^2/kappa_2 and scale
+kappa_2/kappa_1.  Either way every sample has the whole annulus' mean and
+variance: moment matching of a guard-zone field (Heath, Kountouris & Bai,
+IEEE TSP 2013) beyond the near/far split of Haenggi & Ganti (FnT
+Networking 2009).  R_near leaves the ring the share delta3 of the annulus'
+third cumulant, R_near^(2-3 eta) = R_max^(2-3 eta) + delta3 * (r0^(2-3
+eta) - R_max^(2-3 eta)), for a cost of about pi*lambda*r0^2 *
+delta3^(-2/(3 eta-2)) points per sample, whatever tail_epsilon is.  The
+sampled law differs from the annulus law only in the ring, whose variate
+misses its fourth and higher cumulants (and the third where c = 0), so
+delta3 sets sup_x |F_sampled - F_annulus|, the law gap.  The ring takes
+the widest share whose law gap stays within LAW_GAP_BUDGET = 1e-4 in both
+fields, ten times below what a KS distance resolves at 1e6 samples:
+_near_share's fitted envelope of that share, never below NEAR_SKEW_SHARE =
+1e-6 nor above MAX_SKEW_SHARE = 1e-3.  At the baselines (eta = 4, m = 1)
+that is 2.2e-4, R_near = 2.32 r0 and 4.39 points per sample, with a gap of
+6.8e-5 (6.5e-4 for the c = 0 Gamma at that R_near).  Where the rule falls
+to 1e-6 (m below 0.18 at eta = 4, below 0.42 and above 6.3 at eta = 5,
+every m from eta = 5.45 on) the ring keeps that share, though there the
+gap at 1e-6 can already exceed the budget.  The tests compute the gap by
+transform inversion at the rule's own R_near.
 
 estimate_hd's uplink field has users of intensity lambda on the same
 annulus, each sending rho*d^eta with d^2 ~ Exp(mean 1/(pi*lambda)) its
@@ -55,14 +60,14 @@ power, at t <= T = pi*lambda*R_near^2 with R_near from the BS field's rule:
 its counts are Poisson(T*(e^(-v_min/T) - e^(-V/T))), each point's v has
 the law e^(-v/T) truncated to [v_min, V], drawn by inversion, and its
 E = v/T + X, X a unit exponential.  The ring t > T holds only weak points
-and takes one Gamma variate with
+and takes the same kind of variate, with
 
     kappa_n = E[mark^n]*rho^n*[v^(1-a)*(gamma(a-1, v/T) + gamma(a, v/T))]
               from v = V to v = v_min,   a = n eta/2,
 
 gamma the lower incomplete gamma (_uplink_ring_term) and the V term 0 at
-R_max = inf.  At the baselines that is 8.06 points per sample, with a law
-gap of 6.3e-5.  A radius split does not suit this field: its ring's
+R_max = inf.  At the baselines that is 4.48 points per sample, with a law
+gap of 6.2e-5.  A radius split does not suit this field: its ring's
 E^(eta/2) transmit powers keep it far from a Gamma law (a gap of 2.05e-3
 at delta3 = 1e-6, for 14.85 points, and more for a wider ring).
 
@@ -123,9 +128,9 @@ from .model import NetworkConfig
 CHUNK_POINTS = 1 << 15
 # least share of the annulus' third interference cumulant that the BS
 # field's far ring takes, which each sample carries as one moment-matched
-# Gamma variate instead of point by point
+# variate instead of point by point
 NEAR_SKEW_SHARE = 1e-6
-# sup_x |F_sampled - F_annulus| the BS field's near field is sized for, ten
+# sup_x |F_sampled - F_annulus| both fields' near fields are sized for, ten
 # times below the ~1e-3 a KS distance resolves at 1e6 samples
 LAW_GAP_BUDGET = 1e-4
 # most of the third cumulant the BS field's ring takes: the top of the
@@ -133,10 +138,10 @@ LAW_GAP_BUDGET = 1e-4
 MAX_SKEW_SHARE = 1e-3
 # _near_share's log10 share at pi*lambda*r_min^2 = 1: row i, column j
 # multiplies eta^i * (ln m)^j
-_SHARE_FIT = ((-3.16896, -1.21717, -0.0953359, -0.0135956),
-              (0.288829, 1.00438, -0.0195234, 0.0),
-              (-0.194547, -0.11609, 0.0, 0.0),
-              (0.0055417, 0.0, 0.0, 0.0))
+_SHARE_FIT = ((-3.90393, -2.06469, -0.121445, -0.0629242),
+              (1.63928, 1.66671, -0.059988, 0.0),
+              (-0.447588, -0.22833, 0.0, 0.0),
+              (0.0132974, 0.0, 0.0, 0.0))
 # most Monte Carlo worker threads a run may start: each allocates its own
 # point buffers, and threads past the host's cores only wait for the GIL
 MAX_WORKERS = 64
@@ -155,9 +160,10 @@ class MCConfig:
     samples follow, not the cost: the sampler draws points one by one only
     in the near field, out to R_near in the BS field and down to received
     power rho*T^(-eta/2), T = pi*lambda*R_near^2, in the uplink field, and
-    the ring beyond as one Gamma variate.  R_near is as small as keeps the
-    BS field's sampled law within LAW_GAP_BUDGET of the annulus law
-    (module docstring).
+    the ring beyond as one shifted Gamma variate with its first three
+    cumulants (or, where that does not fit, a Gamma with its mean and
+    variance).  R_near is as small as keeps both fields' sampled laws
+    within LAW_GAP_BUDGET of the annulus law (module docstring).
     """
 
     n_samples: int
@@ -287,8 +293,10 @@ def _near_share(cfg: NetworkConfig, r_min: float, r_max: float) -> float:
     log10 delta3 is a lower envelope, in eta and y = ln m, of the share at
     which the transform gap meets the budget at pi*lambda*r_min^2 = 1,
     fitted over eta in [2.05, 8], m in [0.05, 10] and tail shares 1e-4 to
-    1e-2; a sparser near field, a = pi*lambda*r_min^2 < 1, takes a^5 of it,
-    and a denser one its a = 1 share.  An annulus thinner than the fitted
+    1e-2 by a linear program that weights the grid nodes near the
+    baselines (eta = 4, m = 1) up to 31-fold; a sparser near field, a = pi*lambda*r_min^2 < 1, takes a^5 of it,
+    and a denser one a^1.5, fitted on a in {2, 4, 9}, unless its a = 1
+    share is already NEAR_SKEW_SHARE.  An annulus thinner than the fitted
     ones, (r_max/r_min)^(2 - eta) > 1e-2, keeps NEAR_SKEW_SHARE.
     """
     if (r_max / r_min) ** (2.0 - cfg.eta) > 1.01e-2:  # 1e-2 and rounding
@@ -297,7 +305,11 @@ def _near_share(cfg: NetworkConfig, r_min: float, r_max: float) -> float:
     log_share = sum(c * cfg.eta ** i * y ** j
                     for i, row in enumerate(_SHARE_FIT)
                     for j, c in enumerate(row))
-    log_share += 5.0 * math.log10(min(1.0, math.pi * cfg.lam * r_min * r_min))
+    a = math.pi * cfg.lam * r_min * r_min
+    if a < 1.0:
+        log_share += 5.0 * math.log10(a)
+    elif log_share > math.log10(NEAR_SKEW_SHARE):
+        log_share += 1.5 * math.log10(a)
     return min(MAX_SKEW_SHARE, max(NEAR_SKEW_SHARE, 10.0 ** log_share))
 
 
@@ -362,23 +374,50 @@ def _uplink_ring_term(a: float, v: float, t: float) -> float:
 
 def _ring_cumulants(cfg: NetworkConfig, r_min: float, r_max: float,
                     r_near: float,
-                    rho: Optional[float] = None) -> tuple[float, float]:
-    """(kappa_1, kappa_2) of the far ring of the field on [r_min, r_max]:
-    the BS field's beyond R_near = r_near, or with `rho` the uplink field's
-    points with t > T = pi*lambda*r_near^2 (module docstring)."""
+                    rho: Optional[float] = None) -> tuple[float, ...]:
+    """(kappa_1, kappa_2, kappa_3) of the far ring of the field on [r_min,
+    r_max]: the BS field's beyond R_near = r_near, or with `rho` the uplink
+    field's points with t > T = pi*lambda*r_near^2 (module docstring)."""
     fi = cfg.fading_interferer
-    marks = (fi.mean, fi.mean * fi.mean * (1.0 + 1.0 / fi.shape))
+    mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
+    marks = (fi.mean, mark_sq, mark_sq * fi.mean * (1.0 + 2.0 / fi.shape))
     if rho is None:
-        tx = (cfg.p_bs, cfg.p_bs * cfg.p_bs)
+        p = cfg.p_bs
         return tuple(
-            2.0 * math.pi * cfg.lam * (mark * p) / (n * cfg.eta - 2.0)
+            2.0 * math.pi * cfg.lam * (mark * tx) / (n * cfg.eta - 2.0)
             * (r_near ** (2.0 - n * cfg.eta) - r_max ** (2.0 - n * cfg.eta))
-            for n, mark, p in zip((1, 2), marks, tx))
+            for n, mark, tx in zip((1, 2, 3), marks, (p, p * p, p * p * p)))
     v_min, v_max, t = (math.pi * cfg.lam * r * r for r in (r_min, r_max, r_near))
     return tuple(moment * rho ** n
                  * (_uplink_ring_term(0.5 * n * cfg.eta, v_min, t)
                     - _uplink_ring_term(0.5 * n * cfg.eta, v_max, t))
-                 for n, moment in zip((1, 2), marks))
+                 for n, moment in zip((1, 2, 3), marks))
+
+
+def _ring_variate(kappa: tuple) -> tuple[float, float, float]:
+    """(c, k, theta) of the ring variate c + Gamma(k, theta) for the ring
+    cumulants kappa = (kappa_1, kappa_2, kappa_3) (_ring_cumulants).
+
+    The shifted Gamma meets all three: theta = kappa_3/(2 kappa_2), k =
+    kappa_2/theta^2 = 4 kappa_2^3/kappa_3^2 and c = kappa_1 - k theta.  It
+    is taken where c >= kappa_1/20 and k >= 1.5.  Below k = 1.5 the ring
+    holds about one effective point, and its density's edge at c can fit
+    that ring's law worse than the plain Gamma does (2.2e-3 against 1.3e-3
+    in sup-CDF distance at eta = 8, m = 1, k = 1.1).  Below c = kappa_1/20
+    the two variates are nearly one law, and the shifted one read up to
+    1.12e-4 against 0.91e-4 (eta = 6.26, m = 0.94, c = 0.03 kappa_1).
+    Elsewhere c = 0, with the mean and variance alone: k =
+    kappa_1^2/kappa_2, theta = kappa_2/kappa_1.  An empty ring,
+    kappa_1 = 0, gives k = 0, and no variate is drawn."""
+    k1, k2, k3 = kappa
+    if not k1 > 0.0:
+        return 0.0, 0.0, 0.0
+    theta = 0.5 * k3 / k2
+    shape = k2 / (theta * theta)
+    shift = k1 - shape * theta
+    if shift >= 0.05 * k1 and shape >= 1.5:
+        return shift, shape, theta
+    return 0.0, k1 * k1 / k2, k2 / k1
 
 
 def _chunk_samples(nu: float) -> int:
@@ -393,9 +432,9 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     """`size` i.i.d. draws of the aggregate interference (W) of the field
     on [r0, rmax], as a fresh array: the near field, its per-sample counts
     from the alias table `table` of their Poisson law (_poisson_table),
-    point by point, and the far ring as one Gamma variate per sample with
-    the cumulants `ring` = (kappa_1, kappa_2) (_ring_cumulants), only if
-    kappa_1 is positive.
+    point by point, and the far ring as one variate c + Gamma(k, theta) per
+    sample, `ring` = (c, k, theta) (_ring_variate), only if k is positive:
+    the Gamma draw is added, then c.
 
     Draws in the module docstring's order into views of the three float64
     arrays in `bufs`, which it replaces by larger ones when the chunk's
@@ -447,9 +486,10 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     starts = np.cumsum(counts) - counts
     out = np.add.reduceat(w, starts)
     out[counts == 0] = 0.0
-    k1, k2 = ring
-    if k1 > 0.0:
-        out += rng.gamma(k1 * k1 / k2, k2 / k1, size)
+    shift, shape, scale = ring
+    if shape > 0.0:
+        out += rng.gamma(shape, scale, size)
+        out += shift
     return out
 
 
@@ -491,7 +531,7 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
                      f"{MAX_CHUNK_POINTS}")
     n, size = mc.n_samples, _chunk_samples(nu)
     table = _poisson_table(nu)
-    ring = _ring_cumulants(cfg, r_min, rmax, r_near, rho)
+    ring = _ring_variate(_ring_cumulants(cfg, r_min, rmax, r_near, rho))
     chunks = -(-n // size)
     rngs = [_chunk_rng(mc.seed, c) for c in range(chunks)]
     parts, failures = [None] * chunks, {}
@@ -613,8 +653,8 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
     inversion to received level rho; interferer channels are Gamma(m,
     Omega).  The field is sampled point by point down to received power
     rho*T^(-eta/2), T = pi*lambda*R_near^2 at the BS field's R_near, plus
-    one Gamma variate with the mean and variance of the weaker rest
-    (module docstring).
+    one shifted Gamma variate with the first three cumulants of the weaker
+    rest, or a Gamma with its mean and variance (module docstring).
     The served link sees a unit-mean Gamma(m0, 1/m0) gain g, so the received
     signal power is rho*g.  The estimate is insensitive to both lambda and
     rho (tested), which is what makes this reconstruction usable as a

@@ -240,11 +240,11 @@ def test_analyze_json_document(capsys):
                                         "near_points_per_sample", "rho_w",
                                         "seed", "tail_epsilon"]
     assert doc["mc"]["rho_w"] == pytest.approx(8e-9, rel=1e-9, abs=0.0)
-    # the uplink field estimate_hd drew: 8.06 points per sample at the
+    # the uplink field estimate_hd drew: 4.48 points per sample at the
     # baseline, cut by received power where the BS field's rule cuts
     nu = mcsim.uplink_near_points(load_config(MICRO),
                                   MCConfig(2000, 3, tail_epsilon=1e-2))
-    assert doc["mc"]["near_points_per_sample"] == nu and 8.0 < nu <= 8.1
+    assert doc["mc"]["near_points_per_sample"] == nu and 4.4 < nu <= 4.5
     assert doc["mc"]["law_gap_budget"] == mcsim.LAW_GAP_BUDGET
 
 
@@ -636,8 +636,8 @@ def test_eta_near_two_is_a_named_numeric_failure(capsys, tmp_path):
 
 @pytest.mark.parametrize("eta", [2.4, 2.1, 2.05])
 def test_analyze_answers_eta_near_two(capsys, tmp_path, eta):
-    # the far ring's Gamma variate leaves the near field under about 1e3
-    # points per sample as eta -> 2 (202 at eta = 2.4, 778 at 2.05)
+    # the far ring's variate leaves the near field under about 1e3 points
+    # per sample as eta -> 2 (13.3 at eta = 2.4, 26.9 at 2.05)
     cfg = micro_with(tmp_path, eta=eta)
     rc, out, err = run(capsys, "analyze", cfg, "--samples", "2000")
     assert rc == 0, err
@@ -1052,7 +1052,7 @@ def test_validate_names_a_zero_bs_power(capsys, tmp_path):
 
 def test_validate_oversized_field_is_a_named_numeric_failure(capsys,
                                                              tmp_path):
-    # at r0 = 1e6 m the near field holds about 1e9 points per sample
+    # at r0 = 1e6 m the near field holds about 4.7e8 points per sample
     rc, out, err = run(capsys, "validate", MICRO, "--samples", "10000",
                        "--r0", "1e6", "--hist-out", str(tmp_path / "h.csv"))
     assert rc == 2
@@ -1061,7 +1061,7 @@ def test_validate_oversized_field_is_a_named_numeric_failure(capsys,
     cfg = load_config(MICRO)
     nu = near_field(cfg, 1e6, mcsim._resolve_rmax(cfg, MCConfig(1, 0),
                                                   1e6))[1]
-    assert nu > 1e9 and f"{nu:.3g} expected points per sample" in err
+    assert nu > 4e8 and f"{nu:.3g} expected points per sample" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
@@ -1199,7 +1199,7 @@ def test_validate_draws_each_field_once(capsys, tmp_path, monkeypatch, r0,
     rc, _, _ = run(capsys, *argv, *(["--r0", r0] if r0 else []))
     cfg = load_config(MICRO)
     chunks = -(-20_000 // mc_chunk(cfg))
-    assert rc == 3 and chunks == 6
+    assert rc == 3 and chunks == 4
     if r0:
         r0_chunks = -(-20_000 // mc_chunk(cfg, r_min=300.0))
         assert calls.count(300.0) == r0_chunks > chunks

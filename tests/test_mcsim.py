@@ -27,7 +27,7 @@ from fdcap.interference import gamma_fit, mean_interference, second_moment
 from fdcap.mcsim import (MCConfig, estimate_fd_rates, estimate_hd,
                          interference_samples, summarize)
 from conftest import (FieldLaw, fd_rate_rows, ks_distance, law_gap,
-                      make_cfg, mc_annulus, mc_chunk, near_field, ring_gap,
+                      make_cfg, mc_annulus, mc_chunk, near_field,
                       uplink_chunk, uplink_ring_cumulant)
 
 
@@ -170,24 +170,25 @@ def _least_share_points(cfg, r_min, rmax):
 def test_near_field_never_holds_more_points_than_at_the_least_share():
     # the budget only widens the ring: over the law-gap grid the BS field
     # draws at most the points per sample that delta3 = NEAR_SKEW_SHARE
-    # draws, and at the baselines (eta = 4, m = 1, r0) at most 10 where
-    # that share draws 14.85.  The uplink field, cut by received power at
-    # the same R_near, draws at most 8.1 there and 12.5 at eta = 3, where
-    # the radius split at that share drew 14.85 and 50.8
+    # draws.  At the baselines (eta = 4, m = 1, r0), where that share draws
+    # 14.85, the BS field draws at most 4.4 and the uplink field, cut by
+    # received power at the same R_near, 4.5; at eta = 3, where it draws
+    # 50.8, they draw at most 6.2 and 6.3
     for point in GAP_GRID:
         cfg, r_min, rmax = _gap_case(*point)
         share = mcsim._near_share(cfg, r_min, rmax)
         assert mcsim.NEAR_SKEW_SHARE <= share <= mcsim.MAX_SKEW_SHARE
         least = _least_share_points(cfg, r_min, rmax)
         assert near_field(cfg, r_min, rmax)[1] <= least
-    for cfg, most, least in ((make_cfg(), 8.1, 14.85),
-                             (make_cfg(lam=5e-6, p_bs=20.0), 8.1, 14.85),
-                             (make_cfg(eta=3.0), 12.5, 50.8)):
+    for cfg, most, most_uplink, least in (
+            (make_cfg(), 4.4, 4.5, 14.85),
+            (make_cfg(lam=5e-6, p_bs=20.0), 4.4, 4.5, 14.85),
+            (make_cfg(eta=3.0), 6.2, 6.3, 50.8)):
         r0, rmax = mc_annulus(cfg, 1e-3)
         assert _least_share_points(cfg, r0, rmax) == pytest.approx(
             least, abs=0.01)
-        assert near_field(cfg, r0, rmax)[1] <= max(10.0, most)
-        assert mcsim.uplink_near_points(cfg, MCConfig(1, 0)) <= most
+        assert near_field(cfg, r0, rmax)[1] <= most
+        assert mcsim.uplink_near_points(cfg, MCConfig(1, 0)) <= most_uplink
     # an annulus thinner than any the rule was fitted on, (R_max/r0)^(2 -
     # eta) = 1/4 here, which only an explicit r_max reaches, keeps the least
     # share
@@ -196,35 +197,83 @@ def test_near_field_never_holds_more_points_than_at_the_least_share():
             == mcsim.NEAR_SKEW_SHARE)
 
 
+# the GAP_GRID points whose sampled laws may stay farther than
+# LAW_GAP_BUDGET from the annulus law, and how far (BS field, uplink
+# field), each gap rounded up at two digits: the rule keeps
+# NEAR_SKEW_SHARE there, and a narrower ring than that would cost more
+# points.  Where the ring's shifted Gamma would have c < kappa_1/20 or
+# k < 1.5 (a ring of about one effective point) the ring variate is the
+# c = 0 Gamma, whose gaps these are
+FLOOR_GAPS = {(4.0, 0.05, 1.0, 1e-3): (9.2e-3, 8.6e-3),
+              (5.0, 0.05, 1.0, 1e-3): (3.1e-2, 2.5e-2),
+              (5.0, 0.3, 1.0, 1e-3): (2.7e-4, 2.4e-4),
+              (8.0, 0.05, 1.0, 1e-3): (3.9e-2, 2.2e-2),
+              (8.0, 0.3, 1.0, 1e-3): (1.1e-2, 6.6e-3),
+              (8.0, 1.0, 1.0, 1e-3): (1.3e-3, 1.4e-4),
+              (8.0, 3.0, 1.0, 1e-3): (1.2e-3, 3.4e-3),
+              (8.0, 10.0, 1.0, 1e-3): (2.2e-3, 5.2e-3),
+              (4.0, 1.0, 0.5, 1e-4): (1.5e-4, 1.6e-4),
+              (4.0, 1.0, 0.5, 1e-3): (1.6e-4, 1.5e-4),
+              (4.0, 1.0, 0.5, 1e-2): (1.4e-4, 1.0e-4)}
+
+
 def test_sampled_law_stays_within_the_law_gap_budget():
     # both fields' sampled laws, by transform inversion and no sampling, at
-    # the rule's own R_near.  The BS field's is within LAW_GAP_BUDGET of the
-    # annulus law, or no further than at delta3 = NEAR_SKEW_SHARE, where the
-    # rule keeps that share.  The uplink field's, cut at t = pi lambda
-    # R_near^2, is within the budget or no further than the BS field's.
-    # Where the rule sits at NEAR_SKEW_SHARE both gaps can exceed the
-    # budget; there the uplink's may exceed the BS field's (3.3e-3 against
-    # 1.0e-3 at eta = 8, m = 3), but not the gap of the radius split at that
-    # share that the uplink field was drawn with before (5.9e-2 there)
+    # the rule's own R_near, with the ring variate the sampler draws.  Each
+    # is within LAW_GAP_BUDGET of the annulus law, except at the floor
+    # points FLOOR_GAPS, where each stays within its listed gap; and each
+    # is within max(LAW_GAP_BUDGET, the gap of the c = 0 Gamma variate at
+    # the same R_near): the shifted ring makes no law worse
     start = time.process_time()
     for point in GAP_GRID:
         cfg, r_min, rmax = _gap_case(*point)
         share = mcsim._near_share(cfg, r_min, rmax)
         rn = near_field(cfg, r_min, rmax)[0]
-        gap = law_gap(cfg, r_min, rmax, rn)
-        least = mcsim._near_radius(cfg.eta, r_min, rmax,
-                                   mcsim.NEAR_SKEW_SHARE)
-        if share > mcsim.NEAR_SKEW_SHARE and gap > mcsim.LAW_GAP_BUDGET:
-            least_gap = law_gap(cfg, r_min, rmax, least)
-            assert gap <= least_gap, (point, share, gap, least_gap)
-        uplink = law_gap(cfg, r_min, rmax, rn, rho=1.0)
-        if uplink > max(mcsim.LAW_GAP_BUDGET, gap):
-            assert share == mcsim.NEAR_SKEW_SHARE, (point, uplink, gap)
-            radius_split = ring_gap(
-                FieldLaw.uplink(cfg, 1.0, r_min, least),
-                FieldLaw.uplink(cfg, 1.0, least, rmax))
-            assert uplink <= radius_split, (point, uplink, radius_split)
+        for field, rho in enumerate((None, 1.0)):
+            gap = law_gap(cfg, r_min, rmax, rn, rho)
+            if gap <= mcsim.LAW_GAP_BUDGET:
+                continue
+            assert point in FLOOR_GAPS, (point, rho, share, gap)
+            assert share == mcsim.NEAR_SKEW_SHARE
+            assert gap <= FLOOR_GAPS[point][field], (point, rho, gap)
+            plain = law_gap(cfg, r_min, rmax, rn, rho, plain=True)
+            assert gap <= plain, (point, rho, gap, plain)
     assert time.process_time() - start < 20.0
+
+
+def test_ring_variate_meets_the_ring_cumulants():
+    # the variate c + Gamma(k, theta) has cumulants c + k theta, k theta^2
+    # and 2 k theta^3: kappa_1 and kappa_2 of the ring always, and kappa_3
+    # too where c > 0.  The ring's cumulants are the exact law's, FieldLaw's
+    # beyond R_near for the BS field and conftest's quadrature for the
+    # uplink field's t > T.  Where c = 0 the shifted Gamma of those three
+    # would have c < kappa_1/20 or k < 1.5
+    shifted = 0
+    for point in GAP_GRID:
+        cfg, r_min, rmax = _gap_case(*point)
+        rn = near_field(cfg, r_min, rmax)[0]
+        t = math.pi * cfg.lam * rn * rn
+        for rho in (None, 1.0):
+            if rho is None:
+                want = [FieldLaw(cfg, rn, rmax).cumulant(n) for n in (1, 2, 3)]
+            else:
+                want = [uplink_ring_cumulant(cfg, rho, r_min, rmax, t, n)
+                        for n in (1, 2, 3)]
+            c, k, theta = mcsim._ring_variate(
+                mcsim._ring_cumulants(cfg, r_min, rmax, rn, rho))
+            got = [c + k * theta, k * theta * theta, 2.0 * k * theta ** 3]
+            assert c >= 0.0
+            if c > 0.0:
+                shifted += 1
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+            else:
+                assert got[:2] == pytest.approx(want[:2], rel=1e-10, abs=0.0)
+            k1, k2, k3 = want
+            theta3 = 0.5 * k3 / k2
+            k3_shape = k2 / (theta3 * theta3)
+            assert (c > 0.0) == (k1 - k3_shape * theta3 >= 0.05 * k1
+                                 and k3_shape >= 1.5), (point, rho)
+    assert shifted > len(GAP_GRID)
 
 
 def test_explicit_rmax_must_exceed_exclusion_radius(micro):
@@ -293,12 +342,12 @@ def test_chunk_size_limits(micro):
     assert mcsim._chunk_samples(0.0) == mcsim.CHUNK_POINTS
     assert mcsim._chunk_samples(mcsim.CHUNK_POINTS - 2.0) == 1
     assert mcsim._chunk_samples(float(mcsim.MAX_CHUNK_POINTS)) == 1
-    # r_min = 5 km: about 5.9e4 points per sample, one sample per chunk
-    assert mc_chunk(micro, r_min=5000.0) == 1
+    # r_min = 10 km: about 4.7e4 points per sample, one sample per chunk
+    assert mc_chunk(micro, r_min=10000.0) == 1
     mc = MCConfig(3, 4, workers=2)
-    vals = interference_samples(micro, mc, r_min=5000.0)
+    vals = interference_samples(micro, mc, r_min=10000.0)
     assert np.array_equal(vals, interference_samples(
-        micro, replace(mc, workers=1), r_min=5000.0))
+        micro, replace(mc, workers=1), r_min=10000.0))
 
 
 @pytest.mark.parametrize("eta", [3.0, 2.5])
@@ -443,8 +492,7 @@ def test_reused_buffers_leak_nothing_into_a_later_chunk(uplink):
     rn, nu = near_field(cfg, r0, rmax)
     table = mcsim._poisson_table(nu)
     rho = capacity.default_rho(cfg) if uplink else None
-
-    ring = mcsim._ring_cumulants(cfg, r0, rmax, rn, rho)
+    ring = mcsim._ring_variate(mcsim._ring_cumulants(cfg, r0, rmax, rn, rho))
 
     def chunk(size, c, bufs):
         return mcsim._field_interference(cfg, r0, rmax, rn, table, size,
@@ -467,19 +515,23 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     them, all from the chunk-0 SFC64 stream: Poisson counts from the alias
     table of their law, one uniform each (slot floor(U K), coin U K - slot),
     then each point's position, then unit-scale Gamma marks (at m = 1 the
-    unit exponentials -ln(1 - U)), then one Gamma variate per sample with
-    the mean and variance of the ring.  R_near leaves the BS field's ring
+    unit exponentials -ln(1 - U)), then one ring variate per sample.
+    R_near leaves the BS field's ring
     the share _near_share picks.  In the BS field the positions are radii
     uniform in r^2 on [r0, R_near], and each point weighs its mark times
     one folded scale and (1/r^2)^(eta/2), one power per point; the ring is
-    [R_near, R_max], with its Campbell mean and variance.  With rho it is
-    estimate_hd's uplink field cut at t = T = pi lambda R_near^2: its
+    [R_near, R_max], with its first three Campbell cumulants.  With rho it
+    is estimate_hd's uplink field cut at t = T = pi lambda R_near^2: its
     counts have mean T (e^(-v_min/T) - e^(-V/T)), its positions are
     v = pi lambda r^2 from the exponential law e^(-v/T) truncated to
     [v_min, V] by inversion, after the marks come E = v/T - ln(1 - U), and
     each point weighs mark rho E^(eta/2) v^(-eta/2), taken as two powers;
-    the ring's cumulants come from conftest's quadrature.  Returns (counts,
-    point weights, ring)."""
+    the ring's cumulants come from conftest's quadrature.  The ring variate
+    is c + Gamma(k, theta) with theta = kappa_3/(2 kappa_2), k =
+    kappa_2/theta^2 and c = kappa_1 - k theta where c >= kappa_1/20 and
+    k >= 1.5, and otherwise c = 0 and the Gamma of kappa_1 and kappa_2.  Returns (counts,
+    point weights, the ring's Gamma draws, c); a sample is its points' sum
+    plus its Gamma draw, plus c, in that order."""
     r0, eta = cfg.r0, cfg.eta
     fi = cfg.fading_interferer
     rmax = r0 * eps ** (1.0 / (2.0 - eta))
@@ -502,28 +554,37 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
         r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
         w = marks * (fi.scale * cfg.p_bs) * (1.0 / r_sq) ** (0.5 * eta)
         mark_sq = fi.mean * fi.mean * (1.0 + 1.0 / fi.shape)
-        k1, k2 = (2.0 * math.pi * cfg.lam * moment / (n * eta - 2.0)
-                  * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
-                  for n, moment in ((1, fi.mean * cfg.p_bs),
-                                    (2, mark_sq * (cfg.p_bs * cfg.p_bs))))
+        mark_cu = mark_sq * fi.mean * (1.0 + 2.0 / fi.shape)
+        k1, k2, k3 = (2.0 * math.pi * cfg.lam * moment / (n * eta - 2.0)
+                      * (rn ** (2.0 - n * eta) - rmax ** (2.0 - n * eta))
+                      for n, moment in (
+                          (1, fi.mean * cfg.p_bs),
+                          (2, mark_sq * (cfg.p_bs * cfg.p_bs)),
+                          (3, mark_cu * (cfg.p_bs * cfg.p_bs * cfg.p_bs))))
     else:
         v = v_min - t * np.log(1.0 - u * (1.0 - math.exp(-(v_max - v_min)
                                                           / t)))
         e = v / t - np.log(1.0 - rng.random(u.size))
         w = marks * fi.scale * rho * e ** (0.5 * eta) * v ** (-0.5 * eta)
-        k1, k2 = (uplink_ring_cumulant(cfg, rho, r0, rmax, t, n)
-                  for n in (1, 2))
-    return counts, w, rng.gamma(k1 * k1 / k2, k2 / k1, size)
+        k1, k2, k3 = (uplink_ring_cumulant(cfg, rho, r0, rmax, t, n)
+                      for n in (1, 2, 3))
+    theta = 0.5 * k3 / k2
+    shape = k2 / (theta * theta)
+    shift = k1 - shape * theta
+    if not (shift >= 0.05 * k1 and shape >= 1.5):
+        shift, shape, theta = 0.0, k1 * k1 / k2, k2 / k1
+    return counts, w, rng.gamma(shape, theta, size), shift
 
 
 def test_chunk_draw_order_is_the_documented_one(fig2):
     # each sample's points are summed by reduceat over its run
     for eps in (1e-2, 1e-3):
-        counts, w, ring = _first_chunk_by_hand(fig2, eps, 100, 99)
+        counts, w, ring, shift = _first_chunk_by_hand(fig2, eps, 100, 99)
+        assert shift > 0.0
         starts = np.cumsum(counts) - counts
         near = np.add.reduceat(np.append(w, 0.0), starts)
         near[counts == 0] = 0.0
-        manual = near + ring
+        manual = near + ring + shift
         assert np.array_equal(manual, interference_samples(
             fig2, MCConfig(100, 99, tail_epsilon=eps)))
 
@@ -533,20 +594,21 @@ def test_a_sample_without_near_points_is_its_ring_variate_alone():
     # of the samples draw none: each of those is its ring variate alone,
     # to the bit, and every other is its own points' sum plus its ring
     cfg = make_cfg(eta=8.0)
-    counts, w, ring = _first_chunk_by_hand(cfg, 1e-3, 1024, 10)
+    counts, w, ring, shift = _first_chunk_by_hand(cfg, 1e-3, 1024, 10)
     empty = counts == 0
     assert 50 < np.count_nonzero(empty) < 150
     starts = np.cumsum(counts) - counts
     near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
     vals = interference_samples(cfg, MCConfig(1024, 10))
-    assert np.array_equal(vals[empty], ring[empty])
-    assert np.allclose(vals, near + ring, rtol=1e-14, atol=0.0)
+    assert np.array_equal(vals[empty], ring[empty] + shift)
+    assert np.allclose(vals, near + ring + shift, rtol=1e-14, atol=0.0)
 
 
 class _DrawSpy:
     """A Generator that records its draws in order: ("random", size) for
     uniforms, ("standard_gamma", shape, 1.0, size) and ("gamma", shape,
-    scale, size).  The unit draws take `out=` as numpy's do."""
+    scale, size), and keeps the last gamma draw as `drawn`.  The unit draws
+    take `out=` as numpy's do."""
 
     def __init__(self, rng):
         self._rng, self.calls = rng, []
@@ -557,7 +619,8 @@ class _DrawSpy:
 
     def gamma(self, shape, scale, size):
         self.calls.append(("gamma", shape, scale, size))
-        return self._rng.gamma(shape, scale, size)
+        self.drawn = self._rng.gamma(shape, scale, size)
+        return self.drawn.copy()
 
     def standard_gamma(self, shape, size=None, out=None):
         self.calls.append(("standard_gamma", shape, 1.0,
@@ -565,18 +628,20 @@ class _DrawSpy:
         return self._rng.standard_gamma(shape, size, out=out)
 
 
-def _ring_mean_and_variance(cfg, r0, rmax, rho=None):
-    """Mean and variance of the ring variate _field_interference draws at
-    the ring cumulants _ring_cumulants gives: its one scaled gamma draw,
-    after the counts' uniforms, the positions, the unit-scale marks
-    (uniforms to invert at m = 1) and, for the uplink field of rho, the
-    uniforms of E."""
+def _ring_variate_cumulants(cfg, r0, rmax, rho=None):
+    """(c + k theta, k theta^2, 2 k theta^3), the first three cumulants of
+    the ring variate c + Gamma(k, theta) that _field_interference draws,
+    read off its draws: its one scaled gamma draw, after the counts'
+    uniforms, the positions, the unit-scale marks (uniforms to invert at
+    m = 1) and, for the uplink field of rho, the uniforms of E, and c as
+    what a sample without near-field points holds beyond that draw."""
     spy = _DrawSpy(np.random.default_rng(0))
-    rn, nu = near_field(cfg, r0, rmax)
-    mcsim._field_interference(cfg, r0, rmax, rn, mcsim._poisson_table(nu), 8,
-                              spy, [np.empty(0)] * 3,
-                              mcsim._ring_cumulants(cfg, r0, rmax, rn, rho),
-                              rho)
+    rn = near_field(cfg, r0, rmax)[0]
+    no_points = (0, np.array([1.0]), np.array([0]))
+    out = mcsim._field_interference(
+        cfg, r0, rmax, rn, no_points, 8, spy, [np.empty(0)] * 3,
+        mcsim._ring_variate(mcsim._ring_cumulants(cfg, r0, rmax, rn, rho)),
+        rho)
     marks = ("random" if cfg.fading_interferer.shape == 1.0
              else "standard_gamma")
     assert [c[0] for c in spy.calls] == (
@@ -585,7 +650,10 @@ def _ring_mean_and_variance(cfg, r0, rmax, rho=None):
     assert spy.calls[0] == ("random", 8)
     _, shape, scale, size = spy.calls[-1]
     assert size == 8
-    return shape * scale, shape * scale * scale
+    shift = out - spy.drawn
+    assert shift == pytest.approx(np.full(8, shift[0]), rel=1e-12, abs=0.0)
+    return (shift[0] + shape * scale, shape * scale * scale,
+            2.0 * shape * scale ** 3)
 
 
 def test_rayleigh_marks_are_minus_log_of_one_minus_the_chunk_uniforms():
@@ -597,7 +665,8 @@ def test_rayleigh_marks_are_minus_log_of_one_minus_the_chunk_uniforms():
     table = mcsim._poisson_table(3.0)
     bufs = [np.empty(0)] * 3
     out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, table, 500,
-                                    mcsim._chunk_rng(5, 0), bufs, (0.0, 0.0))
+                                    mcsim._chunk_rng(5, 0), bufs,
+                                    (0.0, 0.0, 0.0))
     rng = mcsim._chunk_rng(5, 0)
     counts = mcsim._poisson_counts(table, rng, 500)
     total = int(counts.sum())
@@ -641,7 +710,7 @@ def test_inverted_exponentials_at_the_ends_of_the_uniforms(u, e):
         bufs = [np.empty(0)] * 3
         out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, table, 2,
                                         _ConstantUniforms(u), bufs,
-                                        (0.0, 0.0), rho)
+                                        (0.0, 0.0, 0.0), rho)
         assert np.all(np.isfinite(bufs[1][:6]))
         assert bufs[1][:6] == pytest.approx(np.full(6, weight), rel=1e-14,
                                             abs=0.0)
@@ -657,34 +726,36 @@ def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
     cfg = make_cfg(eta=eta, m_int=m_int)
     rho = capacity.default_rho(cfg)
     size = uplink_chunk(cfg)
-    counts, w, ring = _first_chunk_by_hand(cfg, 1e-3, size, 21, rho)
+    counts, w, ring, shift = _first_chunk_by_hand(cfg, 1e-3, size, 21, rho)
     starts = np.cumsum(counts) - counts
     near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
     vals = mcsim._field_chunks(cfg, MCConfig(size, 21),
                                lambda field, rng: field, rho=rho)
-    assert vals == pytest.approx(near + ring, rel=1e-13, abs=0.0)
+    assert vals == pytest.approx(near + ring + shift, rel=1e-13, abs=0.0)
 
 
 def test_ring_variate_has_the_ring_cumulants(fig2):
+    # the drawn variate c + Gamma(k, theta) has the ring's first three
+    # cumulants, those of the exact law of [R_near, R_max]
     r0, rmax = mc_annulus(fig2, 1e-3)
     ring = FieldLaw(fig2, near_field(fig2, r0, rmax)[0], rmax)
-    mean, var = _ring_mean_and_variance(fig2, r0, rmax)
-    assert mean == pytest.approx(ring.cumulant(1), rel=1e-10, abs=0.0)
-    assert var == pytest.approx(ring.cumulant(2), rel=1e-10, abs=0.0)
+    got = _ring_variate_cumulants(fig2, r0, rmax)
+    assert got == pytest.approx([ring.cumulant(n) for n in (1, 2, 3)],
+                                rel=1e-10, abs=0.0)
 
 
 def test_uplink_ring_variate_has_the_ring_cumulants():
     # the uplink ring holds the points with t > T = pi lambda R_near^2; its
-    # variate's mean and variance are the cumulants of the exact t field
+    # variate's first three cumulants are those of the exact t field
     # beyond T (FieldLaw.uplink's panels in log t)
     cfg = make_cfg(eta=3.0)
     rho = capacity.default_rho(cfg)
     r0, rmax = mc_annulus(cfg, 1e-3)
     rn = near_field(cfg, r0, rmax)[0]
     ring = FieldLaw.uplink(cfg, rho, r0, rmax, t_lo=math.pi * cfg.lam * rn * rn)
-    mean, var = _ring_mean_and_variance(cfg, r0, rmax, rho)
-    assert mean == pytest.approx(ring.cumulant(1), rel=1e-10, abs=0.0)
-    assert var == pytest.approx(ring.cumulant(2), rel=1e-10, abs=0.0)
+    got = _ring_variate_cumulants(cfg, r0, rmax, rho)
+    assert got == pytest.approx([ring.cumulant(n) for n in (1, 2, 3)],
+                                rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("eta", [2.05, 3.0, 4.0, 8.0])
@@ -704,7 +775,7 @@ def test_uplink_ring_cumulants_match_quadrature(eta, m):
         got = mcsim._ring_cumulants(cfg, r0, r_max, r_near, rho)
         want = [uplink_ring_cumulant(cfg, rho, r0, r_max,
                                      math.pi * cfg.lam * r_near * r_near, n)
-                for n in (1, 2)]
+                for n in (1, 2, 3)]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -801,8 +872,8 @@ def test_alias_counts_have_the_poisson_mean_and_variance(nu):
 
 def test_a_silent_near_field_draws_no_points_and_one_sample_chunks_work():
     # nu = 0: every count is 0.  One sample draws one count, also in a
-    # window far from 0, and a field of one-sample chunks (r_min = 5 km,
-    # about 5.9e4 points per sample) is whole
+    # window far from 0, and a field of one-sample chunks (r_min = 10 km,
+    # about 4.7e4 points per sample) is whole
     rng = mcsim._chunk_rng(2, 0)
     assert not np.any(mcsim._poisson_counts(mcsim._poisson_table(0.0), rng,
                                             1000))
@@ -810,9 +881,9 @@ def test_a_silent_near_field_draws_no_points_and_one_sample_chunks_work():
     one = mcsim._poisson_counts(table, rng, 1)
     assert one.shape == (1,) and table[0] <= one[0] < table[0] + table[1].size
     cfg = make_cfg()
-    assert mc_chunk(cfg, r_min=5000.0) == 1
-    vals = interference_samples(cfg, MCConfig(2, 3), r_min=5000.0)
-    law = FieldLaw(cfg, 5000.0, mc_annulus(cfg, 1e-3)[1] * 5000.0 / cfg.r0)
+    assert mc_chunk(cfg, r_min=10000.0) == 1
+    vals = interference_samples(cfg, MCConfig(2, 3), r_min=10000.0)
+    law = FieldLaw(cfg, 10000.0, mc_annulus(cfg, 1e-3)[1] * 10000.0 / cfg.r0)
     assert vals.shape == (2,)
     assert np.all(np.abs(vals - law.cumulant(1))
                   < 6.0 * math.sqrt(law.cumulant(2)))
@@ -859,8 +930,7 @@ def test_field_cumulants_match_the_annulus_law(fig2, fig2_cumulant_samples):
 def test_field_third_cumulant_matches_the_annulus_law(fig2,
                                                       fig2_cumulant_samples):
     # the ring holds the share _near_share picks of the third cumulant,
-    # and its Gamma variate matches only two: far below the k-statistic's
-    # noise
+    # which its shifted Gamma variate matches too
     x = fig2_cumulant_samples
     n = x.size
     k = [FieldLaw(fig2, *mc_annulus(fig2, 1e-3)).cumulant(j)
