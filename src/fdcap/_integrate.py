@@ -18,7 +18,8 @@ so that a sweep's grid costs one call of the integrand per level rather
 than one per grid point.  Each row keeps its own value, error estimate and
 level, and gets the same floats as a call with that row alone; a row may
 be flipped, mirrored end for end, so that one call can take some rows in t
-and others in u = 1 - t.  A scalar window is the one-row case.
+and others in u = 1 - t.  A scalar window is taken as one row, and only
+its result is a number.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ _H = 0.0625
 _FIRST = 3                  # the level of the tabulated nodes
 _BASE = 56                  # default reach in nodes of level 3: y = 3.5
 _TABLE = 128                # tabulated reach: y = 8
-LEVELS = 8                  # the last level quad refines to by default
+LEVELS = 8                  # the last level quad refines to
 _EPS = sys.float_info.epsilon
 # the weights quad takes, and the row of _nodes whose log a log weight uses
 _WEIGHTS = {None: None, "alg": None, "alg-loga": 1, "alg-logb": 2}
@@ -161,8 +162,8 @@ def _column(x, size: int) -> list:
 
 
 def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
-         limit: int = LEVELS, weight: str | None = None, wvar=None,
-         log_weight=None, flip=None, args=()) -> tuple:
+         weight: str | None = None, wvar=None, log_weight=None, flip=None,
+         args=()) -> tuple:
     """int_a^b func(x) (x-a)^alpha (b-x)^beta e^log_weight(x) dx by the
     nested tanh-sinh rule: (value, error estimate, {"neval": nodes
     evaluated, "level": last level, "failed": the rows, in order, whose
@@ -178,17 +179,17 @@ def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
     returns numpy arrays (or a scalar).
 
     Rows: a and b may be arrays, broadcast with `flip` and each of `args`
-    to the shape of the result, one integral per element.  x is then an
-    array with one row of nodes per integral, and func and log_weight are
-    called as func(x, *cols) (func(x, log, *cols) with a log weight) and
+    to the shape of the result, one integral per element.  x is an array
+    with one row of nodes per integral, and func and log_weight are called
+    as func(x, *cols) (func(x, log, *cols) with a log weight) and
     log_weight(x, *cols), cols the args as columns, one entry per row of x
-    (for a single row, x is one row of nodes and cols are numbers).
+    (an arg given as a number stays one).
     Where flip is True the row is mirrored: its weight is (x-a)^beta
     (b-x)^alpha, its log factor is at the other end, and its nodes are
     those of the window [-b, -a] at -x.  value and error are arrays of that
     shape, "level" too, and "neval" counts the nodes of all rows.  A row
-    gets the same floats as the call with it alone; a scalar window, the
-    one-row case, returns floats.
+    gets the same floats as the call with it alone; a scalar window is the
+    one-row case, and returns floats.
 
     Levels 0-3 cost one call of func.  With d_l the difference of levels
     l and l-1, the error estimate is d_l^2 / d_(l-1), at most d_l, and
@@ -196,7 +197,7 @@ def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
     level 2, from levels 0-2, that extrapolation missed the tolerance 17
     times in 21 000 rate, power and 3F2 integrals, by up to 165 times;
     from level 3 on, none.)  While it misses max(epsabs, epsrel |value|),
-    the rule halves h, up to level `limit`, and returns what it has there;
+    the rule halves h, up to level LEVELS, and returns what it has there;
     only the rows that miss are refined.  A ValueError refuses an exponent
     at or below -1 (as alpha = p - 1 is for p below 2^-54); a window with
     b <= a integrates to 0.
@@ -210,23 +211,19 @@ def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
     flip = False if flip is None else flip
     shape = _shape(a, b, flip, *args)
     size = math.prod(shape)
-    if shape:
-        a, b, flip = _rows(a, shape), _rows(b, shape), _rows(flip, shape)
-        args = [_rows(x, shape) for x in args]
-        width = b - a
-        if not isinstance(width, np.ndarray):
-            # x has a row of nodes for each row
-            width = np.full((size, 1), width)
-        ends = zip(_column(a, size), _column(b, size), width[:, 0].tolist())
-    else:
-        width = b - a
-        ends = [(a, b, width)]
+    a, b, flip = _rows(a, shape), _rows(b, shape), _rows(flip, shape)
+    args = [_rows(x, shape) for x in args]
+    width = b - a
+    if not isinstance(width, np.ndarray):
+        # x has a row of nodes for each row
+        width = np.full((size, 1), width)
     values, errors, levels = [0.0] * size, [0.0] * size, [0] * size
     neval, failed = 0, []
     # the rows with a window; b - a rounds to eps of the width, a weight
     # exponent in the millions (m_I as eta -> 2) would carry that into it
     rows, log_width = [], []
-    for i, (lo, hi, w) in enumerate(ends):
+    for i, (lo, hi, w) in enumerate(zip(_column(a, size), _column(b, size),
+                                        width[:, 0].tolist())):
         if w > 0.0:
             rows.append(i)
             log_width.append(math.log(hi) + math.log1p(-lo / hi)
@@ -235,45 +232,35 @@ def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
     log_end = _WEIGHTS[weight]
     mirror = _uniform(flip) is not False
     state = [a, b, width, flip, *args]
-    if size == 1:
-        # one row: its window and args as numbers, and x one row of nodes
-        if shape:
-            state = [c[0, 0] if isinstance(c, np.ndarray) else c
-                     for c in state]
-        state.insert(3, log_width[0] if rows else 0.0)
-    else:
-        if len(rows) < size:
-            state = _take(state, rows)
-        state.insert(3, np.array(log_width).reshape(-1, 1))
+    if len(rows) < size:
+        state = _take(state, rows)
+    state.insert(3, np.array(log_width).reshape(-1, 1))
 
     def terms(nodes, mirrored, lo, hi, width, log_width, fl, *cols):
         # a flipped row takes its own nodes, those at -y, with the ends'
         # roles, and its exponents, swapped
-        uniform = _uniform(fl)
+        flipped = _uniform(fl) is not False
         e_left, e_right = alpha, beta
-        if uniform is not False:
+        if flipped:
             if mirrored is not nodes:
-                nodes = (mirrored if uniform else np.where(
-                    fl, mirrored[:, None, :], nodes[:, None, :]))
-            e_left, e_right = ((beta, alpha) if uniform else
-                               (np.where(fl, beta, alpha),
-                                np.where(fl, alpha, beta)))
+                nodes = np.where(fl, mirrored[:, None, :], nodes[:, None, :])
+            e_left, e_right = (np.where(fl, beta, alpha),
+                               np.where(fl, alpha, beta))
         left, log_left, log_right, log_jac = nodes
         # at most b: a + width rounds to either side of it
         x = np.minimum(lo + width * left, hi)
         log_w = log_jac + (alpha + beta + 1.0) * log_width
-        if alpha or uniform is not False and beta:
+        if alpha or flipped and beta:
             log_w += e_left * log_left
-        if beta or uniform is not False and alpha:
+        if beta or flipped and alpha:
             log_w += e_right * log_right
         if log_weight is not None:
             log_w += log_weight(x, *cols)
         if log_end is None:
             f = func(x, *cols)
         else:
-            log_at = (nodes[log_end] if uniform is False else
-                      nodes[3 - log_end] if uniform else
-                      np.where(fl, nodes[3 - log_end], nodes[log_end]))
+            log_at = (np.where(fl, nodes[3 - log_end], nodes[log_end])
+                      if flipped else nodes[log_end])
             f = func(x, log_at + log_width, *cols)
         return f * np.exp(log_w, out=log_w)
 
@@ -291,15 +278,10 @@ def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
         # the first node's index is a multiple of 8 and so is the count of
         # the others: levels 1, 2 and 3 sum every fourth, every other and
         # every node (Python floats, in which inf - inf is a silent nan)
-        if size == 1:
-            table = [(float(v[0]), np.add.reduce(v[1:].reshape(-1, 8),
-                                                 axis=0).tolist(),
-                      float(np.add.reduce(np.abs(v))))]
-        else:
-            table = zip(v[:, 0].tolist(),
-                        np.add.reduce(v[:, 1:].reshape(len(rows), -1, 8),
-                                      axis=1).tolist(),
-                        np.add.reduce(np.abs(v), axis=1).tolist())
+        table = zip(v[:, 0].tolist(),
+                    np.add.reduce(v[:, 1:].reshape(len(rows), -1, 8),
+                                  axis=1).tolist(),
+                    np.add.reduce(np.abs(v), axis=1).tolist())
         # each row's levels and absolute terms: the first node, then the
         # phases' sums from 0 in order, as Python's sum takes them
         pending = [(i, [4.0 * _H * (first + p[3] + p[7]),
@@ -320,7 +302,7 @@ def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
                 abserr = floor if floor > est else est
                 tol = epsrel * abs(value)
                 met = abserr <= (tol if tol > epsabs else epsabs)
-                if met or lev >= limit:
+                if met or lev >= LEVELS:
                     row = rows[i]
                     values[row], errors[row], levels[row] = value, abserr, lev
                     if not (met and math.isfinite(value)
@@ -334,12 +316,11 @@ def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
             # miss their tolerance
             h *= 0.5
             lev += 1
-            sub = (state if size == 1 else
-                   _take(state, [i for i, _, _ in live]))
+            sub = _take(state, [i for i, _, _ in live])
             nodes = _nodes(np.arange(-j0 * _H + h, j1 * _H, 2.0 * h))
             mirrored = (nodes if j0 == j1 or _uniform(sub[4]) is False else
                         _nodes(np.arange(-j1 * _H + h, j0 * _H, 2.0 * h)))
-            v = terms(nodes, mirrored, *sub).reshape(len(live), -1)
+            v = terms(nodes, mirrored, *sub)
             neval += v.size
             pending = [(i, sums + [0.5 * sums[-1] + h * s],
                         0.5 * abs_sum + h * s_abs)
@@ -356,27 +337,26 @@ def quad(func, a, b, *, epsabs: float = 1e-13, epsrel: float = 1e-10,
 
 
 def quad_strict(stage: str, func, a, b, *, epsabs: float = 1e-13,
-                epsrel: float = 1e-10, limit: int = LEVELS,
-                weight: str | None = None, wvar=None, log_weight=None,
-                flip=None, args=(), nan_rows: bool = False) -> tuple:
+                epsrel: float = 1e-10, weight: str | None = None, wvar=None,
+                log_weight=None, flip=None, args=(),
+                nan_rows: bool = False) -> tuple:
     """`quad`, through the module's global name, raising NumericsError
     (with `stage`) where it does not converge.
 
     Returns (value, achieved_abs_error).  `weight`/`wvar`, `log_weight`,
-    `flip`, `args` and `limit`, the last level, are as for quad.  A
-    non-finite value or error estimate raises, and so does an estimate that
-    still misses max(epsabs, epsrel |value|) at the last level, with the
-    estimate in the message; so does quad's refusal of its input, as a
-    weight exponent that rounds to -1.  Over rows, the error names the
-    first row that fails and its window, and carries the row's index as
-    its ``row``; with nan_rows=True a failing row returns NaN for its value
-    and error instead, and its neighbours keep theirs.
+    `flip` and `args` are as for quad.  A non-finite value or error
+    estimate raises, and so does an estimate that still misses
+    max(epsabs, epsrel |value|) at the last level, with the estimate in
+    the message; so does quad's refusal of its input, as a weight exponent
+    that rounds to -1.  Over rows, the error names the first row that
+    fails and its window, and carries the row's index as its ``row``; with
+    nan_rows=True a failing row returns NaN for its value and error
+    instead, and its neighbours keep theirs.
     """
     try:
         value, abserr, info = quad(func, a, b, epsabs=epsabs, epsrel=epsrel,
-                                   limit=limit, weight=weight, wvar=wvar,
-                                   log_weight=log_weight, flip=flip,
-                                   args=args)
+                                   weight=weight, wvar=wvar,
+                                   log_weight=log_weight, flip=flip, args=args)
     except ValueError as exc:
         raise NumericsError(stage, f"quadrature failed: {exc} (weight="
                                    f"{weight!r}, wvar={wvar!r})") from None
@@ -447,7 +427,7 @@ def expect(p: float, q: float, stage: str, g, lo=0.0, hi=1.0, *,
     lg = log|t - log_at|, exact from the node's distance to that end, and
     carries that factor itself: g(t, lg) = lg * ... gives the log t or
     log(1-t) weight, and one call can also hold terms without it.  `tol`
-    (epsabs, epsrel, limit, nan_rows) goes to quad_strict.
+    (epsabs, epsrel, nan_rows) goes to quad_strict.
 
     The Beta weight goes into the rule's end weight wherever its singular
     endpoint is an end of [lo, hi]: t^(p-1) when lo = 0 and (1-t)^(q-1)

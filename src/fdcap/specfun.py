@@ -5,8 +5,8 @@ numpy alone:
   axis (its argument is -a0/k <= 0).  Since (a)_n/(a+1)_n = a/(a+n), the
   3F2 is the log-weighted Beta integral mI^2 int_0^1 t^(mI-1) (-ln t)
   (1 - z t)^(-m0-mI) dt, taken by the rate integrals' kernel in _integrate;
-- the regularized incomplete beta I_x(a, b), whose continued fraction
-  (_beta_cf) also gives powercontrol's closed-form E[P] and its slope;
+- the continued fraction of the regularized incomplete beta (_beta_cf),
+  which gives powercontrol.avg_power's closed-form E[P] and its slope;
 - the regularized lower incomplete gamma P(s, x), the Gamma cdf of
   validate's KS statistic, on numpy arrays.
 """
@@ -161,13 +161,12 @@ def _integral(m_i: float, m0: float, z) -> tuple[list, list, list]:
     return value, error, log_scaled
 
 
-# ---------------------------------------------------------------- betainc
+# ------------------------------------------------------- avg_power's fraction
 
 _EPS = sys.float_info.epsilon
 _TINY = 1e-300              # the modified Lentz method's stand-in for 0
 _CF_STEPS = 100_000         # near its switch point the fraction takes about
                             # sqrt(max(a, b)) steps
-_STIRLING_FROM = 10.0       # the shape from which _stirling holds
 
 
 def _beta_cf(a: float, b: float, x: float) -> tuple[float, float, float]:
@@ -180,7 +179,8 @@ def _beta_cf(a: float, b: float, x: float) -> tuple[float, float, float]:
 
     Returns (cf, u, w).  w is taken by the modified Lentz method, which
     converges in a few steps for x <= (a+1)/(a+b+2); a fraction that has
-    not settled after _CF_STEPS steps raises NumericsError("betainc").
+    not settled after _CF_STEPS steps raises NumericsError("avg_power"),
+    the one stage that takes it.
     """
     apb = a + b
     c = 1.0 - (a + 1.0) * (apb + 1.0) * x / ((a + 2.0) * (a + 3.0)) or _TINY
@@ -200,90 +200,9 @@ def _beta_cf(a: float, b: float, x: float) -> tuple[float, float, float]:
             w = 1.0 / f
             u = 1.0 / (1.0 + (b - 1.0) * x / ((a + 1.0) * (a + 2.0)) * w)
             return 1.0 / (1.0 - apb * x / (a + 1.0) * u), u, w
-    raise NumericsError("betainc", f"the continued fraction of I_x(a, b) did "
-                                   f"not settle in {_CF_STEPS} steps "
-                                   f"(a={a!r}, b={b!r}, x={x!r})")
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """a b = p + e exactly (Dekker's product, by Veltkamp's split)."""
-    p = a * b
-    t = 134217729.0 * a
-    ah = t - (t - a)
-    t = 134217729.0 * b
-    bh = t - (t - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _scaled_ratio(x: float, s: float, s_lo: float,
-                  a: float) -> tuple[float, float]:
-    """x (s + s_lo) / a as hi + lo, the product and the quotient's
-    remainder exact."""
-    p, p_lo = _two_prod(x, s)
-    r = p / a
-    q, q_lo = _two_prod(r, a)
-    return r, ((p - q) - q_lo + p_lo + x * s_lo) / a
-
-
-def _beta_power(a: float, b: float, x: float) -> float:
-    """x^a (1-x)^b / B(a, b) for 0 < x < 1, to a few ulps where it is a
-    normal double: every power is one pow of an exact base.  1 - x is
-    y + y_lo with y_lo exact, its power pow(y, b) e^(b y_lo/y).
-
-    Below shapes of 10, 1/B(a, b) is from lgamma.  With one shape below
-    10, Gamma(lo + hi)/Gamma(hi) = hi^lo e^((lo + hi - 1/2) ln(1 + lo/hi)
-    - lo + S(lo + hi) - S(hi)), S Stirling's series.  With both at 10 or
-    more, x^a y^b / B(a, b) = sqrt(a b/(2 pi (a+b))) r^a t^b
-    e^(S(a+b) - S(a) - S(b)) with r = x (a+b)/a and t = y (a+b)/b in
-    double-double; r^a t^b <= 1, and each factor is taken as the 2^j-th
-    power of pow(r, a/2^j) pow(t, b/2^j) (a/2^j exact), so that neither
-    leaves the doubles.  The exponent of e^E would carry E's own rounding,
-    6e-14 relative at E = -540.
-    """
-    y = 1.0 - x
-    y_lo = (1.0 - y) - x
-    lo, hi = min(a, b), max(a, b)
-    if hi < _STIRLING_FROM:
-        return (x ** a * y ** b * math.exp(
-            b * y_lo / y + math.lgamma(a + b) - math.lgamma(a)
-            - math.lgamma(b)))
-    if lo < _STIRLING_FROM:
-        return (x ** a * y ** b * hi ** lo / math.gamma(lo) * math.exp(
-            b * y_lo / y + (lo + hi - 0.5) * math.log1p(lo / hi) - lo
-            + _stirling(lo + hi) - _stirling(hi)))
-    s = a + b
-    s_lo = (a - s) + b if a >= b else (b - s) + a
-    r, r_lo = _scaled_ratio(x, s, s_lo, a)
-    t, t_lo = _scaled_ratio(y, s, s_lo, b)
-    t_lo += y_lo * s / b
-    squarings, largest = 0, max(abs(a * math.log(r)), abs(b * math.log(t)))
-    while largest > 700.0 * 2 ** squarings:
-        squarings += 1
-    z = r ** (a / 2 ** squarings) * t ** (b / 2 ** squarings)
-    for _ in range(squarings):
-        z *= z
-    return z * math.sqrt(a * b / (2.0 * math.pi * s)) * math.exp(
-        a * r_lo / r + b * t_lo / t + _stirling(s) - _stirling(a)
-        - _stirling(b))
-
-
-def betainc(a: float, b: float, x: float) -> float:
-    """The regularized incomplete beta I_x(a, b) for a, b > 0, NaN for x
-    outside [0, 1].
-
-    x^a (1-x)^b / (a B(a, b)) (_beta_power) times the continued fraction
-    (_beta_cf) for x <= (a+1)/(a+b+2), and 1 - I_(1-x)(b, a) above.
-    mpmath's value is met to 1e-13 relative or better wherever I_x is above
-    1e-300, for shapes from 0.05 to 1e3 (tests/test_specfun.py).
-    """
-    if not 0.0 <= x <= 1.0:
-        return math.nan
-    if x == 0.0 or x == 1.0:
-        return x
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - _beta_power(a, b, x) / b * _beta_cf(b, a, 1.0 - x)[0]
-    return _beta_power(a, b, x) / a * _beta_cf(a, b, x)[0]
+    raise NumericsError("avg_power", f"the continued fraction of I_x(a, b) "
+                                     f"did not settle in {_CF_STEPS} steps "
+                                     f"(a={a!r}, b={b!r}, x={x!r})")
 
 
 # --------------------------------------------------------------- gammainc

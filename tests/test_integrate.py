@@ -1,7 +1,8 @@
 """The one quadrature module: only fdcap._integrate defines the rule `quad`,
-no module imports scipy, it alone defines NumericsError, and its
-Beta-weight kernel (expect, and expect_log in w = -ln t) against scipy's
-QUADPACK (the QAWS rule it replaced) and mpmath."""
+no module imports scipy, it alone defines NumericsError, every function and
+class in fdcap has a caller there, and its Beta-weight kernel (expect, and
+expect_log in w = -ln t) against scipy's QUADPACK (the QAWS rule it
+replaced) and mpmath."""
 import ast
 import importlib
 import math
@@ -57,6 +58,29 @@ def test_only_integrate_defines_quad():
             assert defined == [] and not hasattr(module, "quad"), name
 
 
+def test_every_definition_has_a_caller_in_src():
+    # a function or class that only tests call is code no command runs.
+    # A caller is a name, an attribute or an import of it in some module
+    # other than __init__, whose re-exports call nothing; Python itself
+    # calls the dunder methods
+    defined, used = [], set()
+    for name, _, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif name == "__init__":
+                continue
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [(module, fn) for module, fn in defined if fn not in used
+              and not (fn.startswith("__") and fn.endswith("__"))]
+    assert not unused
+
+
 def test_importing_the_cli_leaves_scipy_integrate_out():
     # a fresh interpreter, as the benchmark's set-up time takes it
     done = subprocess.run(
@@ -99,7 +123,7 @@ def test_expect_log_passes_w_to_g(p, q):
                                 abs=0.0)
 
 
-def test_error_estimate_is_never_negative():
+def test_error_estimate_is_never_negative(monkeypatch):
     # a negative estimate would pass every `abserr > tolerance` check
     cases = [
         # the weight e^(-762 w) w^2 of the m_I = 762 fixed-power piece, whose
@@ -109,10 +133,10 @@ def test_error_estimate_is_never_negative():
         expect(2.0, 1.5, "test", lambda t: np.cos(9.0 * t)),
         # a log weight on a window a few ulps wide
         expect(2.0, 0.5, "test", lambda t, lg: lg, 1.0 - 2.0 ** -50,
-               log_at=1.0),
-        # the levels run out, and the estimate is what quad returns there
-        fdcap._integrate.quad(lambda x: np.cos(200.0 * x), 0.0, 1.0,
-                              limit=3)]
+               log_at=1.0)]
+    # the levels run out, and the estimate is what quad returns there
+    monkeypatch.setattr(fdcap._integrate, "LEVELS", 3)
+    cases.append(fdcap._integrate.quad(lambda x: np.cos(200.0 * x), 0.0, 1.0))
     for value, err, *_ in cases:
         assert err >= 0.0, (value, err)
 
@@ -132,13 +156,15 @@ def test_refused_input_names_its_stage():
     assert err.value.stage == "some_stage"
 
 
-def test_running_out_of_levels_names_the_stage():
+def test_running_out_of_levels_names_the_stage(monkeypatch):
     # 64 periods of the cosine over [0, 1] need finer nodes than level 3
-    with pytest.raises(NumericsError, match="did not converge by level 3") \
-            as err:
-        expect(2.0, 1.5, "some_stage", lambda t: np.cos(400.0 * t), limit=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(fdcap._integrate, "LEVELS", 3)
+        with pytest.raises(NumericsError,
+                           match="did not converge by level 3") as err:
+            expect(2.0, 1.5, "some_stage", lambda t: np.cos(400.0 * t))
     assert err.value.stage == "some_stage"
-    # the same integral converges at the default last level
+    # the same integral converges at the module's last level
     expect(2.0, 1.5, "some_stage", lambda t: np.cos(400.0 * t))
 
 
