@@ -78,9 +78,11 @@ near-field points per sample, and chunk c draws from its own SFC64 stream
 SeedSequence(seed, spawn_key=(c,)).  Both depend only on the config, the
 annulus and c, never on the worker that runs the chunk, and per-sample
 values land at fixed positions in the output array: identical results for
-any `workers`.  The calling thread builds every chunk's generator before
-any worker starts and is itself worker 0 of W; each worker claims the next
-unclaimed chunk from one shared counter and draws it into point buffers it
+any `workers`.  The calling thread builds the generators of the first
+RNG_WINDOW chunks (of every chunk, in a call of no more) before any worker
+starts and is itself worker 0 of W; each worker claims the next unclaimed
+chunk from one shared counter, builds the generator RNG_WINDOW chunks
+ahead if there is such a chunk, and draws its chunk into point buffers it
 allocates once per call and reuses.  A chunk returns a fresh array into
 its own slot, and the slots join in chunk order.  Statistics are numpy's
 fixed-order reductions of that array, so they are bit-identical for any
@@ -92,20 +94,28 @@ inside a chunk (relied on by the determinism tests):
 interference: counts, radii, marks, ring;
 fd estimators: counts, radii, marks, ring, then alpha0;
 hd estimator:  counts, v, marks, E, ring, then g.
+alpha0 and g are Gamma(m0) draws, at an integer m0 up to MAX_PRODUCT_SHAPE
+as m0 uniform arrays, after the ring (below).
 Counts come from one Walker/Vose alias table of their Poisson law, built
 once per call on a window that leaves out less than 1e-30 of the mass, one
 uniform U per sample: slot floor(U*K) of the table's K, coin U*K - slot.
 Radii and v are uniforms, v as w = v/T with -w = ln(1 - c*U) - v_min/T,
-c = 1 - e^(-(V - v_min)/T).  Marks are unit-scale standard_gamma draws
-into the sum buffer, but at m = 1 unit exponentials by inversion,
--ln(1 - U) with 1 - U exact, so never ln 0; E takes its unit exponential X
-the same way.  Both are drawn as ln(1 - U) = -X, and the sign rides on a
-multiply or divide that is there anyway.  One in-place multiply scales the
-marks: by the mark scale times p_bs for the BS field, or times
-rho*T^(-eta/2) for the uplink field, negated at m = 1.  Every point then
-takes one power: (1/r^2)^(eta/2) in the BS field, after one divide, and
-(1 + X/w)^(eta/2) = (T*E/v)^(eta/2) in the uplink field, after one divide
-of -X by -w and one add.
+c = 1 - e^(-(V - v_min)/T).  Marks are unit-scale Gamma(m) draws into
+the sum buffer.  At an integer m up to MAX_PRODUCT_SHAPE they are
+-ln((1 - U_1)...(1 - U_m)) over m uniform arrays drawn in turn, the
+Erlang construction (Devroye, Non-Uniform Random Variate Generation,
+1986, IX.3), with each 1 - U exact, so never ln 0: at m = 1 the unit
+exponential -ln(1 - U) by inversion.  Other shapes are numpy's
+standard_gamma draws (from m = 6 on, faster than m uniform arrays).  E
+takes its unit exponential X the same way as an m = 1 mark.  Products are
+drawn as ln(...) = -X, and the sign rides on a multiply or divide that is
+there anyway.  One in-place multiply scales the marks: by the mark scale
+times p_bs for the BS field, or times rho*T^(-eta/2) for the uplink field,
+negated for a product.  alpha0 and g are drawn by the same rule, and the
+sign rides on their scale multiply.  Every point then takes one power:
+(1/r^2)^(eta/2) in the BS field, after one divide, and (1 + X/w)^(eta/2) =
+(T*E/v)^(eta/2) in the uplink field, after one divide of -X by -w and one
+add.
 The fd order extends the interference order, so one pass serves both:
 estimate_fd_rates returns its field with its rates, and `fdcap validate`
 draws a second field only for an --r0 override, on that other annulus.
@@ -142,6 +152,13 @@ _SHARE_FIT = ((-3.90393, -2.06469, -0.121445, -0.0629242),
               (1.63928, 1.66671, -0.059988, 0.0),
               (-0.447588, -0.22833, 0.0, 0.0),
               (0.0132974, 0.0, 0.0, 0.0))
+# largest integer Gamma shape drawn as minus the log of a product of
+# uniforms (_minus_gamma): from shape 6 on, numpy's standard_gamma is faster
+MAX_PRODUCT_SHAPE = 5
+# chunk generators, about 1 KB each, built ahead of the claims
+# (_field_chunks): a call of more chunks builds each later one as the
+# chunk this many before it is claimed
+RNG_WINDOW = 256
 # most Monte Carlo worker threads a run may start: each allocates its own
 # point buffers, and threads past the host's cores only wait for the GIL
 MAX_WORKERS = 64
@@ -267,13 +284,38 @@ def _poisson_counts(table: tuple, rng: np.random.Generator,
     return counts
 
 
-def _minus_exponentials(rng: np.random.Generator,
-                        out: np.ndarray) -> np.ndarray:
-    """`out` filled with -E for unit exponentials E, by inversion: ln(1 - U),
-    where 1 - U is exact for numpy's 53-bit uniforms and never 0."""
+def _minus_gamma(rng: np.random.Generator, n: int, out: np.ndarray,
+                 scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """`out` filled with -X for X ~ Gamma(n, 1), n an integer in [1,
+    MAX_PRODUCT_SHAPE]: ln((1 - U_1)...(1 - U_n)) over n arrays of
+    out.size uniforms drawn in order, the first into `out` and the others
+    into `scratch` (a fresh array if None), the Erlang construction (Devroye,
+    Non-Uniform Random Variate Generation, 1986, IX.3).  1 - U is exact for
+    numpy's 53-bit uniforms and never 0, so the product stays above
+    2^(-53 n), a normal double, and is never ln 0."""
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
+    if n > 1:
+        scratch = (np.empty(out.size) if scratch is None
+                   else scratch[:out.size])
+        for _ in range(n - 1):
+            rng.random(out=scratch)
+            np.subtract(1.0, scratch, out=scratch)
+            out *= scratch
     return np.log(out, out=out)
+
+
+def _gamma_fill(rng: np.random.Generator, shape: float, out: np.ndarray,
+                scratch: Optional[np.ndarray] = None) -> float:
+    """`out` filled with sign * X for X ~ Gamma(shape, 1), and that sign
+    returned, to ride on the scale multiply that follows: an integer shape
+    up to MAX_PRODUCT_SHAPE as _minus_gamma (-1.0), any other as numpy's
+    standard_gamma (1.0)."""
+    if float(shape).is_integer() and shape <= MAX_PRODUCT_SHAPE:
+        _minus_gamma(rng, int(shape), out, scratch)
+        return -1.0
+    rng.standard_gamma(shape, out=out)
+    return 1.0
 
 
 def _near_radius(eta: float, r_min: float, r_max: float,
@@ -441,9 +483,10 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     points outgrow them.  The BS field's near field is [r0, r_near], and
     every point sends p_bs.  With `rho` it is estimate_hd's uplink field
     cut at T = pi*lambda*r_near^2, each point at mark*rho*T^(-eta/2)*(1 +
-    X/w)^(eta/2) with w = v/T.  X and the m = 1 marks are drawn as their
-    negatives ln(1 - U) (_minus_exponentials); the marks' scale and -w
-    carry the sign.
+    X/w)^(eta/2) with w = v/T.  X and the marks of an integer shape up to
+    MAX_PRODUCT_SHAPE are drawn as their negatives (_minus_gamma, the
+    marks' extra uniforms into the third buffer before X); the marks'
+    scale and -w carry the sign.
     """
     counts = _poisson_counts(table, rng, size)
     total = int(counts.sum())
@@ -465,18 +508,13 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
     w = bufs[1][:total + 1]
     w[total] = 0.0
     marks = w[:total]
-    mark_scale = fi.scale * tx_scale
-    if fi.shape == 1.0:  # -E, so the scale takes the sign
-        _minus_exponentials(rng, marks)
-        mark_scale = -mark_scale
-    else:
-        rng.standard_gamma(fi.shape, out=marks)
-    marks *= mark_scale
+    sign = _gamma_fill(rng, fi.shape, marks, bufs[2])
+    marks *= sign * fi.scale * tx_scale
     # one power per point: (1/r^2)^(eta/2), or (1 + X/w)^(eta/2)
     if rho is None:
         np.divide(1.0, pos, out=pos)
     else:
-        np.divide(_minus_exponentials(rng, bufs[2][:total]), pos, out=pos)
+        np.divide(_minus_gamma(rng, 1, bufs[2][:total]), pos, out=pos)
         pos += 1.0
     pos **= 0.5 * cfg.eta
     marks *= pos
@@ -506,11 +544,14 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     estimate_fd_rates does.  R_near, nu (_near_field, or _uplink_points
     with rho), the chunk size _chunk_samples(nu), the counts' alias table
     _poisson_table(nu) and the ring's cumulants are set once per call.
-    The calling thread builds every chunk's generator, then runs as worker
-    0 beside min(workers, chunks) - 1 threads.  Each worker claims chunk
-    indices from one counter, draws into its own point buffers and puts
-    fn's result in the chunk's slot; the slots join in index order: the
-    same result for any workers.  A failing chunk stops further claims;
+    The calling thread builds the generators of the first RNG_WINDOW
+    chunks, then runs as worker 0 beside min(workers, chunks) - 1 threads.
+    Each worker claims chunk indices from one counter; a claim of chunk c
+    also builds the generator of chunk c + RNG_WINDOW, if there is one,
+    under the counter's lock, so at most RNG_WINDOW + workers generators
+    are alive.  Each worker draws into its own point buffers and puts fn's
+    result in the chunk's slot; the slots join in index order: the same
+    result for any workers.  A failing chunk stops further claims;
     once every worker has returned, the exception of the lowest failing
     chunk is raised, the one a single worker would meet first.  Raises
     NumericsError("mcsim") before drawing when one sample would hold more
@@ -533,7 +574,7 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
     table = _poisson_table(nu)
     ring = _ring_variate(_ring_cumulants(cfg, r_min, rmax, r_near, rho))
     chunks = -(-n // size)
-    rngs = [_chunk_rng(mc.seed, c) for c in range(chunks)]
+    rngs = {c: _chunk_rng(mc.seed, c) for c in range(min(chunks, RNG_WINDOW))}
     parts, failures = [None] * chunks, {}
     unclaimed, claim = iter(range(chunks)), threading.Lock()
 
@@ -542,12 +583,15 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
         while not failures:
             with claim:
                 c = next(unclaimed, None)
-            if c is None:
-                return
+                if c is None:
+                    return
+                rng = rngs.pop(c)
+                if c + RNG_WINDOW < chunks:
+                    rngs[c + RNG_WINDOW] = _chunk_rng(mc.seed, c + RNG_WINDOW)
             try:
                 parts[c] = fn(_field_interference(
                     cfg, r_min, rmax, r_near, table, min(size, n - c * size),
-                    rngs[c], bufs, ring, rho), rngs[c])
+                    rng, bufs, ring, rho), rng)
             except BaseException as exc:  # raised below, once all joined
                 failures[c] = exc
 
@@ -593,9 +637,14 @@ def interference_samples(cfg: NetworkConfig, mc: MCConfig,
 
 def _signal_gain(cfg: NetworkConfig, rng: np.random.Generator,
                  size: int) -> np.ndarray:
-    """Composite signal gain h = alpha0 / (2 sqrt(lambda))^eta."""
+    """Composite signal gain h = alpha0 / (2 sqrt(lambda))^eta, alpha0 ~
+    Gamma(m0, Omega0/m0) drawn by _gamma_fill: at an integer m0 up to
+    MAX_PRODUCT_SHAPE from the next m0 arrays of `size` uniforms, and the
+    sign rides on the scale multiply."""
     fs = cfg.fading_signal
-    h = rng.gamma(fs.shape, fs.scale, size)
+    h = np.empty(size)
+    sign = _gamma_fill(rng, fs.shape, h)
+    h *= sign * fs.scale
     h *= (2.0 * math.sqrt(cfg.lam)) ** (-cfg.eta)
     return h
 
@@ -610,7 +659,9 @@ def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
     (W), in that order, each only if given.
 
     Per sample: I from the Poisson field (not the Gamma fit), h from the
-    signal fading, gamma = h/(I + N0), rate = B*log2(1 + P(gamma)*gamma).
+    signal fading (_signal_gain: at an integer m0 up to MAX_PRODUCT_SHAPE,
+    from m0 uniform arrays after the ring), gamma = h/(I + N0), rate =
+    B*log2(1 + P(gamma)*gamma).
     Both rates share the field and the h drawn after it, so each equals the
     same call with that argument alone.  Under the water-filling policy
     P(gamma) = (a0 - 1/gamma)^+, 1 + P(gamma)*gamma is max(a0*gamma, 1), and
@@ -656,7 +707,9 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
     one shifted Gamma variate with the first three cumulants of the weaker
     rest, or a Gamma with its mean and variance (module docstring).
     The served link sees a unit-mean Gamma(m0, 1/m0) gain g, so the received
-    signal power is rho*g.  The estimate is insensitive to both lambda and
+    signal power is rho*g; g is drawn by _gamma_fill after the ring, at an
+    integer m0 up to MAX_PRODUCT_SHAPE from the next m0 uniform arrays, and
+    its sign rides on the 1/m0 multiply.  The estimate is insensitive to both lambda and
     rho (tested), which is what makes this reconstruction usable as a
     benchmark.  Each chunk evaluates its rates in place, in g.
     """
@@ -665,7 +718,9 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
     m0 = cfg.fading_signal.shape
 
     def chunk(i_up, rng):
-        g = rng.gamma(m0, 1.0 / m0, i_up.size)
+        g = np.empty(i_up.size)
+        sign = _gamma_fill(rng, m0, g)
+        g *= sign / m0
         g *= rho
         i_up += cfg.n0
         g /= i_up

@@ -23,7 +23,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.special import gammainc, hyp2f1
 
 from fdcap import capacity, cli, mcsim

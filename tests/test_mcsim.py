@@ -14,11 +14,13 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
@@ -421,6 +423,38 @@ def test_many_workers_claim_every_chunk_once(monkeypatch):
     assert np.array_equal(got, base)
 
 
+def test_chunk_generators_live_in_a_bounded_window(monkeypatch):
+    # one-sample chunks: a call of 2e4 chunks keeps at most RNG_WINDOW +
+    # workers generators (about 1 KB each) alive, not 2e4 (about 20 MB);
+    # the traced peak is then mostly the 2e4 one-value results.  The draw
+    # is stubbed, as its own buffers are not at issue.  Past the window the
+    # field is still the one every generator built up front gives, at any
+    # workers
+    monkeypatch.setattr(mcsim, "CHUNK_POINTS", 1)
+    cfg = make_cfg()
+    assert mc_chunk(cfg) == 1
+    mc = MCConfig(1000, 9)
+    base = interference_samples(cfg, mc)
+    for workers in (2, 3):
+        assert np.array_equal(
+            interference_samples(cfg, replace(mc, workers=workers)), base)
+    with monkeypatch.context() as m:
+        m.setattr(mcsim, "RNG_WINDOW", mc.n_samples)
+        assert np.array_equal(interference_samples(cfg, mc), base)
+    monkeypatch.setattr(mcsim, "_field_interference",
+                        lambda cfg, r0, rmax, rn, table, size, rng, *rest:
+                        np.zeros(size))
+    tracemalloc.start()
+    try:
+        got = mcsim._field_chunks(cfg, MCConfig(20_000, 9, workers=2),
+                                  lambda field, rng: rng.random(field.size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (20_000,)
+    assert peak < 6e6
+
+
 def spy_claims(monkeypatch, make, draw):
     """Spies on mcsim's chunk generators (`make`) and chunk draws (`draw`)
     for one call: the calling thread's first chunk waits until the other
@@ -459,7 +493,8 @@ def test_results_do_not_depend_on_the_claim_order(monkeypatch, micro,
     # with the calling thread's first chunk held back, the other workers
     # claim most of the 8 chunks; the field and every statistic still
     # equal the 1-worker call bit for bit, and the calling thread made
-    # every chunk's generator before any was drawn
+    # every chunk's generator before any was drawn, as a call of at most
+    # RNG_WINDOW chunks does
     _, sol = capacity.solve_network(micro)
 
     def fd(mc):
@@ -510,12 +545,25 @@ def test_reused_buffers_leak_nothing_into_a_later_chunk(uplink):
                    for b in bufs)
 
 
+def unit_gamma_by_hand(rng, shape, size):
+    """`size` unit-scale Gamma(shape) draws as the module docstring orders
+    them: at an integer shape n up to MAX_PRODUCT_SHAPE, -ln((1 - U_1)...
+    (1 - U_n)) over n arrays of `size` uniforms drawn in turn and
+    multiplied in that order, and otherwise numpy's standard_gamma."""
+    if shape != int(shape) or shape > mcsim.MAX_PRODUCT_SHAPE:
+        return rng.standard_gamma(shape, size)
+    prod = 1.0 - rng.random(size)
+    for _ in range(int(shape) - 1):
+        prod *= 1.0 - rng.random(size)
+    return -np.log(prod)
+
+
 def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     """The first chunk's draws, made by hand as the module docstring orders
     them, all from the chunk-0 SFC64 stream: Poisson counts from the alias
     table of their law, one uniform each (slot floor(U K), coin U K - slot),
-    then each point's position, then unit-scale Gamma marks (at m = 1 the
-    unit exponentials -ln(1 - U)), then one ring variate per sample.
+    then each point's position, then unit-scale Gamma marks
+    (unit_gamma_by_hand), then one ring variate per sample.
     R_near leaves the BS field's ring
     the share _near_share picks.  In the BS field the positions are radii
     uniform in r^2 on [r0, R_near], and each point weighs its mark times
@@ -548,8 +596,7 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     slot = np.floor(u).astype(int)
     counts = lo + np.where(u - slot < prob[slot], slot, alias[slot])
     u = rng.random(int(counts.sum()))
-    marks = (-np.log(1.0 - rng.random(u.size)) if fi.shape == 1.0
-             else rng.standard_gamma(fi.shape, u.size))
+    marks = unit_gamma_by_hand(rng, fi.shape, u.size)
     if rho is None:
         r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
         w = marks * (fi.scale * cfg.p_bs) * (1.0 / r_sq) ** (0.5 * eta)
@@ -577,16 +624,18 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
 
 
 def test_chunk_draw_order_is_the_documented_one(fig2):
-    # each sample's points are summed by reduceat over its run
-    for eps in (1e-2, 1e-3):
-        counts, w, ring, shift = _first_chunk_by_hand(fig2, eps, 100, 99)
-        assert shift > 0.0
-        starts = np.cumsum(counts) - counts
-        near = np.add.reduceat(np.append(w, 0.0), starts)
-        near[counts == 0] = 0.0
-        manual = near + ring + shift
-        assert np.array_equal(manual, interference_samples(
-            fig2, MCConfig(100, 99, tail_epsilon=eps)))
+    # each sample's points are summed by reduceat over its run; Rayleigh
+    # marks and Gamma(3) marks, drawn from three uniforms each
+    for cfg in (fig2, make_cfg(p_bs=20.0, m_int=3.0)):
+        for eps in (1e-2, 1e-3):
+            counts, w, ring, shift = _first_chunk_by_hand(cfg, eps, 100, 99)
+            assert shift > 0.0
+            starts = np.cumsum(counts) - counts
+            near = np.add.reduceat(np.append(w, 0.0), starts)
+            near[counts == 0] = 0.0
+            manual = near + ring + shift
+            assert np.array_equal(manual, interference_samples(
+                cfg, MCConfig(100, 99, tail_epsilon=eps)))
 
 
 def test_a_sample_without_near_points_is_its_ring_variate_alone():
@@ -695,15 +744,17 @@ class _ConstantUniforms:
 @pytest.mark.parametrize("u, e", [(0.0, 0.0),
                                   (1.0 - 2.0 ** -53, 53.0 * math.log(2.0))])
 def test_inverted_exponentials_at_the_ends_of_the_uniforms(u, e):
-    # U = 0 gives ln 1 and the largest uniform ln 2^-53, never ln 0: the
-    # marks and the uplink's E come out finite, with no RuntimeWarning.  A
-    # one-slot table puts three points in every sample on the unit circle,
-    # at unit mark scale, with an empty ring.  The uplink field cut there,
-    # at T = v_min = V = pi lambda and unit rho T^(-eta/2), has every v at
-    # v_min, so E = 1 + X and each point weighs X (1 + X)^2 at eta = 4
+    # U = 0 gives ln 1 and the largest uniform ln 2^-53, never ln 0, also
+    # in a product of up to MAX_PRODUCT_SHAPE of them: the marks and the
+    # uplink's E come out finite, with no RuntimeWarning.  A one-slot
+    # table puts three points in every sample on the unit circle, at unit
+    # mark scale, with an empty ring.  The uplink field cut there, at T =
+    # v_min = V = pi lambda and unit rho T^(-eta/2), has every v at v_min,
+    # so E = 1 + X and each point weighs X (1 + X)^2 at eta = 4
     cfg = make_cfg()
-    minus_e = mcsim._minus_exponentials(_ConstantUniforms(u), np.empty(4))
-    assert np.all(-minus_e == pytest.approx(e, rel=1e-15, abs=0.0))
+    for n in range(1, mcsim.MAX_PRODUCT_SHAPE + 1):
+        minus_x = mcsim._minus_gamma(_ConstantUniforms(u), n, np.empty(4))
+        assert np.all(-minus_x == pytest.approx(n * e, rel=1e-15, abs=0.0))
     table = (3, np.array([1.0]), np.array([0]))
     for rho, weight in ((None, e),
                         ((math.pi * cfg.lam) ** 2, e * (1.0 + e) ** 2)):
@@ -717,7 +768,22 @@ def test_inverted_exponentials_at_the_ends_of_the_uniforms(u, e):
         assert out == pytest.approx([3.0 * weight] * 2, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("eta, m_int", [(3.0, 1.0), (4.0, 1.0), (4.0, 2.5)])
+@pytest.mark.parametrize("n", range(1, mcsim.MAX_PRODUCT_SHAPE + 1))
+def test_minus_log_products_follow_the_gamma_law(n):
+    # 2e5 draws of -_minus_gamma against scipy's Gamma(n, 1): the KS
+    # distance below its 1e-3 critical value 1.95/sqrt(2e5), and the mean
+    # and variance within 5 standard errors of n and n (the variance's,
+    # sqrt((mu_4 - n^2)/size) with mu_4 = 3 n^2 + 6 n)
+    size = 200_000
+    x = -mcsim._minus_gamma(mcsim._chunk_rng(40 + n, 0), n, np.empty(size))
+    assert ks_distance(x, stats.gamma(n).cdf) < 1.95 / math.sqrt(size)
+    assert abs(x.mean() - n) < 5.0 * math.sqrt(n / size)
+    assert abs(x.var(ddof=1) - n) < 5.0 * math.sqrt((2.0 * n * n + 6.0 * n)
+                                                    / size)
+
+
+@pytest.mark.parametrize("eta, m_int", [(3.0, 1.0), (4.0, 1.0), (4.0, 2.5),
+                                        (4.0, 2.0)])
 def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
     # the t-space chunk by hand: one power per point, rho T^(-eta/2) (1 +
     # X/w)^(eta/2), is rho E^(eta/2) v^(-eta/2) by two powers, to rounding,
@@ -823,6 +889,37 @@ def test_fd_rate_rows_are_the_policy_and_fixed_power_forms(micro, monkeypatch):
                        rtol=1e-12, atol=0.0)
     assert np.array_equal(fixed,
                           bandwidth * np.log2(1.0 + micro.p_bar * gamma))
+
+
+@pytest.mark.parametrize("m_sig", [1.0, 2.0, 5.0, 2.5, 6.0])
+def test_served_gains_are_drawn_after_the_field(monkeypatch, m_sig):
+    # h (estimate_fd_rates) and g (estimate_hd) are the first draws after
+    # each chunk's field: at an integer shape up to MAX_PRODUCT_SHAPE the
+    # unit Gamma -ln((1 - U_1)...(1 - U_n)) of the chunk's next n uniform
+    # arrays, otherwise numpy's gamma (unit_gamma_by_hand); each times its
+    # scale, h times (2 sqrt(lambda))^(-eta) and g times rho.  The rates
+    # follow in the estimators' own order of operations, so they agree to
+    # the bit, over two chunks of each field
+    cfg = make_cfg(m_sig=m_sig)
+    fs, rho = cfg.fading_signal, capacity.default_rho(cfg)
+    monkeypatch.setattr(mcsim, "summarize", lambda values: values)
+
+    def after_field(mc, scale, **field):
+        return mcsim._field_chunks(
+            cfg, mc, lambda f, rng: np.stack(
+                [f, unit_gamma_by_hand(rng, m_sig, f.size) * scale]), **field)
+
+    mc = MCConfig(2 * mc_chunk(cfg) - 7, 3)
+    i_bs, h = after_field(mc, fs.scale)
+    h *= (2.0 * math.sqrt(cfg.lam)) ** (-cfg.eta)
+    field, (rate,) = estimate_fd_rates(cfg, mc, power=cfg.p_bar)
+    assert np.array_equal(field, i_bs)
+    assert np.array_equal(rate, cfg.bandwidth * np.log2(
+        h / (i_bs + cfg.n0) * cfg.p_bar + 1.0))
+    mc = MCConfig(2 * uplink_chunk(cfg) - 7, 3)
+    i_up, g = after_field(mc, 1.0 / m_sig, rho=rho)
+    assert np.array_equal(estimate_hd(cfg, rho, mc), 0.5 * cfg.bandwidth
+                          * np.log2(g * rho / (i_up + cfg.n0) + 1.0))
 
 
 # --------------------------------------------------------------- counts --
