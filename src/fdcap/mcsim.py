@@ -11,11 +11,13 @@ eta near 2) leaves the share tail_epsilon of E[I] to the tail.  Marks are
 Gamma(m, Omega).
 
 The sampler draws only the near field [r0, R_near] point by point: counts
-are Poisson(lambda*pi*(R_near^2 - r0^2)) and radii have density
-2r/(R_near^2 - r0^2).  A chunk's points lie in draw order, each sample's
-as one run, in a buffer whose last slot is a 0.0 sentinel, and
-np.add.reduceat sums every run (its first point plus numpy's pairwise sum
-of the others; a sample without points gets 0.0).
+are Poisson(nu), nu = lambda*pi*(R_near^2 - r0^2), and radii have density
+2r/(R_near^2 - r0^2).  A chunk of `size` samples draws its points'
+Poisson(nu*size) total at once, and each point belongs to sample
+floor(U*size) of its own uniform U: by Poisson colouring (Kingman, Poisson
+Processes, 1993) the samples' counts are then i.i.d. Poisson(nu).
+np.bincount sums each sample's points in draw order (a sample without
+points gets 0.0).
 Each sample adds one variate for the far ring [R_near, R_max], matched to
 the ring's first three Campbell cumulants
 
@@ -52,10 +54,10 @@ estimate_hd's uplink field has users of intensity lambda on the same
 annulus, each sending rho*d^eta with d^2 ~ Exp(mean 1/(pi*lambda)) its
 own-cell distance.  With v = pi*lambda*r^2 and E = pi*lambda*d^2 a unit
 exponential, a user is received at mark*rho*(E/v)^(eta/2) =
-mark*rho*t^(-eta/2), t = v/E, and by the mapping theorem (Kingman, Poisson
-Processes, 1993) the t form a Poisson field of intensity (1 + x)*e^(-x)
-taken between x = V/t and x = v_min/t, v_min and V the v of r0 and R_max:
-the BS field's form in v.  So the uplink near field is cut by received
+mark*rho*t^(-eta/2), t = v/E, and by the mapping theorem (Kingman) the t
+form a Poisson field of intensity (1 + x)*e^(-x) taken between x = V/t
+and x = v_min/t, v_min and V the v of r0 and R_max: the BS field's form
+in v.  So the uplink near field is cut by received
 power, at t <= T = pi*lambda*R_near^2 with R_near from the BS field's rule:
 its counts are Poisson(T*(e^(-v_min/T) - e^(-V/T))), each point's v has
 the law e^(-v/T) truncated to [v_min, V], drawn by inversion, and its
@@ -83,25 +85,26 @@ RNG_WINDOW chunks (of every chunk, in a call of no more) before any worker
 starts and is itself worker 0 of W; each worker claims the next unclaimed
 chunk from one shared counter, builds the generator RNG_WINDOW chunks
 ahead if there is such a chunk, and draws its chunk into point buffers it
-allocates once per call and reuses.  A chunk returns a fresh array into
-its own slot, and the slots join in chunk order.  Statistics are numpy's
+allocates once per call and reuses.  Each chunk writes its values into its
+own slice of the call's one output array.  Statistics are numpy's
 fixed-order reductions of that array, so they are bit-identical for any
 `workers` as well; see summarize for their error bound.
 
 The sampler draws two fields: the BS field, and with a received-power
 target rho (_field_chunks' rho) estimate_hd's uplink field.  Draw order
 inside a chunk (relied on by the determinism tests):
-interference: counts, radii, marks, ring;
-fd estimators: counts, radii, marks, ring, then alpha0;
-hd estimator:  counts, v, marks, E, ring, then g.
+interference: total, points' uniforms, marks, ring;
+fd estimators: total, points' uniforms, marks, ring, then alpha0;
+hd estimator:  total, points' uniforms, marks, E, ring, then g.
 alpha0 and g are Gamma(m0) draws, at an integer m0 up to MAX_PRODUCT_SHAPE
 as m0 uniform arrays, after the ring (below).
-Counts come from one Walker/Vose alias table of their Poisson law, built
-once per call on a window that leaves out less than 1e-30 of the mass, one
-uniform U per sample: slot floor(U*K) of the table's K, coin U*K - slot.
-Radii and v are uniforms, v as w = v/T with -w = ln(1 - c*U) - v_min/T,
-c = 1 - e^(-(V - v_min)/T).  Marks are unit-scale Gamma(m) draws into
-the sum buffer.  At an integer m up to MAX_PRODUCT_SHAPE they are
+The total is one Poisson(nu*size) draw.  A point's uniform U gives its
+sample floor(U*size) and, as the fraction F = U*size - floor(U*size),
+exact in double precision and of 53 - log2(size) >= 38 bits, its radius
+or v: r^2 = r0^2 + F*(R_near^2 - r0^2), and v as w = v/T with -w =
+ln(1 - c*F) - v_min/T, c = 1 - e^(-(V - v_min)/T).  Marks are
+unit-scale Gamma(m) draws into the marks buffer, which bincount weighs
+the owners by.  At an integer m up to MAX_PRODUCT_SHAPE they are
 -ln((1 - U_1)...(1 - U_m)) over m uniform arrays drawn in turn, the
 Erlang construction (Devroye, Non-Uniform Random Variate Generation,
 1986, IX.3), with each 1 - U exact, so never ln 0: at m = 1 the unit
@@ -132,9 +135,9 @@ import numpy as np
 from ._integrate import NumericsError
 from .model import NetworkConfig
 
-# field points one chunk holds: three point buffers of this size (radii or
-# the uplink's v, marks with reduceat's sentinel, the uplink's E) take
-# about 1 MB, half a core's 2 MiB L2
+# field points one chunk holds: three float64 point buffers of this size
+# (radii or the uplink's v, marks, the uplink's E) and the owner indices
+# take about 1 MB, half a core's 2 MiB L2
 CHUNK_POINTS = 1 << 15
 # least share of the annulus' third interference cumulant that the BS
 # field's far ring takes, which each sample carries as one moment-matched
@@ -232,56 +235,6 @@ def _resolve_rmax(cfg: NetworkConfig, mc: MCConfig, r_min: float) -> float:
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
-
-
-def _poisson_table(nu: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """(lo, prob, alias): a Walker/Vose alias table of the Poisson(nu) law
-    on k in [lo, nu + 12 sqrt(nu) + 30], lo = max(0, floor(nu - 12 sqrt(nu)
-    - 30)), a window whose outside holds less than 1e-30 of the mass.
-
-    The pmf is built in logs from the mode floor(nu) outward by the steps
-    ln(nu/k), then normalised: k*ln(nu) - nu - lgamma(k + 1) would lose
-    about nu*eps to cancellation, an error of 8e-14 in the pmf at nu = 1e4.
-    Slot j keeps lo + j with probability prob[j] and otherwise gives
-    lo + alias[j].
-    """
-    root = math.sqrt(nu)
-    lo = max(0, math.floor(nu - 12.0 * root - 30.0))
-    k = np.arange(lo, math.floor(nu + 12.0 * root + 30.0) + 1)
-    if nu == 0.0:
-        pmf = (k == 0).astype(float)
-    else:
-        mode = math.floor(nu) - lo
-        steps = np.log(nu / k[1:])  # ln p_k - ln p_(k-1)
-        pmf = np.exp(np.concatenate([-np.cumsum(steps[:mode][::-1])[::-1],
-                                     [0.0], np.cumsum(steps[mode:])]))
-        pmf /= math.fsum(pmf)
-    size = k.size
-    scaled = (pmf * size).tolist()
-    prob, alias = [1.0] * size, list(range(size))
-    small = [j for j, q in enumerate(scaled) if q < 1.0]
-    large = [j for j, q in enumerate(scaled) if q >= 1.0]
-    while small and large:
-        j, g = small.pop(), large.pop()
-        prob[j], alias[j] = scaled[j], g
-        scaled[g] = (scaled[g] + scaled[j]) - 1.0
-        (small if scaled[g] < 1.0 else large).append(g)
-    return lo, np.array(prob), np.array(alias, dtype=np.intp)
-
-
-def _poisson_counts(table: tuple, rng: np.random.Generator,
-                    size: int) -> np.ndarray:
-    """`size` Poisson counts from the alias table `table` (_poisson_table),
-    one uniform U each: slot floor(U*K) of the K, and U*K - slot as its
-    coin."""
-    lo, prob, alias = table
-    u = rng.random(size)
-    u *= prob.size
-    slot = u.astype(np.intp)
-    u -= slot
-    counts = np.where(u < prob[slot], slot, alias[slot])
-    counts += lo
-    return counts
 
 
 def _minus_gamma(rng: np.random.Generator, n: int, out: np.ndarray,
@@ -468,32 +421,42 @@ def _chunk_samples(nu: float) -> int:
 
 
 def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
-                        r_near: float, table: tuple, size: int,
+                        r_near: float, nu: float, size: int,
                         rng: np.random.Generator, bufs: list, ring: tuple,
                         rho: Optional[float] = None) -> np.ndarray:
     """`size` i.i.d. draws of the aggregate interference (W) of the field
-    on [r0, rmax], as a fresh array: the near field, its per-sample counts
-    from the alias table `table` of their Poisson law (_poisson_table),
-    point by point, and the far ring as one variate c + Gamma(k, theta) per
-    sample, `ring` = (c, k, theta) (_ring_variate), only if k is positive:
-    the Gamma draw is added, then c.
+    on [r0, rmax], as a fresh float64 array: the near field point by
+    point, nu expected points per sample, and the far ring as one variate
+    c + Gamma(k, theta) per sample, `ring` = (c, k, theta) (_ring_variate),
+    only if k is positive: the Gamma draw is added, then c.
 
-    Draws in the module docstring's order into views of the three float64
-    arrays in `bufs`, which it replaces by larger ones when the chunk's
-    points outgrow them.  The BS field's near field is [r0, r_near], and
-    every point sends p_bs.  With `rho` it is estimate_hd's uplink field
-    cut at T = pi*lambda*r_near^2, each point at mark*rho*T^(-eta/2)*(1 +
-    X/w)^(eta/2) with w = v/T.  X and the marks of an integer shape up to
-    MAX_PRODUCT_SHAPE are drawn as their negatives (_minus_gamma, the
-    marks' extra uniforms into the third buffer before X); the marks'
-    scale and -w carry the sign.
+    The chunk's near field is one Poisson(nu*size) total of points, and a
+    point of uniform U belongs to sample floor(U*size), so by Poisson
+    colouring each sample's count is an independent Poisson(nu).  The
+    fraction U*size - floor(U*size), exact in double precision with 53 -
+    log2(size) bits, is the point's position uniform.  Each sample sums
+    its points in draw order (np.bincount).  Draws in the module
+    docstring's order into views of the three float64 arrays and the intp
+    owner array in the list `bufs`, which it fills on first use and
+    replaces by larger ones when the chunk's points outgrow them.  The BS
+    field's near field is [r0, r_near], and every point sends p_bs.  With
+    `rho` it is estimate_hd's uplink field cut at T = pi*lambda*r_near^2,
+    each point at mark*rho*T^(-eta/2)*(1 + X/w)^(eta/2) with w = v/T.  X
+    and the marks of an integer shape up to MAX_PRODUCT_SHAPE are drawn as
+    their negatives (_minus_gamma, the marks' extra uniforms into the
+    third buffer before X); the marks' scale and -w carry the sign.
     """
-    counts = _poisson_counts(table, rng, size)
-    total = int(counts.sum())
-    if bufs[1].size <= total:  # one slot more for reduceat's sentinel
-        bufs[:] = [np.empty(total + total // 8 + 1) for _ in bufs]
+    total = int(rng.poisson(nu * size))
+    if not bufs or bufs[0].size < total:
+        grown = total + total // 8
+        bufs[:] = [np.empty(grown) for _ in range(3)] + [
+            np.empty(grown, dtype=np.intp)]
     # in place: every fresh temporary of a chunk's size costs page faults
     pos = rng.random(out=bufs[0][:total])
+    pos *= size
+    owner = bufs[3][:total]
+    owner[...] = pos  # floor, as pos >= 0
+    pos -= owner
     if rho is None:  # r^2
         pos *= r_near * r_near - r0 * r0
         pos += r0 * r0
@@ -505,9 +468,7 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
         pos -= math.pi * cfg.lam * r0 * r0 / t
         tx_scale = rho * t ** (-0.5 * cfg.eta)
     fi = cfg.fading_interferer
-    w = bufs[1][:total + 1]
-    w[total] = 0.0
-    marks = w[:total]
+    marks = bufs[1][:total]
     sign = _gamma_fill(rng, fi.shape, marks, bufs[2])
     marks *= sign * fi.scale * tx_scale
     # one power per point: (1/r^2)^(eta/2), or (1 + X/w)^(eta/2)
@@ -518,12 +479,9 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
         pos += 1.0
     pos **= 0.5 * cfg.eta
     marks *= pos
-    # each sample's run of points starts at its offset; the 0.0 sentinel in
-    # w's last slot keeps every offset, `total` too, a valid index, and
-    # reduceat returns the element at the offset for an empty run
-    starts = np.cumsum(counts) - counts
-    out = np.add.reduceat(w, starts)
-    out[counts == 0] = 0.0
+    # float64 also without points, where bincount's sum is int64
+    out = np.bincount(owner, weights=marks, minlength=size).astype(
+        float, copy=False)
     shift, shape, scale = ring
     if shape > 0.0:
         out += rng.gamma(shape, scale, size)
@@ -532,26 +490,28 @@ def _field_interference(cfg: NetworkConfig, r0: float, rmax: float,
 
 
 def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
-                  fn: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+                  fn: Callable[[np.ndarray, np.random.Generator, np.ndarray],
+                               None],
                   r_min: Optional[float] = None,
-                  rho: Optional[float] = None) -> np.ndarray:
-    """fn(field, chunk_rng) of every chunk, joined along the last axis.
+                  rho: Optional[float] = None, rows: int = 0) -> np.ndarray:
+    """One array of n_samples values, or of `rows` rows of them, that
+    fn(field, chunk_rng, out) fills chunk by chunk: `out` is the chunk's
+    slice of it along the last axis.
 
     field holds the chunk's draws of the interference of the field on
     [r_min, R_max] (r_min defaults to the model's r0), the BS field or with
     rho the uplink field (_field_interference), drawn from chunk_rng before
-    fn's own draws.  fn returns one value per sample, or rows of them, as
-    estimate_fd_rates does.  R_near, nu (_near_field, or _uplink_points
-    with rho), the chunk size _chunk_samples(nu), the counts' alias table
-    _poisson_table(nu) and the ring's cumulants are set once per call.
+    fn's own draws.  R_near, nu (_near_field, or _uplink_points with rho),
+    the chunk size _chunk_samples(nu) and the ring's cumulants are set once
+    per call, and the output is allocated once.
     The calling thread builds the generators of the first RNG_WINDOW
     chunks, then runs as worker 0 beside min(workers, chunks) - 1 threads.
     Each worker claims chunk indices from one counter; a claim of chunk c
     also builds the generator of chunk c + RNG_WINDOW, if there is one,
     under the counter's lock, so at most RNG_WINDOW + workers generators
-    are alive.  Each worker draws into its own point buffers and puts fn's
-    result in the chunk's slot; the slots join in index order: the same
-    result for any workers.  A failing chunk stops further claims;
+    are alive.  Each worker draws into its own point buffers, and fn writes
+    the chunk's values at their fixed place: the same result for any
+    workers.  A failing chunk stops further claims;
     once every worker has returned, the exception of the lowest failing
     chunk is raised, the one a single worker would meet first.  Raises
     NumericsError("mcsim") before drawing when one sample would hold more
@@ -571,15 +531,15 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
                      f"{nu:.3g} expected points per sample, more than "
                      f"{MAX_CHUNK_POINTS}")
     n, size = mc.n_samples, _chunk_samples(nu)
-    table = _poisson_table(nu)
     ring = _ring_variate(_ring_cumulants(cfg, r_min, rmax, r_near, rho))
     chunks = -(-n // size)
     rngs = {c: _chunk_rng(mc.seed, c) for c in range(min(chunks, RNG_WINDOW))}
-    parts, failures = [None] * chunks, {}
+    out = np.empty((rows, n) if rows else n)
+    failures = {}
     unclaimed, claim = iter(range(chunks)), threading.Lock()
 
     def work():
-        bufs = [np.empty(0)] * 3
+        bufs = []
         while not failures:
             with claim:
                 c = next(unclaimed, None)
@@ -588,10 +548,12 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
                 rng = rngs.pop(c)
                 if c + RNG_WINDOW < chunks:
                     rngs[c + RNG_WINDOW] = _chunk_rng(mc.seed, c + RNG_WINDOW)
+            lo = c * size
             try:
-                parts[c] = fn(_field_interference(
-                    cfg, r_min, rmax, r_near, table, min(size, n - c * size),
-                    rng, bufs, ring, rho), rng)
+                fn(_field_interference(cfg, r_min, rmax, r_near, nu,
+                                       min(size, n - lo), rng, bufs, ring,
+                                       rho),
+                   rng, out[..., lo:lo + size])
             except BaseException as exc:  # raised below, once all joined
                 failures[c] = exc
 
@@ -604,7 +566,7 @@ def _field_chunks(cfg: NetworkConfig, mc: MCConfig,
         t.join()
     if failures:
         raise failures[min(failures)]
-    return np.concatenate(parts, axis=-1)
+    return out
 
 
 def summarize(values: np.ndarray) -> SampleStats:
@@ -632,7 +594,8 @@ def interference_samples(cfg: NetworkConfig, mc: MCConfig,
     r_min overrides the exclusion radius (default: the model's r0), mirroring
     the same override on the analytic moment formulas.
     """
-    return _field_chunks(cfg, mc, lambda field, rng: field, r_min)
+    return _field_chunks(cfg, mc, lambda field, rng, out: np.copyto(out, field),
+                         r_min)
 
 
 def _signal_gain(cfg: NetworkConfig, rng: np.random.Generator,
@@ -667,13 +630,13 @@ def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
     P(gamma) = (a0 - 1/gamma)^+, 1 + P(gamma)*gamma is max(a0*gamma, 1), and
     that is the form evaluated: no division by gamma, and a rate of exactly
     zero at and below the cutoff 1/a0, where the maximum is 1.  Each chunk
-    writes the field and the rates in place, as the rows of one array.
+    writes the field and the rates in place, in its slice of the rows of
+    one array.
     """
     levels = [(p, waterfill) for p, waterfill in ((a0, True), (power, False))
               if p is not None]
 
-    def chunk(i_agg, rng):
-        rows = np.empty((1 + len(levels), i_agg.size))
+    def chunk(i_agg, rng, rows):
         rows[0] = i_agg
         gamma = _signal_gain(cfg, rng, i_agg.size)
         i_agg += cfg.n0  # copied into row 0: reused as I + N0
@@ -686,9 +649,8 @@ def estimate_fd_rates(cfg: NetworkConfig, mc: MCConfig,
                 row += 1.0
             np.log2(row, out=row)
             row *= cfg.bandwidth
-        return rows
 
-    field, *rates = _field_chunks(cfg, mc, chunk)
+    field, *rates = _field_chunks(cfg, mc, chunk, rows=1 + len(levels))
     return field, [summarize(r) for r in rates]
 
 
@@ -711,14 +673,14 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
     integer m0 up to MAX_PRODUCT_SHAPE from the next m0 uniform arrays, and
     its sign rides on the 1/m0 multiply.  The estimate is insensitive to both lambda and
     rho (tested), which is what makes this reconstruction usable as a
-    benchmark.  Each chunk evaluates its rates in place, in g.
+    benchmark.  Each chunk evaluates its rates in place, in g, its slice of
+    the output.
     """
     if not rho >= 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     m0 = cfg.fading_signal.shape
 
-    def chunk(i_up, rng):
-        g = np.empty(i_up.size)
+    def chunk(i_up, rng, g):
         sign = _gamma_fill(rng, m0, g)
         g *= sign / m0
         g *= rho
@@ -727,6 +689,5 @@ def estimate_hd(cfg: NetworkConfig, rho: float, mc: MCConfig) -> SampleStats:
         g += 1.0
         np.log2(g, out=g)
         g *= 0.5 * cfg.bandwidth
-        return g
 
     return summarize(_field_chunks(cfg, mc, chunk, rho=rho))

@@ -441,8 +441,13 @@ def fd_rate_rows(monkeypatch, cfg: NetworkConfig, gamma, a0=None,
     a zero field and n0 = 1 make gamma the signal gain itself, and an
     identity summarize returns each row: a0's, then power's."""
     gamma = np.asarray(gamma, dtype=float)
-    monkeypatch.setattr(mcsim, "_field_chunks",
-                        lambda cfg, mc, fn: fn(np.zeros(gamma.size), None))
+
+    def one_chunk(cfg, mc, fn, rows):
+        out = np.empty((rows, gamma.size))
+        fn(np.zeros(gamma.size), None, out)
+        return out
+
+    monkeypatch.setattr(mcsim, "_field_chunks", one_chunk)
     monkeypatch.setattr(mcsim, "_signal_gain",
                         lambda cfg, rng, size: gamma.copy())
     monkeypatch.setattr(mcsim, "summarize", lambda values: values)

@@ -21,7 +21,7 @@ import pytest
 
 from dataclasses import replace
 
-from fdcap import capacity, cli, mcsim
+from fdcap import capacity, cli, mcsim, specfun
 from fdcap._integrate import NumericsError
 from fdcap.cinr import cinr_distribution
 from fdcap.powercontrol import solve_cutoff
@@ -1159,6 +1159,32 @@ def test_ks_statistic_of_validate_is_the_full_evaluation(capsys, tmp_path,
     x = mcsim.interference_samples(cfg, MCConfig(20_000, 1))
     assert by_name["ks_samples_vs_gamma_fit"]["statistic"] == \
         _ks_full(x, fit.shape, fit.scale, gammainc)
+
+
+@pytest.mark.parametrize("name", ["micro", "macro"])
+def test_ks_grid_cdf_is_each_point_summed_to_its_own_count(name):
+    # gammainc sums every element's series out to the count its largest
+    # element needs.  On validate's KS grid of each baseline (every
+    # _KS_BLOCK-th order statistic and the last, over counts 16 to 72),
+    # each value is that element's series summed alone to its own
+    # _series_terms count, to the bit: the terms past it leave its sum as
+    # it is
+    path = str(CONFIG_DIR / f"{name}.cfg")
+    cfg = load_config(path)
+    fit = gamma_fit(cfg)
+    x = np.sort(mcsim.interference_samples(cfg, MCConfig(20_000, 1)))
+    grid = x[np.append(np.arange(0, x.size, cli._KS_BLOCK), x.size - 1)]
+    grid /= fit.scale
+    s = fit.shape
+    counts = [specfun._series_terms(s, y) for y in grid.tolist()]
+    assert min(counts) < max(counts)
+    for y, count, value in zip(grid.tolist(), counts, gammainc(s, grid)):
+        term = total = 1.0
+        for n in range(1, count + 1):
+            term *= y
+            term *= 1.0 / (s + n)
+            total += term
+        assert value == specfun._gamma_front(s, np.array([y]))[0] * total
 
 
 def test_ks_block_bound_allows_for_the_rounding_of_the_cdf(monkeypatch):

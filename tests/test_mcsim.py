@@ -52,6 +52,11 @@ def fig2_cumulant_samples(fig2):
                                                tail_epsilon=1e-3))
 
 
+def copy_field(field, rng, out):
+    """The chunk body of _field_chunks that keeps the field itself."""
+    out[...] = field
+
+
 # ---------------------------------------------------------- independence --
 
 def test_simulator_imports_only_the_model_from_the_package():
@@ -309,8 +314,8 @@ def test_a_chunk_holds_about_chunk_points(monkeypatch, eta, size):
     # split whose ring keeps NEAR_SKEW_SHARE, 14.9 near-field points per
     # sample at eta = 4 and 50.8 at eta = 3, and both fields cut wider
     # rings, so fewer points and more samples per chunk; the last chunk
-    # holds the rest, and every chunk of a call draws its counts from the
-    # call's one table
+    # holds the rest, and every chunk of a call draws its points at the
+    # call's one nu
     cfg = make_cfg(eta=eta)
     rho = capacity.default_rho(cfg)
     r0, rmax = mc_annulus(cfg, 1e-3)
@@ -319,21 +324,20 @@ def test_a_chunk_holds_about_chunk_points(monkeypatch, eta, size):
     for uplink in (True, False):
         seen = []
 
-        def spy(cfg, r0, rmax, r_near, table, n, *rest):
-            seen.append((table, n))
-            return draw(cfg, r0, rmax, r_near, table, n, *rest)
+        def spy(cfg, r0, rmax, r_near, nu, n, *rest):
+            seen.append((nu, n))
+            return draw(cfg, r0, rmax, r_near, nu, n, *rest)
 
         monkeypatch.setattr(mcsim, "_field_interference", spy)
         chunk = uplink_chunk(cfg) if uplink else mc_chunk(cfg)
         mcsim._field_chunks(cfg, MCConfig(3 * chunk + 5, 1, workers=2),
-                            lambda field, rng: field,
-                            rho=rho if uplink else None)
+                            copy_field, rho=rho if uplink else None)
         nu = (mcsim.uplink_near_points(cfg, MCConfig(1, 0)) if uplink
               else near_field(cfg, r0, rmax)[1])
         assert (chunk * (1.0 + nu) <= mcsim.CHUNK_POINTS
                 < (chunk + 1) * (1.0 + nu))
         assert sorted(n for _, n in seen) == [5] + [chunk] * 3
-        assert all(table is seen[0][0] for table, _ in seen)
+        assert all(drawn_nu == nu for drawn_nu, _ in seen)
         assert chunk > size
 
 
@@ -363,8 +367,9 @@ def test_field_chunks_do_not_depend_on_workers(eta):
     def rows(workers):
         return mcsim._field_chunks(
             cfg, replace(mc, workers=workers),
-            lambda field, rng: np.stack([field, rng.random(field.size)]),
-            rho=rho)
+            lambda field, rng, out: np.stack([field, rng.random(field.size)],
+                                             out=out),
+            rho=rho, rows=2)
 
     base = rows(1)
     assert base.shape == (2, mc.n_samples)
@@ -385,12 +390,11 @@ def test_the_lowest_failing_chunk_fails_the_call(monkeypatch, workers):
         made[id(rng)] = c, rng
         return rng
 
-    def fn(field, rng):
+    def fn(field, rng, out):
         c = made[id(rng)][0]
         if c in (3, 5):
             time.sleep(0.05 * (c == 3))
             raise ZeroDivisionError(f"chunk {c}")
-        return field
 
     monkeypatch.setattr(mcsim, "_chunk_rng", chunk_rng)
     threads = threading.active_count()
@@ -408,9 +412,9 @@ def test_many_workers_claim_every_chunk_once(monkeypatch):
     base = interference_samples(cfg, mc)
     drawn, draw = [], mcsim._field_interference
 
-    def field(cfg, r0, rmax, r_near, table, size, rng, *rest):
+    def field(cfg, r0, rmax, r_near, nu, size, rng, *rest):
         drawn.append(rng)
-        return draw(cfg, r0, rmax, r_near, table, size, rng, *rest)
+        return draw(cfg, r0, rmax, r_near, nu, size, rng, *rest)
 
     monkeypatch.setattr(mcsim, "_field_interference", field)
     interval = sys.getswitchinterval()
@@ -425,8 +429,10 @@ def test_many_workers_claim_every_chunk_once(monkeypatch):
 
 def test_chunk_generators_live_in_a_bounded_window(monkeypatch):
     # one-sample chunks: a call of 2e4 chunks keeps at most RNG_WINDOW +
-    # workers generators (about 1 KB each) alive, not 2e4 (about 20 MB);
-    # the traced peak is then mostly the 2e4 one-value results.  The draw
+    # workers generators (about 1 KB each) alive, not 2e4 (about 20 MB),
+    # and each chunk writes its value into the one 160 KB output, so no
+    # per-chunk array outlives its chunk: the traced peak is about 0.43 MB.
+    # The draw
     # is stubbed, as its own buffers are not at issue.  Past the window the
     # field is still the one every generator built up front gives, at any
     # workers
@@ -442,17 +448,17 @@ def test_chunk_generators_live_in_a_bounded_window(monkeypatch):
         m.setattr(mcsim, "RNG_WINDOW", mc.n_samples)
         assert np.array_equal(interference_samples(cfg, mc), base)
     monkeypatch.setattr(mcsim, "_field_interference",
-                        lambda cfg, r0, rmax, rn, table, size, rng, *rest:
+                        lambda cfg, r0, rmax, rn, nu, size, rng, *rest:
                         np.zeros(size))
     tracemalloc.start()
     try:
         got = mcsim._field_chunks(cfg, MCConfig(20_000, 9, workers=2),
-                                  lambda field, rng: rng.random(field.size))
+                                  lambda field, rng, out: rng.random(out=out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got.shape == (20_000,)
-    assert peak < 6e6
+    assert peak < 1e6
 
 
 def spy_claims(monkeypatch, make, draw):
@@ -470,14 +476,14 @@ def spy_claims(monkeypatch, make, draw):
         maker[c] = threading.get_ident()
         return rng
 
-    def field(cfg, r0, rmax, r_near, table, size, rng, *rest):
+    def field(cfg, r0, rmax, r_near, nu, size, rng, *rest):
         c, me = made[id(rng)][0], threading.get_ident()
         first = me == caller and caller not in drawer.values()
         drawer[c] = me
         ready.append(len(maker))
         if first:
             held.wait(timeout=30.0)
-        out = draw(cfg, r0, rmax, r_near, table, size, rng, *rest)
+        out = draw(cfg, r0, rmax, r_near, nu, size, rng, *rest)
         if sum(t != caller for t in drawer.values()) >= 3:
             held.set()
         return out
@@ -519,28 +525,28 @@ def test_results_do_not_depend_on_the_claim_order(monkeypatch, micro,
 
 @pytest.mark.parametrize("uplink", [False, True])
 def test_reused_buffers_leak_nothing_into_a_later_chunk(uplink):
-    # a chunk drawn into the buffers a larger chunk left is the chunk drawn
-    # into fresh ones, bit for bit, and neither chunk's result is a view
-    # of the buffers
+    # a chunk drawn into the buffers a larger chunk left, the owner
+    # indices' too, is the chunk drawn into fresh ones, bit for bit, and
+    # neither chunk's result is a view of the buffers
     cfg = make_cfg(eta=3.0, m_int=2.5)
     r0, rmax = mc_annulus(cfg, 1e-3)
     rn, nu = near_field(cfg, r0, rmax)
-    table = mcsim._poisson_table(nu)
     rho = capacity.default_rho(cfg) if uplink else None
     ring = mcsim._ring_variate(mcsim._ring_cumulants(cfg, r0, rmax, rn, rho))
 
     def chunk(size, c, bufs):
-        return mcsim._field_interference(cfg, r0, rmax, rn, table, size,
+        return mcsim._field_interference(cfg, r0, rmax, rn, nu, size,
                                          mcsim._chunk_rng(3, c), bufs, ring,
                                          rho)
 
-    bufs = [np.empty(0)] * 3
+    bufs = []
     big = chunk(600, 0, bufs)
     grown = list(bufs)
     small = chunk(200, 1, bufs)
     assert all(a is b for a, b in zip(grown, bufs))
-    assert np.array_equal(small, chunk(200, 1, [np.empty(0)] * 3))
-    assert np.array_equal(big, chunk(600, 0, [np.empty(0)] * 3))
+    assert grown[3].dtype == np.intp
+    assert np.array_equal(small, chunk(200, 1, []))
+    assert np.array_equal(big, chunk(600, 0, []))
     assert not any(np.shares_memory(x, b) for x in (big, small)
                    for b in bufs)
 
@@ -560,26 +566,28 @@ def unit_gamma_by_hand(rng, shape, size):
 
 def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     """The first chunk's draws, made by hand as the module docstring orders
-    them, all from the chunk-0 SFC64 stream: Poisson counts from the alias
-    table of their law, one uniform each (slot floor(U K), coin U K - slot),
-    then each point's position, then unit-scale Gamma marks
-    (unit_gamma_by_hand), then one ring variate per sample.
+    them, all from the chunk-0 SFC64 stream: the chunk's Poisson total of
+    points, of mean nu*size, then one uniform U per point, whose sample is
+    floor(U size) and whose position uniform is the fraction U size -
+    floor(U size), then unit-scale Gamma marks (unit_gamma_by_hand), then
+    one ring variate per sample.
     R_near leaves the BS field's ring
     the share _near_share picks.  In the BS field the positions are radii
     uniform in r^2 on [r0, R_near], and each point weighs its mark times
     one folded scale and (1/r^2)^(eta/2), one power per point; the ring is
     [R_near, R_max], with its first three Campbell cumulants.  With rho it
     is estimate_hd's uplink field cut at t = T = pi lambda R_near^2: its
-    counts have mean T (e^(-v_min/T) - e^(-V/T)), its positions are
+    nu is T (e^(-v_min/T) - e^(-V/T)), its positions are
     v = pi lambda r^2 from the exponential law e^(-v/T) truncated to
     [v_min, V] by inversion, after the marks come E = v/T - ln(1 - U), and
     each point weighs mark rho E^(eta/2) v^(-eta/2), taken as two powers;
     the ring's cumulants come from conftest's quadrature.  The ring variate
     is c + Gamma(k, theta) with theta = kappa_3/(2 kappa_2), k =
     kappa_2/theta^2 and c = kappa_1 - k theta where c >= kappa_1/20 and
-    k >= 1.5, and otherwise c = 0 and the Gamma of kappa_1 and kappa_2.  Returns (counts,
-    point weights, the ring's Gamma draws, c); a sample is its points' sum
-    plus its Gamma draw, plus c, in that order."""
+    k >= 1.5, and otherwise c = 0 and the Gamma of kappa_1 and kappa_2.
+    Returns (each point's sample, point weights, the ring's Gamma draws,
+    c); a sample is its points' sum in draw order plus its Gamma draw, plus
+    c, in that order."""
     r0, eta = cfg.r0, cfg.eta
     fi = cfg.fading_interferer
     rmax = r0 * eps ** (1.0 / (2.0 - eta))
@@ -589,13 +597,11 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     v_min, v_max, t = (math.pi * cfg.lam * r * r for r in (r0, rmax, rn))
     rng = np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
-    lo, prob, alias = mcsim._poisson_table(
-        cfg.lam * math.pi * (rn * rn - r0 * r0) if rho is None
-        else t * (math.exp(-v_min / t) - math.exp(-v_max / t)))
-    u = rng.random(size) * prob.size
-    slot = np.floor(u).astype(int)
-    counts = lo + np.where(u - slot < prob[slot], slot, alias[slot])
-    u = rng.random(int(counts.sum()))
+    nu = (cfg.lam * math.pi * (rn * rn - r0 * r0) if rho is None
+          else t * (math.exp(-v_min / t) - math.exp(-v_max / t)))
+    u = rng.random(rng.poisson(nu * size)) * size
+    owner = np.floor(u).astype(int)
+    u -= owner
     marks = unit_gamma_by_hand(rng, fi.shape, u.size)
     if rho is None:
         r_sq = r0 * r0 + u * (rn * rn - r0 * r0)
@@ -620,20 +626,18 @@ def _first_chunk_by_hand(cfg, eps, size, seed, rho=None):
     shift = k1 - shape * theta
     if not (shift >= 0.05 * k1 and shape >= 1.5):
         shift, shape, theta = 0.0, k1 * k1 / k2, k2 / k1
-    return counts, w, rng.gamma(shape, theta, size), shift
+    return owner, w, rng.gamma(shape, theta, size), shift
 
 
 def test_chunk_draw_order_is_the_documented_one(fig2):
-    # each sample's points are summed by reduceat over its run; Rayleigh
-    # marks and Gamma(3) marks, drawn from three uniforms each
+    # each sample's points are summed in draw order by bincount over their
+    # owners; Rayleigh marks and Gamma(3) marks, drawn from three uniforms
+    # each
     for cfg in (fig2, make_cfg(p_bs=20.0, m_int=3.0)):
         for eps in (1e-2, 1e-3):
-            counts, w, ring, shift = _first_chunk_by_hand(cfg, eps, 100, 99)
+            owner, w, ring, shift = _first_chunk_by_hand(cfg, eps, 100, 99)
             assert shift > 0.0
-            starts = np.cumsum(counts) - counts
-            near = np.add.reduceat(np.append(w, 0.0), starts)
-            near[counts == 0] = 0.0
-            manual = near + ring + shift
+            manual = np.bincount(owner, w, minlength=100) + ring + shift
             assert np.array_equal(manual, interference_samples(
                 cfg, MCConfig(100, 99, tail_epsilon=eps)))
 
@@ -643,24 +647,27 @@ def test_a_sample_without_near_points_is_its_ring_variate_alone():
     # of the samples draw none: each of those is its ring variate alone,
     # to the bit, and every other is its own points' sum plus its ring
     cfg = make_cfg(eta=8.0)
-    counts, w, ring, shift = _first_chunk_by_hand(cfg, 1e-3, 1024, 10)
-    empty = counts == 0
+    owner, w, ring, shift = _first_chunk_by_hand(cfg, 1e-3, 1024, 10)
+    empty = np.bincount(owner, minlength=1024) == 0
     assert 50 < np.count_nonzero(empty) < 150
-    starts = np.cumsum(counts) - counts
-    near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
+    near = np.array([math.fsum(w[owner == j]) for j in range(1024)])
     vals = interference_samples(cfg, MCConfig(1024, 10))
     assert np.array_equal(vals[empty], ring[empty] + shift)
     assert np.allclose(vals, near + ring + shift, rtol=1e-14, atol=0.0)
 
 
 class _DrawSpy:
-    """A Generator that records its draws in order: ("random", size) for
-    uniforms, ("standard_gamma", shape, 1.0, size) and ("gamma", shape,
-    scale, size), and keeps the last gamma draw as `drawn`.  The unit draws
-    take `out=` as numpy's do."""
+    """A Generator that records its draws in order: ("poisson", lam),
+    ("random", size) for uniforms, ("standard_gamma", shape, 1.0, size) and
+    ("gamma", shape, scale, size), and keeps the last gamma draw as
+    `drawn`.  The unit draws take `out=` as numpy's do."""
 
     def __init__(self, rng):
         self._rng, self.calls = rng, []
+
+    def poisson(self, lam):
+        self.calls.append(("poisson", lam))
+        return self._rng.poisson(lam)
 
     def random(self, size=None, out=None):
         self.calls.append(("random", size if out is None else out.size))
@@ -680,23 +687,23 @@ class _DrawSpy:
 def _ring_variate_cumulants(cfg, r0, rmax, rho=None):
     """(c + k theta, k theta^2, 2 k theta^3), the first three cumulants of
     the ring variate c + Gamma(k, theta) that _field_interference draws,
-    read off its draws: its one scaled gamma draw, after the counts'
-    uniforms, the positions, the unit-scale marks (uniforms to invert at
-    m = 1) and, for the uplink field of rho, the uniforms of E, and c as
-    what a sample without near-field points holds beyond that draw."""
+    read off its draws: its one scaled gamma draw, after the points'
+    Poisson total, their uniforms, the unit-scale marks (uniforms to invert
+    at m = 1) and, for the uplink field of rho, the uniforms of E, and c as
+    what a sample without near-field points holds beyond that draw: at
+    nu = 0 the chunk has none."""
     spy = _DrawSpy(np.random.default_rng(0))
     rn = near_field(cfg, r0, rmax)[0]
-    no_points = (0, np.array([1.0]), np.array([0]))
     out = mcsim._field_interference(
-        cfg, r0, rmax, rn, no_points, 8, spy, [np.empty(0)] * 3,
+        cfg, r0, rmax, rn, 0.0, 8, spy, [],
         mcsim._ring_variate(mcsim._ring_cumulants(cfg, r0, rmax, rn, rho)),
         rho)
     marks = ("random" if cfg.fading_interferer.shape == 1.0
              else "standard_gamma")
     assert [c[0] for c in spy.calls] == (
-        ["random", "random", marks] + ["random"] * (rho is not None)
+        ["poisson", "random", marks] + ["random"] * (rho is not None)
         + ["gamma"])
-    assert spy.calls[0] == ("random", 8)
+    assert spy.calls[:2] == [("poisson", 0.0), ("random", 0)]
     _, shape, scale, size = spy.calls[-1]
     assert size == 8
     shift = out - spy.drawn
@@ -708,31 +715,34 @@ def _ring_variate_cumulants(cfg, r0, rmax, rho=None):
 def test_rayleigh_marks_are_minus_log_of_one_minus_the_chunk_uniforms():
     # on a unit circle at unit power and mark scale every point's weight is
     # its mark, to the bit, and the ring is empty: the marks are
-    # -ln(1 - U) of the chunk's stream, after the counts' and radii's
-    # uniforms
+    # -ln(1 - U) of the chunk's stream, after the Poisson total and the
+    # points' uniforms, and each sample sums the marks of the points whose
+    # floor(U size) it is
     cfg = make_cfg()
-    table = mcsim._poisson_table(3.0)
-    bufs = [np.empty(0)] * 3
-    out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, table, 500,
+    bufs = []
+    out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, 3.0, 500,
                                     mcsim._chunk_rng(5, 0), bufs,
                                     (0.0, 0.0, 0.0))
     rng = mcsim._chunk_rng(5, 0)
-    counts = mcsim._poisson_counts(table, rng, 500)
-    total = int(counts.sum())
-    rng.random(total)
+    total = rng.poisson(1500.0)
+    owner = np.floor(rng.random(total) * 500).astype(int)
     marks = -np.log(1.0 - rng.random(total))
     assert np.array_equal(bufs[1][:total], marks)
-    starts = np.cumsum(counts) - counts
-    assert out == pytest.approx([math.fsum(marks[s:s + c])
-                                 for s, c in zip(starts, counts)],
+    assert np.array_equal(bufs[3][:total], owner)
+    assert out == pytest.approx([math.fsum(marks[owner == j])
+                                 for j in range(500)],
                                 rel=1e-14, abs=0.0)
 
 
 class _ConstantUniforms:
-    """A generator whose every uniform is u."""
+    """A generator whose every uniform is u, and whose every Poisson total
+    is 6."""
 
     def __init__(self, u):
         self.u = u
+
+    def poisson(self, lam):
+        return 6
 
     def random(self, size=None, out=None):
         if out is None:
@@ -746,26 +756,28 @@ class _ConstantUniforms:
 def test_inverted_exponentials_at_the_ends_of_the_uniforms(u, e):
     # U = 0 gives ln 1 and the largest uniform ln 2^-53, never ln 0, also
     # in a product of up to MAX_PRODUCT_SHAPE of them: the marks and the
-    # uplink's E come out finite, with no RuntimeWarning.  A one-slot
-    # table puts three points in every sample on the unit circle, at unit
-    # mark scale, with an empty ring.  The uplink field cut there, at T =
-    # v_min = V = pi lambda and unit rho T^(-eta/2), has every v at v_min,
-    # so E = 1 + X and each point weighs X (1 + X)^2 at eta = 4
+    # uplink's E come out finite, with no RuntimeWarning.  Six points of a
+    # two-sample chunk lie on the unit circle, at unit mark scale, with an
+    # empty ring, all in sample floor(2 U): the first at U = 0, the last
+    # at the largest U.  The uplink field cut there, at T = v_min = V =
+    # pi lambda and unit rho T^(-eta/2), has every v at v_min, so E = 1 + X
+    # and each point weighs X (1 + X)^2 at eta = 4
     cfg = make_cfg()
     for n in range(1, mcsim.MAX_PRODUCT_SHAPE + 1):
         minus_x = mcsim._minus_gamma(_ConstantUniforms(u), n, np.empty(4))
         assert np.all(-minus_x == pytest.approx(n * e, rel=1e-15, abs=0.0))
-    table = (3, np.array([1.0]), np.array([0]))
     for rho, weight in ((None, e),
                         ((math.pi * cfg.lam) ** 2, e * (1.0 + e) ** 2)):
-        bufs = [np.empty(0)] * 3
-        out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, table, 2,
+        bufs = []
+        out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, 3.0, 2,
                                         _ConstantUniforms(u), bufs,
                                         (0.0, 0.0, 0.0), rho)
         assert np.all(np.isfinite(bufs[1][:6]))
         assert bufs[1][:6] == pytest.approx(np.full(6, weight), rel=1e-14,
                                             abs=0.0)
-        assert out == pytest.approx([3.0 * weight] * 2, rel=1e-14, abs=0.0)
+        held = int(u > 0.0)
+        assert out[1 - held] == 0.0
+        assert out[held] == pytest.approx(6.0 * weight, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n", range(1, mcsim.MAX_PRODUCT_SHAPE + 1))
@@ -792,11 +804,9 @@ def test_uplink_chunk_is_the_two_power_formula(eta, m_int):
     cfg = make_cfg(eta=eta, m_int=m_int)
     rho = capacity.default_rho(cfg)
     size = uplink_chunk(cfg)
-    counts, w, ring, shift = _first_chunk_by_hand(cfg, 1e-3, size, 21, rho)
-    starts = np.cumsum(counts) - counts
-    near = np.array([math.fsum(w[s:s + c]) for s, c in zip(starts, counts)])
-    vals = mcsim._field_chunks(cfg, MCConfig(size, 21),
-                               lambda field, rng: field, rho=rho)
+    owner, w, ring, shift = _first_chunk_by_hand(cfg, 1e-3, size, 21, rho)
+    near = np.bincount(owner, w, minlength=size)
+    vals = mcsim._field_chunks(cfg, MCConfig(size, 21), copy_field, rho=rho)
     assert vals == pytest.approx(near + ring + shift, rel=1e-13, abs=0.0)
 
 
@@ -906,8 +916,9 @@ def test_served_gains_are_drawn_after_the_field(monkeypatch, m_sig):
 
     def after_field(mc, scale, **field):
         return mcsim._field_chunks(
-            cfg, mc, lambda f, rng: np.stack(
-                [f, unit_gamma_by_hand(rng, m_sig, f.size) * scale]), **field)
+            cfg, mc, lambda f, rng, out: np.stack(
+                [f, unit_gamma_by_hand(rng, m_sig, f.size) * scale], out=out),
+            rows=2, **field)
 
     mc = MCConfig(2 * mc_chunk(cfg) - 7, 3)
     i_bs, h = after_field(mc, fs.scale)
@@ -922,62 +933,116 @@ def test_served_gains_are_drawn_after_the_field(monkeypatch, m_sig):
                           * np.log2(g * rho / (i_up + cfg.n0) + 1.0))
 
 
-# --------------------------------------------------------------- counts --
+# ------------------------------------------------------- point owners --
 
-@pytest.mark.parametrize("nu", [0.0, 1e-3, 0.3, 14.85, 51.0, 1e4])
-def test_alias_table_is_the_poisson_law_on_its_window(nu):
-    # slot j keeps lo + j with probability prob[j] and gives lo + alias[j]
-    # otherwise, each slot 1/K: the pmf that implies is Poisson's (40-digit
-    # mpmath) to 1e-15, and the window leaves out less than 1e-30 of the
-    # mass
-    mpmath = pytest.importorskip("mpmath")
-    lo, prob, alias = mcsim._poisson_table(nu)
-    size = prob.size
-    root = math.sqrt(nu)
-    assert lo == max(0, math.floor(nu - 12.0 * root - 30.0))
-    assert lo + size - 1 == math.floor(nu + 12.0 * root + 30.0)
-    assert np.all((prob >= 0.0) & (prob <= 1.0))
-    assert np.all((alias >= 0) & (alias < size))
-    implied = prob.copy()
-    np.add.at(implied, alias, 1.0 - prob)
-    implied /= size
-    with mpmath.workdps(40):
-        mu = mpmath.mpf(nu)
-        pmf = np.array([float(mpmath.exp(k * mpmath.log(mu) - mu
-                                         - mpmath.loggamma(k + 1)))
-                        if nu else float(k == 0)
-                        for k in range(lo, lo + size)])
-        outside = (mpmath.gammainc(lo + size, 0, nu, regularized=True)
-                   + (mpmath.gammainc(lo, nu, mpmath.inf, regularized=True)
-                      if lo else 0))
-    assert np.max(np.abs(implied - pmf)) < 1e-15
-    assert outside < 1e-30
+def _chunk_owners(cfg, nu, size, seed, c):
+    """The sample of each point of chunk c of a field of nu expected
+    near-field points per sample, as _field_interference draws it into its
+    owner buffer: floor(U size) of each point's uniform U."""
+    bufs = []
+    r0, rmax = mc_annulus(cfg, 1e-3)
+    rn = near_field(cfg, r0, rmax)[0]
+    mcsim._field_interference(cfg, r0, rmax, rn, nu, size,
+                              mcsim._chunk_rng(seed, c), bufs,
+                              (0.0, 0.0, 0.0))
+    return bufs[3][:mcsim._chunk_rng(seed, c).poisson(nu * size)]
 
 
-@pytest.mark.parametrize("nu", [14.85, 1e4])
-def test_alias_counts_have_the_poisson_mean_and_variance(nu):
-    # the counts' mean and variance are nu, within 5 standard errors of
-    # 2e5 draws: at nu = 1e4 the window starts at lo = 8770
-    counts = mcsim._poisson_counts(mcsim._poisson_table(nu),
-                                   mcsim._chunk_rng(9, 0), 200_000)
-    assert counts.dtype.kind == "i"
+@pytest.mark.parametrize("nu", [0.0, 0.3, 4.39, 30.0])
+def test_split_counts_follow_the_poisson_law(nu):
+    # each sample's count of points, the bincount of the owners of a
+    # chunk's one Poisson(nu size) total, over about 2e5 samples of whole
+    # chunks: a chi-square fit to the Poisson(nu) pmf, counts pooled where
+    # fewer than 5 are expected, p above 1e-3, and the mean and variance
+    # within 5 standard errors of nu
+    cfg = make_cfg()
+    size = mcsim._chunk_samples(nu)
+    counts = np.concatenate([
+        np.bincount(_chunk_owners(cfg, nu, size, 9, c), minlength=size)
+        for c in range(-(-200_000 // size))])
+    assert counts.dtype.kind == "i" and counts.size >= 200_000
     n = counts.size
+    if nu == 0.0:
+        assert not np.any(counts)
+        return
+    k = np.arange(counts.max() + 1)
+    expected = n * stats.poisson(nu).pmf(k)
+    expected[-1] += n * stats.poisson(nu).sf(k[-1])
+    observed = np.bincount(counts).astype(float)
+    pooled_obs, pooled_exp, acc_o, acc_e = [], [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        acc_o, acc_e = acc_o + o, acc_e + e
+        if acc_e >= 5.0:
+            pooled_obs.append(acc_o)
+            pooled_exp.append(acc_e)
+            acc_o = acc_e = 0.0
+    pooled_obs[-1] += acc_o
+    pooled_exp[-1] += acc_e
+    assert stats.chisquare(pooled_obs, pooled_exp).pvalue > 1e-3
     assert abs(counts.mean() - nu) < 5.0 * math.sqrt(nu / n)
     assert abs(counts.var(ddof=1) - nu) < 5.0 * nu * math.sqrt(
         (1.0 / nu + 2.0) / n)
 
 
-def test_a_silent_near_field_draws_no_points_and_one_sample_chunks_work():
-    # nu = 0: every count is 0.  One sample draws one count, also in a
-    # window far from 0, and a field of one-sample chunks (r_min = 10 km,
-    # about 4.7e4 points per sample) is whole
-    rng = mcsim._chunk_rng(2, 0)
-    assert not np.any(mcsim._poisson_counts(mcsim._poisson_table(0.0), rng,
-                                            1000))
-    table = mcsim._poisson_table(1e4)
-    one = mcsim._poisson_counts(table, rng, 1)
-    assert one.shape == (1,) and table[0] <= one[0] < table[0] + table[1].size
+def test_the_owner_stays_below_the_chunk_size_at_the_largest_uniform():
+    # floor(U size) at U = 1 - 2^-53 is size - 1 for every chunk size up
+    # to CHUNK_POINTS: U size rounds below size, never onto it; and a real
+    # chunk of such uniforms puts all six of its points in its last sample
+    u = 1.0 - 2.0 ** -53
+    sizes = np.arange(1, mcsim.CHUNK_POINTS + 1)
+    assert np.array_equal((u * sizes).astype(np.intp), sizes - 1)
     cfg = make_cfg()
+    for size in (1, 3, 1057, mcsim.CHUNK_POINTS):
+        bufs = []
+        out = mcsim._field_interference(cfg, 1.0, 1.0, 1.0, 1.0, size,
+                                        _ConstantUniforms(u), bufs,
+                                        (0.0, 0.0, 0.0))
+        assert np.array_equal(bufs[3][:6], [size - 1] * 6)
+        assert out.shape == (size,) and np.count_nonzero(out) == 1
+
+
+@pytest.mark.parametrize("size", [1, 3, 1057, 6081, mcsim.CHUNK_POINTS])
+def test_the_position_uniform_is_the_exact_fraction(size):
+    # x - floor(x) of x = fl(U size), as the chunk takes it from a real
+    # chunk's uniforms, is that fraction exactly (rational arithmetic), in
+    # [0, 1)
+    from fractions import Fraction
+    rng = mcsim._chunk_rng(4, 0)
+    rng.poisson(1.0)
+    x = rng.random(2000) * size
+    frac = x - np.floor(x)
+    assert np.all((frac >= 0.0) & (frac < 1.0))
+    for xi, fi in zip(x.tolist(), frac.tolist()):
+        exact = Fraction(xi)
+        assert Fraction(fi) == exact - math.floor(exact)
+
+
+def test_a_chunk_without_points_is_float64_zeros_plus_its_ring():
+    # no near point: bincount of no owners would be int64, and the chunk
+    # still returns float64 zeros, plus the ring variate to the bit
+    cfg = make_cfg()
+    r0, rmax = mc_annulus(cfg, 1e-3)
+    rn = near_field(cfg, r0, rmax)[0]
+    ring = mcsim._ring_variate(mcsim._ring_cumulants(cfg, r0, rmax, rn))
+    for drawn_ring in ((0.0, 0.0, 0.0), ring):
+        spy = _DrawSpy(mcsim._chunk_rng(1, 0))
+        out = mcsim._field_interference(cfg, r0, rmax, rn, 0.0, 50, spy,
+                                        [], drawn_ring)
+        assert out.dtype == np.float64 and out.shape == (50,)
+        if drawn_ring[1]:
+            assert np.array_equal(out, spy.drawn + ring[0])
+        else:
+            assert not np.any(out)
+
+
+def test_a_silent_near_field_draws_no_points_and_one_sample_chunks_work():
+    # nu = 0: a chunk holds no point.  A one-sample chunk owns every point
+    # of its total, also about 1e4 of them, and a field of one-sample
+    # chunks (r_min = 10 km, about 4.7e4 points per sample) is whole
+    cfg = make_cfg()
+    assert _chunk_owners(cfg, 0.0, 1000, 2, 0).size == 0
+    one = _chunk_owners(cfg, 1e4, 1, 2, 0)
+    assert 9000 < one.size < 11000 and not np.any(one)
     assert mc_chunk(cfg, r_min=10000.0) == 1
     vals = interference_samples(cfg, MCConfig(2, 3), r_min=10000.0)
     law = FieldLaw(cfg, 10000.0, mc_annulus(cfg, 1e-3)[1] * 10000.0 / cfg.r0)
@@ -1047,8 +1112,7 @@ def test_uplink_field_mean_is_the_annulus_campbell_mean():
     cfg = make_cfg(eta=3.0)
     rho = capacity.default_rho(cfg)
     r0, rmax = mc_annulus(cfg, 1e-3)
-    vals = mcsim._field_chunks(cfg, MCConfig(30_000, 13),
-                               lambda field, rng: field, rho=rho)
+    vals = mcsim._field_chunks(cfg, MCConfig(30_000, 13), copy_field, rho=rho)
     unit = FieldLaw(replace(cfg, p_bs=1.0), r0, rmax)
     k1, k2, k4 = (unit.cumulant(n) * rho ** n * gamma_fn(1.0 + 1.5 * n)
                   * (math.pi * cfg.lam) ** (-1.5 * n) for n in (1, 2, 4))
